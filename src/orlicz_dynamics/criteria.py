@@ -30,15 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InconsistentVerdictsError
+from .errors import ConfigError, InconsistentVerdictsError
 from .groups import CompactSet, separation_constant, torsion_order
-from .translations import (
-    WeightedSystem,
-    phi_product,
-    phi_series_pair,
-    phi_tilde_product,
-    phi_tilde_series_pair,
-)
+from .translations import WeightedSystem, orbit_series
 
 
 class Property(str, Enum):
@@ -59,6 +53,11 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
+
+# Largest total size, in bytes, of the float64 product series one checker
+# holds for all of K.  Requests above it fail validation instead of
+# dying in allocation.
+SERIES_MEMORY_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,9 @@ class CriterionRequest:
     """One criterion run: system, finite set K, property and budgets.
 
     epsilons defaults to the halving schedule 2^{-k}, k = 1..10; N_max
-    bounds the step search; L_max truncates the chaos series.
+    bounds the step search; L_max truncates the chaos series.  Budgets
+    whose product series (see series_depth) would pass SERIES_MEMORY_CAP
+    raise ConfigError on the N_max field.
     """
 
     system: WeightedSystem
@@ -134,6 +135,26 @@ class CriterionRequest:
             raise ValueError("L_max must be >= 1")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
             raise ValueError("epsilons must lie in (0, 1)")
+        depth = series_depth(self, self.property)
+        arrays = 4 if self.property is Property.CHAOTIC else 2
+        size = len(self.K) * (depth + 1) * arrays * 8
+        if size > SERIES_MEMORY_CAP:
+            raise ConfigError(
+                "N_max",
+                f"{self.property.value} with N_max = {self.N_max}, L = {self.L} and "
+                f"L_max = {self.L_max} needs {arrays} product series of {depth} steps "
+                f"over |K| = {len(self.K)} points: {size / 2**30:.3g} GiB, over the "
+                f"{SERIES_MEMORY_CAP / 2**30:g} GiB cap",
+            )
+
+
+def series_depth(req: CriterionRequest, prop: Property) -> int:
+    """Last step of the product series the checker for prop builds on K."""
+    if prop is Property.CHAOTIC:
+        return max(req.L_max, 2) * req.N_max  # the tail ratio needs two terms
+    if prop is Property.MULTIPLY_RECURRENT:
+        return req.L * req.N_max
+    return req.N_max
 
 
 @dataclass(frozen=True)
@@ -202,8 +223,8 @@ def _start_n(req: CriterionRequest) -> int:
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise sup over K of the product series, for m = 0..depth."""
     pts = _sorted_points(req)
-    phi = np.stack([phi_series_pair(req.system, x, depth)[0] for x in pts])
-    tilde = np.stack([phi_tilde_series_pair(req.system, x, depth)[0] for x in pts])
+    phi, _ = orbit_series(req.system, pts, depth)
+    tilde, _ = orbit_series(req.system, pts, depth, backward=True)
     return phi.max(axis=0), tilde.max(axis=0)
 
 
@@ -236,7 +257,7 @@ def _subsequence_verdict(
         if obs is not None:
             return _obstruction_verdict(req, prop, obs)
     start = _start_n(req)
-    sup_phi, sup_tilde = _sup_series(req, L * req.N_max)
+    sup_phi, sup_tilde = _sup_series(req, series_depth(req, prop))
     ls = np.arange(1, L + 1)
     ns = range(start, req.N_max + 1)
     series = []
@@ -295,7 +316,7 @@ def mixing_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Ve
         if obs is not None:
             return _obstruction_verdict(req, Property.MIXING, obs)
     start = _start_n(req)
-    sup_phi, sup_tilde = _sup_series(req, req.N_max)
+    sup_phi, sup_tilde = _sup_series(req, series_depth(req, Property.MIXING))
     ns = list(range(start, req.N_max + 1))
     combined = {n: max(float(sup_phi[n]), float(sup_tilde[n])) for n in ns}
     series = tuple(SeriesPoint(n, float(sup_phi[n]), float(sup_tilde[n])) for n in ns)
@@ -339,20 +360,10 @@ def chaotic_check(req: CriterionRequest, ignore_obstructions: bool = False) -> V
     start = _start_n(req)
     L_sum = req.L_max
     n_terms = max(L_sum, 2)  # ratio estimation needs two consecutive terms
-    depth = n_terms * req.N_max
+    depth = series_depth(req, Property.CHAOTIC)
     pts = _sorted_points(req)
-    phi_lin, phi_log, til_lin, til_log = [], [], [], []
-    for x in pts:
-        pl, pg = phi_series_pair(req.system, x, depth)
-        tl, tg = phi_tilde_series_pair(req.system, x, depth)
-        phi_lin.append(pl)
-        phi_log.append(pg)
-        til_lin.append(tl)
-        til_log.append(tg)
-    phi_lin = np.stack(phi_lin)
-    phi_log = np.stack(phi_log)
-    til_lin = np.stack(til_lin)
-    til_log = np.stack(til_log)
+    phi_lin, phi_log = orbit_series(req.system, pts, depth, logs=True)
+    til_lin, til_log = orbit_series(req.system, pts, depth, backward=True, logs=True)
 
     ns = list(range(start, req.N_max + 1))
     series = []
@@ -485,12 +496,12 @@ def implication_audit(verdicts: Sequence[Verdict]) -> AuditReport:
         depth = mr.request.L if mr is not None else max(src.request.L, 1)
         sys = src.request.system
         pts = src.request.K.sorted_elements(sys.group)
+        last = depth * max((entry.n for entry in src.witness), default=0)
+        phi, _ = orbit_series(sys, pts, last)
+        tilde, _ = orbit_series(sys, pts, last, backward=True)
         for entry in src.witness:
-            sup = max(
-                max(phi_product(sys, x, l * entry.n), phi_tilde_product(sys, x, l * entry.n))
-                for l in range(1, depth + 1)
-                for x in pts
-            )
+            steps = np.arange(1, depth + 1) * entry.n
+            sup = max(float(phi[:, steps].max()), float(tilde[:, steps].max()))
             checks.append(
                 AuditCheck(
                     f"{prop.value} witness n={entry.n} validates depth-{depth} "

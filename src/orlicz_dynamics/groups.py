@@ -4,6 +4,12 @@ Concrete groups: the integers, integer lattices, the integer Heisenberg
 group and finite cyclic groups.  Elements are plain ints or int tuples,
 so they hash and compare natively.  Haar measure is counting measure
 throughout; "compact set" means a finite explicit set of elements.
+
+Besides the scalar ``mul``, each group gives its orbits x·a^j in closed
+form over a whole range of exponents j (negative j included), as int64
+coordinate arrays.  ``orbit_bound`` is the exact Python-int guard for
+that form: callers use it only while the bound stays below
+``INT64_GUARD``, so no int64 intermediate can wrap.
 """
 
 from __future__ import annotations
@@ -13,9 +19,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import TorsionElementError
 
 Element = Hashable
+
+# Closed-form orbits are used only while orbit_bound stays below this:
+# every int64 intermediate of orbit_coords then stays clear of 2^63.
+INT64_GUARD = 2**62
 
 
 class Group(ABC):
@@ -40,6 +52,22 @@ class Group(ABC):
     @abstractmethod
     def element(self, coords: Sequence[int] | int) -> Element:
         """Inverse of :meth:`coords`; accepts a bare int for rank-1 groups."""
+
+    @abstractmethod
+    def orbit_bound(self, x: Element, a: Element, J: int) -> int:
+        """Exact bound on |c| for every coordinate c of x·a^j with |j| <= J
+        and on every intermediate :meth:`orbit_coords` computes for it."""
+
+    @abstractmethod
+    def orbit_coords(self, xs: np.ndarray, a: Element, js: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Coordinates of x·a^j in closed form, one int64 array per
+        coordinate of shape (len(xs), len(js)).
+
+        xs is the int64 (points, rank) array of the starting points and js
+        the int64 exponents.  Each point must pass the ``orbit_bound`` guard
+        for max |j|; the arrays then equal the coordinates ``mul`` reaches
+        by repeated multiplication with a (or its inverse).
+        """
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
@@ -77,6 +105,12 @@ class IntegerGroup(Group):
     def inv(self, g):
         return -g
 
+    def orbit_bound(self, x, a, J):
+        return abs(x) + (J + 1) * abs(a)
+
+    def orbit_coords(self, xs, a, js):
+        return (xs[:, :1] + js * a,)
+
     def coords(self, g):
         return [g]
 
@@ -108,6 +142,12 @@ class LatticeGroup(Group):
     def inv(self, g):
         return tuple(-a for a in g)
 
+    def orbit_bound(self, x, a, J):
+        return max(abs(xk) + (J + 1) * abs(ak) for xk, ak in zip(x, a))
+
+    def orbit_coords(self, xs, a, js):
+        return tuple(xs[:, k : k + 1] + js * ak for k, ak in enumerate(a))
+
     def coords(self, g):
         return list(g)
 
@@ -137,6 +177,23 @@ class HeisenbergGroup(Group):
         x, y, z = g
         return (-x, -y, x * y - z)
 
+    def orbit_bound(self, x, a, J):
+        # a^j = (j*a1, j*a2, j*a3 + a1*a2*j*(j-1)/2), so the z coordinate of
+        # x·a^j is quadratic in j; the bound sums every term's magnitude.
+        (x1, x2, x3), (a1, a2, a3) = x, a
+        J1 = J + 1
+        return (
+            abs(x1) + abs(x2) + abs(x3)
+            + J1 * (abs(a1) + abs(a2) + abs(a3) + abs(x1 * a2))
+            + J1 * J1 * (1 + abs(a1 * a2))
+        )
+
+    def orbit_coords(self, xs, a, js):
+        a1, a2, a3 = a
+        x1, x2, x3 = xs[:, :1], xs[:, 1:2], xs[:, 2:]
+        z_of_power = js * a3 + (a1 * a2) * (js * (js - 1) // 2)
+        return (x1 + js * a1, x2 + js * a2, x3 + z_of_power + (x1 * a2) * js)
+
     def coords(self, g):
         return list(g)
 
@@ -164,6 +221,12 @@ class CyclicGroup(Group):
 
     def inv(self, g):
         return (-g) % self.m
+
+    def orbit_bound(self, x, a, J):
+        return abs(x) + (J + 1) * abs(a)
+
+    def orbit_coords(self, xs, a, js):
+        return ((xs[:, :1] + js * a) % self.m,)
 
     def coords(self, g):
         return [g]

@@ -21,8 +21,7 @@ from .translations import (
     apply_S,
     apply_T,
     apply_T_n,
-    phi_product,
-    phi_tilde_product,
+    orbit_series,
 )
 
 # Witness/periodic summands larger than this abort the construction
@@ -138,8 +137,11 @@ def _boundary_norms(sys: WeightedSystem, f: OrliczVector, n: int, L_trunc: int) 
     """Norms of the two terms dropped by the truncation, computed from the
     orbit products: N(phi_{(L+1)n} f) and N(phi~_{Ln} f)."""
     phi = sys.young
-    t_side = f.mul_pointwise(lambda x: phi_product(sys, x, (L_trunc + 1) * n))
-    s_side = f.mul_pointwise(lambda x: phi_tilde_product(sys, x, L_trunc * n))
+    pts = [x for x, _ in f.items()]
+    t_prod, _ = orbit_series(sys, pts, (L_trunc + 1) * n)
+    s_prod, _ = orbit_series(sys, pts, L_trunc * n, backward=True)
+    t_side = f.mul_pointwise(dict(zip(pts, t_prod[:, -1].tolist())).__getitem__)
+    s_side = f.mul_pointwise(dict(zip(pts, s_prod[:, -1].tolist())).__getitem__)
     return luxemburg_norm(t_side, phi), luxemburg_norm(s_side, phi)
 
 

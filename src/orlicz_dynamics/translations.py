@@ -8,6 +8,21 @@ sequences along the orbit of a point x:
     forward products   prod_{j=1..n} w(x * a^j)
     backward products  1 / prod_{j=0..n-1} w(x * a^{-j})
 
+``orbit_series`` computes both for many points at once.  The group gives
+the orbit x * a^j in closed form for a whole range of j as int64
+coordinate arrays (affine in j on Z, Z^d and cyclic groups, quadratic in
+the Heisenberg z coordinate), and the weight's ``evaluate_many`` maps
+them to a (points, steps) weight block.  The series are then one
+sequential cumprod per row, and a cumsum of the logs: the same
+operations, in the same order, on the same float64 weights as the
+scalar loop ``orbit_weights_forward`` / ``orbit_weights_backward`` that
+applies ``Group.mul`` once per step, so every product is bit-identical
+to it.  That loop remains the reference and the only path for table
+weights (which have no ``evaluate_many``) and for orbits whose
+coordinates could reach ``groups.INT64_GUARD``, as an exact Python-int
+bound decides.  The per-point functions (``phi_product``,
+``phi_series_pair``, ...) are views of one row of the kernel.
+
 Products are accumulated in linear space and in log space side by side;
 for long orbits (n > 128) the linear value may legitimately underflow to
 0.0 (or overflow to inf) while the log value stays finite, so callers
@@ -19,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import Element, Group
+from .groups import INT64_GUARD, Element, Group
 from .orlicz import OrliczVector
 
 
@@ -37,6 +52,9 @@ class ConstantWeight:
 
     def __call__(self, g: Element) -> float:
         return self.c
+
+    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+        return np.full(coords[0].shape, self.c)
 
     def sup_bound(self) -> float:
         return self.c
@@ -58,6 +76,10 @@ class TwoSidedStepWeight:
 
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
+
+    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+        (x,) = coords
+        return np.where(x >= 1, self.c_pos, self.c_neg)
 
     def sup_bound(self) -> float:
         return max(self.c_neg, self.c_pos)
@@ -82,6 +104,10 @@ class HeisenbergDyadicWeight:
         if z <= -1:
             return 2.0
         return 2.0 ** (-z)
+
+    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+        _, _, z = coords
+        return np.where(z >= 1, 0.5, np.where(z <= -1, 2.0, 1.0))
 
     def sup_bound(self) -> float:
         return 2.0
@@ -165,12 +191,8 @@ def apply_T_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
         raise ValueError("iterate count must be >= 0")
     if n == 0:
         return f
-    g, a = sys.group, sys.a
-    shift = g.pow(a, n)
-    out = {}
-    for y, v in f.items():
-        out[g.mul(y, shift)] = v * phi_product(sys, y, n)
-    return OrliczVector(out)
+    linear, _ = orbit_series(sys, [y for y, _ in f.items()], n)
+    return _translate_weighted(sys, f, n, linear[:, n])
 
 
 def apply_S_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
@@ -180,16 +202,25 @@ def apply_S_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
         raise ValueError("iterate count must be >= 0")
     if n == 0:
         return f
-    g, a = sys.group, sys.a
-    shift = g.pow(a, -n)
-    out = {}
-    for y, v in f.items():
-        out[g.mul(y, shift)] = v * phi_tilde_product(sys, y, n)
-    return OrliczVector(out)
+    linear, _ = orbit_series(sys, [y for y, _ in f.items()], n, backward=True)
+    return _translate_weighted(sys, f, -n, linear[:, n])
+
+
+def _translate_weighted(
+    sys: WeightedSystem, f: OrliczVector, k: int, factors: np.ndarray
+) -> OrliczVector:
+    """Move each support point y of f to y * a^k, multiplying its value by
+    the factor at the same position of f.items()."""
+    g = sys.group
+    shift = g.pow(sys.a, k)
+    return OrliczVector({g.mul(y, shift): v * p for (y, v), p in zip(f.items(), factors.tolist())})
 
 
 def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray:
-    """Array [w(x*a), w(x*a^2), ..., w(x*a^m)]."""
+    """Array [w(x*a), w(x*a^2), ..., w(x*a^m)], by repeated ``mul``.
+
+    The scalar reference for the closed-form kernel, and its path for
+    table weights and for orbits past the int64 guard."""
     g, a, w = sys.group, sys.a, sys.weight
     out = np.empty(m)
     cur = x
@@ -200,7 +231,8 @@ def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray
 
 
 def orbit_weights_backward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray:
-    """Array [w(x), w(x*a^{-1}), ..., w(x*a^{-(m-1)})]."""
+    """Array [w(x), w(x*a^{-1}), ..., w(x*a^{-(m-1)})], by repeated ``mul``;
+    the backward scalar reference."""
     g, a, w = sys.group, sys.a, sys.weight
     a_inv = g.inv(a)
     out = np.empty(m)
@@ -211,11 +243,86 @@ def orbit_weights_backward(sys: WeightedSystem, x: Element, m: int) -> np.ndarra
     return out
 
 
+# Closed-form orbits are evaluated this many weights at a time, so each
+# int64 coordinate temporary of a block stays at 1 MiB.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _orbit_weights(
+    sys: WeightedSystem, points: Sequence[Element], m: int, backward: bool, out: np.ndarray
+) -> None:
+    """Fill the (len(points), m) block out with the weights along each
+    orbit: row i equals orbit_weights_forward(sys, points[i], m), or
+    orbit_weights_backward when backward is set.
+
+    Weights with ``evaluate_many`` take the group's closed-form orbit
+    coordinates, a block of rows at a time.  Table weights, and points
+    whose orbit could leave the int64 guard, take the scalar loop."""
+    g, a = sys.group, sys.a
+    evaluate = getattr(sys.weight, "evaluate_many", None)
+    scalar = orbit_weights_backward if backward else orbit_weights_forward
+    closed = []
+    for i, x in enumerate(points):
+        if evaluate is not None and g.orbit_bound(x, a, m) < INT64_GUARD:
+            closed.append(i)
+        else:
+            out[i] = scalar(sys, x, m)
+    if not closed or m == 0:
+        return
+    js = -np.arange(m) if backward else np.arange(1, m + 1)
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, len(closed), rows):
+        idx = closed[start : start + rows]
+        xs = np.array([g.coords(points[i]) for i in idx], dtype=np.int64)
+        out[idx] = evaluate(g.orbit_coords(xs, a, js))
+
+
+def orbit_series(
+    sys: WeightedSystem,
+    points: Sequence[Element],
+    depth: int,
+    backward: bool = False,
+    logs: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Product series of every point for n = 0..depth, as (linear, log)
+    arrays of shape (len(points), depth + 1); log is None unless asked.
+
+    Row i equals phi_series_pair(sys, points[i], depth), or
+    phi_tilde_series_pair when backward is set, bit for bit: each row is
+    the same sequential cumprod (and cumsum of logs) over the same
+    weights."""
+    shape = (len(points), depth + 1)
+    linear = np.empty(shape)
+    linear[:, 0] = 1.0
+    ws = linear[:, 1:]
+    _orbit_weights(sys, points, depth, backward, ws)
+    log = None
+    if logs:
+        log = np.empty(shape)
+        log[:, 0] = 0.0
+        tail = log[:, 1:]
+        np.log(ws, out=tail)
+        np.cumsum(tail, axis=1, out=tail)
+        if backward:
+            np.negative(tail, out=tail)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.cumprod(ws, axis=1, out=ws)
+        if backward:
+            np.divide(1.0, ws, out=ws)
+    return linear, log
+
+
+def _weights(sys: WeightedSystem, x: Element, m: int, backward: bool) -> np.ndarray:
+    out = np.empty((1, m))
+    _orbit_weights(sys, [x], m, backward, out)
+    return out[0]
+
+
 def phi_product(sys: WeightedSystem, x: Element, n: int) -> float:
     """Forward product prod_{j=1..n} w(x * a^j); empty product is 1."""
     if n < 0:
         raise ValueError("product length must be >= 0")
-    return float(math.prod(orbit_weights_forward(sys, x, n))) if n else 1.0
+    return float(orbit_series(sys, [x], n)[0][0, n])
 
 
 def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
@@ -225,20 +332,17 @@ def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
     small weights); use the pair variant for the log value."""
     if n < 0:
         raise ValueError("product length must be >= 0")
-    if n == 0:
-        return 1.0
-    denom = float(math.prod(orbit_weights_backward(sys, x, n)))
-    return math.inf if denom == 0.0 else 1.0 / denom
+    return float(orbit_series(sys, [x], n, backward=True)[0][0, n])
 
 
 def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
     """Forward product as a (log, linear) pair; see module notes on underflow."""
-    ws = orbit_weights_forward(sys, x, n)
+    ws = _weights(sys, x, n, backward=False)
     return ProductValue(float(np.sum(np.log(ws))) if n else 0.0, float(math.prod(ws)) if n else 1.0)
 
 
 def phi_tilde_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
-    ws = orbit_weights_backward(sys, x, n)
+    ws = _weights(sys, x, n, backward=True)
     if n == 0:
         return ProductValue(0.0, 1.0)
     denom = float(math.prod(ws))
@@ -251,19 +355,14 @@ def phi_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.nda
     Returns (linear, log) arrays of length n_max + 1 built by the running
     recurrence value(n+1) = value(n) * w(x * a^{n+1}).
     """
-    ws = orbit_weights_forward(sys, x, n_max)
-    linear = np.concatenate(([1.0], np.cumprod(ws)))
-    logs = np.concatenate(([0.0], np.cumsum(np.log(ws))))
-    return linear, logs
+    linear, log = orbit_series(sys, [x], n_max, logs=True)
+    return linear[0], log[0]
 
 
 def phi_tilde_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Incremental backward reciprocal products for n = 0..n_max."""
-    ws = orbit_weights_backward(sys, x, n_max)
-    with np.errstate(over="ignore", divide="ignore"):
-        linear = np.concatenate(([1.0], 1.0 / np.cumprod(ws)))
-    logs = np.concatenate(([0.0], -np.cumsum(np.log(ws))))
-    return linear, logs
+    linear, log = orbit_series(sys, [x], n_max, backward=True, logs=True)
+    return linear[0], log[0]
 
 
 def weight_from_config(spec: dict, group: Group) -> Weight:

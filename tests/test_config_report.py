@@ -142,6 +142,24 @@ def test_parse_errors_carry_field_paths(mutation, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "name,overrides,named",
+    [
+        # Accepted before the memory cap, then died allocating 1e10-step series.
+        ("heisenberg_paper.json", {"N_max": 10**6, "L_max": 10**4}, "L_max = 10000"),
+        ("z_shift_chaotic.json", {"property": "mixing", "N_max": 10**8}, "N_max = 100000000"),
+        ("z_shift_chaotic.json", {"property": "multiply_recurrent", "L": 10**3, "N_max": 10**5}, "L = 1000"),
+    ],
+)
+def test_budgets_too_large_for_memory_are_rejected(name, overrides, named):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw.update(overrides)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == "N_max"
+    assert named in str(err.value)
+
+
 def test_weight_group_mismatch_rejected():
     base = {
         "group": {"kind": "heisenberg"},

@@ -1,0 +1,111 @@
+"""The closed-form orbit kernel against the scalar ``mul`` loop, bit for bit."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orlicz_dynamics as od
+from orlicz_dynamics import translations
+from orlicz_dynamics.groups import INT64_GUARD
+from conftest import P2
+
+NEAR_2_61 = 2**61
+
+small = st.integers(-40, 40)
+# One coordinate in four lies near +-2^61: some of those orbits stay under
+# the int64 guard and take the closed form with huge values, others cross
+# it and fall back to the scalar loop.
+near = st.tuples(st.sampled_from([-NEAR_2_61, NEAR_2_61]), small).map(sum)
+coordinate = st.one_of(small, small, small, near)
+positive = st.floats(0.125, 4.0, allow_nan=False, allow_infinity=False)
+
+
+def _reference(sys, x, depth, backward):
+    """The per-point series as computed before the kernel existed."""
+    scalar = translations.orbit_weights_backward if backward else translations.orbit_weights_forward
+    ws = scalar(sys, x, depth)
+    with np.errstate(over="ignore", divide="ignore"):
+        prods = np.cumprod(ws)
+        linear = np.concatenate(([1.0], 1.0 / prods if backward else prods))
+    logs = np.cumsum(np.log(ws))
+    return linear, np.concatenate(([0.0], -logs if backward else logs))
+
+
+@st.composite
+def systems(draw):
+    group = draw(
+        st.sampled_from(
+            [od.IntegerGroup(), od.LatticeGroup(d=2), od.HeisenbergGroup(), od.CyclicGroup(m=7)]
+        )
+    )
+    rank = len(group.coords(group.identity()))
+    element = st.lists(coordinate, min_size=rank, max_size=rank).map(group.element)
+    a = draw(element.filter(lambda g: g != group.identity()))
+    weights = [
+        st.builds(od.ConstantWeight, positive),
+        st.builds(
+            od.TableWeight,
+            st.lists(st.tuples(element, positive), max_size=6).map(tuple),
+            positive,
+        ),
+    ]
+    if group.kind in ("Z", "cyclic"):
+        weights.append(st.builds(od.TwoSidedStepWeight, positive, positive))
+    if group.kind == "heisenberg":
+        weights.append(st.just(od.HeisenbergDyadicWeight()))
+    weight = draw(st.one_of(weights))
+    points = draw(st.lists(element, min_size=1, max_size=6))
+    return od.WeightedSystem(group=group, a=a, weight=weight, young=P2), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.integers(0, 60), st.booleans(), st.sampled_from([1, 7, 1 << 17]))
+def test_kernel_matches_scalar_loop_bit_for_bit(case, depth, backward, block):
+    sys, points = case
+    with mock.patch.object(translations, "_BLOCK_ELEMENTS", block):
+        linear, logs = translations.orbit_series(sys, points, depth, backward=backward, logs=True)
+    assert linear.shape == logs.shape == (len(points), depth + 1)
+    for i, x in enumerate(points):
+        ref_linear, ref_logs = _reference(sys, x, depth, backward)
+        assert np.array_equal(linear[i], ref_linear)
+        assert np.array_equal(logs[i], ref_logs)
+
+
+def test_cyclic_orbits_wrap_around():
+    sys = od.WeightedSystem(
+        group=od.CyclicGroup(m=5), a=3, weight=od.TwoSidedStepWeight(0.75, 1.5), young=P2
+    )
+    for backward in (False, True):
+        linear, logs = translations.orbit_series(sys, [0, 4], 23, backward=backward, logs=True)
+        for i, x in enumerate([0, 4]):
+            ref_linear, ref_logs = _reference(sys, x, 23, backward)
+            assert np.array_equal(linear[i], ref_linear)
+            assert np.array_equal(logs[i], ref_logs)
+
+
+def test_int64_guard_sends_only_large_orbits_to_the_scalar_loop():
+    # z of (2^61, 0, 0)·a^j is about j * 2^61: int64 would wrap from j = 4 on.
+    sys = od.WeightedSystem(
+        group=od.HeisenbergGroup(), a=(1, 1, 0), weight=od.HeisenbergDyadicWeight(), young=P2
+    )
+    big, small_point = (NEAR_2_61, 0, 0), (-3, 2, 5)
+    assert sys.group.orbit_bound(big, sys.a, 16) >= INT64_GUARD
+    assert sys.group.orbit_bound(small_point, sys.a, 16) < INT64_GUARD
+    calls = []
+    scalar = translations.orbit_weights_forward
+
+    def counted(s, x, m):
+        calls.append(x)
+        return scalar(s, x, m)
+
+    with mock.patch.object(translations, "orbit_weights_forward", counted):
+        linear, logs = translations.orbit_series(sys, [small_point, big], 16, logs=True)
+    assert calls == [big]
+    for i, x in enumerate([small_point, big]):
+        ref_linear, ref_logs = _reference(sys, x, 16, False)
+        assert np.array_equal(linear[i], ref_linear)
+        assert np.array_equal(logs[i], ref_logs)
