@@ -4,11 +4,20 @@ With counting measure the modular is a finite sum
 rho(f/k) = sum_x Phi(|f(x)|/k), and the Luxemburg norm
 inf{k > 0 : rho(f/k) <= 1} is the root of rho(f/k) = 1, found by a
 doubling/halving bracket and bisection.
+
+Each modular pass streams the vector's values, in insertion order,
+through the Young function's batched ``evaluate_many`` and adds the terms
+with builtin ``sum``.  The terms are bit-identical to scalar ``evaluate``
+calls and the summation order is the same, so every modular, and with it
+every bisection iterate and norm, matches the per-entry scalar loop
+exactly.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import truediv
 from typing import Callable, Iterable, Mapping
 
 from .errors import NonFiniteVectorError
@@ -43,6 +52,9 @@ class OrliczVector:
 
     def items(self):
         return self._data.items()
+
+    def values(self):
+        return self._data.values()
 
     def as_dict(self) -> dict:
         return dict(self._data)
@@ -101,7 +113,7 @@ def modular(f: OrliczVector, phi: YoungFunction, k: float) -> float:
     """Sum of Phi(|f(x)|/k) over the support (counting measure)."""
     if not k > 0.0:
         raise ValueError("modular scale k must be > 0")
-    return sum(phi.evaluate(abs(v) / k) for _, v in f.items())
+    return sum(phi.evaluate_many(map(truediv, map(abs, f.values()), repeat(k))))
 
 
 def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:

@@ -8,6 +8,17 @@ to infinity.  Built-in families:
 * ``TableYoung(knots)``  -- piecewise-linear interpolation of a sampled
   table on [0, T], validated for monotonicity and convexity
 
+Each family has a scalar ``evaluate(t)`` and a batched
+``evaluate_many(ts)`` over an iterable of nonnegative floats, which the
+modular sums in one pass.  ``evaluate_many`` returns Python floats equal,
+bit for bit, to ``evaluate`` on each element: the power and alphalog
+kernels chain libm ``math.pow`` and ``math.log`` through ``map`` (numpy's
+``power`` and ``log`` round differently on a few inputs), and the table
+kernel looks segments up with ``np.searchsorted`` and then applies the
+scalar's own sequence of float operations.  An overflow in ``pow`` raises
+OverflowError and a table argument past the domain raises
+OutOfRangeError, as in the scalar path.
+
 The complementary (conjugate) function, the generalized inverse, the
 doubling-ratio probe and the Young-inequality sampler are all numeric and
 work uniformly across families; closed forms exist only in tests as
@@ -18,8 +29,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul, truediv
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +54,10 @@ class PowerYoung:
 
     def evaluate(self, t: float) -> float:
         return abs(t) ** self.p / self.p
+
+    def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
+        p = self.p
+        return map(truediv, map(math.pow, ts, repeat(p)), repeat(p))
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,13 @@ class AlphaLogYoung:
             return 0.0
         return at**self.alpha * (1.0 + abs(math.log(at)))
 
+    def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
+        ts = list(ts)
+        if 0.0 in ts:  # log(0) raises; the scalar path maps 0 to 0
+            return map(self.evaluate, ts)
+        logs = map(abs, map(math.log, ts))
+        return map(mul, map(math.pow, ts, repeat(self.alpha)), map(add, repeat(1.0), logs))
+
 
 @dataclass(frozen=True)
 class TableYoung:
@@ -73,10 +97,15 @@ class TableYoung:
     ``knots`` is a sequence of (t, value) pairs with t ascending from 0,
     value(0) = 0, values positive for t > 0, nondecreasing, and secant
     slopes nondecreasing (convexity) up to a 1e-12 slack.  Evaluation
-    beyond the last knot raises OutOfRangeError.
+    beyond the last knot raises OutOfRangeError.  The knot arrays are
+    built once, so ``evaluate`` is an O(log knots) bisection and
+    ``evaluate_many`` one ``np.searchsorted`` over the batch.
     """
 
     knots: tuple[tuple[float, float], ...]
+    # Derived from ``knots`` in __post_init__; out of eq, hash and repr.
+    _ts: tuple = field(init=False, repr=False, compare=False)
+    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = tuple((float(t), float(v)) for t, v in self.knots)
@@ -95,6 +124,10 @@ class TableYoung:
         for s1, s2 in zip(slopes, slopes[1:]):
             if s2 - s1 < -CONVEXITY_SLACK * max(1.0, abs(s1), abs(s2)):
                 raise ValueError("table violates convexity (secant slopes decrease)")
+        object.__setattr__(self, "_ts", tuple(ts))
+        # Knots as arrays, plus each segment's t2 - t1 and v2 - v1.
+        t, v = np.array(ts), np.array(vs)
+        object.__setattr__(self, "_arrays", (t, v, np.diff(t), np.diff(v)))
 
     @property
     def domain_max(self) -> float:
@@ -102,7 +135,7 @@ class TableYoung:
 
     def evaluate(self, t: float) -> float:
         at = abs(t)
-        ts = [k[0] for k in self.knots]
+        ts = self._ts
         if at > ts[-1]:
             raise OutOfRangeError(f"|t| = {at} beyond table range {ts[-1]}")
         i = bisect_right(ts, at) - 1
@@ -111,6 +144,19 @@ class TableYoung:
         t1, v1 = self.knots[i]
         t2, v2 = self.knots[i + 1]
         return v1 + (v2 - v1) * (at - t1) / (t2 - t1)
+
+    def evaluate_many(self, ts: Iterable[float]) -> list[float]:
+        at = np.fromiter(ts, dtype=float)
+        beyond = np.flatnonzero(at > self.domain_max)
+        if beyond.size:
+            raise OutOfRangeError(f"|t| = {float(at[beyond[0]])} beyond table range {self.domain_max}")
+        t, v, dt, dv = self._arrays
+        i = np.searchsorted(t, at, side="right") - 1
+        last = i >= len(dt)
+        i[last] = 0
+        out = v[i] + dv[i] * (at - t[i]) / dt[i]
+        out[last] = self.knots[-1][1]
+        return out.tolist()
 
 
 YoungFunction = PowerYoung | AlphaLogYoung | TableYoung

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -16,9 +17,12 @@ from orlicz_dynamics.config import (
 )
 from orlicz_dynamics.errors import ConfigError
 from orlicz_dynamics.report import (
+    _sanitize,
     determinism_hash,
     dumps_canonical,
     make_envelope,
+    render_envelope,
+    write_envelope,
     write_series_csv,
 )
 
@@ -214,6 +218,49 @@ def test_envelope_hash_ignores_runtime():
 def test_canonical_dump_handles_non_finite():
     blob = dumps_canonical({"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.0})
     assert json.loads(blob) == {"a": "inf", "b": "-inf", "c": "nan", "d": 1.0}
+
+
+def test_envelope_is_sanitized_once_with_unchanged_bytes_and_hash(tmp_path):
+    # The envelope path as it was before make_envelope sanitized the whole
+    # envelope once: sanitize in make_envelope, again to hash, again to write.
+    def old_hash(env):
+        core = {k: v for k, v in env.items() if k not in ("runtime", "determinism_hash")}
+        return hashlib.sha256(
+            json.dumps(_sanitize(core), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+        ).hexdigest()
+
+    config = {"young": {"family": "custom", "table": [(0.0, 0.0), (1.0, 0.5)]}, "eps": (0.5, math.inf)}
+    results = {
+        "command": "norm",
+        "values": [math.inf, -math.inf, math.nan, 1.5, (2.0, (math.nan,))],
+        "nested": {"pair": ((1,), -0.0), "flag": None, "ok": True},
+    }
+    timings = {"total_s": 0.25, "worst": math.inf}
+    old = {
+        "schema_version": 1,
+        "tool": {"name": "orlicz-dynamics", "version": "0.1.0"},
+        "config": _sanitize(config),
+        "results": _sanitize(results),
+        "runtime": {"jobs": 1, "timings": timings},
+    }
+    old["determinism_hash"] = old_hash(old)
+    old_bytes = json.dumps(_sanitize(old), indent=2, sort_keys=True) + "\n"
+
+    env = make_envelope(config, results, jobs=1, timings=timings, version="0.1.0")
+    assert env["determinism_hash"] == old["determinism_hash"] == determinism_hash(env)
+    write_envelope(tmp_path / "r.json", env)
+    assert (tmp_path / "r.json").read_text() == old_bytes
+    assert render_envelope(env) + "\n" == old_bytes
+    assert results["values"][0] == math.inf  # the caller's objects are not touched
+
+
+def test_writers_refuse_unsanitized_non_finite_floats(tmp_path):
+    env = make_envelope({}, {"x": 1.0}, jobs=1, timings={}, version="0.1.0")
+    env["results"]["x"] = math.nan
+    with pytest.raises(ValueError):
+        render_envelope(env)
+    with pytest.raises(ValueError):
+        write_envelope(tmp_path / "r.json", env)
 
 
 def test_series_csv_writer(tmp_path):
