@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, emit_config, load_config, vector_from_file
 from .criteria import Outcome, Property, Verdict, run_check
-from .errors import OrliczDynamicsError, OutOfRangeError, TailUnboundedError
+from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
 from .orlicz import OrliczVector, luxemburg_norm, modular
 from .report import make_envelope, render_envelope, write_envelope, write_series_csv
@@ -128,22 +128,9 @@ def cmd_norm(cfg: RunConfig, vector_path: str, jobs: int) -> tuple[dict, int]:
     return envelope, EXIT_WITNESS
 
 
-PROBE_T_LO, PROBE_T_HI, PROBE_GRID = 1e-3, 1e3, 200
-
-
 def cmd_probe_young(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    t_hi = PROBE_T_HI
-    cap = getattr(cfg.young, "domain_max", None)
-    if cap is not None:
-        # Phi(2t) must stay inside a table's domain.
-        t_hi = min(t_hi, cap / 2.0)
-        if t_hi <= PROBE_T_LO:
-            raise OutOfRangeError(
-                f"young table domain [0, {cap}] is too short for the doubling probe, "
-                f"which needs domain_max / 2 > t_lo = {PROBE_T_LO}"
-            )
-    probe = delta2_probe(cfg.young, PROBE_T_LO, t_hi, PROBE_GRID)
+    probe = delta2_probe(cfg.young, 1e-3, 1e3, 200)
     table = []
     for i in range(128):
         y = 8.0 * i / 127.0

@@ -14,10 +14,9 @@ modular sums in one pass.  ``evaluate_many`` returns Python floats equal,
 bit for bit, to ``evaluate`` on each element: the power and alphalog
 kernels chain libm ``math.pow`` and ``math.log`` through ``map`` (numpy's
 ``power`` and ``log`` round differently on a few inputs), and the table
-kernel looks segments up with ``np.searchsorted`` and then applies the
-scalar's own sequence of float operations.  An overflow in ``pow`` raises
-OverflowError and a table argument past the domain raises
-OutOfRangeError, as in the scalar path.
+kernel maps its O(log knots) scalar ``evaluate`` over the batch.  An
+overflow in ``pow`` raises OverflowError and a table argument past the
+domain raises OutOfRangeError, as in the scalar path.
 
 The complementary (conjugate) function, the generalized inverse, the
 doubling-ratio probe and the Young-inequality sampler are all numeric and
@@ -97,15 +96,13 @@ class TableYoung:
     ``knots`` is a sequence of (t, value) pairs with t ascending from 0,
     value(0) = 0, values positive for t > 0, nondecreasing, and secant
     slopes nondecreasing (convexity) up to a 1e-12 slack.  Evaluation
-    beyond the last knot raises OutOfRangeError.  The knot arrays are
-    built once, so ``evaluate`` is an O(log knots) bisection and
-    ``evaluate_many`` one ``np.searchsorted`` over the batch.
+    beyond the last knot raises OutOfRangeError.  The knot abscissae are
+    collected once, so ``evaluate`` is an O(log knots) bisection.
     """
 
     knots: tuple[tuple[float, float], ...]
-    # Derived from ``knots`` in __post_init__; out of eq, hash and repr.
+    # The knot abscissae, derived in __post_init__; out of eq, hash and repr.
     _ts: tuple = field(init=False, repr=False, compare=False)
-    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = tuple((float(t), float(v)) for t, v in self.knots)
@@ -125,9 +122,6 @@ class TableYoung:
             if s2 - s1 < -CONVEXITY_SLACK * max(1.0, abs(s1), abs(s2)):
                 raise ValueError("table violates convexity (secant slopes decrease)")
         object.__setattr__(self, "_ts", tuple(ts))
-        # Knots as arrays, plus each segment's t2 - t1 and v2 - v1.
-        t, v = np.array(ts), np.array(vs)
-        object.__setattr__(self, "_arrays", (t, v, np.diff(t), np.diff(v)))
 
     @property
     def domain_max(self) -> float:
@@ -145,18 +139,8 @@ class TableYoung:
         t2, v2 = self.knots[i + 1]
         return v1 + (v2 - v1) * (at - t1) / (t2 - t1)
 
-    def evaluate_many(self, ts: Iterable[float]) -> list[float]:
-        at = np.fromiter(ts, dtype=float)
-        beyond = np.flatnonzero(at > self.domain_max)
-        if beyond.size:
-            raise OutOfRangeError(f"|t| = {float(at[beyond[0]])} beyond table range {self.domain_max}")
-        t, v, dt, dv = self._arrays
-        i = np.searchsorted(t, at, side="right") - 1
-        last = i >= len(dt)
-        i[last] = 0
-        out = v[i] + dv[i] * (at - t[i]) / dt[i]
-        out[last] = self.knots[-1][1]
-        return out.tolist()
+    def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
+        return map(self.evaluate, ts)
 
 
 YoungFunction = PowerYoung | AlphaLogYoung | TableYoung

@@ -1,37 +1,19 @@
-"""BENCHMARK.json stays well formed and in step with the workloads that
-bench/workloads.py defines; both files are only read here."""
+"""Runs the benchmark's own BENCHMARK.json schema check in tier-1, so a
+drift between BENCHMARK.json, bench/workloads.py and bench/tracing.py
+fails here too. bench/test_bench.py is only imported, never changed."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+BENCH_TESTS = Path(__file__).resolve().parent.parent / "bench" / "test_bench.py"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+def test_benchmark_json_schema(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends bench/
+    spec = importlib.util.spec_from_file_location("bench_test_bench", BENCH_TESTS)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
-    return module
-
-
-def test_end_to_end_metrics_are_complete_and_bounded():
-    assert SPEC["end_to_end"]
-    for metric in SPEC["end_to_end"]:
-        assert metric["name"] and metric["unit"], metric
-        assert metric["better"] in ("lower", "higher"), metric
-        assert 0.0 < metric["bound"] <= 0.25, metric
-
-
-def test_workload_names_match_the_bench_definitions():
-    assert [w["name"] for w in SPEC["workloads"]] == list(_workloads().WORKLOADS)
-
-
-def test_per_layer_names_are_unique():
-    names = [m["name"] for m in SPEC["per_layer"]]
-    assert names and len(names) == len(set(names))
+    module.test_benchmark_json_schema()

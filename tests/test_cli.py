@@ -205,35 +205,6 @@ def test_probe_young_command(capsys, tmp_path):
     assert len(csv_path.read_text().strip().splitlines()) >= 101  # header + rows
 
 
-def _table_config(t_max: float, knots: int) -> dict:
-    ts = [t_max * i / (knots - 1) for i in range(knots)]
-    return {
-        "group": {"kind": "Z"},
-        "a": [1],
-        "weight": {"family": "constant", "c": 1.0},
-        "young": {"family": "custom", "table": [[t, t * t / 2.0] for t in ts]},
-        "K": {"box": [[0, 0]]},
-        "property": "recurrent",
-    }
-
-
-def test_probe_young_clips_the_doubling_probe_to_a_table_domain(capsys, tmp_path):
-    # Regression: the probe used to evaluate Phi(2t) out to 2e3 and exit 1
-    # with OutOfRangeError on any table shorter than that.
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(_table_config(40.0, 401)))
-    code, envelope = _run(capsys, "probe-young", "--config", str(path))
-    assert code == 0
-    delta2 = envelope["results"]["delta2"]
-    assert delta2["t_hi"] == 20.0 and delta2["t_lo"] == 1e-3 and delta2["n_grid"] == 200
-    assert delta2["ratio_sup"] == pytest.approx(4.0, rel=1e-9)
-
-    path.write_text(json.dumps(_table_config(0.002, 3)))
-    code = main(["probe-young", "--config", str(path)])
-    assert code == 1
-    assert "too short for the doubling probe" in capsys.readouterr().err
-
-
 def test_out_writes_report_and_series(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(
