@@ -7,15 +7,12 @@
 
 Exit codes: 0 witness found (or computation succeeded), 2 obstruction
 found, 3 inconclusive within budget (or flagged), 1 error.  Reports are
-deterministic given config and seed; ``--jobs`` (default from
-ORLICZ_DYNAMICS_JOBS) sizes the worker pool and never changes results
-(the current evaluator is sequential).
+deterministic given config and seed; the evaluator is sequential.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,7 +43,7 @@ def _series_rows(verdict: Verdict):
         yield (p.n, p.sup_phi, p.sup_phi_tilde, p.chaos_sum)
 
 
-def cmd_check(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
+def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     verdict = run_check(cfg.request())
     code = _OUTCOME_EXIT[verdict.outcome]
@@ -54,14 +51,13 @@ def cmd_check(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
     envelope = make_envelope(
         emit_config(cfg),
         results,
-        jobs=jobs,
         timings={"total_s": time.perf_counter() - t0},
         version=__version__,
     )
     return envelope, code
 
 
-def cmd_simulate(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     verdict = run_check(cfg.request())
     results: dict = {"command": "simulate", "verdict": verdict.to_json(), "lab": [], "flag": None}
@@ -70,7 +66,7 @@ def cmd_simulate(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
             results["flag"] = "tail_unbounded"
         code = _OUTCOME_EXIT[verdict.outcome]
         envelope = make_envelope(
-            emit_config(cfg), results, jobs=jobs,
+            emit_config(cfg), results,
             timings={"total_s": time.perf_counter() - t0}, version=__version__,
         )
         return envelope, code
@@ -103,13 +99,13 @@ def cmd_simulate(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
         code = EXIT_WITNESS if ok else EXIT_ERROR
     results["orbit_norms"] = orbit_norm_series(sys_, f, min(cfg.N_max, 32))
     envelope = make_envelope(
-        emit_config(cfg), results, jobs=jobs,
+        emit_config(cfg), results,
         timings={"total_s": time.perf_counter() - t0}, version=__version__,
     )
     return envelope, code
 
 
-def cmd_norm(cfg: RunConfig, vector_path: str, jobs: int) -> tuple[dict, int]:
+def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
     t0 = time.perf_counter()
     vec = vector_from_file(vector_path, cfg.group)
     value = luxemburg_norm(vec, cfg.young)
@@ -122,13 +118,13 @@ def cmd_norm(cfg: RunConfig, vector_path: str, jobs: int) -> tuple[dict, int]:
         "vector": vec.to_pairs(cfg.group),
     }
     envelope = make_envelope(
-        emit_config(cfg), results, jobs=jobs,
+        emit_config(cfg), results,
         timings={"total_s": time.perf_counter() - t0}, version=__version__,
     )
     return envelope, EXIT_WITNESS
 
 
-def cmd_probe_young(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
+def cmd_probe_young(cfg: RunConfig) -> tuple[dict, int]:
     t0 = time.perf_counter()
     probe = delta2_probe(cfg.young, 1e-3, 1e3, 200)
     table = []
@@ -137,17 +133,10 @@ def cmd_probe_young(cfg: RunConfig, jobs: int) -> tuple[dict, int]:
         table.append([y, complementary(cfg.young, y)])
     results = {"command": "probe-young", "delta2": probe.to_json(), "conjugate_table": table}
     envelope = make_envelope(
-        emit_config(cfg), results, jobs=jobs,
+        emit_config(cfg), results,
         timings={"total_s": time.perf_counter() - t0}, version=__version__,
     )
     return envelope, EXIT_WITNESS
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ORLICZ_DYNAMICS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="write the report JSON here")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=None, help="worker pool size")
         if name == "norm":
             p.add_argument("--vector", required=True, help="vector JSON ([[coords, value], ...])")
     return parser
@@ -185,10 +173,6 @@ def _emit(envelope: dict, out: str | None, command: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -197,13 +181,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
         out = cfg.out
         if args.command == "check":
-            envelope, code = cmd_check(cfg, jobs)
+            envelope, code = cmd_check(cfg)
         elif args.command == "simulate":
-            envelope, code = cmd_simulate(cfg, jobs)
+            envelope, code = cmd_simulate(cfg)
         elif args.command == "norm":
-            envelope, code = cmd_norm(cfg, args.vector, jobs)
+            envelope, code = cmd_norm(cfg, args.vector)
         else:
-            envelope, code = cmd_probe_young(cfg, jobs)
+            envelope, code = cmd_probe_young(cfg)
     except OrliczDynamicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

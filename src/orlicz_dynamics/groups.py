@@ -308,25 +308,89 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     Returns None when separation cannot be certified within the budget
     (the last probed shift still collides).  Raises TorsionElementError
     for elements of finite order, for which no such M can exist.
+
+    K meets K·a^n exactly when it meets K·a^{-n} (k·a^n = k' gives
+    k = k'·a^{-n}), so only the shifts K·a^n are formed, from the
+    closed-form ``orbit_coords`` a block of exponents at a time, and their
+    membership in K is tested on integer keys.  When a point of K is past
+    the ``orbit_bound`` guard, or K's keys could pass it, the scalar
+    ``mul`` loop decides instead.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     order = torsion_order(group, a, n_max)
     if order is not None:
         raise TorsionElementError(order)
+    collides = _closed_form_collisions(group, K, a, n_max)
+    if collides is None:
+        collides = _scalar_collisions(group, K, a, n_max)
+    hits = np.flatnonzero(collides)
+    last_collision = int(hits[-1]) + 1 if hits.size else 0
+    if last_collision == n_max:
+        return None
+    return last_collision
+
+
+def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> np.ndarray:
+    """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
+    repeated ``mul``: the reference for the closed form."""
     base = K.elements
-    last_collision = 0
+    collides = np.zeros(n_max, dtype=bool)
     an = group.identity()
     for n in range(1, n_max + 1):
         an = group.mul(an, a)
         a_neg = group.inv(an)
-        if any(group.mul(k, an) in base for k in base) or any(
+        collides[n - 1] = any(group.mul(k, an) in base for k in base) or any(
             group.mul(k, a_neg) in base for k in base
-        ):
-            last_collision = n
-    if last_collision == n_max:
+        )
+    return collides
+
+
+# Shifted copies of K are tested this many points at a time: a block's
+# int64 temporaries then stay under 1 MiB, and larger blocks ran slower.
+_BLOCK_POINTS = 1 << 14
+
+
+def _closed_form_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[np.ndarray]:
+    """``_scalar_collisions`` from the closed-form orbits, or None when
+    the guards leave the answer to the scalar loop.
+
+    A point is keyed by the mixed-radix number of its coordinates' ranks
+    among the values K takes in each coordinate; it lies in K exactly
+    when every coordinate is such a value and its key is one of K's."""
+    base = list(K.elements)
+    if not base or any(group.orbit_bound(k, a, n_max) >= INT64_GUARD for k in base):
         return None
-    return last_collision
+    ks = np.array([group.coords(k) for k in base], dtype=np.int64)
+    # K is small; sorting it in Python keeps numpy's SIMD sort kernels,
+    # about 1 MB of resident code, out of the process.
+    values = [np.array(sorted(set(col)), dtype=np.int64) for col in ks.T.tolist()]
+    strides = []
+    size = 1
+    for v in values:
+        strides.append(size)
+        size *= len(v)
+    if size >= INT64_GUARD:
+        return None
+
+    def keys(cols):
+        key = np.zeros(cols[0].shape, dtype=np.int64)
+        valid = np.ones(cols[0].shape, dtype=bool)
+        for v, col, stride in zip(values, cols, strides):
+            rank = np.minimum(np.searchsorted(v, col), len(v) - 1)
+            valid &= v[rank] == col
+            key += rank * stride
+        return key, valid
+
+    k_keys = np.array(sorted(keys(tuple(ks.T))[0].tolist()), dtype=np.int64)
+    collides = np.zeros(n_max, dtype=bool)
+    step = max(1, _BLOCK_POINTS // len(base))
+    for start in range(1, n_max + 1, step):
+        js = np.arange(start, min(start + step, n_max + 1))
+        key, valid = keys(group.orbit_coords(ks, a, js))
+        at = np.minimum(np.searchsorted(k_keys, key), len(k_keys) - 1)
+        collides[js - 1] = (valid & (k_keys[at] == key)).any(axis=0)
+    return collides
 
 
 GROUP_KINDS = {

@@ -5,12 +5,36 @@ rho(f/k) = sum_x Phi(|f(x)|/k), and the Luxemburg norm
 inf{k > 0 : rho(f/k) <= 1} is the root of rho(f/k) = 1, found by a
 doubling/halving bracket and bisection.
 
-Each modular pass streams the vector's values, in insertion order,
-through the Young function's batched ``evaluate_many`` and adds the terms
-with builtin ``sum``.  The terms are bit-identical to scalar ``evaluate``
-calls and the summation order is the same, so every modular, and with it
-every bisection iterate and norm, matches the per-entry scalar loop
-exactly.
+``modular`` is the exact pass: it streams the vector's values, in
+insertion order, through the Young function's ``evaluate_many`` (libm,
+bit-identical to scalar ``evaluate``) and adds the terms with builtin
+``sum``.  Every norm is defined by it.
+
+The bracket loops and ``bisect_root`` read only the sign of
+rho(f/k) - 1 and whether it is zero.  On supports of at least
+``SCREEN_MIN`` entries ``luxemburg_norm`` takes that sign from a numpy
+screen: the family's ``evaluate_array`` on |f|/k in one buffer, summed
+pairwise by ``np.add.reduce``.  The screen's sum s decides a step when
+
+    s < SCREEN_CEILING  and  |s - 1| > E(n, s) = (4n + 64) u s + n 2^-1000,
+
+with u = 2^-53 and n the support size; otherwise ``modular`` decides it.
+E bounds |s - r| for the exact pass's value r.  Let a_i be the exact
+terms and b_i the screen's, A and B their exact sums.  Summing n
+nonnegative terms in any order, sequentially or pairwise, errs by at most
+(n - 1) u / (1 - (n - 1) u) times their sum, so |r - A| and |s - B| are
+each below about (n - 1) u s.  Each |a_i - b_i| is at most 32 u a_i, or
+2^-1000 where both are that small (see ``young``), so |A - B| is below
+about 32 u s + n 2^-1000.  That totals under E while n u stays far below
+1.  Hence |s - 1| > E gives r - 1 the sign of s - 1 and r != 1, and
+returning s - 1 in place of r - 1 leaves every bracket step, bisection
+iterate and norm bit-identical.  A term that the exact pass would
+overflow or reject (OverflowError, OutOfRangeError) makes s inf, nan or
+at least the ceiling, so those steps run ``modular`` and raise as before.
+
+Below ``SCREEN_MIN`` one exact pass costs less than a screened one (the
+crossover is about 16 entries), so small supports take ``modular`` at
+every step.
 """
 
 from __future__ import annotations
@@ -20,10 +44,16 @@ from itertools import repeat
 from operator import truediv
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import NonFiniteVectorError
 from .groups import CompactSet, Element, Group
 from .numerics import bisect_root
-from .young import YoungFunction, inverse
+from .young import SCREEN_CEILING, YoungFunction, inverse
+
+# Supports at least this large take their bisection decisions from the
+# numpy screen; the measured break-even with the exact pass.
+SCREEN_MIN = 16
 
 
 class OrliczVector:
@@ -122,30 +152,64 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     The modular is continuous and strictly decreasing in k on finitely
     supported vectors, so the infimum is the root of rho(k) = 1.
     Bracket: start at max|f|, double until rho <= 1, halve until rho >= 1,
-    then bisect to relative tolerance 1e-12 on k.
+    then bisect to relative tolerance 1e-12 on k.  Supports of at least
+    ``SCREEN_MIN`` entries take each step's sign from the numpy screen
+    where it is certain (see the module docstring).
     """
     if not f:
         return 0.0
     for _, v in f.items():
         if not math.isfinite(v):
             raise NonFiniteVectorError(f"entry {v!r} is not finite")
-    k0 = f.max_abs()
+    if len(f) < SCREEN_MIN:
+        return _norm_root(lambda k: modular(f, phi, k) - 1.0, f.max_abs())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _norm_root(_screened_excess(f, phi), f.max_abs())
+
+
+def _screened_excess(f: OrliczVector, phi: YoungFunction) -> Callable[[float], float]:
+    """k -> a float with the sign of rho(f/k) - 1 that is 0 only when
+    rho(f/k) == 1: the screen's s - 1 where E certifies it, else the
+    exact ``modular(f, phi, k) - 1``."""
+    n = len(f)
+    absf = np.abs(np.fromiter(f.values(), float, n))
+    buf = np.empty(n)
+    rel, floor = _screen_tolerance(n)
+
+    def excess(k: float) -> float:
+        np.divide(absf, k, out=buf)
+        s = float(np.add.reduce(phi.evaluate_array(buf)))
+        if s < SCREEN_CEILING and abs(s - 1.0) > rel * s + floor:
+            return s - 1.0
+        return modular(f, phi, k) - 1.0
+
+    return excess
+
+
+def _screen_tolerance(n: int) -> tuple[float, float]:
+    """(rel, floor) with E(n, s) = rel * s + floor."""
+    return (4 * n + 64) * 2.0**-53, n * 2.0**-1000
+
+
+def _norm_root(excess: Callable[[float], float], k0: float) -> float:
+    """Bracket and bisect the root of excess, which is positive below
+    the norm and negative above it, starting from k0 = max|f|."""
     hi = k0
     guard = 0
-    while modular(f, phi, hi) > 1.0:
+    while excess(hi) > 0.0:
         hi *= 2.0
         guard += 1
         if guard > 4096:
             raise RuntimeError("norm bracket expansion failed to terminate")
     lo = hi
-    while modular(f, phi, lo) < 1.0:
+    while excess(lo) < 0.0:
         lo *= 0.5
         guard += 1
         if guard > 8192 or lo == 0.0:
             raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
-    return bisect_root(lambda k: modular(f, phi, k) - 1.0, lo, hi, rel_tol=1e-12)
+    return bisect_root(excess, lo, hi, rel_tol=1e-12)
 
 
 def indicator_norm_closed_form(B: CompactSet, phi: YoungFunction) -> float:

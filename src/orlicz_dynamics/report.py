@@ -1,12 +1,16 @@
 """Report envelopes: canonical JSON, determinism hashing, CSV export.
 
 Envelopes are deterministic given config and seed.  The ``runtime``
-section (timings, worker count) is excluded from the determinism hash,
-everything else is covered by it.  Non-finite floats are serialized as
-the strings "inf", "-inf" and "nan" to keep the output strict JSON.
-``make_envelope`` does that conversion once, for the whole envelope; the
-hash and the writers then encode that object as it is, with
-``allow_nan=False``, so a non-finite float that bypassed it fails loudly.
+section (timings) is excluded from the determinism hash, everything else
+is covered by it.  Non-finite floats are serialized as the strings
+"inf", "-inf" and "nan" to keep the output strict JSON.  ``make_envelope``
+first encodes the hashed part with the C encoder and ``allow_nan=False``;
+only when that refuses a non-finite float does it sanitize that part
+(and it always sanitizes the small ``runtime``).  Finite floats, lists
+and tuples encode alike either way, so the hash and the written bytes do
+not depend on which route ran.  The writers encode the envelope as it
+is, with ``allow_nan=False``, so a non-finite float that bypassed the
+conversion fails loudly.
 """
 
 from __future__ import annotations
@@ -55,17 +59,20 @@ def determinism_hash(envelope: dict) -> str:
     return _hash_core(_sanitize(envelope))
 
 
-def make_envelope(config: dict, results: dict, *, jobs: int, timings: dict, version: str) -> dict:
-    envelope = _sanitize(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": TOOL_NAME, "version": version},
-            "config": config,
-            "results": results,
-            "runtime": {"jobs": jobs, "timings": timings},
-        }
-    )
-    envelope["determinism_hash"] = _hash_core(envelope)
+def make_envelope(config: dict, results: dict, *, timings: dict, version: str) -> dict:
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": TOOL_NAME, "version": version},
+        "config": config,
+        "results": results,
+    }
+    try:
+        core = _canonical(envelope)
+    except ValueError:  # a non-finite float
+        envelope = _sanitize(envelope)
+        core = _canonical(envelope)
+    envelope["runtime"] = _sanitize({"timings": timings})
+    envelope["determinism_hash"] = hashlib.sha256(core.encode()).hexdigest()
     return envelope
 
 

@@ -247,27 +247,6 @@ def test_missing_config_errors(capsys):
     assert "error" in captured.err
 
 
-def test_bad_jobs_errors(capsys):
-    code = main(["check", "--config", str(CONFIG_DIR / "z_shift_chaotic.json"), "--jobs", "0"])
-    capsys.readouterr()
-    assert code == 1
-
-
-def test_jobs_env_var_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("ORLICZ_DYNAMICS_JOBS", "4")
-    code, envelope = _run(capsys, "check", "--config", str(CONFIG_DIR / "cyclic_torsion.json"))
-    assert code == 2
-    assert envelope["runtime"]["jobs"] == 4
-    code, envelope = _run(
-        capsys, "check", "--config", str(CONFIG_DIR / "cyclic_torsion.json"), "--jobs", "2"
-    )
-    assert envelope["runtime"]["jobs"] == 2
-    # worker count never changes the deterministic payload
-    monkeypatch.delenv("ORLICZ_DYNAMICS_JOBS")
-    _, baseline = _run(capsys, "check", "--config", str(CONFIG_DIR / "cyclic_torsion.json"))
-    assert baseline["determinism_hash"] == envelope["determinism_hash"]
-
-
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "orlicz_dynamics", "check", "--config",

@@ -6,9 +6,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orlicz_dynamics as od
+from orlicz_dynamics import report
 from orlicz_dynamics.config import (
     emit_config,
     load_config,
@@ -207,8 +209,8 @@ def test_custom_young_config_round_trip():
 def test_envelope_hash_ignores_runtime():
     cfg = {"group": {"kind": "Z"}}
     results = {"command": "check", "value": 1.25}
-    env1 = make_envelope(cfg, results, jobs=1, timings={"total_s": 0.1}, version="0.1.0")
-    env2 = make_envelope(cfg, results, jobs=8, timings={"total_s": 99.9}, version="0.1.0")
+    env1 = make_envelope(cfg, results, timings={"total_s": 0.1}, version="0.1.0")
+    env2 = make_envelope(cfg, results, timings={"total_s": 99.9}, version="0.1.0")
     assert env1["determinism_hash"] == env2["determinism_hash"]
     mutated = copy.deepcopy(env1)
     mutated["results"]["value"] = 1.26
@@ -220,15 +222,34 @@ def test_canonical_dump_handles_non_finite():
     assert json.loads(blob) == {"a": "inf", "b": "-inf", "c": "nan", "d": 1.0}
 
 
-def test_envelope_is_sanitized_once_with_unchanged_bytes_and_hash(tmp_path):
-    # The envelope path as it was before make_envelope sanitized the whole
-    # envelope once: sanitize in make_envelope, again to hash, again to write.
-    def old_hash(env):
-        core = {k: v for k, v in env.items() if k not in ("runtime", "determinism_hash")}
-        return hashlib.sha256(
-            json.dumps(_sanitize(core), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-        ).hexdigest()
+def _three_pass_envelope(config, results, timings):
+    """The hash and written bytes of the envelope path as it was before
+    make_envelope sanitized once: sanitize in make_envelope, again to
+    hash, again to write."""
+    old = {
+        "schema_version": 1,
+        "tool": {"name": "orlicz-dynamics", "version": "0.1.0"},
+        "config": _sanitize(config),
+        "results": _sanitize(results),
+        "runtime": {"timings": timings},
+    }
+    core = {k: v for k, v in old.items() if k not in ("runtime", "determinism_hash")}
+    old["determinism_hash"] = hashlib.sha256(
+        json.dumps(_sanitize(core), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+    ).hexdigest()
+    return old["determinism_hash"], json.dumps(_sanitize(old), indent=2, sort_keys=True) + "\n"
 
+
+def _assert_same_as_three_pass(tmp_path, config, results, timings):
+    old_hash, old_bytes = _three_pass_envelope(config, results, timings)
+    env = make_envelope(config, results, timings=timings, version="0.1.0")
+    assert env["determinism_hash"] == old_hash == determinism_hash(env)
+    write_envelope(tmp_path / "r.json", env)
+    assert (tmp_path / "r.json").read_text() == old_bytes
+    assert render_envelope(env) + "\n" == old_bytes
+
+
+def test_envelope_is_sanitized_once_with_unchanged_bytes_and_hash(tmp_path):
     config = {"young": {"family": "custom", "table": [(0.0, 0.0), (1.0, 0.5)]}, "eps": (0.5, math.inf)}
     results = {
         "command": "norm",
@@ -236,26 +257,27 @@ def test_envelope_is_sanitized_once_with_unchanged_bytes_and_hash(tmp_path):
         "nested": {"pair": ((1,), -0.0), "flag": None, "ok": True},
     }
     timings = {"total_s": 0.25, "worst": math.inf}
-    old = {
-        "schema_version": 1,
-        "tool": {"name": "orlicz-dynamics", "version": "0.1.0"},
-        "config": _sanitize(config),
-        "results": _sanitize(results),
-        "runtime": {"jobs": 1, "timings": timings},
-    }
-    old["determinism_hash"] = old_hash(old)
-    old_bytes = json.dumps(_sanitize(old), indent=2, sort_keys=True) + "\n"
-
-    env = make_envelope(config, results, jobs=1, timings=timings, version="0.1.0")
-    assert env["determinism_hash"] == old["determinism_hash"] == determinism_hash(env)
-    write_envelope(tmp_path / "r.json", env)
-    assert (tmp_path / "r.json").read_text() == old_bytes
-    assert render_envelope(env) + "\n" == old_bytes
+    _assert_same_as_three_pass(tmp_path, config, results, timings)
     assert results["values"][0] == math.inf  # the caller's objects are not touched
 
 
+def test_finite_envelope_skips_sanitizing_with_unchanged_bytes_and_hash(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    vector = [((i, -i, 2 * i), float(v)) for i, v in enumerate(rng.standard_normal(20_000))]
+    config = {"young": {"family": "power", "p": 2.0}, "eps": (0.5, 0.25)}
+    results = {"command": "norm", "norm": 1.25, "vector": vector, "nested": {"pair": ((1,), -0.0)}}
+    timings = {"total_s": 0.25}
+    sanitized = []
+    real = report._sanitize
+    monkeypatch.setattr(report, "_sanitize", lambda obj: sanitized.append(obj) or real(obj))
+    make_envelope(config, results, timings=timings, version="0.1.0")
+    assert sanitized and not any(obj is results or obj is config for obj in sanitized)
+    monkeypatch.undo()
+    _assert_same_as_three_pass(tmp_path, config, results, timings)
+
+
 def test_writers_refuse_unsanitized_non_finite_floats(tmp_path):
-    env = make_envelope({}, {"x": 1.0}, jobs=1, timings={}, version="0.1.0")
+    env = make_envelope({}, {"x": 1.0}, timings={}, version="0.1.0")
     env["results"]["x"] = math.nan
     with pytest.raises(ValueError):
         render_envelope(env)

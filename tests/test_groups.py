@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import all_groups, random_element
 
+from orlicz_dynamics import groups
 from orlicz_dynamics.errors import TorsionElementError
 
 
@@ -115,6 +120,64 @@ def test_separation_constant_rejects_torsion():
     c = od.CyclicGroup(6)
     with pytest.raises(TorsionElementError):
         od.separation_constant(c, od.CompactSet.of([0, 1]), 2, 16)
+
+
+def _scalar_separation(group, K, a, n_max):
+    """separation_constant as its scalar mul loop alone computes it."""
+    hits = np.flatnonzero(groups._scalar_collisions(group, K, a, n_max))
+    last = int(hits[-1]) + 1 if hits.size else 0
+    return None if last == n_max else last
+
+
+@st.composite
+def separation_cases(draw):
+    group = draw(
+        st.sampled_from([od.IntegerGroup(), od.LatticeGroup(d=2), od.LatticeGroup(d=3), od.HeisenbergGroup()])
+    )
+    rank = len(group.coords(group.identity()))
+    point = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    a = draw(point.map(group.element).filter(lambda g: g != group.identity()))
+    offset = draw(st.lists(st.integers(-10**6, 10**6), min_size=rank, max_size=rank))
+    # Scattered points, so K is rarely a product of coordinate sets.
+    points = draw(st.lists(point, min_size=1, max_size=12))
+    K = od.CompactSet.of(group.element([o + c for o, c in zip(offset, p)]) for p in points)
+    return group, K, a, draw(st.integers(1, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(separation_cases(), st.sampled_from([groups._BLOCK_POINTS, 1, 7]))
+def test_separation_closed_form_matches_the_scalar_loop(case, block):
+    group, K, a, n_max = case
+    with mock.patch.object(groups, "_BLOCK_POINTS", block):
+        closed = groups._closed_form_collisions(group, K, a, n_max)
+    assert closed is not None
+    assert np.array_equal(closed, groups._scalar_collisions(group, K, a, n_max))
+    assert od.separation_constant(group, K, a, n_max) == _scalar_separation(group, K, a, n_max)
+
+
+def test_separation_past_the_orbit_guard_takes_the_scalar_loop():
+    z = od.IntegerGroup()
+    K = od.CompactSet.of([2**61, 2**61 + 3, 0])
+    assert groups._closed_form_collisions(z, K, 2**60, 8) is None
+    assert od.separation_constant(z, K, 2**60, 8) == _scalar_separation(z, K, 2**60, 8) == 2
+    # A small step keeps the same points under the guard.
+    assert groups._closed_form_collisions(z, K, 3, 8) is not None
+    assert od.separation_constant(z, K, 3, 8) == 1
+    assert groups._closed_form_collisions(z, od.CompactSet.of([]), 1, 8) is None
+    assert od.separation_constant(z, od.CompactSet.of([]), 1, 8) == 0
+    # 250 points with distinct coordinates in Z^8: 250^8 keys pass the guard.
+    z8 = od.LatticeGroup(d=8)
+    K = od.CompactSet.of(tuple(3 * i + c for c in range(8)) for i in range(250))
+    assert groups._closed_form_collisions(z8, K, (3,) * 8, 8) is None
+    assert od.separation_constant(z8, K, (3,) * 8, 8) is None
+    assert od.separation_constant(z8, K, (1,) * 8, 8) == 6  # shifts by multiples of 3 collide
+
+
+def test_separation_counts_no_group_multiplications():
+    z2 = od.LatticeGroup(d=2)
+    K = od.box(z2, [[0, 10], [5, 15]])
+    with mock.patch.object(od.LatticeGroup, "mul", side_effect=AssertionError("scalar loop ran")):
+        assert od.separation_constant(z2, K, (1, 1), 64) == 10
 
 
 def test_box_and_compact_set():

@@ -199,6 +199,10 @@ def test_table_young_rejects_bad_tables():
         od.TableYoung(((0.0, 0.0), (1.0, -1.0)))  # negative value
     with pytest.raises(ValueError):
         od.TableYoung(((0.0, 0.0),))  # too short
+    # A decrease within the convexity slack is still a decrease: np.interp
+    # would then lose the relative accuracy the norm screen relies on.
+    with pytest.raises(ValueError, match="nondecreasing"):
+        od.TableYoung(((0.0, 0.0), (1.0, 1e-20), (2.0, 1e-21)))
 
 
 def test_table_conjugate_is_domain_restricted():
