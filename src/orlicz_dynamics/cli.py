@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, emit_config, load_config, vector_from_file
-from .criteria import Outcome, Property, Verdict, run_check
+from .criteria import Outcome, Property, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
 from .orlicz import OrliczVector, luxemburg_norm, modular
@@ -38,45 +39,25 @@ _OUTCOME_EXIT = {
 }
 
 
-def _series_rows(verdict: Verdict):
-    for p in verdict.series:
-        yield (p.n, p.sup_phi, p.sup_phi_tilde, p.chaos_sum)
-
-
 def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
-    t0 = time.perf_counter()
     verdict = run_check(cfg.request())
     code = _OUTCOME_EXIT[verdict.outcome]
-    results = {"command": "check", "verdict": verdict.to_json(), "exit_code": code}
-    envelope = make_envelope(
-        emit_config(cfg),
-        results,
-        timings={"total_s": time.perf_counter() - t0},
-        version=__version__,
-    )
-    return envelope, code
+    return {"command": "check", "verdict": verdict.to_json(), "exit_code": code}, code
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
-    t0 = time.perf_counter()
     verdict = run_check(cfg.request())
     results: dict = {"command": "simulate", "verdict": verdict.to_json(), "lab": [], "flag": None}
     if verdict.outcome is not Outcome.WITNESS_FOUND:
         if verdict.property is Property.CHAOTIC and verdict.tail_bounded is False:
             results["flag"] = "tail_unbounded"
-        code = _OUTCOME_EXIT[verdict.outcome]
-        envelope = make_envelope(
-            emit_config(cfg), results,
-            timings={"total_s": time.perf_counter() - t0}, version=__version__,
-        )
-        return envelope, code
+        return results, _OUTCOME_EXIT[verdict.outcome]
 
     sys_ = cfg.system()
     f = OrliczVector.indicator(cfg.K)
     norm_f = luxemburg_norm(f, cfg.young)
     depth = cfg.L if cfg.property is Property.MULTIPLY_RECURRENT else 1
     ok = True
-    code = EXIT_WITNESS
     try:
         for entry in verdict.witness:
             if cfg.property is Property.CHAOTIC:
@@ -98,15 +79,10 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     else:
         code = EXIT_WITNESS if ok else EXIT_ERROR
     results["orbit_norms"] = orbit_norm_series(sys_, f, min(cfg.N_max, 32))
-    envelope = make_envelope(
-        emit_config(cfg), results,
-        timings={"total_s": time.perf_counter() - t0}, version=__version__,
-    )
-    return envelope, code
+    return results, code
 
 
 def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
-    t0 = time.perf_counter()
     vec = vector_from_file(vector_path, cfg.group)
     value = luxemburg_norm(vec, cfg.young)
     mod = modular(vec, cfg.young, value) if value > 0.0 else 0.0
@@ -117,33 +93,33 @@ def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
         "support_size": len(vec),
         "vector": vec.to_pairs(cfg.group),
     }
-    envelope = make_envelope(
-        emit_config(cfg), results,
-        timings={"total_s": time.perf_counter() - t0}, version=__version__,
-    )
-    return envelope, EXIT_WITNESS
+    return results, EXIT_WITNESS
 
 
 def cmd_probe_young(cfg: RunConfig) -> tuple[dict, int]:
-    t0 = time.perf_counter()
     probe = delta2_probe(cfg.young, 1e-3, 1e3, 200)
     table = []
     for i in range(128):
         y = 8.0 * i / 127.0
         table.append([y, complementary(cfg.young, y)])
-    results = {"command": "probe-young", "delta2": probe.to_json(), "conjugate_table": table}
-    envelope = make_envelope(
-        emit_config(cfg), results,
-        timings={"total_s": time.perf_counter() - t0}, version=__version__,
-    )
-    return envelope, EXIT_WITNESS
+    return {"command": "probe-young", "delta2": probe.to_json(), "conjugate_table": table}, EXIT_WITNESS
+
+
+# The lambdas look each cmd_* up when called, so wrappers set on the
+# module attributes (as bench/tracing.py does) take effect.
+_COMMANDS = {
+    "check": lambda cfg, args: cmd_check(cfg),
+    "simulate": lambda cfg, args: cmd_simulate(cfg),
+    "norm": lambda cfg, args: cmd_norm(cfg, args.vector),
+    "probe-young": lambda cfg, args: cmd_probe_young(cfg),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orlicz-dynamics", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "simulate", "norm", "probe-young"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="write the report JSON here")
@@ -176,23 +152,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "out": args.out})
-        out = cfg.out
-        if args.command == "check":
-            envelope, code = cmd_check(cfg)
-        elif args.command == "simulate":
-            envelope, code = cmd_simulate(cfg)
-        elif args.command == "norm":
-            envelope, code = cmd_norm(cfg, args.vector)
-        else:
-            envelope, code = cmd_probe_young(cfg)
+            cfg = replace(cfg, out=args.out)
+        t0 = time.perf_counter()
+        results, code = _COMMANDS[args.command](cfg, args)
     except OrliczDynamicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(envelope, out, args.command)
-    summary = envelope["results"].get("verdict", {}).get("outcome", args.command)
+    envelope = make_envelope(
+        emit_config(cfg), results, timings={"total_s": time.perf_counter() - t0}, version=__version__
+    )
+    _emit(envelope, cfg.out, args.command)
+    summary = results.get("verdict", {}).get("outcome", args.command)
     print(f"{args.command}: {summary} (exit {code})", file=sys.stderr)
     return code
 

@@ -56,6 +56,17 @@ class RunConfig:
         )
 
 
+# Top-level keys of a config; the nested specs may carry the keys of their
+# canonical form (``group_to_config``, ``weight_to_config``, ...).
+_TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *DEFAULTS)
+
+
+def _reject_unknown(spec: dict, known, path: str = "") -> None:
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _require(spec: dict, key: str, path: str):
     if key not in spec:
         raise ConfigError(f"{path}.{key}", "missing required field")
@@ -68,12 +79,15 @@ def group_from_config(spec: dict) -> Group:
         raise ConfigError("group.kind", f"unknown kind {kind!r}")
     try:
         if kind == "Zd":
-            return GROUP_KINDS[kind](d=int(_require(spec, "d", "group")))
-        if kind == "cyclic":
-            return GROUP_KINDS[kind](m=int(_require(spec, "m", "group")))
-        return GROUP_KINDS[kind]()
+            group = GROUP_KINDS[kind](d=int(_require(spec, "d", "group")))
+        elif kind == "cyclic":
+            group = GROUP_KINDS[kind](m=int(_require(spec, "m", "group")))
+        else:
+            group = GROUP_KINDS[kind]()
     except (ValueError, TypeError) as exc:
         raise ConfigError("group", str(exc)) from exc
+    _reject_unknown(spec, group_to_config(group), "group")
+    return group
 
 
 def group_to_config(group: Group) -> dict:
@@ -100,6 +114,9 @@ def _element(group: Group, raw, path: str) -> Element:
 
 def compact_set_from_config(spec: dict, group: Group) -> tuple[CompactSet, tuple]:
     """Parse K and return it with its canonical spec echo."""
+    _reject_unknown(spec, ("box", "points"), "K")
+    if "box" in spec and "points" in spec:
+        raise ConfigError("K", "give either 'box' or 'points', not both")
     if "box" in spec:
         bounds = spec["box"]
         if bounds and isinstance(bounds[0], int):
@@ -132,19 +149,24 @@ def compact_set_to_config(spec: tuple) -> dict:
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    _reject_unknown(raw, _TOP_KEYS)
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version}")
     group = group_from_config(_require(raw, "group", "<root>"))
     a = _element(group, _require(raw, "a", "<root>"), "a")
+    weight_spec = _require(raw, "weight", "<root>")
     try:
-        weight = weight_from_config(_require(raw, "weight", "<root>"), group)
+        weight = weight_from_config(weight_spec, group)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError("weight", str(exc)) from exc
+    _reject_unknown(weight_spec, weight_to_config(weight, group), "weight")
+    young_spec = _require(raw, "young", "<root>")
     try:
-        young = young_from_config(_require(raw, "young", "<root>"))
+        young = young_from_config(young_spec)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError("young", str(exc)) from exc
+    _reject_unknown(young_spec, young_to_config(young), "young")
     K, K_spec = compact_set_from_config(_require(raw, "K", "<root>"), group)
     prop_raw = _require(raw, "property", "<root>")
     try:
@@ -152,6 +174,8 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("property", f"unknown property {prop_raw!r}") from exc
     epsilons = tuple(float(e) for e in raw.get("epsilons", DEFAULT_EPSILONS))
+    if len(set(epsilons)) != len(epsilons):
+        raise ConfigError("epsilons", f"duplicate values in {list(epsilons)}")
     cfg = RunConfig(
         group=group,
         a=a,

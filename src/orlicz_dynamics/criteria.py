@@ -13,6 +13,11 @@ so all suprema run over the whole of K):
 * chaotic: the summed products over all multiples of n, bounded by a
   geometric tail majorant, must dip below each epsilon.
 
+All five run on one engine: it checks the obstructions, then a
+per-property scan turns the sup series over K into one row of terms per
+candidate step n, and each epsilon's witness is the first n whose terms
+all lie below it.
+
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, contracting weight, expanding
 weight), or *Inconclusive*.  Absence of a witness within the budget is
@@ -26,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -231,79 +237,95 @@ def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarr
 def _obstruction_verdict(req: CriterionRequest, prop: Property, obs: Obstruction) -> Verdict:
     cap = min(req.N_max, OBSTRUCTION_SERIES_CAP)
     sup_phi, sup_tilde = _sup_series(req, cap)
-    series = tuple(
-        SeriesPoint(n, float(sup_phi[n]), float(sup_tilde[n])) for n in range(1, cap + 1)
-    )
+    ns = np.arange(1, cap + 1)
     return Verdict(
         request=req,
         property=prop,
         outcome=Outcome.OBSTRUCTION_FOUND,
         witness=(),
         obstruction=obs,
-        series=series,
+        series=tuple(_series_points(ns, sup_phi[ns], sup_tilde[ns])),
         budget=0,
         start_n=0,
     )
 
 
-def _subsequence_verdict(
-    req: CriterionRequest, L: int, prop: Property, ignore_obstructions: bool
+# What a per-property scan returns: one SeriesPoint and one row of terms
+# per candidate step, and the verdict's tail_bounded flag.
+_ScanResult = tuple[list[SeriesPoint], np.ndarray, Optional[bool]]
+
+
+def _series_points(ns: np.ndarray, sup_phi: np.ndarray, sup_tilde: np.ndarray) -> list[SeriesPoint]:
+    return [SeriesPoint(*p) for p in zip(ns.tolist(), sup_phi.tolist(), sup_tilde.tolist())]
+
+
+def _scan_verdict(
+    req: CriterionRequest, prop: Property, scan: Callable[[CriterionRequest, np.ndarray], _ScanResult]
 ) -> Verdict:
-    """Shared engine for the recurrent / transitive / multiply recurrent
-    checks: smallest n per epsilon with
-    max_{1<=l<=L} max_{x in K} max(phi_{ln}(x), phi~_{ln}(x)) < epsilon."""
-    if not ignore_obstructions:
-        obs = check_obstructions(req)
-        if obs is not None:
-            return _obstruction_verdict(req, prop, obs)
+    """Shared engine of the five checkers.
+
+    After the obstruction gate, scan(req, ns) runs on the candidate steps
+    ns = start..N_max.  Each epsilon's witness is the first n whose terms
+    all lie below it, recorded with that row of terms."""
+    obs = check_obstructions(req)
+    if obs is not None:
+        return _obstruction_verdict(req, prop, obs)
     start = _start_n(req)
-    sup_phi, sup_tilde = _sup_series(req, series_depth(req, prop))
-    ls = np.arange(1, L + 1)
-    ns = range(start, req.N_max + 1)
-    series = []
-    by_l = {}
-    for n in ns:
-        idx = ls * n
-        sp = sup_phi[idx]
-        st = sup_tilde[idx]
-        series.append(SeriesPoint(n, float(sp.max()), float(st.max())))
-        by_l[n] = np.maximum(sp, st)
+    ns = np.arange(start, req.N_max + 1)
+    series, terms, tail_bounded = scan(req, ns)
+    row_max = terms.max(axis=1)
     witness = []
-    all_found = True
     for eps in req.epsilons:
-        hit = next((n for n in ns if float(by_l[n].max()) < eps), None)
-        if hit is None:
-            all_found = False
-        else:
-            witness.append(WitnessEntry(eps, hit, tuple(float(v) for v in by_l[hit])))
+        hits = np.flatnonzero(row_max < eps)
+        if hits.size:
+            i = hits[0]
+            witness.append(WitnessEntry(eps, int(ns[i]), tuple(terms[i].tolist())))
     return Verdict(
         request=req,
         property=prop,
-        outcome=Outcome.WITNESS_FOUND if all_found else Outcome.INCONCLUSIVE,
+        outcome=Outcome.WITNESS_FOUND if len(witness) == len(req.epsilons) else Outcome.INCONCLUSIVE,
         witness=tuple(witness),
         obstruction=None,
         series=tuple(series),
         budget=len(series),
         start_n=start,
+        tail_bounded=tail_bounded,
     )
 
 
-def multiply_recurrent_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def _subsequence_scan(req: CriterionRequest, ns: np.ndarray, L: int = 1) -> _ScanResult:
+    """Terms max(sup phi_{ln}, sup phi~_{ln}) for l = 1..L: the predicate
+    max_{1<=l<=L} max_{x in K} max(phi_{ln}(x), phi~_{ln}(x)) < epsilon."""
+    sup_phi, sup_tilde = _sup_series(req, L * req.N_max)
+    idx = np.outer(ns, np.arange(1, L + 1))
+    sp, st = sup_phi[idx], sup_tilde[idx]
+    return _series_points(ns, sp.max(axis=1), st.max(axis=1)), np.maximum(sp, st), None
+
+
+def multiply_recurrent_check(req: CriterionRequest) -> Verdict:
     """Depth-L simultaneous decay of both product families (subsequence)."""
-    return _subsequence_verdict(req, req.L, Property.MULTIPLY_RECURRENT, ignore_obstructions)
+    return _scan_verdict(req, Property.MULTIPLY_RECURRENT, partial(_subsequence_scan, L=req.L))
 
 
-def recurrent_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def recurrent_check(req: CriterionRequest) -> Verdict:
     """Depth-1 subsequence decay. Identical predicate to transitive_check."""
-    return _subsequence_verdict(req, 1, Property.RECURRENT, ignore_obstructions)
+    return _scan_verdict(req, Property.RECURRENT, _subsequence_scan)
 
 
-def transitive_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def transitive_check(req: CriterionRequest) -> Verdict:
     """Depth-1 subsequence decay. Identical predicate to recurrent_check."""
-    return _subsequence_verdict(req, 1, Property.TRANSITIVE, ignore_obstructions)
+    return _scan_verdict(req, Property.TRANSITIVE, _subsequence_scan)
 
 
-def mixing_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def _mixing_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
+    """One term per n: the sup of both product families over [n, N_max]."""
+    sup_phi, sup_tilde = _sup_series(req, req.N_max)
+    sp, st = sup_phi[ns], sup_tilde[ns]
+    tail = np.maximum.accumulate(np.maximum(sp, st)[::-1])[::-1]
+    return _series_points(ns, sp, st), tail[:, None], None
+
+
+def mixing_check(req: CriterionRequest) -> Verdict:
     """Full-tail decay: for each epsilon, an N0 such that both product
     families stay below epsilon for every n in [N0, N_max].
 
@@ -311,38 +333,42 @@ def mixing_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Ve
     explicitly a semi-decision.  The per-n series makes the decay (or its
     failure) auditable.
     """
-    if not ignore_obstructions:
-        obs = check_obstructions(req)
-        if obs is not None:
-            return _obstruction_verdict(req, Property.MIXING, obs)
-    start = _start_n(req)
-    sup_phi, sup_tilde = _sup_series(req, series_depth(req, Property.MIXING))
-    ns = list(range(start, req.N_max + 1))
-    combined = {n: max(float(sup_phi[n]), float(sup_tilde[n])) for n in ns}
-    series = tuple(SeriesPoint(n, float(sup_phi[n]), float(sup_tilde[n])) for n in ns)
-    witness = []
-    all_found = True
-    for eps in req.epsilons:
-        violations = [n for n in ns if combined[n] >= eps]
-        if violations and violations[-1] == req.N_max:
-            all_found = False
-            continue
-        n0 = violations[-1] + 1 if violations else start
-        tail_sup = max(combined[n] for n in ns if n >= n0)
-        witness.append(WitnessEntry(eps, n0, (tail_sup,)))
-    return Verdict(
-        request=req,
-        property=Property.MIXING,
-        outcome=Outcome.WITNESS_FOUND if all_found else Outcome.INCONCLUSIVE,
-        witness=tuple(witness),
-        obstruction=None,
-        series=series,
-        budget=len(series),
-        start_n=start,
-    )
+    return _scan_verdict(req, Property.MIXING, _mixing_scan)
 
 
-def chaotic_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
+    """One term per n: the certified total, or inf where no tail bound exists."""
+    L_sum = req.L_max
+    n_terms = max(L_sum, 2)  # ratio estimation needs two consecutive terms
+    depth = series_depth(req, Property.CHAOTIC)
+    pts = _sorted_points(req)
+    phi_lin, phi_log = orbit_series(req.system, pts, depth, logs=True)
+    til_lin, til_log = orbit_series(req.system, pts, depth, backward=True, logs=True)
+    series = []
+    terms = np.empty((len(ns), 1))
+    tail_any = False
+    for i, n in enumerate(ns.tolist()):
+        idx = np.arange(1, n_terms + 1) * n
+        tp_lin, tp_log = phi_lin[:, idx], phi_log[:, idx]
+        tt_lin, tt_log = til_lin[:, idx], til_log[:, idx]
+        trunc = tp_lin[:, :L_sum].sum(axis=1) + tt_lin[:, :L_sum].sum(axis=1)
+        r_log = max(float(np.diff(tp_log, axis=1).max()), float(np.diff(tt_log, axis=1).max()))
+        r = math.exp(r_log) if r_log < 700.0 else math.inf
+        if r < 1.0:
+            tail = (tp_lin[:, L_sum - 1] + tt_lin[:, L_sum - 1]) * (r / (1.0 - r))
+            sup_total = float((trunc + tail).max())
+            terms[i] = sup_total
+            tail_any = True
+        else:
+            sup_total = float(trunc.max())
+            terms[i] = math.inf
+        series.append(
+            SeriesPoint(n, float(tp_lin[:, 0].max()), float(tt_lin[:, 0].max()), chaos_sum=sup_total)
+        )
+    return series, terms, tail_any
+
+
+def chaotic_check(req: CriterionRequest) -> Verdict:
     """Summed-product decay: for each epsilon, an n with
 
         max_{x in K} [ sum_{l=1}^{L_max} (phi_{ln}(x) + phi~_{ln}(x)) + tail ] < epsilon
@@ -353,66 +379,7 @@ def chaotic_check(req: CriterionRequest, ignore_obstructions: bool = False) -> V
     witnesses; the verdict's tail_bounded flag records whether any
     candidate had one.
     """
-    if not ignore_obstructions:
-        obs = check_obstructions(req)
-        if obs is not None:
-            return _obstruction_verdict(req, Property.CHAOTIC, obs)
-    start = _start_n(req)
-    L_sum = req.L_max
-    n_terms = max(L_sum, 2)  # ratio estimation needs two consecutive terms
-    depth = series_depth(req, Property.CHAOTIC)
-    pts = _sorted_points(req)
-    phi_lin, phi_log = orbit_series(req.system, pts, depth, logs=True)
-    til_lin, til_log = orbit_series(req.system, pts, depth, backward=True, logs=True)
-
-    ns = list(range(start, req.N_max + 1))
-    series = []
-    eligible = {}
-    totals = {}
-    tail_any = False
-    for n in ns:
-        idx = np.arange(1, n_terms + 1) * n
-        tp_lin, tp_log = phi_lin[:, idx], phi_log[:, idx]
-        tt_lin, tt_log = til_lin[:, idx], til_log[:, idx]
-        trunc = tp_lin[:, :L_sum].sum(axis=1) + tt_lin[:, :L_sum].sum(axis=1)
-        r_log = max(float(np.diff(tp_log, axis=1).max()), float(np.diff(tt_log, axis=1).max()))
-        r = math.exp(r_log) if r_log < 700.0 else math.inf
-        if r < 1.0:
-            tail = (tp_lin[:, L_sum - 1] + tt_lin[:, L_sum - 1]) * (r / (1.0 - r))
-            sup_total = float((trunc + tail).max())
-            eligible[n] = True
-            tail_any = True
-        else:
-            sup_total = float(trunc.max())
-            eligible[n] = False
-        totals[n] = sup_total
-        series.append(
-            SeriesPoint(
-                n,
-                float(tp_lin[:, 0].max()),
-                float(tt_lin[:, 0].max()),
-                chaos_sum=sup_total,
-            )
-        )
-    witness = []
-    all_found = True
-    for eps in req.epsilons:
-        hit = next((n for n in ns if eligible[n] and totals[n] < eps), None)
-        if hit is None:
-            all_found = False
-        else:
-            witness.append(WitnessEntry(eps, hit, (totals[hit],)))
-    return Verdict(
-        request=req,
-        property=Property.CHAOTIC,
-        outcome=Outcome.WITNESS_FOUND if all_found else Outcome.INCONCLUSIVE,
-        witness=tuple(witness),
-        obstruction=None,
-        series=tuple(series),
-        budget=len(series),
-        start_n=start,
-        tail_bounded=tail_any,
-    )
+    return _scan_verdict(req, Property.CHAOTIC, _chaotic_scan)
 
 
 _CHECKERS = {
@@ -424,9 +391,9 @@ _CHECKERS = {
 }
 
 
-def run_check(req: CriterionRequest, ignore_obstructions: bool = False) -> Verdict:
+def run_check(req: CriterionRequest) -> Verdict:
     """Dispatch to the checker named by the request's property."""
-    return _CHECKERS[req.property](req, ignore_obstructions=ignore_obstructions)
+    return _CHECKERS[req.property](req)
 
 
 @dataclass(frozen=True)
@@ -494,14 +461,11 @@ def implication_audit(verdicts: Sequence[Verdict]) -> AuditReport:
                 )
             )
         depth = mr.request.L if mr is not None else max(src.request.L, 1)
-        sys = src.request.system
-        pts = src.request.K.sorted_elements(sys.group)
         last = depth * max((entry.n for entry in src.witness), default=0)
-        phi, _ = orbit_series(sys, pts, last)
-        tilde, _ = orbit_series(sys, pts, last, backward=True)
+        sup_phi, sup_tilde = _sup_series(src.request, last)
         for entry in src.witness:
             steps = np.arange(1, depth + 1) * entry.n
-            sup = max(float(phi[:, steps].max()), float(tilde[:, steps].max()))
+            sup = max(float(sup_phi[steps].max()), float(sup_tilde[steps].max()))
             checks.append(
                 AuditCheck(
                     f"{prop.value} witness n={entry.n} validates depth-{depth} "

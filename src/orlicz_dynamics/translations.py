@@ -32,7 +32,6 @@ variants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -312,12 +311,6 @@ def orbit_series(
     return linear, log
 
 
-def _weights(sys: WeightedSystem, x: Element, m: int, backward: bool) -> np.ndarray:
-    out = np.empty((1, m))
-    _orbit_weights(sys, [x], m, backward, out)
-    return out[0]
-
-
 def phi_product(sys: WeightedSystem, x: Element, n: int) -> float:
     """Forward product prod_{j=1..n} w(x * a^j); empty product is 1."""
     if n < 0:
@@ -337,16 +330,18 @@ def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
 
 def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
     """Forward product as a (log, linear) pair; see module notes on underflow."""
-    ws = _weights(sys, x, n, backward=False)
-    return ProductValue(float(np.sum(np.log(ws))) if n else 0.0, float(math.prod(ws)) if n else 1.0)
+    if n < 0:
+        raise ValueError("product length must be >= 0")
+    linear, log = phi_series_pair(sys, x, n)
+    return ProductValue(float(log[n]), float(linear[n]))
 
 
 def phi_tilde_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
-    ws = _weights(sys, x, n, backward=True)
-    if n == 0:
-        return ProductValue(0.0, 1.0)
-    denom = float(math.prod(ws))
-    return ProductValue(-float(np.sum(np.log(ws))), math.inf if denom == 0.0 else 1.0 / denom)
+    """Reciprocal backward product as a (log, linear) pair."""
+    if n < 0:
+        raise ValueError("product length must be >= 0")
+    linear, log = phi_tilde_series_pair(sys, x, n)
+    return ProductValue(float(log[n]), float(linear[n]))
 
 
 def phi_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.ndarray, np.ndarray]:

@@ -131,6 +131,13 @@ def test_points_K_spec():
         (lambda c: c.update(schema_version=99), "schema_version"),
         (lambda c: c.update(L=0), "<root>"),
         (lambda c: c.update(epsilons=[2.0]), "<root>"),
+        # Misspelled or stray keys used to be ignored silently.
+        (lambda c: c.update(N_mx=8), "N_mx"),
+        (lambda c: c["group"].update(d=2), "group.d"),
+        (lambda c: c["weight"].update(c_poss=0.25), "weight.c_poss"),
+        (lambda c: c["young"].update(alpha=1.5), "young.alpha"),
+        (lambda c: c["K"].update(radius=2), "K.radius"),
+        (lambda c: c.update(epsilons=[0.5, 0.25, 0.5]), "epsilons"),
     ],
 )
 def test_parse_errors_carry_field_paths(mutation, field):
@@ -146,6 +153,15 @@ def test_parse_errors_carry_field_paths(mutation, field):
     with pytest.raises(ConfigError) as err:
         parse_config(base)
     assert err.value.field == field
+
+
+def test_K_with_both_box_and_points_is_rejected():
+    # The points used to be dropped silently in favour of the box.
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw["K"]["points"] = [[9]]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == "K"
 
 
 @pytest.mark.parametrize(

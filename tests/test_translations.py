@@ -161,6 +161,18 @@ def test_series_recurrence_matches_direct_products(step_system, heisenberg_syste
             assert abs(tlogs[n] - math.log(tdirect)) <= 1e-10 * (1.0 + abs(math.log(tdirect)))
 
 
+def test_pairs_are_views_of_the_series(step_system, heisenberg_system):
+    for sys, x in ((step_system, -2), (heisenberg_system, (1, 1, 0))):
+        lin, logs = od.phi_series_pair(sys, x, 40)
+        tlin, tlogs = od.phi_tilde_series_pair(sys, x, 40)
+        for n in range(0, 41):
+            assert od.phi_product_pair(sys, x, n) == (logs[n], lin[n])
+            assert od.phi_tilde_product_pair(sys, x, n) == (tlogs[n], tlin[n])
+    for product in (od.phi_product, od.phi_tilde_product, od.phi_product_pair, od.phi_tilde_product_pair):
+        with pytest.raises(ValueError):
+            product(step_system, 0, -1)
+
+
 def test_long_product_log_pair_survives_underflow():
     sys = od.WeightedSystem(
         group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(0.5), young=P2
