@@ -7,7 +7,8 @@
 
 Exit codes: 0 witness found (or computation succeeded), 2 obstruction
 found, 3 inconclusive within budget (or flagged), 1 error.  Reports are
-deterministic given config and seed; the evaluator is sequential.
+deterministic given the config (its ``seed`` is only echoed); the
+evaluator is sequential.
 """
 
 from __future__ import annotations

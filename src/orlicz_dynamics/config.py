@@ -17,8 +17,8 @@ from .criteria import DEFAULT_EPSILONS, CriterionRequest, Property
 from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
-from .translations import Weight, WeightedSystem, weight_from_config, weight_to_config
-from .young import YoungFunction, young_from_config, young_to_config
+from .translations import WEIGHT_FIELDS, Weight, WeightedSystem, weight_from_config, weight_to_config
+from .young import YOUNG_FIELDS, YoungFunction, young_from_config, young_to_config
 
 SCHEMA_VERSION = 1
 
@@ -56,8 +56,9 @@ class RunConfig:
         )
 
 
-# Top-level keys of a config; the nested specs may carry the keys of their
-# canonical form (``group_to_config``, ``weight_to_config``, ...).
+# Top-level keys of a config; the group spec may carry the keys of its
+# canonical form (``group_to_config``), weight and Young specs those of
+# ``WEIGHT_FIELDS`` and ``YOUNG_FIELDS``.
 _TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *DEFAULTS)
 
 
@@ -73,15 +74,38 @@ def _require(spec: dict, key: str, path: str):
     return spec[key]
 
 
+def _int(value, path: str) -> int:
+    """A JSON integer: a float is not truncated and a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _from_spec(path: str, spec, fields: dict, build, *args):
+    """Build a weight or Young function from its spec; a stray or missing
+    field fails with its path."""
+    if not isinstance(spec, dict):
+        raise ConfigError(path, f"expected an object, got {spec!r}")
+    family = spec.get("family")
+    if isinstance(family, str) and family in fields:
+        _reject_unknown(spec, ("family", *fields[family]), path)
+    try:
+        return build(spec, *args)
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def group_from_config(spec: dict) -> Group:
     kind = _require(spec, "kind", "group")
     if kind not in GROUP_KINDS:
         raise ConfigError("group.kind", f"unknown kind {kind!r}")
     try:
         if kind == "Zd":
-            group = GROUP_KINDS[kind](d=int(_require(spec, "d", "group")))
+            group = GROUP_KINDS[kind](d=_int(_require(spec, "d", "group"), "group.d"))
         elif kind == "cyclic":
-            group = GROUP_KINDS[kind](m=int(_require(spec, "m", "group")))
+            group = GROUP_KINDS[kind](m=_int(_require(spec, "m", "group"), "group.m"))
         else:
             group = GROUP_KINDS[kind]()
     except (ValueError, TypeError) as exc:
@@ -104,10 +128,9 @@ def _rank(group: Group) -> int:
 
 
 def _element(group: Group, raw, path: str) -> Element:
+    coords = [_int(c, path) for c in raw] if isinstance(raw, (list, tuple)) else _int(raw, path)
     try:
-        if isinstance(raw, int):
-            return group.element(raw)
-        return group.element([int(c) for c in raw])
+        return group.element(coords)
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, f"bad element {raw!r}: {exc}") from exc
 
@@ -119,9 +142,12 @@ def compact_set_from_config(spec: dict, group: Group) -> tuple[CompactSet, tuple
         raise ConfigError("K", "give either 'box' or 'points', not both")
     if "box" in spec:
         bounds = spec["box"]
-        if bounds and isinstance(bounds[0], int):
-            bounds = [bounds]
-        bounds = [[int(lo), int(hi)] for lo, hi in bounds]
+        try:
+            if isinstance(bounds[0], int):
+                bounds = [bounds]
+            bounds = [[_int(lo, "K.box"), _int(hi, "K.box")] for lo, hi in bounds]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError("K.box", f"expected [lo, hi] integer pairs, got {spec['box']!r}") from exc
         if len(bounds) != _rank(group):
             raise ConfigError("K.box", f"expected {_rank(group)} bound pairs, got {len(bounds)}")
         try:
@@ -155,25 +181,20 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("schema_version", f"unsupported version {version}")
     group = group_from_config(_require(raw, "group", "<root>"))
     a = _element(group, _require(raw, "a", "<root>"), "a")
-    weight_spec = _require(raw, "weight", "<root>")
-    try:
-        weight = weight_from_config(weight_spec, group)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError("weight", str(exc)) from exc
-    _reject_unknown(weight_spec, weight_to_config(weight, group), "weight")
-    young_spec = _require(raw, "young", "<root>")
-    try:
-        young = young_from_config(young_spec)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError("young", str(exc)) from exc
-    _reject_unknown(young_spec, young_to_config(young), "young")
+    weight = _from_spec("weight", _require(raw, "weight", "<root>"), WEIGHT_FIELDS, weight_from_config, group)
+    young = _from_spec("young", _require(raw, "young", "<root>"), YOUNG_FIELDS, young_from_config)
     K, K_spec = compact_set_from_config(_require(raw, "K", "<root>"), group)
     prop_raw = _require(raw, "property", "<root>")
     try:
         prop = Property(prop_raw)
     except ValueError as exc:
         raise ConfigError("property", f"unknown property {prop_raw!r}") from exc
-    epsilons = tuple(float(e) for e in raw.get("epsilons", DEFAULT_EPSILONS))
+    epsilons = raw.get("epsilons", DEFAULT_EPSILONS)
+    if not isinstance(epsilons, (list, tuple)) or any(
+        isinstance(e, bool) or not isinstance(e, (int, float)) for e in epsilons
+    ):
+        raise ConfigError("epsilons", f"expected a list of numbers, got {epsilons!r}")
+    epsilons = tuple(map(float, epsilons))
     if len(set(epsilons)) != len(epsilons):
         raise ConfigError("epsilons", f"duplicate values in {list(epsilons)}")
     cfg = RunConfig(
@@ -184,11 +205,11 @@ def parse_config(raw: dict) -> RunConfig:
         K=K,
         K_spec=K_spec,
         property=prop,
-        L=int(raw.get("L", DEFAULTS["L"])),
+        L=_int(raw.get("L", DEFAULTS["L"]), "L"),
         epsilons=epsilons,
-        N_max=int(raw.get("N_max", DEFAULTS["N_max"])),
-        L_max=int(raw.get("L_max", DEFAULTS["L_max"])),
-        seed=int(raw.get("seed", DEFAULTS["seed"])),
+        N_max=_int(raw.get("N_max", DEFAULTS["N_max"]), "N_max"),
+        L_max=_int(raw.get("L_max", DEFAULTS["L_max"]), "L_max"),
+        seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"),
         out=raw.get("out", DEFAULTS["out"]),
     )
     try:
@@ -217,24 +238,22 @@ def emit_config(cfg: RunConfig) -> dict:
     }
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read_json(path: str | Path, field: str):
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
+        raise ConfigError(field, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_config(raw)
+        raise ConfigError(field, f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return parse_config(_read_json(path, "<file>"))
 
 
 def vector_from_file(path: str | Path, group: Group) -> OrliczVector:
     """Load a vector serialized as [[coords, value], ...]."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError("<vector>", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<vector>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = _read_json(path, "<vector>")
     if isinstance(raw, dict):
         raw = raw.get("entries", raw)
     if not isinstance(raw, list):

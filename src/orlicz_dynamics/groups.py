@@ -267,10 +267,6 @@ class CompactSet:
         """Elements in coordinate order, for deterministic iteration."""
         return sorted(self.elements, key=lambda g: tuple(group.coords(g)))
 
-    def translated(self, group: Group, g: Element) -> "CompactSet":
-        """Right translate K·g."""
-        return CompactSet(frozenset(group.mul(k, g) for k in self.elements))
-
 
 def box(group: Group, bounds: Sequence[Sequence[int]]) -> CompactSet:
     """Coordinate box: bounds is one (lo, hi) inclusive pair per coordinate."""

@@ -8,21 +8,24 @@ neighbourhood are then governed by the orbit weight products.  The
 periodic construction additionally stacks forward iterates, and its
 period defect is exactly the two dropped boundary terms of the
 truncation.
+
+Each stack takes its iterates from one ``translations.iterates`` batch,
+bit for bit the vectors of applying S or T one step at a time.
+``_stack`` sums the pieces in one dict: it adds the same floats in the
+same order as repeated ``v + piece`` and drops a key when its running
+sum reaches 0.0, as each intermediate vector's pruning did.  A piece
+holds each key once, so dropping the key at once rather than at the end
+of its piece keeps the same keys in the same insertion order, and a key
+that comes back later is appended at the end either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import SeparationViolatedError, TailUnboundedError
 from .orlicz import OrliczVector, luxemburg_norm
-from .translations import (
-    WeightedSystem,
-    apply_S,
-    apply_T,
-    apply_T_n,
-    orbit_series,
-)
+from .translations import WeightedSystem, apply_S_n, apply_T_n, iterates
 
 # Witness/periodic summands larger than this abort the construction
 # instead of producing meaningless floating-point towers.
@@ -41,14 +44,7 @@ class ReturnReport:
     success: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "epsilon": self.epsilon,
-            "residual_to_f": self.residual_to_f,
-            "return_residuals": list(self.return_residuals),
-            "success": self.success,
-        }
+        return {**asdict(self), "return_residuals": list(self.return_residuals)}
 
 
 @dataclass(frozen=True)
@@ -63,28 +59,20 @@ class PeriodicityReport:
     within_bound: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "L_trunc": self.L_trunc,
-            "defect": self.defect,
-            "predicted_bound": self.predicted_bound,
-            "approx_residual": self.approx_residual,
-            "within_bound": self.within_bound,
-        }
+        return asdict(self)
 
 
-def _iterate_S(sys: WeightedSystem, f: OrliczVector, steps: int) -> OrliczVector:
-    cur = f
-    for _ in range(steps):
-        cur = apply_S(sys, cur)
-    return cur
-
-
-def _iterate_T(sys: WeightedSystem, f: OrliczVector, steps: int) -> OrliczVector:
-    cur = f
-    for _ in range(steps):
-        cur = apply_T(sys, cur)
-    return cur
+def _stack(pieces: list[OrliczVector]) -> OrliczVector:
+    """The sum of the pieces, bit for bit as repeated ``+`` builds it."""
+    acc: dict = {}
+    for piece in pieces:
+        for x, v in piece.items():
+            s = acc.get(x, 0.0) + v
+            if s != 0.0:
+                acc[x] = s
+            else:
+                del acc[x]
+    return OrliczVector(acc)
 
 
 def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: int) -> OrliczVector:
@@ -98,24 +86,13 @@ def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: i
         raise ValueError("step count n must be >= 1")
     if L < 0:
         raise ValueError("depth L must be >= 0")
-    pieces = [f]
-    cur = f
-    for _ in range(L):
-        cur = _iterate_S(sys, cur, n)
-        pieces.append(cur)
-    seen: set = set()
-    for piece in pieces:
-        sup = piece.support()
-        if seen & sup:
-            raise SeparationViolatedError(
-                f"witness summand supports overlap at n={n}; "
-                "n must exceed the separation constant of supp(f)"
-            )
-        seen |= sup
-    v = OrliczVector()
-    for piece in pieces:
-        v = v + piece
-    return v
+    pieces = [f, *iterates(sys, f, n, L, backward=True)]
+    if len(set().union(*(piece.support() for piece in pieces))) < sum(map(len, pieces)):
+        raise SeparationViolatedError(
+            f"witness summand supports overlap at n={n}; "
+            "n must exceed the separation constant of supp(f)"
+        )
+    return _stack(pieces)
 
 
 def empirical_return(
@@ -134,15 +111,11 @@ def empirical_return(
 
 
 def _boundary_norms(sys: WeightedSystem, f: OrliczVector, n: int, L_trunc: int) -> tuple[float, float]:
-    """Norms of the two terms dropped by the truncation, computed from the
-    orbit products: N(phi_{(L+1)n} f) and N(phi~_{Ln} f)."""
-    phi = sys.young
-    pts = [x for x, _ in f.items()]
-    t_prod, _ = orbit_series(sys, pts, (L_trunc + 1) * n)
-    s_prod, _ = orbit_series(sys, pts, L_trunc * n, backward=True)
-    t_side = f.mul_pointwise(dict(zip(pts, t_prod[:, -1].tolist())).__getitem__)
-    s_side = f.mul_pointwise(dict(zip(pts, s_prod[:, -1].tolist())).__getitem__)
-    return luxemburg_norm(t_side, phi), luxemburg_norm(s_side, phi)
+    """Norms of the two terms dropped by the truncation, N(T^{(L+1)n} f)
+    and N(S^{Ln} f), from the closed-form iterates: f times the orbit
+    products, moved along the orbit."""
+    t_side, s_side = apply_T_n(sys, f, (L_trunc + 1) * n), apply_S_n(sys, f, L_trunc * n)
+    return luxemburg_norm(t_side, sys.young), luxemburg_norm(s_side, sys.young)
 
 
 def chaos_periodic_vector(
@@ -161,18 +134,10 @@ def chaos_periodic_vector(
     if L_trunc < 0:
         raise ValueError("truncation level must be >= 0")
     phi = sys.young
-    t_pieces, s_pieces = [], []
-    cur_t, cur_s = f, f
-    for _ in range(L_trunc):
-        cur_t = _iterate_T(sys, cur_t, n)
-        cur_s = _iterate_S(sys, cur_s, n)
-        for piece in (cur_t, cur_s):
-            if piece.max_abs() > TERM_MAGNITUDE_CAP:
-                raise TailUnboundedError(
-                    f"summand magnitude exceeds cap {TERM_MAGNITUDE_CAP:g} at n={n}"
-                )
-        t_pieces.append(cur_t)
-        s_pieces.append(cur_s)
+    t_pieces = iterates(sys, f, n, L_trunc)
+    s_pieces = iterates(sys, f, n, L_trunc, backward=True)
+    if any(piece.max_abs() > TERM_MAGNITUDE_CAP for piece in t_pieces + s_pieces):
+        raise TailUnboundedError(f"summand magnitude exceeds cap {TERM_MAGNITUDE_CAP:g} at n={n}")
     if L_trunc >= 2:
         t_last, t_prev = luxemburg_norm(t_pieces[-1], phi), luxemburg_norm(t_pieces[-2], phi)
         s_last, s_prev = luxemburg_norm(s_pieces[-1], phi), luxemburg_norm(s_pieces[-2], phi)
@@ -181,21 +146,15 @@ def chaos_periodic_vector(
                 f"trailing terms do not decay at n={n} (T: {t_prev} -> {t_last}, "
                 f"S: {s_prev} -> {s_last})"
             )
-    v = f
-    for piece in t_pieces:
-        v = v + piece
-    for piece in s_pieces:
-        v = v + piece
+    v = _stack([f, *t_pieces, *s_pieces])
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
-    bt, bs = _boundary_norms(sys, f, n, L_trunc)
-    bound = bt + bs
-    residual = luxemburg_norm(v - f, phi)
+    bound = sum(_boundary_norms(sys, f, n, L_trunc))
     report = PeriodicityReport(
         n=n,
         L_trunc=L_trunc,
         defect=defect,
         predicted_bound=bound,
-        approx_residual=residual,
+        approx_residual=luxemburg_norm(v - f, phi),
         within_bound=defect <= bound * (1.0 + 1e-9) + 1e-300,
     )
     return v, report
@@ -207,20 +166,13 @@ def choose_truncation(
     """Smallest truncation level whose boundary terms fall below ``tol``,
     capped at ``cap``."""
     for L in range(1, cap + 1):
-        bt, bs = _boundary_norms(sys, f, n, L)
-        if bt + bs < tol:
+        if sum(_boundary_norms(sys, f, n, L)) < tol:
             return L
     return cap
 
 
 def orbit_norm_series(sys: WeightedSystem, f: OrliczVector, n_steps: int) -> list[float]:
-    """Norms N(T^n f) for n = 0..n_steps, by exact iteration."""
+    """Norms N(T^n f) for n = 0..n_steps, from the step-by-step iterates."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    phi = sys.young
-    out = [luxemburg_norm(f, phi)]
-    cur = f
-    for _ in range(n_steps):
-        cur = apply_T(sys, cur)
-        out.append(luxemburg_norm(cur, phi))
-    return out
+    return [luxemburg_norm(piece, sys.young) for piece in [f, *iterates(sys, f, 1, n_steps)]]

@@ -1,6 +1,6 @@
 """Report envelopes: canonical JSON, determinism hashing, CSV export.
 
-Envelopes are deterministic given config and seed.  The ``runtime``
+Envelopes are deterministic given the config.  The ``runtime``
 section (timings) is excluded from the determinism hash, everything else
 is covered by it.  Non-finite floats are serialized as the strings
 "inf", "-inf" and "nan" to keep the output strict JSON.  ``make_envelope``

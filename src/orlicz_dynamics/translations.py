@@ -23,6 +23,17 @@ coordinates could reach ``groups.INT64_GUARD``, as an exact Python-int
 bound decides.  The per-point functions (``phi_product``,
 ``phi_series_pair``, ...) are views of one row of the kernel.
 
+``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
+l = 1..count, from the same weight block: row i starts with the i-th
+value of f, and a multiply (T) or divide (S) accumulate along the row
+repeats the one-step loop's v * w(x * a) or v / w(x), in its order.
+numpy's float64 * and / round exactly like Python's, so every value is
+the loop's bit for bit.  Weights are positive and finite, so a value
+that reaches 0.0, which the loop pruned, stays 0.0 and is pruned from
+every later piece; rows keep f's insertion order.  ``apply_T`` and
+``apply_S`` are its one-step views; ``apply_T_n`` and ``apply_S_n``
+multiply by the orbit product once instead, which rounds differently.
+
 Products are accumulated in linear space and in log space side by side;
 for long orbits (n > 128) the linear value may legitimately underflow to
 0.0 (or overflow to inf) while the log value stays finite, so callers
@@ -46,8 +57,8 @@ class ConstantWeight:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("constant weight must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("constant weight must be positive and finite")
 
     def __call__(self, g: Element) -> float:
         return self.c
@@ -70,8 +81,8 @@ class TwoSidedStepWeight:
     c_pos: float
 
     def __post_init__(self):
-        if not (self.c_neg > 0.0 and self.c_pos > 0.0):
-            raise ValueError("step weights must be positive")
+        if not (0.0 < self.c_neg < np.inf and 0.0 < self.c_pos < np.inf):
+            raise ValueError("step weights must be positive and finite")
 
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
@@ -124,8 +135,8 @@ class TableWeight:
 
     def __post_init__(self):
         table = {g: float(v) for g, v in self.entries}
-        if any(v <= 0.0 for v in table.values()) or not self.default > 0.0:
-            raise ValueError("weights must be positive")
+        if not all(0.0 < v < np.inf for v in (*table.values(), self.default)):
+            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "entries", tuple(sorted(table.items(), key=lambda e: repr(e[0]))))
         object.__setattr__(self, "_table", table)
 
@@ -165,54 +176,59 @@ class ProductValue(NamedTuple):
 
 def apply_T(sys: WeightedSystem, f: OrliczVector) -> OrliczVector:
     """(T f)(x) = w(x) * f(x * a^{-1}); support shifts right by a."""
-    g, a, w = sys.group, sys.a, sys.weight
-    out = {}
-    for x, v in f.items():
-        y = g.mul(x, a)
-        out[y] = w(y) * v
-    return OrliczVector(out)
+    return iterates(sys, f, 1, 1)[0]
 
 
 def apply_S(sys: WeightedSystem, h: OrliczVector) -> OrliczVector:
     """(S h)(x) = h(x * a) / w(x * a); right inverse of T."""
-    g, a, w = sys.group, sys.a, sys.weight
-    a_inv = g.inv(a)
-    out = {}
-    for x, v in h.items():
-        out[g.mul(x, a_inv)] = v / w(x)
-    return OrliczVector(out)
+    return iterates(sys, h, 1, 1, backward=True)[0]
 
 
 def apply_T_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
     """Closed-form n-th iterate: each support point y moves to y * a^n and
     picks up the forward product of the n weights along the way."""
-    if n < 0:
-        raise ValueError("iterate count must be >= 0")
-    if n == 0:
-        return f
-    linear, _ = orbit_series(sys, [y for y, _ in f.items()], n)
-    return _translate_weighted(sys, f, n, linear[:, n])
+    return _closed_form_iterate(sys, f, n, backward=False)
 
 
 def apply_S_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
     """Closed-form n-th iterate of S: y moves to y * a^{-n} weighted by the
     backward product."""
+    return _closed_form_iterate(sys, f, n, backward=True)
+
+
+def _closed_form_iterate(sys: WeightedSystem, f: OrliczVector, n: int, backward: bool) -> OrliczVector:
     if n < 0:
         raise ValueError("iterate count must be >= 0")
     if n == 0:
         return f
-    linear, _ = orbit_series(sys, [y for y, _ in f.items()], n, backward=True)
-    return _translate_weighted(sys, f, -n, linear[:, n])
+    pts = [y for y, _ in f.items()]
+    products = orbit_series(sys, pts, n, backward)[0][:, n].tolist()
+    return _moved(sys, pts, -n if backward else n, [v * p for v, p in zip(f.values(), products)])
 
 
-def _translate_weighted(
-    sys: WeightedSystem, f: OrliczVector, k: int, factors: np.ndarray
-) -> OrliczVector:
-    """Move each support point y of f to y * a^k, multiplying its value by
-    the factor at the same position of f.items()."""
+def iterates(
+    sys: WeightedSystem, f: OrliczVector, step: int, count: int, backward: bool = False
+) -> list[OrliczVector]:
+    """[T^{step} f, T^{2 step} f, ..., T^{count step} f], or the S iterates
+    when backward is set, bit for bit as applying T (or S) one step at a
+    time builds them; see the module docstring."""
+    if step < 1 or count < 0:
+        raise ValueError("need step >= 1 and count >= 0")
+    pts = [x for x, _ in f.items()]
+    block = np.empty((len(pts), count * step + 1))
+    block[:, 0] = np.fromiter(f.values(), float, len(pts))
+    _orbit_weights(sys, pts, count * step, backward, block[:, 1:])
+    with np.errstate(over="ignore"):
+        (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
+    k = -step if backward else step
+    return [_moved(sys, pts, l * k, block[:, l * step].tolist()) for l in range(1, count + 1)]
+
+
+def _moved(sys: WeightedSystem, pts: Sequence[Element], k: int, values: Sequence[float]) -> OrliczVector:
+    """The vector with values[i] at pts[i] * a^k; zero values are pruned."""
     g = sys.group
     shift = g.pow(sys.a, k)
-    return OrliczVector({g.mul(y, shift): v * p for (y, v), p in zip(f.items(), factors.tolist())})
+    return OrliczVector({g.mul(y, shift): v for y, v in zip(pts, values)})
 
 
 def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray:
@@ -358,6 +374,15 @@ def phi_tilde_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[
     """Incremental backward reciprocal products for n = 0..n_max."""
     linear, log = orbit_series(sys, [x], n_max, backward=True, logs=True)
     return linear[0], log[0]
+
+
+# The fields each weight family's config form has besides "family".
+WEIGHT_FIELDS = {
+    "constant": ("c",),
+    "two_sided_step": ("c_neg", "c_pos"),
+    "heisenberg_paper": (),
+    "table": ("entries", "default"),
+}
 
 
 def weight_from_config(spec: dict, group: Group) -> Weight:

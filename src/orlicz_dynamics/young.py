@@ -320,6 +320,10 @@ def delta2_probe(phi: YoungFunction, t_lo: float, t_hi: float, n_grid: int) -> D
     return Delta2Report(ratio_sup=sup, t_lo=t_lo, t_hi=t_hi, n_grid=n_grid)
 
 
+# The fields each Young family's config form has besides "family".
+YOUNG_FIELDS = {"power": ("p",), "alphalog": ("alpha",), "custom": ("table",)}
+
+
 def young_from_config(spec: dict) -> YoungFunction:
     """Build a Young function from its config form, e.g. {"family":"power","p":2.0}."""
     family = spec.get("family")

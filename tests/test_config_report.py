@@ -138,6 +138,28 @@ def test_points_K_spec():
         (lambda c: c["young"].update(alpha=1.5), "young.alpha"),
         (lambda c: c["K"].update(radius=2), "K.radius"),
         (lambda c: c.update(epsilons=[0.5, 0.25, 0.5]), "epsilons"),
+        # Wrong types used to escape as a bare ValueError or be truncated.
+        pytest.param(lambda c: c.update(epsilons=["half"]), "epsilons", id="epsilons-string"),
+        pytest.param(lambda c: c.update(epsilons=[0.5, True]), "epsilons", id="epsilons-bool"),
+        pytest.param(lambda c: c.update(N_max="many"), "N_max", id="N_max-string"),
+        pytest.param(lambda c: c.update(K={"box": [["a", 2]]}), "K.box", id="K.box-string"),
+        pytest.param(lambda c: c.update(N_max=True), "N_max", id="N_max-bool"),
+        pytest.param(lambda c: c.update(L=2.7), "L", id="L-float"),
+        pytest.param(lambda c: c.update(seed=1.5), "seed", id="seed-float"),
+        pytest.param(lambda c: c.update(a=[1.5]), "a", id="a-float"),
+        # A misspelled field is named, and so is a missing one.
+        pytest.param(
+            lambda c: c.update(weight={"family": "two_sided_step", "c_neg": 2.0, "c_poss": 0.5}),
+            "weight.c_poss",
+            id="weight-misspelled-required",
+        ),
+        pytest.param(
+            lambda c: c.update(weight={"family": "two_sided_step", "c_neg": 2.0}),
+            "weight.c_pos",
+            id="weight-missing-required",
+        ),
+        pytest.param(lambda c: c.update(young={"family": "power"}), "young.p", id="young-missing-required"),
+        pytest.param(lambda c: c["weight"].update(c=float("inf")), "weight", id="weight-infinite"),
     ],
 )
 def test_parse_errors_carry_field_paths(mutation, field):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ def test_chaos_periodic_vector_trivial_truncation(step_system, zgroup):
     assert v == f
     direct = od.luxemburg_norm(od.apply_T_n(step_system, f, 6) - f, P2)
     assert report.defect == pytest.approx(direct, rel=1e-12)
+    assert report.within_bound
+
+
+def test_lab_constructions_call_no_scalar_weight(step_system, zgroup):
+    # The stacks take their weights from the closed-form orbit block, never
+    # one scalar weight call per point and step.
+    f = od.OrliczVector.indicator(od.box(zgroup, [[-2, 2]]))
+    with mock.patch.object(
+        od.TwoSidedStepWeight, "__call__", side_effect=AssertionError("scalar weight call")
+    ):
+        assert len(od.recurrence_witness_vector(step_system, f, 9, 3)) == 20
+        v, report = od.chaos_periodic_vector(step_system, f, 10, 4)
+    assert len(v) == 5 * (2 * 4 + 1)
     assert report.within_bound
 
 

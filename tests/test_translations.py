@@ -192,6 +192,17 @@ def test_weight_validation():
         od.TwoSidedStepWeight(-1.0, 0.5)
     with pytest.raises(ValueError):
         od.TableWeight(entries=((0, 0.0),), default=1.0)
+    # An infinite weight is no bounded operator, and would turn a pruned
+    # 0.0 of the step loop into 0 * inf = nan.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            od.ConstantWeight(bad)
+        with pytest.raises(ValueError):
+            od.TwoSidedStepWeight(2.0, bad)
+        with pytest.raises(ValueError):
+            od.TableWeight(entries=((0, bad),), default=1.0)
+        with pytest.raises(ValueError):
+            od.TableWeight(entries=(), default=bad)
     w = od.TableWeight(entries=((0, 2.0), (1, 0.5)), default=1.0)
     assert w.sup_bound() == 2.0 and w.inf_bound() == 0.5
     assert w(0) == 2.0 and w(99) == 1.0
