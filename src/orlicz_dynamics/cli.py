@@ -41,28 +41,29 @@ _OUTCOME_EXIT = {
 
 
 def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
-    verdict = run_check(cfg.request())
+    verdict = run_check(cfg.request)
     code = _OUTCOME_EXIT[verdict.outcome]
     return {"command": "check", "verdict": verdict.to_json(), "exit_code": code}, code
 
 
 def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
-    verdict = run_check(cfg.request())
+    req = cfg.request
+    verdict = run_check(req)
     results: dict = {"command": "simulate", "verdict": verdict.to_json(), "lab": [], "flag": None}
     if verdict.outcome is not Outcome.WITNESS_FOUND:
         if verdict.property is Property.CHAOTIC and verdict.tail_bounded is False:
             results["flag"] = "tail_unbounded"
         return results, _OUTCOME_EXIT[verdict.outcome]
 
-    sys_ = cfg.system()
-    f = OrliczVector.indicator(cfg.K)
-    norm_f = luxemburg_norm(f, cfg.young)
-    depth = cfg.L if cfg.property is Property.MULTIPLY_RECURRENT else 1
+    sys_ = req.system
+    f = OrliczVector.indicator(req.K)
+    norm_f = luxemburg_norm(f, sys_.young)
+    depth = req.L if req.property is Property.MULTIPLY_RECURRENT else 1
     ok = True
     try:
         for entry in verdict.witness:
-            if cfg.property is Property.CHAOTIC:
-                L_trunc = choose_truncation(sys_, f, entry.n, cap=min(cfg.L_max, 32))
+            if req.property is Property.CHAOTIC:
+                L_trunc = choose_truncation(sys_, f, entry.n, cap=min(req.L_max, 32))
                 _, rep = chaos_periodic_vector(sys_, f, entry.n, L_trunc)
                 ok &= rep.within_bound and rep.approx_residual <= entry.epsilon * norm_f * (1 + 1e-9)
                 results["lab"].append({"epsilon": entry.epsilon, "periodicity": rep.to_json()})
@@ -79,30 +80,32 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_WITNESS if ok else EXIT_ERROR
-    results["orbit_norms"] = orbit_norm_series(sys_, f, min(cfg.N_max, 32))
+    results["orbit_norms"] = orbit_norm_series(sys_, f, min(req.N_max, 32))
     return results, code
 
 
 def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
-    vec = vector_from_file(vector_path, cfg.group)
-    value = luxemburg_norm(vec, cfg.young)
-    mod = modular(vec, cfg.young, value) if value > 0.0 else 0.0
+    group, young = cfg.request.system.group, cfg.request.system.young
+    vec = vector_from_file(vector_path, group)
+    value = luxemburg_norm(vec, young)
+    mod = modular(vec, young, value) if value > 0.0 else 0.0
     results = {
         "command": "norm",
         "norm": value,
         "modular_at_norm": mod,
         "support_size": len(vec),
-        "vector": vec.to_pairs(cfg.group),
+        "vector": vec.to_pairs(group),
     }
     return results, EXIT_WITNESS
 
 
 def cmd_probe_young(cfg: RunConfig) -> tuple[dict, int]:
-    probe = delta2_probe(cfg.young, 1e-3, 1e3, 200)
+    young = cfg.request.system.young
+    probe = delta2_probe(young, 1e-3, 1e3, 200)
     table = []
     for i in range(128):
         y = 8.0 * i / 127.0
-        table.append([y, complementary(cfg.young, y)])
+        table.append([y, complementary(young, y)])
     return {"command": "probe-young", "delta2": probe.to_json(), "conjugate_table": table}, EXIT_WITNESS
 
 

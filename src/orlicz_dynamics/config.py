@@ -1,8 +1,14 @@
-"""Run configuration: JSON parsing, validation and canonical emission.
+"""Run configuration: the one module that knows the config format.
 
-A run config names a group, a translation element, a weight, a Young
-function, a finite set K (box bounds or an explicit point list), the
-property to check and the search budgets.  ``emit_config(parse(c))`` is
+A run config writes down one weighted system (G, a, w, Phi) over a
+finite set K, the property to check and the search budgets; parsing it
+builds the validated ``CriterionRequest`` once.  Every field is read by
+a typed reader (``_object``, ``_require``, ``_name``, ``_int``,
+``_number``, ``_list``, ``_pairs``, ``_element``), so a wrong type or
+shape fails as a ConfigError on its path, and a bool or a string is
+never a number.  The ``WEIGHTS`` and ``YOUNGS`` family tables drive
+parsing and emission alike; the ``table`` weight and ``custom`` Young
+families are read on their own.  ``emit_config(parse_config(c))`` is
 the canonical form of c, and parsing is lossless on canonical configs.
 """
 
@@ -17,61 +23,68 @@ from .criteria import DEFAULT_EPSILONS, CriterionRequest, Property
 from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
-from .translations import WEIGHT_FIELDS, Weight, WeightedSystem, weight_from_config, weight_to_config
-from .young import YOUNG_FIELDS, YoungFunction, young_from_config, young_to_config
+from .translations import (
+    ConstantWeight,
+    HeisenbergDyadicWeight,
+    TableWeight,
+    TwoSidedStepWeight,
+    Weight,
+    WeightedSystem,
+)
+from .young import AlphaLogYoung, PowerYoung, TableYoung, YoungFunction
 
 SCHEMA_VERSION = 1
 
 DEFAULTS = {"L": 1, "N_max": 64, "L_max": 32, "seed": 0, "out": None}
 
+# The integer parameters of each group kind's constructor, beyond "kind".
+_GROUP_PARAMS = {"Zd": ("d",), "cyclic": ("m",)}
+# Weight families: class, its number fields in constructor order, and the
+# group kind it is defined on (None: any).  "table" is read on its own.
+WEIGHTS = {
+    "constant": (ConstantWeight, ("c",), None),
+    "two_sided_step": (TwoSidedStepWeight, ("c_neg", "c_pos"), "Z"),
+    "heisenberg_paper": (HeisenbergDyadicWeight, (), "heisenberg"),
+}
+# Young families: class and its number fields.  "custom" is read on its own.
+YOUNGS = {"power": (PowerYoung, ("p",)), "alphalog": (AlphaLogYoung, ("alpha",))}
+
+_TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *DEFAULTS)
+_PROPERTIES = tuple(p.value for p in Property)
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    group: Group
-    a: Element
-    weight: Weight
-    young: YoungFunction
-    K: CompactSet
+    """A validated request, with what the report echoes besides it."""
+
+    request: CriterionRequest
     K_spec: tuple  # canonical ("box", bounds) or ("points", coords)
-    property: Property
-    L: int
-    epsilons: tuple[float, ...]
-    N_max: int
-    L_max: int
     seed: int
     out: Optional[str]
 
-    def system(self) -> WeightedSystem:
-        return WeightedSystem(group=self.group, a=self.a, weight=self.weight, young=self.young)
 
-    def request(self) -> CriterionRequest:
-        return CriterionRequest(
-            system=self.system(),
-            K=self.K,
-            property=self.property,
-            L=self.L,
-            epsilons=self.epsilons,
-            N_max=self.N_max,
-            L_max=self.L_max,
-        )
-
-
-# Top-level keys of a config; the group spec may carry the keys of its
-# canonical form (``group_to_config``), weight and Young specs those of
-# ``WEIGHT_FIELDS`` and ``YOUNG_FIELDS``.
-_TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *DEFAULTS)
-
-
-def _reject_unknown(spec: dict, known, path: str = "") -> None:
-    for key in spec:
-        if key not in known:
+def _object(value, path: str, known=None) -> dict:
+    """A JSON object; with known given, every key must be in it.  The root
+    has path "" and names a stray key by the key alone."""
+    if not isinstance(value, dict):
+        raise ConfigError(path or "<root>", f"expected an object, got {value!r}")
+    for key in value:
+        if known is not None and key not in known:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    return value
 
 
 def _require(spec: dict, key: str, path: str):
     if key not in spec:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(f"{path or '<root>'}.{key}", "missing required field")
     return spec[key]
+
+
+def _name(value, names, path: str) -> str:
+    """A string naming one of names."""
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(path, f"expected one of {', '.join(names)}, got {value!r}")
+    return value
 
 
 def _int(value, path: str) -> int:
@@ -81,50 +94,28 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _from_spec(path: str, spec, fields: dict, build, *args):
-    """Build a weight or Young function from its spec; a stray or missing
-    field fails with its path."""
-    if not isinstance(spec, dict):
-        raise ConfigError(path, f"expected an object, got {spec!r}")
-    family = spec.get("family")
-    if isinstance(family, str) and family in fields:
-        _reject_unknown(spec, ("family", *fields[family]), path)
+def _number(value, path: str) -> float:
+    """A JSON number as a float, so an integer emits as a float: a bool or
+    a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
     try:
-        return build(spec, *args)
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(path, f"number out of float range: {value!r}") from exc
 
 
-def group_from_config(spec: dict) -> Group:
-    kind = _require(spec, "kind", "group")
-    if kind not in GROUP_KINDS:
-        raise ConfigError("group.kind", f"unknown kind {kind!r}")
-    try:
-        if kind == "Zd":
-            group = GROUP_KINDS[kind](d=_int(_require(spec, "d", "group"), "group.d"))
-        elif kind == "cyclic":
-            group = GROUP_KINDS[kind](m=_int(_require(spec, "m", "group"), "group.m"))
-        else:
-            group = GROUP_KINDS[kind]()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("group", str(exc)) from exc
-    _reject_unknown(spec, group_to_config(group), "group")
-    return group
+def _list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    return value
 
 
-def group_to_config(group: Group) -> dict:
-    out = {"kind": group.kind}
-    if group.kind == "Zd":
-        out["d"] = group.d
-    if group.kind == "cyclic":
-        out["m"] = group.m
-    return out
-
-
-def _rank(group: Group) -> int:
-    return len(group.coords(group.identity()))
+def _pairs(value, path: str) -> list:
+    """A list of two-element lists."""
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in _list(value, path)):
+        raise ConfigError(path, f"expected a list of pairs, got {value!r}")
+    return value
 
 
 def _element(group: Group, raw, path: str) -> Element:
@@ -135,104 +126,157 @@ def _element(group: Group, raw, path: str) -> Element:
         raise ConfigError(path, f"bad element {raw!r}: {exc}") from exc
 
 
-def compact_set_from_config(spec: dict, group: Group) -> tuple[CompactSet, tuple]:
+def _build(path: str, cls, *args):
+    """cls(*args); a ValueError from its own checks fails on path."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _from_fields(spec: dict, path: str, cls, fields: tuple):
+    """cls built from the number fields of spec, whose keys must be
+    "family" and fields."""
+    _object(spec, path, ("family", *fields))
+    return _build(path, cls, *(_number(_require(spec, f, path), f"{path}.{f}") for f in fields))
+
+
+def _emit_family(table: dict, obj) -> dict:
+    for family, (cls, fields, *_) in table.items():
+        if type(obj) is cls:
+            return {"family": family, **{f: getattr(obj, f) for f in fields}}
+    raise TypeError(f"no config family for {obj!r}")
+
+
+def group_from_config(spec) -> Group:
+    spec = _object(spec, "group")
+    kind = _name(_require(spec, "kind", "group"), GROUP_KINDS, "group.kind")
+    params = [_int(_require(spec, p, "group"), f"group.{p}") for p in _GROUP_PARAMS.get(kind, ())]
+    group = _build("group", GROUP_KINDS[kind], *params)
+    _object(spec, "group", group_to_config(group))
+    return group
+
+
+def group_to_config(group: Group) -> dict:
+    return {"kind": group.kind, **{p: getattr(group, p) for p in _GROUP_PARAMS.get(group.kind, ())}}
+
+
+def _weight(spec, group: Group) -> Weight:
+    spec = _object(spec, "weight")
+    if spec.get("family") == "table":
+        _object(spec, "weight", ("family", "entries", "default"))
+        entries = tuple(
+            (_element(group, c, "weight.entries"), _number(v, "weight.entries"))
+            for c, v in _pairs(_require(spec, "entries", "weight"), "weight.entries")
+        )
+        return _build("weight", TableWeight, entries, _number(spec.get("default", 1.0), "weight.default"))
+    family = _name(spec.get("family"), (*WEIGHTS, "table"), "weight")
+    cls, fields, kind = WEIGHTS[family]
+    if kind is not None and group.kind != kind:
+        raise ConfigError("weight", f"{family} weight needs the {kind} group, not {group.kind}")
+    return _from_fields(spec, "weight", cls, fields)
+
+
+def _weight_to_config(w: Weight, group: Group) -> dict:
+    if isinstance(w, TableWeight):
+        rows = sorted(((group.coords(g), v) for g, v in w.entries), key=lambda r: tuple(r[0]))
+        return {"family": "table", "entries": [[c, v] for c, v in rows], "default": w.default}
+    return _emit_family(WEIGHTS, w)
+
+
+def _young(spec) -> YoungFunction:
+    spec = _object(spec, "young")
+    if spec.get("family") == "custom":
+        _object(spec, "young", ("family", "table"))
+        knots = tuple(
+            (_number(t, "young.table"), _number(v, "young.table"))
+            for t, v in _pairs(_require(spec, "table", "young"), "young.table")
+        )
+        return _build("young", TableYoung, knots)
+    family = _name(spec.get("family"), (*YOUNGS, "custom"), "young")
+    return _from_fields(spec, "young", *YOUNGS[family])
+
+
+def _young_to_config(phi: YoungFunction) -> dict:
+    if isinstance(phi, TableYoung):
+        return {"family": "custom", "table": [[t, v] for t, v in phi.knots]}
+    return _emit_family(YOUNGS, phi)
+
+
+def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
     """Parse K and return it with its canonical spec echo."""
-    _reject_unknown(spec, ("box", "points"), "K")
+    spec = _object(spec, "K", ("box", "points"))
     if "box" in spec and "points" in spec:
         raise ConfigError("K", "give either 'box' or 'points', not both")
     if "box" in spec:
-        bounds = spec["box"]
-        try:
-            if isinstance(bounds[0], int):
-                bounds = [bounds]
-            bounds = [[_int(lo, "K.box"), _int(hi, "K.box")] for lo, hi in bounds]
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ConfigError("K.box", f"expected [lo, hi] integer pairs, got {spec['box']!r}") from exc
-        if len(bounds) != _rank(group):
-            raise ConfigError("K.box", f"expected {_rank(group)} bound pairs, got {len(bounds)}")
-        try:
-            K = box(group, bounds)
-        except ValueError as exc:
-            raise ConfigError("K.box", str(exc)) from exc
-        return K, ("box", tuple(tuple(b) for b in bounds))
+        raw = spec["box"]
+        if isinstance(raw, (list, tuple)) and raw and not isinstance(raw[0], (list, tuple)):
+            raw = [raw]  # a bare pair, for rank-1 groups
+        bounds = [[_int(lo, "K.box"), _int(hi, "K.box")] for lo, hi in _pairs(raw, "K.box")]
+        rank = len(group.coords(group.identity()))
+        if len(bounds) != rank:
+            raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
+        return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:
-        pts = [_element(group, p, "K.points") for p in spec["points"]]
+        pts = [_element(group, p, "K.points") for p in _list(spec["points"], "K.points")]
         if not pts:
             raise ConfigError("K.points", "point list is empty")
         K = CompactSet.of(pts)
-        coords = sorted(tuple(group.coords(p)) for p in K)
-        return K, ("points", tuple(coords))
+        return K, ("points", tuple(sorted(tuple(group.coords(p)) for p in K)))
     raise ConfigError("K", "need either a 'box' or a 'points' entry")
 
 
 def compact_set_to_config(spec: tuple) -> dict:
     kind, payload = spec
-    if kind == "box":
-        return {"box": [list(b) for b in payload]}
-    return {"points": [list(c) for c in payload]}
+    return {kind: [list(c) for c in payload]}
 
 
-def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS)
-    version = raw.get("schema_version", SCHEMA_VERSION)
+def parse_config(raw) -> RunConfig:
+    raw = _object(raw, "", _TOP_KEYS)
+    version = _int(raw.get("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version}")
-    group = group_from_config(_require(raw, "group", "<root>"))
-    a = _element(group, _require(raw, "a", "<root>"), "a")
-    weight = _from_spec("weight", _require(raw, "weight", "<root>"), WEIGHT_FIELDS, weight_from_config, group)
-    young = _from_spec("young", _require(raw, "young", "<root>"), YOUNG_FIELDS, young_from_config)
-    K, K_spec = compact_set_from_config(_require(raw, "K", "<root>"), group)
-    prop_raw = _require(raw, "property", "<root>")
-    try:
-        prop = Property(prop_raw)
-    except ValueError as exc:
-        raise ConfigError("property", f"unknown property {prop_raw!r}") from exc
-    epsilons = raw.get("epsilons", DEFAULT_EPSILONS)
-    if not isinstance(epsilons, (list, tuple)) or any(
-        isinstance(e, bool) or not isinstance(e, (int, float)) for e in epsilons
-    ):
-        raise ConfigError("epsilons", f"expected a list of numbers, got {epsilons!r}")
-    epsilons = tuple(map(float, epsilons))
+    group = group_from_config(_require(raw, "group", ""))
+    a = _element(group, _require(raw, "a", ""), "a")
+    system = WeightedSystem(
+        group=group, a=a, weight=_weight(_require(raw, "weight", ""), group), young=_young(_require(raw, "young", ""))
+    )
+    K, K_spec = compact_set_from_config(_require(raw, "K", ""), group)
+    prop = Property(_name(_require(raw, "property", ""), _PROPERTIES, "property"))
+    epsilons = tuple(_number(e, "epsilons") for e in _list(raw.get("epsilons", DEFAULT_EPSILONS), "epsilons"))
     if len(set(epsilons)) != len(epsilons):
         raise ConfigError("epsilons", f"duplicate values in {list(epsilons)}")
-    cfg = RunConfig(
-        group=group,
-        a=a,
-        weight=weight,
-        young=young,
+    out = raw.get("out", DEFAULTS["out"])
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out", f"expected a file path string or null, got {out!r}")
+    request = CriterionRequest(
+        system=system,
         K=K,
-        K_spec=K_spec,
         property=prop,
         L=_int(raw.get("L", DEFAULTS["L"]), "L"),
         epsilons=epsilons,
         N_max=_int(raw.get("N_max", DEFAULTS["N_max"]), "N_max"),
         L_max=_int(raw.get("L_max", DEFAULTS["L_max"]), "L_max"),
-        seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"),
-        out=raw.get("out", DEFAULTS["out"]),
     )
-    try:
-        cfg.request()
-    except ValueError as exc:
-        raise ConfigError("<root>", str(exc)) from exc
-    return cfg
+    return RunConfig(request=request, K_spec=K_spec, seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"), out=out)
 
 
 def emit_config(cfg: RunConfig) -> dict:
     """Canonical JSON form: defaults materialized, elements as int arrays."""
+    req = cfg.request
+    group = req.system.group
     return {
         "schema_version": SCHEMA_VERSION,
-        "group": group_to_config(cfg.group),
-        "a": cfg.group.coords(cfg.a),
-        "weight": weight_to_config(cfg.weight, cfg.group),
-        "young": young_to_config(cfg.young),
+        "group": group_to_config(group),
+        "a": group.coords(req.system.a),
+        "weight": _weight_to_config(req.system.weight, group),
+        "young": _young_to_config(req.system.young),
         "K": compact_set_to_config(cfg.K_spec),
-        "property": cfg.property.value,
-        "L": cfg.L,
-        "epsilons": list(cfg.epsilons),
-        "N_max": cfg.N_max,
-        "L_max": cfg.L_max,
+        "property": req.property.value,
+        "L": req.L,
+        "epsilons": list(req.epsilons),
+        "N_max": req.N_max,
+        "L_max": req.L_max,
         "seed": cfg.seed,
         "out": cfg.out,
     }

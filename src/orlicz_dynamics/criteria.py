@@ -115,9 +115,10 @@ class CriterionRequest:
     """One criterion run: system, finite set K, property and budgets.
 
     epsilons defaults to the halving schedule 2^{-k}, k = 1..10; N_max
-    bounds the step search; L_max truncates the chaos series.  Budgets
-    whose product series (see series_depth) would pass SERIES_MEMORY_CAP
-    raise ConfigError on the N_max field.
+    bounds the step search; L_max truncates the chaos series.  A field out
+    of range raises ConfigError on its name, and budgets whose product
+    series (see series_depth) would pass SERIES_MEMORY_CAP raise it on the
+    N_max field.
     """
 
     system: WeightedSystem
@@ -132,15 +133,15 @@ class CriterionRequest:
         object.__setattr__(self, "property", Property(self.property))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         if len(self.K) == 0:
-            raise ValueError("K must be nonempty")
+            raise ConfigError("K", "must be nonempty")
         if self.L < 1:
-            raise ValueError("L must be >= 1")
+            raise ConfigError("L", "must be >= 1")
         if self.N_max < 1:
-            raise ValueError("N_max must be >= 1")
+            raise ConfigError("N_max", "must be >= 1")
         if self.L_max < 1:
-            raise ValueError("L_max must be >= 1")
+            raise ConfigError("L_max", "must be >= 1")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
-            raise ValueError("epsilons must lie in (0, 1)")
+            raise ConfigError("epsilons", "must be nonempty, each in (0, 1)")
         depth = series_depth(self, self.property)
         arrays = 4 if self.property is Property.CHAOTIC else 2
         size = len(self.K) * (depth + 1) * arrays * 8

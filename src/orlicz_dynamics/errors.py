@@ -36,8 +36,9 @@ class InconsistentVerdictsError(OrliczDynamicsError):
     never a statement about the underlying mathematics."""
 
 
-class ConfigError(OrliczDynamicsError):
-    """Configuration file is malformed; carries the offending field path."""
+class ConfigError(OrliczDynamicsError, ValueError):
+    """Configuration or request is malformed; carries the offending field
+    path.  A ValueError too, as a bad argument to ``CriterionRequest``."""
 
     def __init__(self, field: str, message: str):
         self.field = field

@@ -34,6 +34,9 @@ every later piece; rows keep f's insertion order.  ``apply_T`` and
 ``apply_S`` are its one-step views; ``apply_T_n`` and ``apply_S_n``
 multiply by the orbit product once instead, which rounds differently.
 
+The weights are plain validated objects (positive, finite values); the
+config module alone reads and writes their JSON form.
+
 Products are accumulated in linear space and in log space side by side;
 for long orbits (n > 128) the linear value may legitimately underflow to
 0.0 (or overflow to inf) while the log value stays finite, so callers
@@ -374,44 +377,3 @@ def phi_tilde_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[
     """Incremental backward reciprocal products for n = 0..n_max."""
     linear, log = orbit_series(sys, [x], n_max, backward=True, logs=True)
     return linear[0], log[0]
-
-
-# The fields each weight family's config form has besides "family".
-WEIGHT_FIELDS = {
-    "constant": ("c",),
-    "two_sided_step": ("c_neg", "c_pos"),
-    "heisenberg_paper": (),
-    "table": ("entries", "default"),
-}
-
-
-def weight_from_config(spec: dict, group: Group) -> Weight:
-    """Build a weight from its config form, e.g. {"family":"constant","c":0.5}."""
-    family = spec.get("family")
-    if family == "constant":
-        return ConstantWeight(c=float(spec["c"]))
-    if family == "two_sided_step":
-        if group.kind != "Z":
-            raise ValueError("two_sided_step weight is defined on the integers only")
-        return TwoSidedStepWeight(c_neg=float(spec["c_neg"]), c_pos=float(spec["c_pos"]))
-    if family == "heisenberg_paper":
-        if group.kind != "heisenberg":
-            raise ValueError("heisenberg_paper weight needs the heisenberg group")
-        return HeisenbergDyadicWeight()
-    if family == "table":
-        entries = tuple((group.element(c), float(v)) for c, v in spec["entries"])
-        return TableWeight(entries=entries, default=float(spec.get("default", 1.0)))
-    raise ValueError(f"unknown weight family {family!r}")
-
-
-def weight_to_config(w: Weight, group: Group) -> dict:
-    if isinstance(w, ConstantWeight):
-        return {"family": "constant", "c": w.c}
-    if isinstance(w, TwoSidedStepWeight):
-        return {"family": "two_sided_step", "c_neg": w.c_neg, "c_pos": w.c_pos}
-    if isinstance(w, HeisenbergDyadicWeight):
-        return {"family": "heisenberg_paper"}
-    if isinstance(w, TableWeight):
-        rows = sorted(((group.coords(g), v) for g, v in w.entries), key=lambda r: tuple(r[0]))
-        return {"family": "table", "entries": [[c, v] for c, v in rows], "default": w.default}
-    raise TypeError(f"not a weight: {w!r}")

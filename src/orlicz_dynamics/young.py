@@ -8,6 +8,10 @@ to infinity.  Built-in families:
 * ``TableYoung(knots)``  -- piecewise-linear interpolation of a sampled
   table on [0, T], validated for monotonicity and convexity
 
+Exponents and knots must be finite.  The config module alone reads and
+writes the JSON form of these families (``power``, ``alphalog``,
+``custom``).
+
 Each family evaluates three ways:
 
 * ``evaluate(t)`` is the scalar reference.
@@ -64,8 +68,8 @@ class PowerYoung:
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError("power exponent must satisfy p >= 1")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("power exponent must satisfy 1 <= p < inf")
 
     def evaluate(self, t: float) -> float:
         return abs(t) ** self.p / self.p
@@ -98,8 +102,8 @@ class AlphaLogYoung:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError("alphalog exponent must satisfy alpha > 1")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError("alphalog exponent must satisfy 1 < alpha < inf")
 
     def evaluate(self, t: float) -> float:
         at = abs(t)
@@ -148,6 +152,8 @@ class TableYoung:
         object.__setattr__(self, "knots", ks)
         if len(ks) < 2:
             raise ValueError("table needs at least two knots")
+        if not all(math.isfinite(x) for knot in ks for x in knot):
+            raise ValueError("knots must be finite")
         ts = [t for t, _ in ks]
         vs = [v for _, v in ks]
         if ts[0] != 0.0 or vs[0] != 0.0:
@@ -318,29 +324,3 @@ def delta2_probe(phi: YoungFunction, t_lo: float, t_hi: float, n_grid: int) -> D
     for t in grid:
         sup = max(sup, phi.evaluate(2.0 * float(t)) / phi.evaluate(float(t)))
     return Delta2Report(ratio_sup=sup, t_lo=t_lo, t_hi=t_hi, n_grid=n_grid)
-
-
-# The fields each Young family's config form has besides "family".
-YOUNG_FIELDS = {"power": ("p",), "alphalog": ("alpha",), "custom": ("table",)}
-
-
-def young_from_config(spec: dict) -> YoungFunction:
-    """Build a Young function from its config form, e.g. {"family":"power","p":2.0}."""
-    family = spec.get("family")
-    if family == "power":
-        return PowerYoung(p=float(spec["p"]))
-    if family == "alphalog":
-        return AlphaLogYoung(alpha=float(spec["alpha"]))
-    if family == "custom":
-        return TableYoung(knots=tuple((float(t), float(v)) for t, v in spec["table"]))
-    raise ValueError(f"unknown young family {family!r}")
-
-
-def young_to_config(phi: YoungFunction) -> dict:
-    if isinstance(phi, PowerYoung):
-        return {"family": "power", "p": phi.p}
-    if isinstance(phi, AlphaLogYoung):
-        return {"family": "alphalog", "alpha": phi.alpha}
-    if isinstance(phi, TableYoung):
-        return {"family": "custom", "table": [[t, v] for t, v in phi.knots]}
-    raise TypeError(f"not a Young function: {phi!r}")

@@ -231,12 +231,12 @@ def test_criterion_7_implication_audit_on_shipped_configs():
     witnesses = 0
     for name in CANNED:
         cfg = load_config(CONFIG_DIR / name)
-        sys = cfg.system()
+        sys = cfg.request.system
         verdicts = []
         for prop in (od.Property.MULTIPLY_RECURRENT, od.Property.MIXING, od.Property.CHAOTIC):
             req = od.CriterionRequest(
-                system=sys, K=cfg.K, property=prop, L=max(cfg.L, 1),
-                epsilons=cfg.epsilons, N_max=cfg.N_max, L_max=cfg.L_max,
+                system=sys, K=cfg.request.K, property=prop, L=max(cfg.request.L, 1),
+                epsilons=cfg.request.epsilons, N_max=cfg.request.N_max, L_max=cfg.request.L_max,
             )
             verdicts.append(od.run_check(req))
         report = od.implication_audit(verdicts)
@@ -255,7 +255,7 @@ def test_criterion_7_implication_audit_on_shipped_configs():
 def test_criterion_8_recurrent_transitive_equivalence_matrix():
     zgroup = od.IntegerGroup()
     systems = [load_config(CONFIG_DIR / name) for name in CANNED]
-    matrix = [(cfg.system(), cfg.K) for cfg in systems]
+    matrix = [(cfg.request.system, cfg.request.K) for cfg in systems]
     matrix.append(
         (
             od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2),

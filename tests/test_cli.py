@@ -247,6 +247,20 @@ def test_missing_config_errors(capsys):
     assert "error" in captured.err
 
 
+def test_non_string_out_fails_before_running(capsys, tmp_path):
+    # "out": 5 used to parse, run the whole check and then die in the writer.
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw["out"] = 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = main(["check", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: out:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "orlicz_dynamics", "check", "--config",

@@ -40,8 +40,7 @@ CANNED = [
 @pytest.mark.parametrize("name", CANNED)
 def test_canned_configs_parse(name):
     cfg = load_config(CONFIG_DIR / name)
-    assert cfg.K.measure() >= 1
-    cfg.request()  # validates budgets
+    assert cfg.request.K.measure() >= 1
 
 
 @pytest.mark.parametrize("name", CANNED)
@@ -73,13 +72,128 @@ def test_parse_accepts_bare_ints_and_fills_defaults():
             "property": "transitive",
         }
     )
-    assert cfg.a == 1
-    assert cfg.K.measure() == 4
-    assert cfg.epsilons == od.DEFAULT_EPSILONS
-    assert cfg.N_max == 64 and cfg.L_max == 32 and cfg.L == 1 and cfg.seed == 0
+    req = cfg.request
+    assert req.system.a == 1
+    assert req.K.measure() == 4
+    assert req.epsilons == od.DEFAULT_EPSILONS
+    assert req.N_max == 64 and req.L_max == 32 and req.L == 1 and cfg.seed == 0
     out = emit_config(cfg)
     assert out["a"] == [1]
     assert out["K"] == {"box": [[0, 3]]}
+
+
+def _canonical(group, a, weight, young, K, prop="recurrent"):
+    """A config in canonical form: emit_config's key order, defaults filled."""
+    return {
+        "schema_version": 1,
+        "group": group,
+        "a": a,
+        "weight": weight,
+        "young": young,
+        "K": K,
+        "property": prop,
+        "L": 1,
+        "epsilons": list(od.DEFAULT_EPSILONS),
+        "N_max": 64,
+        "L_max": 32,
+        "seed": 0,
+        "out": None,
+    }
+
+
+Z, Z2, HEIS, C6 = {"kind": "Z"}, {"kind": "Zd", "d": 2}, {"kind": "heisenberg"}, {"kind": "cyclic", "m": 6}
+POWER = {"family": "power", "p": 2.0}
+ALPHALOG = {"family": "alphalog", "alpha": 1.5}
+CUSTOM = {"family": "custom", "table": [[0.0, 0.0], [1.0, 0.5], [2.0, 2.0]]}
+
+
+@pytest.mark.parametrize(
+    "canonical",
+    [
+        pytest.param(
+            _canonical(Z, [1], {"family": "constant", "c": 0.5}, POWER, {"box": [[-2, 2]]}, "transitive"),
+            id="Z-constant-power-box",
+        ),
+        pytest.param(
+            _canonical(
+                Z, [1], {"family": "two_sided_step", "c_neg": 2.0, "c_pos": 0.5}, ALPHALOG, {"points": [[-1], [3]]}
+            ),
+            id="Z-step-alphalog-points",
+        ),
+        pytest.param(
+            _canonical(
+                Z,
+                [-1],
+                {"family": "table", "entries": [[[-1], 0.5], [[2], 3.0]], "default": 1.0},
+                CUSTOM,
+                {"box": [[0, 2]]},
+            ),
+            id="Z-table-custom-box",
+        ),
+        pytest.param(
+            _canonical(
+                Z2,
+                [1, -1],
+                {"family": "table", "entries": [[[0, 0], 2.0], [[1, -1], 0.5]], "default": 0.75},
+                POWER,
+                {"points": [[0, 0], [1, -1]]},
+                "mixing",
+            ),
+            id="Zd-table-power-points",
+        ),
+        pytest.param(
+            _canonical(
+                HEIS, [3, 0, 2], {"family": "heisenberg_paper"}, POWER, {"box": [[-1, 1], [-1, 1], [0, 0]]}, "chaotic"
+            ),
+            id="heisenberg-paper-power-box",
+        ),
+        pytest.param(
+            _canonical(
+                HEIS,
+                [1, 1, 0],
+                {"family": "table", "entries": [[[0, 0, 1], 0.5]], "default": 2.0},
+                ALPHALOG,
+                {"points": [[0, 0, 0], [1, 0, 0]]},
+            ),
+            id="heisenberg-table-alphalog-points",
+        ),
+        pytest.param(
+            _canonical(
+                C6,
+                [2],
+                {"family": "table", "entries": [[[0], 2.0], [[5], 0.5]], "default": 1.0},
+                CUSTOM,
+                {"box": [[0, 3]]},
+                "transitive",
+            ),
+            id="cyclic-table-custom-box",
+        ),
+        pytest.param(
+            _canonical(C6, [1], {"family": "constant", "c": 2.0}, POWER, {"points": [[0], [4]]}),
+            id="cyclic-constant-power-points",
+        ),
+    ],
+)
+def test_every_family_round_trips_to_canonical_bytes(canonical):
+    assert json.dumps(emit_config(parse_config(canonical))) == json.dumps(canonical)
+
+
+@pytest.mark.parametrize(
+    "weight,young,canonical_weight,canonical_young",
+    [
+        ({"family": "constant", "c": 1}, {"family": "power", "p": 2}, {"family": "constant", "c": 1.0}, POWER),
+        (
+            {"family": "table", "entries": [[[0], 2]], "default": 1},
+            {"family": "custom", "table": [[0, 0], [1, 1]]},
+            {"family": "table", "entries": [[[0], 2.0]], "default": 1.0},
+            {"family": "custom", "table": [[0.0, 0.0], [1.0, 1.0]]},
+        ),
+    ],
+)
+def test_integer_numbers_emit_as_floats(weight, young, canonical_weight, canonical_young):
+    raw = _canonical(Z, [1], weight, young, {"box": [[0, 1]]})
+    canonical = _canonical(Z, [1], canonical_weight, canonical_young, {"box": [[0, 1]]})
+    assert json.dumps(emit_config(parse_config(raw))) == json.dumps(canonical)
 
 
 def test_lattice_group_config():
@@ -93,8 +207,8 @@ def test_lattice_group_config():
             "property": "recurrent",
         }
     )
-    assert cfg.a == (1, -1)
-    assert cfg.K.measure() == 4
+    assert cfg.request.system.a == (1, -1)
+    assert cfg.request.K.measure() == 4
     out = emit_config(cfg)
     assert out["group"] == {"kind": "Zd", "d": 2}
     assert emit_config(parse_config(out)) == out
@@ -111,8 +225,16 @@ def test_points_K_spec():
             "property": "chaotic",
         }
     )
-    assert cfg.K.measure() == 2
+    assert cfg.request.K.measure() == 2
     assert emit_config(cfg)["K"] == {"points": [[0, 0, 0], [1, -1, 0]]}
+
+
+def _step_weight(**fields):
+    return lambda c: c.update(weight={"family": "two_sided_step", "c_neg": 2.0, "c_pos": 0.5, **fields})
+
+
+def _table_weight(entries, **fields):
+    return lambda c: c.update(weight={"family": "table", "entries": entries, **fields})
 
 
 @pytest.mark.parametrize(
@@ -129,8 +251,9 @@ def test_points_K_spec():
         (lambda c: c["weight"].update(family="mystery"), "weight"),
         (lambda c: c["young"].update(family="mystery"), "young"),
         (lambda c: c.update(schema_version=99), "schema_version"),
-        (lambda c: c.update(L=0), "<root>"),
-        (lambda c: c.update(epsilons=[2.0]), "<root>"),
+        # Range errors of the request used to be re-wrapped onto "<root>".
+        pytest.param(lambda c: c.update(L=0), "L", id="L-zero"),
+        pytest.param(lambda c: c.update(epsilons=[2.0]), "epsilons", id="epsilons-out-of-range"),
         # Misspelled or stray keys used to be ignored silently.
         (lambda c: c.update(N_mx=8), "N_mx"),
         (lambda c: c["group"].update(d=2), "group.d"),
@@ -160,6 +283,30 @@ def test_points_K_spec():
         ),
         pytest.param(lambda c: c.update(young={"family": "power"}), "young.p", id="young-missing-required"),
         pytest.param(lambda c: c["weight"].update(c=float("inf")), "weight", id="weight-infinite"),
+        # Weight and Young numbers went through bare float(): a bool or a
+        # string was a number, and table coordinates were truncated by int().
+        pytest.param(_step_weight(c_neg=True), "weight.c_neg", id="weight.c_neg-bool"),
+        pytest.param(lambda c: c["young"].update(p="2"), "young.p", id="young.p-string"),
+        pytest.param(_table_weight([[[0], 2.0]], default=True), "weight.default", id="weight.default-bool"),
+        pytest.param(_table_weight([[[0], True]]), "weight.entries", id="weight.entries-bool-value"),
+        pytest.param(_table_weight([[[0.7], 2.0]]), "weight.entries", id="weight.entries-float-coordinate"),
+        pytest.param(_table_weight([[[math.inf], 2.0]]), "weight.entries", id="weight.entries-inf-coordinate"),
+        pytest.param(_table_weight([[0, 2.0, 1.0]]), "weight.entries", id="weight.entries-not-pairs"),
+        pytest.param(
+            lambda c: c.update(young={"family": "custom", "table": [[0.0, 0.0], ["1", 2.0]]}),
+            "young.table",
+            id="young.table-string-knot",
+        ),
+        pytest.param(lambda c: c["young"].update(p=math.inf), "young", id="young.p-infinite"),
+        # Wrong shapes used to escape as a TypeError or name the wrong field.
+        pytest.param(lambda c: c.update(group=5), "group", id="group-not-object"),
+        pytest.param(lambda c: c["group"].update(kind=["Z"]), "group.kind", id="group.kind-list"),
+        pytest.param(lambda c: c["group"].update(kind={"Z": 1}), "group.kind", id="group.kind-dict"),
+        pytest.param(lambda c: c.update(K=3), "K", id="K-scalar"),
+        pytest.param(lambda c: c.update(K=[1]), "K", id="K-list"),
+        pytest.param(lambda c: c.update(K={"points": 7}), "K.points", id="K.points-not-list"),
+        pytest.param(lambda c: c.update(schema_version=True), "schema_version", id="schema_version-bool"),
+        pytest.param(lambda c: c.update(out=5), "out", id="out-number"),
     ],
 )
 def test_parse_errors_carry_field_paths(mutation, field):
@@ -241,7 +388,7 @@ def test_custom_young_config_round_trip():
         }
     )
     assert emit_config(cfg)["young"] == {"family": "custom", "table": knots}
-    assert cfg.young.evaluate(2.0) == 2.0
+    assert cfg.request.system.young.evaluate(2.0) == 2.0
 
 
 def test_envelope_hash_ignores_runtime():

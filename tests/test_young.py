@@ -190,6 +190,15 @@ def test_table_young_matches_generator_and_validates():
         assert second >= -1e-12
 
 
+@pytest.mark.parametrize(
+    "family,value", [(od.PowerYoung, math.inf), (od.PowerYoung, math.nan), (od.AlphaLogYoung, math.inf)]
+)
+def test_young_exponents_must_be_finite(family, value):
+    # PowerYoung(inf) used to be accepted, and its norm bracket then failed.
+    with pytest.raises(ValueError, match="inf"):
+        family(value)
+
+
 def test_table_young_rejects_bad_tables():
     with pytest.raises(ValueError):
         od.TableYoung(((0.0, 0.0), (1.0, 1.0), (2.0, 1.5)))  # slopes decrease
@@ -199,6 +208,11 @@ def test_table_young_rejects_bad_tables():
         od.TableYoung(((0.0, 0.0), (1.0, -1.0)))  # negative value
     with pytest.raises(ValueError):
         od.TableYoung(((0.0, 0.0),))  # too short
+    # Non-finite knots passed every other check and broke the norm later.
+    with pytest.raises(ValueError, match="finite"):
+        od.TableYoung(((0.0, 0.0), (1.0, math.inf)))
+    with pytest.raises(ValueError, match="finite"):
+        od.TableYoung(((0.0, 0.0), (math.nan, 1.0), (2.0, 3.0)))
     # A decrease within the convexity slack is still a decrease: np.interp
     # would then lose the relative accuracy the norm screen relies on.
     with pytest.raises(ValueError, match="nondecreasing"):
