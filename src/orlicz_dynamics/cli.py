@@ -7,8 +7,7 @@
 
 Exit codes: 0 witness found (or computation succeeded), 2 obstruction
 found, 3 inconclusive within budget (or flagged), 1 error.  Reports are
-deterministic given the config (its ``seed`` is only echoed); the
-evaluator is sequential.
+deterministic given the config, and the evaluator is sequential.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, emit_config, load_config, vector_from_file
+from .config import RunConfig, emit_config, load_config, vector_from_file, vector_to_pairs
 from .criteria import Outcome, Property, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
@@ -94,7 +93,7 @@ def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
         "norm": value,
         "modular_at_norm": mod,
         "support_size": len(vec),
-        "vector": vec.to_pairs(group),
+        "vector": vector_to_pairs(vec, group),
     }
     return results, EXIT_WITNESS
 
@@ -127,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="write the report JSON here")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "norm":
             p.add_argument("--vector", required=True, help="vector JSON ([[coords, value], ...])")
     return parser
@@ -155,8 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         t0 = time.perf_counter()

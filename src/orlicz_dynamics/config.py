@@ -15,11 +15,14 @@ the canonical form of c, and parsing is lossless on canonical configs.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .criteria import DEFAULT_EPSILONS, CriterionRequest, Property
+from .criteria import DEFAULT_EPSILONS, SERIES_MEMORY_CAP, CriterionRequest, Property
 from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
@@ -216,6 +219,9 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         rank = len(group.coords(group.identity()))
         if len(bounds) != rank:
             raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
+        size = math.prod(max(hi - lo + 1, 0) for lo, hi in bounds)
+        if size * 32 > SERIES_MEMORY_CAP:  # every checker keeps 2 series of >= 2 float64 a point
+            raise ConfigError("K.box", f"{size} points would pass the {SERIES_MEMORY_CAP / 2**30:g} GiB series cap")
         return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:
         pts = [_element(group, p, "K.points") for p in _list(spec["points"], "K.points")]
@@ -297,12 +303,34 @@ def load_config(path: str | Path) -> RunConfig:
 
 def vector_from_file(path: str | Path, group: Group) -> OrliczVector:
     """Load a vector serialized as [[coords, value], ...]."""
-    raw = _read_json(path, "<vector>")
-    if isinstance(raw, dict):
-        raw = raw.get("entries", raw)
-    if not isinstance(raw, list):
-        raise ConfigError("<vector>", "expected a list of [coords, value] pairs")
-    try:
-        return OrliczVector.from_pairs(group, raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("<vector>", str(exc)) from exc
+    return vector_from_pairs(group, _read_json(path, "<vector>"))
+
+
+def vector_to_pairs(f: OrliczVector, group: Group) -> list:
+    """Serialize as [coords, value] pairs sorted by coordinates."""
+    return sorted([group.coords(x), v] for x, v in f.items())
+
+
+def vector_from_pairs(group: Group, pairs) -> OrliczVector:
+    """Inverse of ``vector_to_pairs``; a bad or repeated entry fails on its
+    index.  Int-list coordinates and numbers are type-checked in bulk."""
+    pairs = _list(pairs, "<vector>")
+    if set(map(type, pairs)) <= {list}:
+        try:
+            data = {group.element(c): float(v) for c, v in pairs}
+            # Each entry was a pair and no element repeats; a bare or float
+            # coordinate is not iterable and raises TypeError.
+            if len(data) == len(pairs) and set(map(type, map(itemgetter(1), pairs))) <= {int, float}:
+                if set(map(type, chain.from_iterable(map(itemgetter(0), pairs)))) <= {int}:
+                    return OrliczVector(data)
+        except (ValueError, TypeError, OverflowError):
+            pass
+    data = {}
+    for i, entry in enumerate(pairs):
+        path = f"<vector>[{i}]"
+        c, v = _pairs([entry], path)[0]
+        g = _element(group, c, path)
+        if g in data:
+            raise ConfigError(path, f"repeats the element {c!r}")
+        data[g] = _number(v, path)
+    return OrliczVector(data)

@@ -9,7 +9,9 @@ Besides the scalar ``mul``, each group gives its orbits x·a^j in closed
 form over a whole range of exponents j (negative j included), as int64
 coordinate arrays.  ``orbit_bound`` is the exact Python-int guard for
 that form: callers use it only while the bound stays below
-``INT64_GUARD``, so no int64 intermediate can wrap.
+``INT64_GUARD``, so no int64 intermediate can wrap.  ``CoordinateIndex``
+looks such coordinates up in a finite set, for ``separation_constant``
+and for table weights.
 """
 
 from __future__ import annotations
@@ -308,9 +310,9 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     K meets K·a^n exactly when it meets K·a^{-n} (k·a^n = k' gives
     k = k'·a^{-n}), so only the shifts K·a^n are formed, from the
     closed-form ``orbit_coords`` a block of exponents at a time, and their
-    membership in K is tested on integer keys.  When a point of K is past
-    the ``orbit_bound`` guard, or K's keys could pass it, the scalar
-    ``mul`` loop decides instead.
+    membership in K is looked up in a ``CoordinateIndex`` of K.  When a
+    point of K is past the ``orbit_bound`` guard, the scalar ``mul`` loop
+    decides instead.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -342,50 +344,68 @@ def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> n
     return collides
 
 
+class CoordinateIndex:
+    """Row lookup over a finite set of distinct int64 coordinate rows.
+
+    Each prefix of a row's coordinates is keyed by its rank among the
+    set's own prefixes: the previous key times the number of values of the
+    next coordinate, plus that value's rank, re-ranked.  Keys thus stay
+    below the set's size squared, whatever the rank or the coordinates."""
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        # An empty set has one coordinate, which takes no values.
+        cols = np.array(rows, dtype=np.int64).T if len(rows) else np.zeros((1, 0), dtype=np.int64)
+        self._values = [_sorted_unique(col) for col in cols]
+        self._levels = []
+        key = np.searchsorted(self._values[0], cols[0])  # already a rank among the set's own
+        for v, col in zip(self._values[1:], cols[1:]):
+            key = key * len(v) + np.searchsorted(v, col)
+            self._levels.append(_sorted_unique(key))
+            key = np.searchsorted(self._levels[-1], key)
+        self._row_of = np.full(len(rows) + 1, -1)  # the last slot answers every miss
+        self._row_of[key] = np.arange(len(rows))
+
+    def find(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        """The row each query point equals, or -1; cols holds one int64 array per coordinate."""
+        key, found = _lookup(self._values[0], cols[0])
+        found &= len(cols) == len(self._values)  # a point of another rank is in no set
+        for v, level, col in zip(self._values[1:], self._levels, cols[1:]):
+            rank, ok = _lookup(v, col)
+            key, ok_key = _lookup(level, key * len(v) + rank)
+            found &= ok & ok_key
+        return self._row_of[np.where(found, key, -1)]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    # Python's sort keeps numpy's SIMD sort kernels (1 MB resident) out of the
+    # process; int64's maximum, past any guarded value, stops every search.
+    return np.array([*sorted(set(values.tolist())), 2**63 - 1], dtype=np.int64)
+
+
+def _lookup(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, present) of each x in sorted_values."""
+    at = np.searchsorted(sorted_values, x)
+    return at, sorted_values[at] == x
+
+
 # Shifted copies of K are tested this many points at a time: a block's
 # int64 temporaries then stay under 1 MiB, and larger blocks ran slower.
 _BLOCK_POINTS = 1 << 14
 
 
 def _closed_form_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[np.ndarray]:
-    """``_scalar_collisions`` from the closed-form orbits, or None when
-    the guards leave the answer to the scalar loop.
-
-    A point is keyed by the mixed-radix number of its coordinates' ranks
-    among the values K takes in each coordinate; it lies in K exactly
-    when every coordinate is such a value and its key is one of K's."""
+    """``_scalar_collisions`` from the closed-form orbits, or None when K
+    is empty or a point of K is past the ``orbit_bound`` guard."""
     base = list(K.elements)
     if not base or any(group.orbit_bound(k, a, n_max) >= INT64_GUARD for k in base):
         return None
     ks = np.array([group.coords(k) for k in base], dtype=np.int64)
-    # K is small; sorting it in Python keeps numpy's SIMD sort kernels,
-    # about 1 MB of resident code, out of the process.
-    values = [np.array(sorted(set(col)), dtype=np.int64) for col in ks.T.tolist()]
-    strides = []
-    size = 1
-    for v in values:
-        strides.append(size)
-        size *= len(v)
-    if size >= INT64_GUARD:
-        return None
-
-    def keys(cols):
-        key = np.zeros(cols[0].shape, dtype=np.int64)
-        valid = np.ones(cols[0].shape, dtype=bool)
-        for v, col, stride in zip(values, cols, strides):
-            rank = np.minimum(np.searchsorted(v, col), len(v) - 1)
-            valid &= v[rank] == col
-            key += rank * stride
-        return key, valid
-
-    k_keys = np.array(sorted(keys(tuple(ks.T))[0].tolist()), dtype=np.int64)
+    index = CoordinateIndex(ks)
     collides = np.zeros(n_max, dtype=bool)
     step = max(1, _BLOCK_POINTS // len(base))
     for start in range(1, n_max + 1, step):
         js = np.arange(start, min(start + step, n_max + 1))
-        key, valid = keys(group.orbit_coords(ks, a, js))
-        at = np.minimum(np.searchsorted(k_keys, key), len(k_keys) - 1)
-        collides[js - 1] = (valid & (k_keys[at] == key)).any(axis=0)
+        collides[js - 1] = (index.find(group.orbit_coords(ks, a, js)) >= 0).any(axis=0)
     return collides
 
 

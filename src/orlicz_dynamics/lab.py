@@ -160,13 +160,11 @@ def chaos_periodic_vector(
     return v, report
 
 
-def choose_truncation(
-    sys: WeightedSystem, f: OrliczVector, n: int, cap: int = 32, tol: float = 1e-15
-) -> int:
-    """Smallest truncation level whose boundary terms fall below ``tol``,
+def choose_truncation(sys: WeightedSystem, f: OrliczVector, n: int, cap: int = 32) -> int:
+    """Smallest truncation level whose boundary terms fall below 1e-15,
     capped at ``cap``."""
     for L in range(1, cap + 1):
-        if sum(_boundary_norms(sys, f, n, L)) < tol:
+        if sum(_boundary_norms(sys, f, n, L)) < 1e-15:
             return L
     return cap
 

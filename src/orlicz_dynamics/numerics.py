@@ -13,17 +13,12 @@ from typing import Callable
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-    max_iter: int = 256,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
 
-    Terminates when the bracket width falls below ``rel_tol`` relative to the
-    midpoint (with a tiny absolute floor so roots at 0 terminate).
+    Terminates when the bracket width falls below 1e-12 relative to the
+    midpoint (with a tiny absolute floor so roots at 0 terminate), or
+    after 256 steps.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -33,9 +28,9 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(256):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
+        if hi - lo <= 1e-12 * max(abs(mid), 1e-300):
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -47,24 +42,19 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-def golden_max(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float = 1e-10,
-    max_iter: int = 400,
-) -> tuple[float, float]:
+def golden_max(g: Callable[[float], float], lo: float, hi: float, abs_tol: float = 1e-10) -> tuple[float, float]:
     """Golden-section maximization of a unimodal g on [lo, hi].
 
-    Returns (argmax, max value).  Endpoints are included in the final
-    comparison, so monotone objectives resolve to the better endpoint.
+    Returns (argmax, max value) after at most 400 steps.  Endpoints are
+    included in the final comparison, so monotone objectives resolve to
+    the better endpoint.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     it = 0
-    while b - a > abs_tol and it < max_iter:
+    while b - a > abs_tol and it < 400:
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - GOLDEN * (b - a)
@@ -78,20 +68,16 @@ def golden_max(
     return max(candidates, key=lambda p: p[1])
 
 
-def expand_while_increasing(
-    g: Callable[[float], float],
-    x_init: float = 1.0,
-    cap: float = 1e18,
-) -> float | None:
-    """Grow x geometrically while g keeps increasing at the right end.
+def expand_while_increasing(g: Callable[[float], float]) -> float | None:
+    """Grow x geometrically from 1 while g keeps increasing at the right end.
 
     Returns an upper bracket x with g(x) past the peak, or None when the
-    objective is still climbing at the cap (callers treat this as an
+    objective is still climbing at the cap 1e18 (callers treat this as an
     unbounded supremum).
     """
-    x = x_init
+    x = 1.0
     gx = g(x)
-    while x < cap:
+    while x < 1e18:
         x2 = 2.0 * x
         gx2 = g(x2)
         if gx2 <= gx:

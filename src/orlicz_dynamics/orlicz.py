@@ -128,16 +128,6 @@ class OrliczVector:
         """Pointwise product f(x) * factor(x) over the support."""
         return OrliczVector({x: v * factor(x) for x, v in self._data.items()})
 
-    def to_pairs(self, group: Group) -> list:
-        """Serialize as sorted [coords, value] pairs."""
-        rows = [(group.coords(x), v) for x, v in self._data.items()]
-        rows.sort(key=lambda r: tuple(r[0]))
-        return [[c, v] for c, v in rows]
-
-    @classmethod
-    def from_pairs(cls, group: Group, pairs: Iterable) -> "OrliczVector":
-        return cls({group.element(c): float(v) for c, v in pairs})
-
 
 def modular(f: OrliczVector, phi: YoungFunction, k: float) -> float:
     """Sum of Phi(|f(x)|/k) over the support (counting measure)."""
@@ -209,7 +199,7 @@ def _norm_root(excess: Callable[[float], float], k0: float) -> float:
             raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
-    return bisect_root(excess, lo, hi, rel_tol=1e-12)
+    return bisect_root(excess, lo, hi)
 
 
 def indicator_norm_closed_form(B: CompactSet, phi: YoungFunction) -> float:

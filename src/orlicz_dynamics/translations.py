@@ -17,11 +17,12 @@ sequential cumprod per row, and a cumsum of the logs: the same
 operations, in the same order, on the same float64 weights as the
 scalar loop ``orbit_weights_forward`` / ``orbit_weights_backward`` that
 applies ``Group.mul`` once per step, so every product is bit-identical
-to it.  That loop remains the reference and the only path for table
-weights (which have no ``evaluate_many``) and for orbits whose
-coordinates could reach ``groups.INT64_GUARD``, as an exact Python-int
-bound decides.  The per-point functions (``phi_product``,
-``phi_series_pair``, ...) are views of one row of the kernel.
+to it; a table weight looks its float64 values up in a
+``groups.CoordinateIndex`` of its keys.  The loop remains the reference
+and the only path for orbits whose coordinates could reach
+``groups.INT64_GUARD``, as an exact Python-int bound decides.  The
+per-point functions (``phi_product``, ``phi_series_pair``, ...) are
+views of one row of the kernel.
 
 ``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
 l = 1..count, from the same weight block: row i starts with the i-th
@@ -51,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import INT64_GUARD, Element, Group
+from .groups import INT64_GUARD, CoordinateIndex, Element, Group
 from .orlicz import OrliczVector
 
 
@@ -142,9 +143,17 @@ class TableWeight:
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "entries", tuple(sorted(table.items(), key=lambda e: repr(e[0]))))
         object.__setattr__(self, "_table", table)
+        coords = {g: g if isinstance(g, tuple) else (g,) for g in table}
+        # No orbit under the int64 guard reaches a key past it.
+        keys = [g for g, c in coords.items() if max(map(abs, c)) < INT64_GUARD]
+        object.__setattr__(self, "_index", CoordinateIndex([coords[g] for g in keys]))
+        object.__setattr__(self, "_values", np.array([table[g] for g in keys] + [self.default], dtype=float))
 
     def __call__(self, g: Element) -> float:
         return self._table.get(g, self.default)
+
+    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+        return self._values[self._index.find(coords)]  # a miss finds -1: the default
 
     def sup_bound(self) -> float:
         return max(max(self._table.values(), default=self.default), self.default)
@@ -238,7 +247,7 @@ def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray
     """Array [w(x*a), w(x*a^2), ..., w(x*a^m)], by repeated ``mul``.
 
     The scalar reference for the closed-form kernel, and its path for
-    table weights and for orbits past the int64 guard."""
+    orbits past the int64 guard."""
     g, a, w = sys.group, sys.a, sys.weight
     out = np.empty(m)
     cur = x
@@ -273,15 +282,14 @@ def _orbit_weights(
     orbit: row i equals orbit_weights_forward(sys, points[i], m), or
     orbit_weights_backward when backward is set.
 
-    Weights with ``evaluate_many`` take the group's closed-form orbit
-    coordinates, a block of rows at a time.  Table weights, and points
-    whose orbit could leave the int64 guard, take the scalar loop."""
+    Points take the group's closed-form orbit coordinates and the
+    weight's ``evaluate_many``, a block of rows at a time; points whose
+    orbit could leave the int64 guard take the scalar loop."""
     g, a = sys.group, sys.a
-    evaluate = getattr(sys.weight, "evaluate_many", None)
     scalar = orbit_weights_backward if backward else orbit_weights_forward
     closed = []
     for i, x in enumerate(points):
-        if evaluate is not None and g.orbit_bound(x, a, m) < INT64_GUARD:
+        if g.orbit_bound(x, a, m) < INT64_GUARD:
             closed.append(i)
         else:
             out[i] = scalar(sys, x, m)
@@ -292,7 +300,7 @@ def _orbit_weights(
     for start in range(0, len(closed), rows):
         idx = closed[start : start + rows]
         xs = np.array([g.coords(points[i]) for i in idx], dtype=np.int64)
-        out[idx] = evaluate(g.orbit_coords(xs, a, js))
+        out[idx] = sys.weight.evaluate_many(g.orbit_coords(xs, a, js))
 
 
 def orbit_series(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import add, mul, truediv
 from typing import Iterable
@@ -217,13 +217,7 @@ class Delta2Report:
     evidence_only: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "ratio_sup": self.ratio_sup,
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "n_grid": self.n_grid,
-            "evidence_only": self.evidence_only,
-        }
+        return asdict(self)
 
 
 def inverse(phi: YoungFunction, s: float) -> float:
@@ -247,7 +241,7 @@ def inverse(phi: YoungFunction, s: float) -> float:
         guard += 1
         if guard > 4096:
             raise RuntimeError("inverse bracket expansion failed to terminate")
-    return bisect_root(lambda t: phi.evaluate(t) - s, 0.0, hi, rel_tol=1e-12)
+    return bisect_root(lambda t: phi.evaluate(t) - s, 0.0, hi)
 
 
 def _bracketed_max(objective, lo: float, hi: float) -> float:
@@ -263,7 +257,7 @@ def _bracketed_max(objective, lo: float, hi: float) -> float:
     i = int(np.argmax(vals))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
-    _, refined = golden_max(objective, a, b, abs_tol=1e-10)
+    _, refined = golden_max(objective, a, b)
     return max(refined, max(vals))
 
 
@@ -285,7 +279,7 @@ def complementary(phi: YoungFunction, y: float) -> float:
     cap = getattr(phi, "domain_max", None)
     if cap is not None:
         return max(_bracketed_max(objective, 0.0, cap), 0.0)
-    hi = expand_while_increasing(objective, x_init=1.0, cap=1e18)
+    hi = expand_while_increasing(objective)
     if hi is None:
         return math.inf
     return max(_bracketed_max(objective, 0.0, hi), 0.0)

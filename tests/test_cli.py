@@ -232,14 +232,6 @@ def test_reports_are_deterministic(capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_seed_override_is_echoed(capsys):
-    code, envelope = _run(
-        capsys, "check", "--config", str(CONFIG_DIR / "constant_contraction.json"), "--seed", "42"
-    )
-    assert code == 2
-    assert envelope["config"]["seed"] == 42
-
-
 def test_missing_config_errors(capsys):
     code = main(["check", "--config", "/nonexistent/nope.json"])
     captured = capsys.readouterr()

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import orlicz_dynamics as od
-from orlicz_dynamics import report
+from orlicz_dynamics import config, report
 from orlicz_dynamics.config import (
     emit_config,
     load_config,
     parse_config,
     vector_from_file,
+    vector_from_pairs,
+    vector_to_pairs,
 )
 from orlicz_dynamics.errors import ConfigError
 from orlicz_dynamics.report import (
@@ -351,6 +353,18 @@ def test_budgets_too_large_for_memory_are_rejected(name, overrides, named):
     assert named in str(err.value)
 
 
+def test_box_too_large_for_memory_fails_before_it_is_enumerated(monkeypatch):
+    # A box of 10^6 points used to be built in full, about 90 MB, before
+    # any cap saw it; 10^12 points would exhaust memory.
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw["K"] = {"box": [[0, 10**12]]}
+    monkeypatch.setattr(config, "box", lambda *args: pytest.fail("box enumerated"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == "K.box"
+    assert "1000000000001 points" in str(err.value)
+
+
 def test_weight_group_mismatch_rejected():
     base = {
         "group": {"kind": "heisenberg"},
@@ -373,6 +387,40 @@ def test_vector_file_round_trip(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError):
         vector_from_file(bad, od.IntegerGroup())
+
+
+def test_vector_pairs_round_trip():
+    h = od.HeisenbergGroup()
+    f = od.OrliczVector({(0, 0, 0): 1.0, (3, 0, 2): -0.5})
+    pairs = vector_to_pairs(f, h)
+    assert pairs == [[[0, 0, 0], 1.0], [[3, 0, 2], -0.5]]
+    assert vector_from_pairs(h, pairs) == f
+    # Bare coordinates of a rank-1 group are read entry by entry.
+    assert vector_from_pairs(od.CyclicGroup(5), [[7, 1], [[3], -2.0]]) == od.OrliczVector({2: 1.0, 3: -2.0})
+
+
+@pytest.mark.parametrize(
+    "entries,index",
+    [
+        # Each of the first four used to load: a float coordinate was
+        # truncated, a bool or a string was a number, and a repeated
+        # element kept its last value.
+        pytest.param([[[0.7], True]], 0, id="float-coordinate"),
+        pytest.param([[[1], 2.0], [[0], "3"]], 1, id="string-value"),
+        pytest.param([[[True], 1.0]], 0, id="bool-coordinate"),
+        pytest.param([[[0], 1.0], [[2], 2.0], [[0], 3.0]], 2, id="repeated-element"),
+        pytest.param([[[0], 1.0], [[2], True]], 1, id="bool-value"),
+        pytest.param([[[0], 1.0], [[1], 2.0, 3.0]], 1, id="not-a-pair"),
+        pytest.param([[[0, 1], 1.0]], 0, id="wrong-rank"),
+        pytest.param([[[0], 10**400]], 0, id="value-out-of-float-range"),
+    ],
+)
+def test_bad_vector_entries_name_their_index(tmp_path, entries, index):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ConfigError) as err:
+        vector_from_file(path, od.IntegerGroup())
+    assert err.value.field == f"<vector>[{index}]"
 
 
 def test_custom_young_config_round_trip():

@@ -165,12 +165,56 @@ def test_separation_past_the_orbit_guard_takes_the_scalar_loop():
     assert od.separation_constant(z, K, 3, 8) == 1
     assert groups._closed_form_collisions(z, od.CompactSet.of([]), 1, 8) is None
     assert od.separation_constant(z, od.CompactSet.of([]), 1, 8) == 0
-    # 250 points with distinct coordinates in Z^8: 250^8 keys pass the guard.
+    # 250 points with distinct coordinates in Z^8: their mixed-radix keys,
+    # 250^8 of them, would pass 2^62, but the index re-ranks every prefix.
     z8 = od.LatticeGroup(d=8)
     K = od.CompactSet.of(tuple(3 * i + c for c in range(8)) for i in range(250))
-    assert groups._closed_form_collisions(z8, K, (3,) * 8, 8) is None
+    for a in ((3,) * 8, (1,) * 8):
+        assert np.array_equal(groups._closed_form_collisions(z8, K, a, 8), groups._scalar_collisions(z8, K, a, 8))
     assert od.separation_constant(z8, K, (3,) * 8, 8) is None
     assert od.separation_constant(z8, K, (1,) * 8, 8) == 6  # shifts by multiples of 3 collide
+
+
+# Few values per coordinate, so points often share a prefix of coordinates
+# with a row of the set yet miss it; one in four lies near +-2^61.
+_index_coordinate = st.one_of(
+    st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([-(2**61), 2**61 - 1])
+)
+
+
+@st.composite
+def index_cases(draw):
+    rank = draw(st.integers(1, 8))
+    point = st.lists(_index_coordinate, min_size=rank, max_size=rank).map(tuple)
+    rows = draw(st.lists(point, max_size=24, unique=True))
+    queries = rows + draw(st.lists(point, min_size=1, max_size=24))
+    return rows, draw(st.permutations(queries))
+
+
+def _check_index(rows, queries):
+    index = groups.CoordinateIndex(rows)
+    expected = [{row: i for i, row in enumerate(rows)}.get(q, -1) for q in queries]
+    cols = np.array(queries, dtype=np.int64).T
+    assert index.find(tuple(cols)).tolist() == expected
+    # Orbit coordinates come as (points, steps) blocks; find keeps the shape.
+    assert index.find(tuple(c.reshape(-1, 1) for c in cols)).tolist() == [[e] for e in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_cases())
+def test_coordinate_index_matches_a_dict(case):
+    _check_index(*case)
+
+
+def test_coordinate_index_edge_cases():
+    _check_index([], [(0,), (-(2**61),)])
+    # A point of another rank is in no set, as in a dict of tuples.
+    assert groups.CoordinateIndex([(0,)]).find((np.array([0]), np.array([0]))).tolist() == [-1]
+    # The 250-point Z^8 set of the separation test: mixed-radix keys would
+    # reach 250^8 > 2^62.
+    rows = [tuple(3 * i + c for c in range(8)) for i in range(250)]
+    shifted = [tuple(c + 1 for c in row) for row in rows]
+    _check_index(rows, rows + shifted + [tuple(-c for c in rows[-1])])
 
 
 def test_separation_counts_no_group_multiplications():

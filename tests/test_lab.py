@@ -172,7 +172,7 @@ def test_chaos_periodic_vector_magnitude_cap(zgroup):
 
 def test_choose_truncation(step_system, zgroup):
     f = od.OrliczVector.indicator(od.box(zgroup, [[-2, 2]]))
-    L = od.choose_truncation(step_system, f, 10, cap=32, tol=1e-15)
+    L = od.choose_truncation(step_system, f, 10, cap=32)
     assert 1 <= L <= 32
     t_bound = od.luxemburg_norm(
         f.mul_pointwise(lambda x: od.phi_product(step_system, x, (L + 1) * 10)), P2

@@ -55,7 +55,7 @@ def _old_norm(f, phi):
             raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
-    return od.numerics.bisect_root(lambda k: _old_modular(f, phi, k) - 1.0, lo, hi, rel_tol=1e-12)
+    return od.numerics.bisect_root(lambda k: _old_modular(f, phi, k) - 1.0, lo, hi)
 
 
 def _bits(fn):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,34 @@ def test_int64_guard_sends_only_large_orbits_to_the_scalar_loop():
         ref_linear, ref_logs = _reference(sys, x, 16, False)
         assert np.array_equal(linear[i], ref_linear)
         assert np.array_equal(logs[i], ref_logs)
+
+
+@pytest.mark.parametrize(
+    "group,a",
+    [
+        (od.IntegerGroup(), 3),
+        (od.LatticeGroup(d=2), (1, -2)),
+        (od.HeisenbergGroup(), (1, 1, 0)),
+        (od.CyclicGroup(m=7), 3),
+    ],
+)
+def test_table_weight_orbits_under_the_guard_take_the_kernel(group, a):
+    rank = len(group.coords(group.identity()))
+    points = [group.element([0] * (rank - 1) + [c]) for c in (0, 1, NEAR_2_61 - 7, 7 - NEAR_2_61)]
+    # Keys as config builds them: points of these orbits, some near +-2^61,
+    # and one past the guard, which the weight's index leaves out.
+    on_orbits = [group.mul(x, group.pow(a, j)) for x in points for j in (-3, 0, 2, 5)]
+    keys = [group.coords(g) for g in on_orbits] + [[2**62 + 1] * rank]
+    entries = tuple((group.element(c), 0.25 + 0.5 * i) for i, c in enumerate(keys))
+    sys = od.WeightedSystem(group=group, a=a, weight=od.TableWeight(entries, default=1.5), young=P2)
+    for backward in (False, True):
+        refs = [_reference(sys, x, 24, backward) for x in points]
+        with (
+            mock.patch.object(od.TableWeight, "__call__", side_effect=AssertionError("weight called")),
+            mock.patch.object(translations, "orbit_weights_forward", side_effect=AssertionError("loop ran")),
+            mock.patch.object(translations, "orbit_weights_backward", side_effect=AssertionError("loop ran")),
+        ):
+            linear, logs = translations.orbit_series(sys, points, 24, backward=backward, logs=True)
+        for i, (ref_linear, ref_logs) in enumerate(refs):
+            assert np.array_equal(linear[i], ref_linear)
+            assert np.array_equal(logs[i], ref_logs)

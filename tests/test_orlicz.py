@@ -189,11 +189,3 @@ def test_norm_with_custom_table_family():
         assert 1.0 - 1e-9 <= od.modular(f, table, approx) <= 1.0 + 1e-9
     B = od.box(group, [[0, 7]])
     assert od.indicator_norm_closed_form(B, table) == pytest.approx(2.0, rel=1e-4)
-
-
-def test_pairs_round_trip():
-    h = od.HeisenbergGroup()
-    f = od.OrliczVector({(0, 0, 0): 1.0, (3, 0, 2): -0.5})
-    pairs = f.to_pairs(h)
-    assert pairs == [[[0, 0, 0], 1.0], [[3, 0, 2], -0.5]]
-    assert od.OrliczVector.from_pairs(h, pairs) == f
