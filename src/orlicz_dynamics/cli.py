@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, emit_config, load_config, vector_from_file, vector_to_pairs
+from .config import RunConfig, emit_config, load_config, vector_from_file
 from .criteria import Outcome, Property, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
@@ -88,14 +87,7 @@ def cmd_norm(cfg: RunConfig, vector_path: str) -> tuple[dict, int]:
     vec = vector_from_file(vector_path, group)
     value = luxemburg_norm(vec, young)
     mod = modular(vec, young, value) if value > 0.0 else 0.0
-    results = {
-        "command": "norm",
-        "norm": value,
-        "modular_at_norm": mod,
-        "support_size": len(vec),
-        "vector": vector_to_pairs(vec, group),
-    }
-    return results, EXIT_WITNESS
+    return {"command": "norm", "norm": value, "modular_at_norm": mod, "support_size": len(vec)}, EXIT_WITNESS
 
 
 def cmd_probe_young(cfg: RunConfig) -> tuple[dict, int]:
@@ -153,8 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
         t0 = time.perf_counter()
         results, code = _COMMANDS[args.command](cfg, args)
     except OrliczDynamicsError as exc:
@@ -163,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     envelope = make_envelope(
         emit_config(cfg), results, timings={"total_s": time.perf_counter() - t0}, version=__version__
     )
-    _emit(envelope, cfg.out, args.command)
+    _emit(envelope, args.out, args.command)
     summary = results.get("verdict", {}).get("outcome", args.command)
     print(f"{args.command}: {summary} (exit {code})", file=sys.stderr)
     return code

@@ -20,7 +20,6 @@ from itertools import chain
 from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .criteria import DEFAULT_EPSILONS, SERIES_MEMORY_CAP, CriterionRequest, Property
 from .errors import ConfigError
@@ -38,7 +37,7 @@ from .young import AlphaLogYoung, PowerYoung, TableYoung, YoungFunction
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {"L": 1, "N_max": 64, "L_max": 32, "seed": 0, "out": None}
+DEFAULTS = {"L": 1, "N_max": 64, "L_max": 32, "seed": 0}
 
 # The integer parameters of each group kind's constructor, beyond "kind".
 _GROUP_PARAMS = {"Zd": ("d",), "cyclic": ("m",)}
@@ -63,7 +62,6 @@ class RunConfig:
     request: CriterionRequest
     K_spec: tuple  # canonical ("box", bounds) or ("points", coords)
     seed: int
-    out: Optional[str]
 
 
 def _object(value, path: str, known=None) -> dict:
@@ -168,11 +166,14 @@ def _weight(spec, group: Group) -> Weight:
     spec = _object(spec, "weight")
     if spec.get("family") == "table":
         _object(spec, "weight", ("family", "entries", "default"))
-        entries = tuple(
-            (_element(group, c, "weight.entries"), _number(v, "weight.entries"))
-            for c, v in _pairs(_require(spec, "entries", "weight"), "weight.entries")
-        )
-        return _build("weight", TableWeight, entries, _number(spec.get("default", 1.0), "weight.default"))
+        entries = {}
+        for c, v in _pairs(_require(spec, "entries", "weight"), "weight.entries"):
+            g = _element(group, c, "weight.entries")
+            if g in entries:
+                raise ConfigError("weight.entries", f"{c!r} repeats the element {group.coords(g)}")
+            entries[g] = _number(v, "weight.entries")
+        default = _number(spec.get("default", 1.0), "weight.default")
+        return _build("weight", TableWeight, tuple(entries.items()), default)
     family = _name(spec.get("family"), (*WEIGHTS, "table"), "weight")
     cls, fields, kind = WEIGHTS[family]
     if kind is not None and group.kind != kind:
@@ -252,9 +253,6 @@ def parse_config(raw) -> RunConfig:
     epsilons = tuple(_number(e, "epsilons") for e in _list(raw.get("epsilons", DEFAULT_EPSILONS), "epsilons"))
     if len(set(epsilons)) != len(epsilons):
         raise ConfigError("epsilons", f"duplicate values in {list(epsilons)}")
-    out = raw.get("out", DEFAULTS["out"])
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"expected a file path string or null, got {out!r}")
     request = CriterionRequest(
         system=system,
         K=K,
@@ -264,7 +262,7 @@ def parse_config(raw) -> RunConfig:
         N_max=_int(raw.get("N_max", DEFAULTS["N_max"]), "N_max"),
         L_max=_int(raw.get("L_max", DEFAULTS["L_max"]), "L_max"),
     )
-    return RunConfig(request=request, K_spec=K_spec, seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"), out=out)
+    return RunConfig(request=request, K_spec=K_spec, seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"))
 
 
 def emit_config(cfg: RunConfig) -> dict:
@@ -284,7 +282,6 @@ def emit_config(cfg: RunConfig) -> dict:
         "N_max": req.N_max,
         "L_max": req.L_max,
         "seed": cfg.seed,
-        "out": cfg.out,
     }
 
 
@@ -306,14 +303,9 @@ def vector_from_file(path: str | Path, group: Group) -> OrliczVector:
     return vector_from_pairs(group, _read_json(path, "<vector>"))
 
 
-def vector_to_pairs(f: OrliczVector, group: Group) -> list:
-    """Serialize as [coords, value] pairs sorted by coordinates."""
-    return sorted([group.coords(x), v] for x, v in f.items())
-
-
 def vector_from_pairs(group: Group, pairs) -> OrliczVector:
-    """Inverse of ``vector_to_pairs``; a bad or repeated entry fails on its
-    index.  Int-list coordinates and numbers are type-checked in bulk."""
+    """A vector from [coords, value] pairs; a bad or repeated entry fails on
+    its index.  Int-list coordinates and numbers are type-checked in bulk."""
     pairs = _list(pairs, "<vector>")
     if set(map(type, pairs)) <= {list}:
         try:

@@ -22,7 +22,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_NAME = "orlicz-dynamics"
 
 _EXCLUDED_FROM_HASH = ("runtime", "determinism_hash")

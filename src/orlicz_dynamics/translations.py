@@ -174,6 +174,17 @@ class WeightedSystem:
     weight: Weight
     young: object
 
+    def __post_init__(self):
+        # The kernel looks table weights up by coordinates, the scalar loop
+        # by element: a key that is not a group element splits the two.
+        for g, _ in self.weight.entries if isinstance(self.weight, TableWeight) else ():
+            try:
+                ok = self.group.element(self.group.coords(g)) == g
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"table weight key {g!r} is not an element of the {self.group.kind} group")
+
 
 class ProductValue(NamedTuple):
     """Orbit product as (natural log, linear value).

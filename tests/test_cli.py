@@ -34,7 +34,7 @@ def test_check_exit_codes_on_canned_configs(capsys, name, expected):
     code, envelope = _run(capsys, "check", "--config", str(CONFIG_DIR / name))
     assert code == expected
     assert envelope["results"]["exit_code"] == expected
-    assert envelope["schema_version"] == 1
+    assert envelope["schema_version"] == 2
 
 
 def test_check_heisenberg_witnesses(capsys):
@@ -152,6 +152,8 @@ def test_norm_command_examples(capsys, tmp_path):
     assert code == 0
     assert envelope["results"]["norm"] == pytest.approx(1.0, rel=1e-11)
     assert envelope["results"]["modular_at_norm"] == pytest.approx(1.0, abs=1e-9)
+    # The report says what was computed; the caller already has the vector.
+    assert set(envelope["results"]) == {"command", "norm", "modular_at_norm", "support_size"}
 
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps([]))
@@ -241,6 +243,7 @@ def test_missing_config_errors(capsys):
 
 def test_non_string_out_fails_before_running(capsys, tmp_path):
     # "out": 5 used to parse, run the whole check and then die in the writer.
+    # The report path is now the --out flag's alone: "out" is an unknown field.
     raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
     raw["out"] = 5
     path = tmp_path / "cfg.json"
@@ -248,9 +251,21 @@ def test_non_string_out_fails_before_running(capsys, tmp_path):
     code = main(["check", "--config", str(path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: out:") and "Traceback" not in captured.err
+    assert captured.err.startswith("error: out: unknown field") and "Traceback" not in captured.err
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_report_hash_does_not_depend_on_the_out_path(capsys, tmp_path, command):
+    envelopes = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main([command, "--config", str(CONFIG_DIR / "z_shift_chaotic.json"), "--out", str(out)]) == 0
+        envelopes.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert envelopes[0]["determinism_hash"] == envelopes[1]["determinism_hash"]
+    assert "out" not in envelopes[0]["config"]
 
 
 def test_module_entry_point_subprocess():

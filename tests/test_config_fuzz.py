@@ -30,7 +30,6 @@ ZD_TABLES = {
     "property": "mixing",
     "epsilons": [0.5, 0.25],
     "N_max": 8,
-    "out": "report.json",
 }
 # Small integers only: a huge K.box bound or lattice rank makes the
 # parser enumerate or allocate that many points before any budget check.

@@ -17,7 +17,6 @@ from orlicz_dynamics.config import (
     parse_config,
     vector_from_file,
     vector_from_pairs,
-    vector_to_pairs,
 )
 from orlicz_dynamics.errors import ConfigError
 from orlicz_dynamics.report import (
@@ -99,7 +98,6 @@ def _canonical(group, a, weight, young, K, prop="recurrent"):
         "N_max": 64,
         "L_max": 32,
         "seed": 0,
-        "out": None,
     }
 
 
@@ -308,7 +306,9 @@ def _table_weight(entries, **fields):
         pytest.param(lambda c: c.update(K=[1]), "K", id="K-list"),
         pytest.param(lambda c: c.update(K={"points": 7}), "K.points", id="K.points-not-list"),
         pytest.param(lambda c: c.update(schema_version=True), "schema_version", id="schema_version-bool"),
+        # The report path is the --out flag's alone: "out" is an unknown field.
         pytest.param(lambda c: c.update(out=5), "out", id="out-number"),
+        pytest.param(lambda c: c.update(out="report.json"), "out", id="out-string"),
     ],
 )
 def test_parse_errors_carry_field_paths(mutation, field):
@@ -324,6 +324,21 @@ def test_parse_errors_carry_field_paths(mutation, field):
     with pytest.raises(ConfigError) as err:
         parse_config(base)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "group,entries,message",
+    [
+        # Each used to parse, the second entry silently replacing the first.
+        pytest.param(Z, [[[1], 2.0], [[1], 3.0]], "[1] repeats the element [1]", id="Z"),
+        pytest.param(C6, [[[1], 2.0], [[7], 3.0]], "[7] repeats the element [1]", id="cyclic-reduced"),
+    ],
+)
+def test_repeated_table_weight_element_is_rejected(group, entries, message):
+    raw = _canonical(group, [1], {"family": "table", "entries": entries, "default": 1.0}, POWER, {"box": [[0, 1]]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == "weight.entries" and message in str(err.value)
 
 
 def test_K_with_both_box_and_points_is_rejected():
@@ -392,9 +407,7 @@ def test_vector_file_round_trip(tmp_path):
 def test_vector_pairs_round_trip():
     h = od.HeisenbergGroup()
     f = od.OrliczVector({(0, 0, 0): 1.0, (3, 0, 2): -0.5})
-    pairs = vector_to_pairs(f, h)
-    assert pairs == [[[0, 0, 0], 1.0], [[3, 0, 2], -0.5]]
-    assert vector_from_pairs(h, pairs) == f
+    assert vector_from_pairs(h, [[[3, 0, 2], -0.5], [[0, 0, 0], 1.0]]) == f
     # Bare coordinates of a rank-1 group are read entry by entry.
     assert vector_from_pairs(od.CyclicGroup(5), [[7, 1], [[3], -2.0]]) == od.OrliczVector({2: 1.0, 3: -2.0})
 
@@ -460,7 +473,7 @@ def _three_pass_envelope(config, results, timings):
     make_envelope sanitized once: sanitize in make_envelope, again to
     hash, again to write."""
     old = {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool": {"name": "orlicz-dynamics", "version": "0.1.0"},
         "config": _sanitize(config),
         "results": _sanitize(results),

@@ -141,3 +141,22 @@ def test_table_weight_orbits_under_the_guard_take_the_kernel(group, a):
         for i, (ref_linear, ref_logs) in enumerate(refs):
             assert np.array_equal(linear[i], ref_linear)
             assert np.array_equal(logs[i], ref_logs)
+
+
+@pytest.mark.parametrize(
+    "group,key",
+    [
+        # Keyed by (2,) on Z, orbit_series from 0 with a = 1 used the weights
+        # [1, 4, 1] (the index compares coordinates) while the scalar loop
+        # gave [1, 1, 1] (the dict compares elements).
+        pytest.param(od.IntegerGroup(), (2,), id="Z-tuple"),
+        pytest.param(od.CyclicGroup(m=6), 7, id="cyclic-unreduced"),
+        pytest.param(od.HeisenbergGroup(), (1, 2), id="heisenberg-short"),
+    ],
+)
+def test_table_weight_keys_must_be_group_elements(group, key):
+    weight = od.TableWeight(((key, 4.0),))
+    a = group.element([1] * len(group.coords(group.identity())))
+    with pytest.raises(ValueError) as err:
+        od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
+    assert f"key {key!r} is not an element" in str(err.value)
