@@ -267,7 +267,10 @@ def _scan_verdict(
 
     After the obstruction gate, scan(req, ns) runs on the candidate steps
     ns = start..N_max.  Each epsilon's witness is the first n whose terms
-    all lie below it, recorded with that row of terms."""
+    all lie below it, recorded with that row of terms.  The request must
+    name prop: its memory cap was checked for its own property's series."""
+    if req.property is not prop:
+        raise ConfigError("property", f"{prop.value} checker given a {req.property.value} request")
     obs = check_obstructions(req)
     if obs is not None:
         return _obstruction_verdict(req, prop, obs)

@@ -9,8 +9,10 @@ periodic construction additionally stacks forward iterates, and its
 period defect is exactly the two dropped boundary terms of the
 truncation.
 
-Each stack takes its iterates from one ``translations.iterates`` batch,
-bit for bit the vectors of applying S or T one step at a time.
+Every iterate comes from ``translations.iterates``, bit for bit the
+vectors of applying S or T one step at a time.  The returns, the two
+boundary terms and each truncation level reuse a stack or the level
+before instead of starting again from f.
 ``_stack`` sums the pieces in one dict: it adds the same floats in the
 same order as repeated ``v + piece`` and drops a key when its running
 sum reaches 0.0, as each intermediate vector's pruning did.  A piece
@@ -103,19 +105,11 @@ def empirical_return(
     v = recurrence_witness_vector(sys, f, n, L)
     phi = sys.young
     r0 = luxemburg_norm(v - f, phi)
-    returns = tuple(luxemburg_norm(apply_T_n(sys, v, l * n) - f, phi) for l in range(1, L + 1))
+    returns = tuple(luxemburg_norm(piece - f, phi) for piece in iterates(sys, v, n, L))
     ok = r0 < epsilon and all(r < epsilon for r in returns)
     return ReturnReport(
         n=n, L=L, epsilon=epsilon, residual_to_f=r0, return_residuals=returns, success=ok
     )
-
-
-def _boundary_norms(sys: WeightedSystem, f: OrliczVector, n: int, L_trunc: int) -> tuple[float, float]:
-    """Norms of the two terms dropped by the truncation, N(T^{(L+1)n} f)
-    and N(S^{Ln} f), from the closed-form iterates: f times the orbit
-    products, moved along the orbit."""
-    t_side, s_side = apply_T_n(sys, f, (L_trunc + 1) * n), apply_S_n(sys, f, L_trunc * n)
-    return luxemburg_norm(t_side, sys.young), luxemburg_norm(s_side, sys.young)
 
 
 def chaos_periodic_vector(
@@ -134,13 +128,14 @@ def chaos_periodic_vector(
     if L_trunc < 0:
         raise ValueError("truncation level must be >= 0")
     phi = sys.young
-    t_pieces = iterates(sys, f, n, L_trunc)
+    *t_pieces, t_edge = iterates(sys, f, n, L_trunc + 1)
     s_pieces = iterates(sys, f, n, L_trunc, backward=True)
     if any(piece.max_abs() > TERM_MAGNITUDE_CAP for piece in t_pieces + s_pieces):
         raise TailUnboundedError(f"summand magnitude exceeds cap {TERM_MAGNITUDE_CAP:g} at n={n}")
+    s_last = luxemburg_norm(s_pieces[-1] if s_pieces else f, phi)
     if L_trunc >= 2:
         t_last, t_prev = luxemburg_norm(t_pieces[-1], phi), luxemburg_norm(t_pieces[-2], phi)
-        s_last, s_prev = luxemburg_norm(s_pieces[-1], phi), luxemburg_norm(s_pieces[-2], phi)
+        s_prev = luxemburg_norm(s_pieces[-2], phi)
         if t_last >= t_prev or s_last >= s_prev:
             raise TailUnboundedError(
                 f"trailing terms do not decay at n={n} (T: {t_prev} -> {t_last}, "
@@ -148,7 +143,7 @@ def chaos_periodic_vector(
             )
     v = _stack([f, *t_pieces, *s_pieces])
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
-    bound = sum(_boundary_norms(sys, f, n, L_trunc))
+    bound = luxemburg_norm(t_edge, phi) + s_last
     report = PeriodicityReport(
         n=n,
         L_trunc=L_trunc,
@@ -161,10 +156,12 @@ def chaos_periodic_vector(
 
 
 def choose_truncation(sys: WeightedSystem, f: OrliczVector, n: int, cap: int = 32) -> int:
-    """Smallest truncation level whose boundary terms fall below 1e-15,
-    capped at ``cap``."""
+    """Smallest truncation level L whose boundary terms N(T^{(L+1)n} f) and
+    N(S^{Ln} f) sum below 1e-15, capped at ``cap``."""
+    t_edge, s_edge = apply_T_n(sys, f, n), f
     for L in range(1, cap + 1):
-        if sum(_boundary_norms(sys, f, n, L)) < 1e-15:
+        t_edge, s_edge = apply_T_n(sys, t_edge, n), apply_S_n(sys, s_edge, n)
+        if luxemburg_norm(t_edge, sys.young) + luxemburg_norm(s_edge, sys.young) < 1e-15:
             return L
     return cap
 

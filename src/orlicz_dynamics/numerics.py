@@ -42,19 +42,19 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def golden_max(g: Callable[[float], float], lo: float, hi: float, abs_tol: float = 1e-10) -> tuple[float, float]:
+def golden_max(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal g on [lo, hi].
 
-    Returns (argmax, max value) after at most 400 steps.  Endpoints are
-    included in the final comparison, so monotone objectives resolve to
-    the better endpoint.
+    Returns (argmax, max value) once the bracket is 1e-10 wide or after
+    400 steps.  Endpoints are included in the final comparison, so
+    monotone objectives resolve to the better endpoint.
     """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     it = 0
-    while b - a > abs_tol and it < 400:
+    while b - a > 1e-10 and it < 400:
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - GOLDEN * (b - a)

@@ -31,9 +31,9 @@ repeats the one-step loop's v * w(x * a) or v / w(x), in its order.
 numpy's float64 * and / round exactly like Python's, so every value is
 the loop's bit for bit.  Weights are positive and finite, so a value
 that reaches 0.0, which the loop pruned, stays 0.0 and is pruned from
-every later piece; rows keep f's insertion order.  ``apply_T`` and
-``apply_S`` are its one-step views; ``apply_T_n`` and ``apply_S_n``
-multiply by the orbit product once instead, which rounds differently.
+every later piece; rows keep f's insertion order.  It is the package's
+only way to build T^n f or S^n f: ``apply_T`` and ``apply_S`` are its
+one-step views, ``apply_T_n`` and ``apply_S_n`` its views with step n.
 
 The weights are plain validated objects (positive, finite values); the
 config module alone reads and writes their JSON form.
@@ -208,25 +208,13 @@ def apply_S(sys: WeightedSystem, h: OrliczVector) -> OrliczVector:
 
 
 def apply_T_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
-    """Closed-form n-th iterate: each support point y moves to y * a^n and
-    picks up the forward product of the n weights along the way."""
-    return _closed_form_iterate(sys, f, n, backward=False)
+    """n-th iterate T^n f (T^0 f is f); n < 0 raises ValueError."""
+    return iterates(sys, f, n, 1)[0] if n else f
 
 
 def apply_S_n(sys: WeightedSystem, f: OrliczVector, n: int) -> OrliczVector:
-    """Closed-form n-th iterate of S: y moves to y * a^{-n} weighted by the
-    backward product."""
-    return _closed_form_iterate(sys, f, n, backward=True)
-
-
-def _closed_form_iterate(sys: WeightedSystem, f: OrliczVector, n: int, backward: bool) -> OrliczVector:
-    if n < 0:
-        raise ValueError("iterate count must be >= 0")
-    if n == 0:
-        return f
-    pts = [y for y, _ in f.items()]
-    products = orbit_series(sys, pts, n, backward)[0][:, n].tolist()
-    return _moved(sys, pts, -n if backward else n, [v * p for v, p in zip(f.values(), products)])
+    """n-th iterate S^n f (S^0 f is f); n < 0 raises ValueError."""
+    return iterates(sys, f, n, 1, backward=True)[0] if n else f
 
 
 def iterates(

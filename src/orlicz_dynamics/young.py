@@ -44,6 +44,7 @@ oracles.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -52,7 +53,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OrliczDynamicsError, OutOfRangeError
 from .numerics import bisect_root, expand_while_increasing, golden_max
 
 CONVEXITY_SLACK = 1e-12
@@ -308,13 +309,20 @@ def young_inequality_check(phi: YoungFunction, samples: int, seed: int = 0) -> f
 
 
 def delta2_probe(phi: YoungFunction, t_lo: float, t_hi: float, n_grid: int) -> Delta2Report:
-    """Sup of Phi(2t)/Phi(t) on a log-spaced grid in [t_lo, t_hi]."""
+    """Sup of Phi(2t)/Phi(t) on a log-spaced grid in [t_lo, t_hi], over the
+    points where Phi(t) is a normal float and Phi(2t) does not overflow."""
     if not (0.0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
-    grid = np.geomspace(t_lo, t_hi, n_grid)
-    sup = 0.0
-    for t in grid:
-        sup = max(sup, phi.evaluate(2.0 * float(t)) / phi.evaluate(float(t)))
-    return Delta2Report(ratio_sup=sup, t_lo=t_lo, t_hi=t_hi, n_grid=n_grid)
+    ratios = []
+    for t in np.geomspace(t_lo, t_hi, n_grid).tolist():
+        try:
+            low, high = phi.evaluate(t), phi.evaluate(2.0 * t)
+        except OverflowError:
+            continue
+        if low >= sys.float_info.min and high < math.inf:
+            ratios.append(high / low)
+    if not ratios:
+        raise OrliczDynamicsError(f"Phi(t) underflows or Phi(2t) overflows at each grid point in [{t_lo}, {t_hi}]")
+    return Delta2Report(ratio_sup=max(ratios), t_lo=t_lo, t_hi=t_hi, n_grid=n_grid)

@@ -109,7 +109,7 @@ def test_criterion_3_luxemburg_norm_oracles():
 def test_criterion_4_inverse_and_iterate_identities():
     rng = np.random.default_rng(4)
     worst_inv = 0.0
-    worst_iter = 0.0
+    mismatches = 0
     for group in all_groups():
         for _ in range(10):
             if group.kind == "Z":
@@ -135,17 +135,14 @@ def test_criterion_4_inverse_and_iterate_identities():
                 worst_inv = max(worst_inv, abs(ts[x] - v) / abs(v), abs(st[x] - v) / abs(v))
             cur = f
             for n in range(0, 65):
-                closed = od.apply_T_n(sys, f, n)
-                assert closed.support() == cur.support()
-                for x, v in cur.items():
-                    worst_iter = max(worst_iter, abs(closed[x] - v) / abs(v))
+                mismatches += list(od.apply_T_n(sys, f, n).items()) != list(cur.items())
                 cur = od.apply_T(sys, cur)
-    ok = worst_inv <= 1e-14 and worst_iter <= 1e-12
+    ok = worst_inv <= 1e-14 and mismatches == 0
     _report(
         4,
         ok,
         f"T(S(h)) = h and S(T(f)) = f per entry: {worst_inv:.3e} (tol 1e-14); "
-        f"closed-form iterate vs repeated application, n <= 64: {worst_iter:.3e} (tol 1e-12)",
+        f"T^n f vs repeated application, n <= 64: {mismatches} inexact iterates (exact ==)",
     )
 
 

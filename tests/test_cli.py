@@ -207,6 +207,33 @@ def test_probe_young_command(capsys, tmp_path):
     assert len(csv_path.read_text().strip().splitlines()) >= 101  # header + rows
 
 
+@pytest.mark.parametrize(
+    "young,low,high",
+    [
+        ({"family": "power", "p": 100.0}, 2.0**100 * (1 - 1e-12), 2.0**100 * (1 + 1e-12)),
+        ({"family": "power", "p": 200.0}, 2.0**200 * (1 - 1e-12), 2.0**200 * (1 + 1e-12)),
+        ({"family": "alphalog", "alpha": 100.0}, 2.0**100, float("inf")),
+    ],
+    ids=["power-100", "power-200", "alphalog-100"],
+)
+def test_probe_young_large_exponents(capsys, tmp_path, young, low, high):
+    # Phi(2 * 10^3) overflows from an exponent of about 94 and Phi(10^-3)
+    # underflows from about 109; the probe skips those grid points.
+    cfg = {
+        "group": {"kind": "Z"},
+        "a": [1],
+        "weight": {"family": "constant", "c": 1.5},
+        "young": young,
+        "K": {"box": [[0, 0]]},
+        "property": "transitive",
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(cfg))
+    code, envelope = _run(capsys, "probe-young", "--config", str(path))
+    assert code == 0
+    assert low <= envelope["results"]["delta2"]["ratio_sup"] <= high
+
+
 def test_out_writes_report_and_series(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(

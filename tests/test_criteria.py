@@ -8,7 +8,7 @@ import pytest
 
 import orlicz_dynamics as od
 from conftest import P2, block_alternating_weight
-from orlicz_dynamics.errors import InconsistentVerdictsError
+from orlicz_dynamics.errors import ConfigError, InconsistentVerdictsError
 
 
 def _req(system, K, prop, **kw):
@@ -366,6 +366,32 @@ def test_run_check_dispatch(step_system, zgroup):
     for prop in od.Property:
         v = od.run_check(_req(step_system, K, prop))
         assert v.property is prop
+
+
+def test_checker_rejects_a_request_for_another_property(step_system, zgroup):
+    # |K| = 1000 and N_max = 60000 pass the memory cap as a recurrent
+    # request (0.89 GiB); the chaos series of the same budgets needs
+    # 57 GiB, so the chaos checker must refuse the request before it scans.
+    K = od.box(zgroup, [[0, 999]])
+    req = _req(step_system, K, od.Property.RECURRENT, N_max=60_000)
+    with pytest.raises(ConfigError) as info:
+        od.chaotic_check(req)
+    assert info.value.field == "property"
+    checkers = {
+        od.Property.RECURRENT: od.recurrent_check,
+        od.Property.MULTIPLY_RECURRENT: od.multiply_recurrent_check,
+        od.Property.TRANSITIVE: od.transitive_check,
+        od.Property.MIXING: od.mixing_check,
+        od.Property.CHAOTIC: od.chaotic_check,
+    }
+    for prop in od.Property:
+        small = _req(step_system, od.CompactSet.of([0]), prop, N_max=4)
+        for other, checker in checkers.items():
+            if other is prop:
+                assert checker(small).property is prop
+            else:
+                with pytest.raises(ConfigError, match="property"):
+                    checker(small)
 
 
 def test_verdict_json_schema(step_system, zgroup):

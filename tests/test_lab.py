@@ -183,6 +183,44 @@ def test_choose_truncation(step_system, zgroup):
     assert t_bound + s_bound < 1e-15
 
 
+def _odd_table_system(zgroup):
+    """Weights that are not powers of two, so the order of the multiplies
+    shows in the last bits: contracting on the right, expanding on the left."""
+    entries = tuple(
+        (x, 0.37 + 0.01 * (x % 7) if x >= 1 else 2.9 - 0.03 * (x % 5)) for x in range(-300, 301)
+    )
+    weight = od.TableWeight(entries=entries, default=1.0)
+    return od.WeightedSystem(group=zgroup, a=1, weight=weight, young=P2)
+
+
+def test_boundary_terms_equal_the_rebuilt_iterates_bit_for_bit(zgroup):
+    sys = _odd_table_system(zgroup)
+    f = od.OrliczVector({-2: 1.0, 0: -0.7, 1: 1.3, 3: 0.1})
+    for n, L_trunc in ((3, 0), (3, 1), (4, 3), (5, 6)):
+        _, report = od.chaos_periodic_vector(sys, f, n, L_trunc)
+        t_edge = od.apply_T_n(sys, f, (L_trunc + 1) * n)
+        s_edge = od.apply_S_n(sys, f, L_trunc * n)
+        assert report.predicted_bound == od.luxemburg_norm(t_edge, P2) + od.luxemburg_norm(s_edge, P2)
+
+
+def test_choose_truncation_matches_the_per_level_rebuild(zgroup):
+    sys = _odd_table_system(zgroup)
+    f = od.OrliczVector({-2: 1.0, 0: -0.7, 1: 1.3, 3: 0.1})
+
+    def rebuilt(n, cap):
+        for L in range(1, cap + 1):
+            t_edge = od.apply_T_n(sys, f, (L + 1) * n)
+            s_edge = od.apply_S_n(sys, f, L * n)
+            if od.luxemburg_norm(t_edge, P2) + od.luxemburg_norm(s_edge, P2) < 1e-15:
+                return L
+        return cap
+
+    for n in (2, 3, 5, 7):
+        for cap in (3, 32):
+            assert od.choose_truncation(sys, f, n, cap=cap) == rebuilt(n, cap)
+    assert 3 < od.choose_truncation(sys, f, 3, cap=32) < 32
+
+
 def test_criterion_dynamics_agreement(step_system, zgroup):
     # whenever the checker reports a witness, the construction meets its
     # epsilon targets (scaled by the proven residual bound) at the same n

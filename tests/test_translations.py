@@ -70,10 +70,7 @@ def test_iterate_closed_form_matches_repeated_application(group):
         f = random_vector(group, rng, max_support=4)
         cur = f
         for n in range(0, 25):
-            closed = od.apply_T_n(sys, f, n)
-            assert closed.support() == cur.support()
-            for x, v in cur.items():
-                assert abs(closed[x] - v) <= 1e-12 * abs(v)
+            assert list(od.apply_T_n(sys, f, n).items()) == list(cur.items())
             cur = od.apply_T(sys, cur)
 
 
@@ -82,16 +79,17 @@ def test_iterate_examples(step_system):
     assert od.apply_T_n(step_system, f, 0) == f
     assert od.apply_T_n(step_system, f, 1) == od.apply_T(step_system, f)
     assert od.apply_T_n(step_system, f, 3) == od.OrliczVector.delta(3, 0.125)
+    assert od.apply_S_n(step_system, f, 0) == f
+    for apply_n in (od.apply_T_n, od.apply_S_n):
+        with pytest.raises(ValueError):
+            apply_n(step_system, f, -1)
 
 
 def test_apply_S_n_matches_iteration(step_system):
     f = od.OrliczVector({0: 1.0, 2: -1.0})
     cur = f
     for n in range(0, 12):
-        closed = od.apply_S_n(step_system, f, n)
-        assert closed.support() == cur.support()
-        for x, v in cur.items():
-            assert abs(closed[x] - v) <= 1e-12 * abs(v)
+        assert list(od.apply_S_n(step_system, f, n).items()) == list(cur.items())
         cur = od.apply_S(step_system, cur)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orlicz_dynamics as od
-from orlicz_dynamics.errors import OutOfRangeError
+from orlicz_dynamics.errors import OrliczDynamicsError, OutOfRangeError
 from orlicz_dynamics.numerics import golden_max
 
 
@@ -99,7 +99,7 @@ def test_biconjugation_recovers_power_family(p):
         return od.complementary(phi, x)
 
     for t in (0.5, 1.0, 2.0):
-        biconj = golden_max(lambda x: x * t - psi(x), 0.0, 50.0, abs_tol=1e-8)[1]
+        biconj = golden_max(lambda x: x * t - psi(x), 0.0, 50.0)[1]
         assert abs(biconj - phi.evaluate(t)) <= 1e-6
 
 
@@ -143,6 +143,16 @@ def test_delta2_probe():
     phi = od.AlphaLogYoung(2.0)
     oracle = max(phi.evaluate(2.0 * float(t)) / phi.evaluate(float(t)) for t in grid)
     assert abs(ra.ratio_sup - oracle) <= 1e-12
+
+
+def test_delta2_probe_skips_underflow_and_overflow():
+    # p = 200: Phi(t) is subnormal or 0 below t ~ 0.03 and Phi(2t)
+    # overflows above t ~ 17; the ratio comes from the points between.
+    report = od.delta2_probe(od.PowerYoung(200.0), 1e-3, 1e3, 200)
+    assert report.ratio_sup == pytest.approx(2.0**200, rel=1e-12)
+    # p = 10^4: no grid point has a normal Phi(t) and a finite Phi(2t).
+    with pytest.raises(OrliczDynamicsError, match="each grid point"):
+        od.delta2_probe(od.PowerYoung(1e4), 1e-3, 1e3, 200)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
