@@ -29,7 +29,7 @@ K = od.box(group, [[-1, 1], [-1, 1], [0, 0]])
 request = od.CriterionRequest(
     system=system, K=K, property=od.Property.CHAOTIC, L=2, N_max=64, L_max=64
 )
-verdict = od.chaotic_check(request)
+verdict = od.run_check(request)
 print(f"\nChaos check on the box K (z = 0): {verdict.outcome.value}, "
       f"tail bounded: {verdict.tail_bounded}")
 for entry in verdict.witness[:4]:

@@ -22,15 +22,14 @@ print("Two-sided step weight, K = {-2..2}:")
 print("  obstructions:", od.check_obstructions(
     od.CriterionRequest(system=step, K=K, property=od.Property.TRANSITIVE)))
 
-for prop, runner in [
-    (od.Property.RECURRENT, od.recurrent_check),
-    (od.Property.TRANSITIVE, od.transitive_check),
-    (od.Property.MULTIPLY_RECURRENT, od.multiply_recurrent_check),
-    (od.Property.MIXING, od.mixing_check),
-    (od.Property.CHAOTIC, od.chaotic_check),
-]:
-    request = od.CriterionRequest(system=step, K=K, property=prop, L=3)
-    verdict = runner(request)
+for prop in (
+    od.Property.RECURRENT,
+    od.Property.TRANSITIVE,
+    od.Property.MULTIPLY_RECURRENT,
+    od.Property.MIXING,
+    od.Property.CHAOTIC,
+):
+    verdict = od.run_check(od.CriterionRequest(system=step, K=K, property=prop, L=3))
     first = verdict.witness[0] if verdict.witness else None
     tag = f"first witness n = {first.n} at epsilon = {first.epsilon}" if first else ""
     print(f"  {prop.value:<20s}: {verdict.outcome.value:<15s} {tag}")
@@ -39,7 +38,7 @@ print("\nWitness construction at the finest epsilon:")
 request = od.CriterionRequest(
     system=step, K=K, property=od.Property.MULTIPLY_RECURRENT, L=3, epsilons=(1e-3,)
 )
-entry = od.multiply_recurrent_check(request).witness[0]
+entry = od.run_check(request).witness[0]
 f = od.OrliczVector.indicator(K)
 report = od.empirical_return(step, f, entry.n, 3, epsilon=1e-2)
 print(f"  n = {entry.n}: N(v - f) = {report.residual_to_f:.6e}")
@@ -80,11 +79,8 @@ blocks = od.WeightedSystem(
 )
 K0 = od.CompactSet.of([0])
 print("\nBlock-alternating weight, K = {0}:")
-for prop, runner in [
-    (od.Property.TRANSITIVE, od.transitive_check),
-    (od.Property.MIXING, od.mixing_check),
-]:
-    verdict = runner(od.CriterionRequest(system=blocks, K=K0, property=prop, N_max=150))
+for prop in (od.Property.TRANSITIVE, od.Property.MIXING):
+    verdict = od.run_check(od.CriterionRequest(system=blocks, K=K0, property=prop, N_max=150))
     ns = [entry.n for entry in verdict.witness][:5]
     print(f"  {prop.value:<12s}: {verdict.outcome.value:<15s} witnesses at n = {ns}")
 print("  (transitive witnesses land on the square block midpoints; the tail never settles)")

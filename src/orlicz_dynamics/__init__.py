@@ -7,21 +7,14 @@ __version__ = "0.1.0"
 
 from .criteria import (
     DEFAULT_EPSILONS,
-    AuditReport,
     CriterionRequest,
     Obstruction,
     Outcome,
     Property,
     Verdict,
     WitnessEntry,
-    chaotic_check,
     check_obstructions,
-    implication_audit,
-    mixing_check,
-    multiply_recurrent_check,
-    recurrent_check,
     run_check,
-    transitive_check,
 )
 from .groups import (
     CompactSet,

@@ -49,7 +49,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
     verdict = run_check(req)
     results: dict = {"command": "simulate", "verdict": verdict.to_json(), "lab": [], "flag": None}
     if verdict.outcome is not Outcome.WITNESS_FOUND:
-        if verdict.property is Property.CHAOTIC and verdict.tail_bounded is False:
+        if req.property is Property.CHAOTIC and verdict.tail_bounded is False:
             results["flag"] = "tail_unbounded"
         return results, _OUTCOME_EXIT[verdict.outcome]
 

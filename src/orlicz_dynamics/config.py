@@ -310,11 +310,16 @@ def vector_from_pairs(group: Group, pairs) -> OrliczVector:
     if set(map(type, pairs)) <= {list}:
         try:
             data = {group.element(c): float(v) for c, v in pairs}
-            # Each entry was a pair and no element repeats; a bare or float
-            # coordinate is not iterable and raises TypeError.
-            if len(data) == len(pairs) and set(map(type, map(itemgetter(1), pairs))) <= {int, float}:
-                if set(map(type, chain.from_iterable(map(itemgetter(0), pairs)))) <= {int}:
-                    return OrliczVector(data)
+            # Each entry was a pair, no element repeats and every value is
+            # finite; a bare or float coordinate is not iterable and raises
+            # TypeError.
+            if (
+                len(data) == len(pairs)
+                and all(map(math.isfinite, data.values()))
+                and set(map(type, map(itemgetter(1), pairs))) <= {int, float}
+                and set(map(type, chain.from_iterable(map(itemgetter(0), pairs)))) <= {int}
+            ):
+                return OrliczVector(data)
         except (ValueError, TypeError, OverflowError):
             pass
     data = {}
@@ -324,5 +329,8 @@ def vector_from_pairs(group: Group, pairs) -> OrliczVector:
         g = _element(group, c, path)
         if g in data:
             raise ConfigError(path, f"repeats the element {c!r}")
-        data[g] = _number(v, path)
+        value = _number(v, path)
+        if not math.isfinite(value):
+            raise ConfigError(path, f"entry {value!r} is not finite")
+        data[g] = value
     return OrliczVector(data)

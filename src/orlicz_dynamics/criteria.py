@@ -1,20 +1,20 @@
-"""Semi-decision checkers for dynamical properties of weighted translations.
+"""Semi-decision checks of dynamical properties of weighted translations.
 
-Every checker reduces its property to the behaviour of the forward and
+``run_check`` reduces each property to the behaviour of the forward and
 backward orbit weight products over a user-supplied finite set K (with
 counting measure, the inner approximating subsets collapse to K itself,
 so all suprema run over the whole of K):
 
 * recurrent / transitive: both product families dip below each epsilon at
-  some common step n (subsequence decay); the two checkers share one
-  predicate and always return identical verdicts.
+  some common step n (subsequence decay); the two properties share one
+  scan and always get identical verdicts.
 * multiply recurrent: the dip must hold simultaneously at n, 2n, ..., Ln.
 * mixing: the dip must hold for every n in a whole tail of the budget.
 * chaotic: the summed products over all multiples of n, bounded by a
   geometric tail majorant, must dip below each epsilon.
 
-All five run on one engine: it checks the obstructions, then a
-per-property scan turns the sup series over K into one row of terms per
+``run_check`` checks the obstructions, then the property's scan (the
+``_SCANS`` table) turns the sup series over K into one row of terms per
 candidate step n, and each epsilon's witness is the first n whose terms
 all lie below it.
 
@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentVerdictsError
+from .errors import ConfigError
 from .groups import CompactSet, separation_constant, torsion_order
 from .translations import WeightedSystem, orbit_series
 
@@ -142,7 +141,7 @@ class CriterionRequest:
             raise ConfigError("L_max", "must be >= 1")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
             raise ConfigError("epsilons", "must be nonempty, each in (0, 1)")
-        depth = series_depth(self, self.property)
+        depth = series_depth(self)
         arrays = 4 if self.property is Property.CHAOTIC else 2
         size = len(self.K) * (depth + 1) * arrays * 8
         if size > SERIES_MEMORY_CAP:
@@ -155,11 +154,11 @@ class CriterionRequest:
             )
 
 
-def series_depth(req: CriterionRequest, prop: Property) -> int:
-    """Last step of the product series the checker for prop builds on K."""
-    if prop is Property.CHAOTIC:
+def series_depth(req: CriterionRequest) -> int:
+    """Last step of the product series run_check builds on K for req."""
+    if req.property is Property.CHAOTIC:
         return max(req.L_max, 2) * req.N_max  # the tail ratio needs two terms
-    if prop is Property.MULTIPLY_RECURRENT:
+    if req.property is Property.MULTIPLY_RECURRENT:
         return req.L * req.N_max
     return req.N_max
 
@@ -169,7 +168,6 @@ class Verdict:
     """Outcome of a criterion check with its full evidence trail."""
 
     request: CriterionRequest
-    property: Property
     outcome: Outcome
     witness: tuple[WitnessEntry, ...]
     obstruction: Optional[Obstruction]
@@ -180,7 +178,7 @@ class Verdict:
 
     def to_json(self) -> dict:
         return {
-            "property": self.property.value,
+            "property": self.request.property.value,
             "outcome": self.outcome.value,
             "witness": [w.to_json() for w in self.witness],
             "obstruction": self.obstruction.to_json() if self.obstruction else None,
@@ -235,13 +233,12 @@ def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarr
     return phi.max(axis=0), tilde.max(axis=0)
 
 
-def _obstruction_verdict(req: CriterionRequest, prop: Property, obs: Obstruction) -> Verdict:
+def _obstruction_verdict(req: CriterionRequest, obs: Obstruction) -> Verdict:
     cap = min(req.N_max, OBSTRUCTION_SERIES_CAP)
     sup_phi, sup_tilde = _sup_series(req, cap)
     ns = np.arange(1, cap + 1)
     return Verdict(
         request=req,
-        property=prop,
         outcome=Outcome.OBSTRUCTION_FOUND,
         witness=(),
         obstruction=obs,
@@ -260,91 +257,43 @@ def _series_points(ns: np.ndarray, sup_phi: np.ndarray, sup_tilde: np.ndarray) -
     return [SeriesPoint(*p) for p in zip(ns.tolist(), sup_phi.tolist(), sup_tilde.tolist())]
 
 
-def _scan_verdict(
-    req: CriterionRequest, prop: Property, scan: Callable[[CriterionRequest, np.ndarray], _ScanResult]
-) -> Verdict:
-    """Shared engine of the five checkers.
-
-    After the obstruction gate, scan(req, ns) runs on the candidate steps
-    ns = start..N_max.  Each epsilon's witness is the first n whose terms
-    all lie below it, recorded with that row of terms.  The request must
-    name prop: its memory cap was checked for its own property's series."""
-    if req.property is not prop:
-        raise ConfigError("property", f"{prop.value} checker given a {req.property.value} request")
-    obs = check_obstructions(req)
-    if obs is not None:
-        return _obstruction_verdict(req, prop, obs)
-    start = _start_n(req)
-    ns = np.arange(start, req.N_max + 1)
-    series, terms, tail_bounded = scan(req, ns)
-    row_max = terms.max(axis=1)
-    witness = []
-    for eps in req.epsilons:
-        hits = np.flatnonzero(row_max < eps)
-        if hits.size:
-            i = hits[0]
-            witness.append(WitnessEntry(eps, int(ns[i]), tuple(terms[i].tolist())))
-    return Verdict(
-        request=req,
-        property=prop,
-        outcome=Outcome.WITNESS_FOUND if len(witness) == len(req.epsilons) else Outcome.INCONCLUSIVE,
-        witness=tuple(witness),
-        obstruction=None,
-        series=tuple(series),
-        budget=len(series),
-        start_n=start,
-        tail_bounded=tail_bounded,
-    )
-
-
-def _subsequence_scan(req: CriterionRequest, ns: np.ndarray, L: int = 1) -> _ScanResult:
+def _subsequence_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     """Terms max(sup phi_{ln}, sup phi~_{ln}) for l = 1..L: the predicate
-    max_{1<=l<=L} max_{x in K} max(phi_{ln}(x), phi~_{ln}(x)) < epsilon."""
-    sup_phi, sup_tilde = _sup_series(req, L * req.N_max)
-    idx = np.outer(ns, np.arange(1, L + 1))
+    max_{1<=l<=L} max_{x in K} max(phi_{ln}(x), phi~_{ln}(x)) < epsilon.
+
+    L is req.L for multiple recurrence and 1 for recurrence and
+    transitivity, which share this predicate and so always agree."""
+    depth = series_depth(req)
+    sup_phi, sup_tilde = _sup_series(req, depth)
+    idx = np.outer(ns, np.arange(1, depth // req.N_max + 1))
     sp, st = sup_phi[idx], sup_tilde[idx]
     return _series_points(ns, sp.max(axis=1), st.max(axis=1)), np.maximum(sp, st), None
 
 
-def multiply_recurrent_check(req: CriterionRequest) -> Verdict:
-    """Depth-L simultaneous decay of both product families (subsequence)."""
-    return _scan_verdict(req, Property.MULTIPLY_RECURRENT, partial(_subsequence_scan, L=req.L))
-
-
-def recurrent_check(req: CriterionRequest) -> Verdict:
-    """Depth-1 subsequence decay. Identical predicate to transitive_check."""
-    return _scan_verdict(req, Property.RECURRENT, _subsequence_scan)
-
-
-def transitive_check(req: CriterionRequest) -> Verdict:
-    """Depth-1 subsequence decay. Identical predicate to recurrent_check."""
-    return _scan_verdict(req, Property.TRANSITIVE, _subsequence_scan)
-
-
 def _mixing_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
-    """One term per n: the sup of both product families over [n, N_max]."""
+    """One term per n: the sup of both product families over [n, N_max].
+
+    A witness means the tail condition holds up to the budget; this is
+    explicitly a semi-decision."""
     sup_phi, sup_tilde = _sup_series(req, req.N_max)
     sp, st = sup_phi[ns], sup_tilde[ns]
     tail = np.maximum.accumulate(np.maximum(sp, st)[::-1])[::-1]
     return _series_points(ns, sp, st), tail[:, None], None
 
 
-def mixing_check(req: CriterionRequest) -> Verdict:
-    """Full-tail decay: for each epsilon, an N0 such that both product
-    families stay below epsilon for every n in [N0, N_max].
-
-    WitnessFound means the tail condition holds up to the budget; this is
-    explicitly a semi-decision.  The per-n series makes the decay (or its
-    failure) auditable.
-    """
-    return _scan_verdict(req, Property.MIXING, _mixing_scan)
-
-
 def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
-    """One term per n: the certified total, or inf where no tail bound exists."""
+    """One term per n: the certified total
+
+        max_{x in K} [ sum_{l=1}^{L_max} (phi_{ln}(x) + phi~_{ln}(x)) + tail ]
+
+    where tail is a geometric majorant: with r the largest consecutive
+    term ratio observed over K and both families, tail <= last * r/(1-r),
+    valid only when r < 1.  Where no tail bound exists the term is inf,
+    so that n is never a witness; tail_bounded records whether any
+    candidate had one."""
     L_sum = req.L_max
     n_terms = max(L_sum, 2)  # ratio estimation needs two consecutive terms
-    depth = series_depth(req, Property.CHAOTIC)
+    depth = series_depth(req)
     pts = _sorted_points(req)
     phi_lin, phi_log = orbit_series(req.system, pts, depth, logs=True)
     til_lin, til_log = orbit_series(req.system, pts, depth, backward=True, logs=True)
@@ -372,114 +321,41 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     return series, terms, tail_any
 
 
-def chaotic_check(req: CriterionRequest) -> Verdict:
-    """Summed-product decay: for each epsilon, an n with
-
-        max_{x in K} [ sum_{l=1}^{L_max} (phi_{ln}(x) + phi~_{ln}(x)) + tail ] < epsilon
-
-    where tail is a geometric majorant: with r the largest consecutive
-    term ratio observed over K and both families, tail <= last * r/(1-r),
-    valid only when r < 1.  Candidates without a certified tail are never
-    witnesses; the verdict's tail_bounded flag records whether any
-    candidate had one.
-    """
-    return _scan_verdict(req, Property.CHAOTIC, _chaotic_scan)
-
-
-_CHECKERS = {
-    Property.RECURRENT: recurrent_check,
-    Property.MULTIPLY_RECURRENT: multiply_recurrent_check,
-    Property.TRANSITIVE: transitive_check,
-    Property.MIXING: mixing_check,
-    Property.CHAOTIC: chaotic_check,
+_SCANS: dict[Property, Callable[[CriterionRequest, np.ndarray], _ScanResult]] = {
+    Property.RECURRENT: _subsequence_scan,
+    Property.MULTIPLY_RECURRENT: _subsequence_scan,
+    Property.TRANSITIVE: _subsequence_scan,
+    Property.MIXING: _mixing_scan,
+    Property.CHAOTIC: _chaotic_scan,
 }
 
 
 def run_check(req: CriterionRequest) -> Verdict:
-    """Dispatch to the checker named by the request's property."""
-    return _CHECKERS[req.property](req)
+    """Check req.property on K within the request's budgets.
 
-
-@dataclass(frozen=True)
-class AuditCheck:
-    description: str
-    ok: bool
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"description": self.description, "ok": self.ok, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    checks: tuple[AuditCheck, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"consistent": self.consistent, "checks": [c.to_json() for c in self.checks]}
-
-
-def implication_audit(verdicts: Sequence[Verdict]) -> AuditReport:
-    """Cross-verdict sanity: a chaos or mixing witness must yield multiple
-    recurrence.
-
-    Two layers are checked.  First, when a multiply-recurrent verdict is
-    present alongside a chaos/mixing witness, it must itself be a witness.
-    Second, every chaos/mixing witness step n is re-validated against the
-    depth-L predicate directly (each single product term is dominated by
-    the summed series, and every tail step covers all multiples).  Any
-    violation raises InconsistentVerdictsError: it signals a bug in this
-    package, never a statement about the mathematics.
-    """
-    vs = list(verdicts)
-    if not vs:
-        return AuditReport(())
-    by_prop: dict[Property, Verdict] = {}
-    for v in vs:
-        if v.property in by_prop:
-            raise ValueError(f"duplicate verdict for property {v.property}")
-        by_prop[v.property] = v
-    base = vs[0].request
-    for v in vs[1:]:
-        if v.request.system != base.system or v.request.K != base.K:
-            raise ValueError("audit requires verdicts on the same system and K")
-    mr = by_prop.get(Property.MULTIPLY_RECURRENT)
-    checks: list[AuditCheck] = []
-    for prop in (Property.CHAOTIC, Property.MIXING):
-        src = by_prop.get(prop)
-        if src is None:
-            continue
-        if src.outcome is not Outcome.WITNESS_FOUND:
-            checks.append(AuditCheck(f"{prop.value}: no witness, nothing to imply", True))
-            continue
-        if mr is not None:
-            ok = mr.outcome is Outcome.WITNESS_FOUND
-            checks.append(
-                AuditCheck(
-                    f"{prop.value} witness implies multiply_recurrent witness",
-                    ok,
-                    f"multiply_recurrent outcome = {mr.outcome.value}",
-                )
-            )
-        depth = mr.request.L if mr is not None else max(src.request.L, 1)
-        last = depth * max((entry.n for entry in src.witness), default=0)
-        sup_phi, sup_tilde = _sup_series(src.request, last)
-        for entry in src.witness:
-            steps = np.arange(1, depth + 1) * entry.n
-            sup = max(float(sup_phi[steps].max()), float(sup_tilde[steps].max()))
-            checks.append(
-                AuditCheck(
-                    f"{prop.value} witness n={entry.n} validates depth-{depth} "
-                    f"predicate at epsilon={entry.epsilon}",
-                    sup < entry.epsilon,
-                    f"sup = {sup}",
-                )
-            )
-    report = AuditReport(tuple(checks))
-    if not report.consistent:
-        failed = "; ".join(c.description for c in report.checks if not c.ok)
-        raise InconsistentVerdictsError(failed)
-    return report
+    After the obstruction gate, the property's scan runs on the candidate
+    steps ns = start..N_max.  Each epsilon's witness is the first n whose
+    terms all lie below it, recorded with that row of terms."""
+    obs = check_obstructions(req)
+    if obs is not None:
+        return _obstruction_verdict(req, obs)
+    start = _start_n(req)
+    ns = np.arange(start, req.N_max + 1)
+    series, terms, tail_bounded = _SCANS[req.property](req, ns)
+    row_max = terms.max(axis=1)
+    witness = []
+    for eps in req.epsilons:
+        hits = np.flatnonzero(row_max < eps)
+        if hits.size:
+            i = hits[0]
+            witness.append(WitnessEntry(eps, int(ns[i]), tuple(terms[i].tolist())))
+    return Verdict(
+        request=req,
+        outcome=Outcome.WITNESS_FOUND if len(witness) == len(req.epsilons) else Outcome.INCONCLUSIVE,
+        witness=tuple(witness),
+        obstruction=None,
+        series=tuple(series),
+        budget=len(series),
+        start_n=start,
+        tail_bounded=tail_bounded,
+    )

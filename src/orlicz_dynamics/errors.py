@@ -31,11 +31,6 @@ class TailUnboundedError(OrliczDynamicsError):
     (or a term exceeded the magnitude cap)."""
 
 
-class InconsistentVerdictsError(OrliczDynamicsError):
-    """Cross-criterion implication failed; signals an implementation bug,
-    never a statement about the underlying mathematics."""
-
-
 class ConfigError(OrliczDynamicsError, ValueError):
     """Configuration or request is malformed; carries the offending field
     path.  A ValueError too, as a bad argument to ``CriterionRequest``."""

@@ -151,7 +151,7 @@ def test_criterion_5_criterion_dynamics_loop_on_integers():
     zgroup = od.IntegerGroup()
     sys = od.WeightedSystem(group=zgroup, a=1, weight=od.TwoSidedStepWeight(2.0, 0.5), young=P2)
     K = od.box(zgroup, [[-2, 2]])
-    mr = od.multiply_recurrent_check(
+    mr = od.run_check(
         od.CriterionRequest(
             system=sys, K=K, property=od.Property.MULTIPLY_RECURRENT, L=3, epsilons=(1e-3,)
         )
@@ -163,7 +163,7 @@ def test_criterion_5_criterion_dynamics_loop_on_integers():
     )
     f = od.OrliczVector.indicator(K)
     back = od.empirical_return(sys, f, 14, 3, epsilon=1e-2)
-    chaos = od.chaotic_check(
+    chaos = od.run_check(
         od.CriterionRequest(system=sys, K=K, property=od.Property.CHAOTIC, L=3)
     )
     chaos_ok = chaos.outcome is od.Outcome.WITNESS_FOUND and chaos.tail_bounded is True
@@ -188,7 +188,7 @@ def test_criterion_6_obstruction_suite():
         weight=od.TableWeight(entries=((0, 2.0), (1, 0.5)), default=1.0),
         young=P2,
     )
-    tv = od.transitive_check(
+    tv = od.run_check(
         od.CriterionRequest(system=cyc, K=od.CompactSet.of([0, 1]), property=od.Property.TRANSITIVE)
     )
     torsion_ok = (
@@ -197,7 +197,7 @@ def test_criterion_6_obstruction_suite():
         and tv.obstruction.order == 3
     )
     half = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(0.5), young=P2)
-    hv = od.transitive_check(
+    hv = od.run_check(
         od.CriterionRequest(system=half, K=od.CompactSet.of([0]), property=od.Property.TRANSITIVE)
     )
     contraction_ok = (
@@ -206,7 +206,7 @@ def test_criterion_6_obstruction_suite():
         and [p.sup_phi_tilde for p in hv.series[:10]] == [2.0**n for n in range(1, 11)]
     )
     double = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(2.0), young=P2)
-    dv = od.transitive_check(
+    dv = od.run_check(
         od.CriterionRequest(system=double, K=od.CompactSet.of([0]), property=od.Property.TRANSITIVE)
     )
     expansion_ok = (
@@ -224,28 +224,36 @@ def test_criterion_6_obstruction_suite():
 
 
 def test_criterion_7_implication_audit_on_shipped_configs():
-    audited = 0
-    witnesses = 0
-    for name in CANNED:
-        cfg = load_config(CONFIG_DIR / name)
-        sys = cfg.request.system
-        verdicts = []
-        for prop in (od.Property.MULTIPLY_RECURRENT, od.Property.MIXING, od.Property.CHAOTIC):
-            req = od.CriterionRequest(
-                system=sys, K=cfg.request.K, property=prop, L=max(cfg.request.L, 1),
-                epsilons=cfg.request.epsilons, N_max=cfg.request.N_max, L_max=cfg.request.L_max,
-            )
-            verdicts.append(od.run_check(req))
-        report = od.implication_audit(verdicts)
-        assert report.consistent
-        audited += 1
-        witnesses += sum(1 for v in verdicts if v.outcome is od.Outcome.WITNESS_FOUND)
-    ok = audited == 4 and witnesses >= 4
+    # Chaos and mixing imply multiple recurrence: at every chaos or mixing
+    # witness (epsilon, n), the multiply-recurrent verdict with the same K,
+    # L, epsilons and budgets has its depth-L sup below epsilon at n.
+    zgroup = od.IntegerGroup()
+    step = od.WeightedSystem(group=zgroup, a=1, weight=od.TwoSidedStepWeight(2.0, 0.5), young=P2)
+    bases = [load_config(CONFIG_DIR / name).request for name in CANNED]
+    bases.append(
+        od.CriterionRequest(system=step, K=od.box(zgroup, [[-2, 2]]), property=od.Property.MIXING, L=3)
+    )
+    witness_verdicts = 0
+    steps = 0
+    for base in bases:
+        mr = od.run_check(dataclasses.replace(base, property=od.Property.MULTIPLY_RECURRENT))
+        for prop in (od.Property.MIXING, od.Property.CHAOTIC):
+            v = od.run_check(dataclasses.replace(base, property=prop))
+            if v.outcome is od.Outcome.WITNESS_FOUND:
+                assert mr.outcome is od.Outcome.WITNESS_FOUND
+                witness_verdicts += 1
+            for entry in v.witness:
+                p = mr.series[entry.n - mr.start_n]
+                assert p.n == entry.n
+                assert max(p.sup_phi, p.sup_phi_tilde) < entry.epsilon
+                steps += 1
+    ok = witness_verdicts >= 6
     _report(
         7,
         ok,
-        f"chaos/mixing witnesses imply multiple recurrence on all {audited} shipped "
-        f"configs ({witnesses} witness verdicts re-derived), zero audit failures",
+        f"chaos/mixing witnesses imply multiple recurrence on the {len(CANNED)} shipped "
+        f"configs and the Z step system ({witness_verdicts} witness verdicts, {steps} "
+        f"witness steps within the multiply-recurrent series)",
     )
 
 
@@ -267,11 +275,11 @@ def test_criterion_8_recurrent_transitive_equivalence_matrix():
     )
     checked = 0
     for sys, K in matrix:
-        r = od.recurrent_check(od.CriterionRequest(system=sys, K=K, property=od.Property.RECURRENT))
-        t = od.transitive_check(
+        r = od.run_check(od.CriterionRequest(system=sys, K=K, property=od.Property.RECURRENT))
+        t = od.run_check(
             od.CriterionRequest(system=sys, K=K, property=od.Property.TRANSITIVE)
         )
-        r_core = dataclasses.replace(r, property=od.Property.TRANSITIVE, request=t.request)
+        r_core = dataclasses.replace(r, request=t.request)
         assert r_core == t
         checked += 1
     _report(

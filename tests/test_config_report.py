@@ -426,6 +426,13 @@ def test_vector_pairs_round_trip():
         pytest.param([[[0], 1.0], [[1], 2.0, 3.0]], 1, id="not-a-pair"),
         pytest.param([[[0, 1], 1.0]], 0, id="wrong-rank"),
         pytest.param([[[0], 10**400]], 0, id="value-out-of-float-range"),
+        # JSON NaN and Infinity literals parse; they failed later, in the
+        # norm, on no index.  The first two take the bulk path, the last
+        # two (a bare coordinate) the per-entry path.
+        pytest.param([[[0], 1.0], [[1], math.nan]], 1, id="nan-value-bulk"),
+        pytest.param([[[0], -math.inf], [[1], 1.0]], 0, id="infinite-value-bulk"),
+        pytest.param([[0, 1.0], [[1], math.nan]], 1, id="nan-value-per-entry"),
+        pytest.param([[0, 1.0], [1, math.inf]], 1, id="infinite-value-per-entry"),
     ],
 )
 def test_bad_vector_entries_name_their_index(tmp_path, entries, index):

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import orlicz_dynamics as od
 from conftest import P2, block_alternating_weight
-from orlicz_dynamics.errors import ConfigError, InconsistentVerdictsError
 
 
 def _req(system, K, prop, **kw):
@@ -47,12 +45,12 @@ def test_no_obstruction_for_mixed_and_boundary_weights(step_system, zgroup):
 
 def test_obstruction_soundness_on_diagnostic_series(zgroup):
     half = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(0.5), young=P2)
-    v = od.transitive_check(_req(half, od.CompactSet.of([0]), od.Property.TRANSITIVE))
+    v = od.run_check(_req(half, od.CompactSet.of([0]), od.Property.TRANSITIVE))
     assert v.outcome is od.Outcome.OBSTRUCTION_FOUND
     assert all(p.sup_phi_tilde >= 1.0 for p in v.series)
     assert [p.sup_phi_tilde for p in v.series[:8]] == [2.0**n for n in range(1, 9)]
     double = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(2.0), young=P2)
-    v2 = od.transitive_check(_req(double, od.CompactSet.of([0]), od.Property.TRANSITIVE))
+    v2 = od.run_check(_req(double, od.CompactSet.of([0]), od.Property.TRANSITIVE))
     assert all(p.sup_phi >= 1.0 for p in v2.series)
     assert [p.sup_phi for p in v2.series[:8]] == [2.0**n for n in range(1, 9)]
 
@@ -63,7 +61,7 @@ def test_obstruction_soundness_on_diagnostic_series(zgroup):
 def test_multiply_recurrent_witness_on_step_weight(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     req = _req(step_system, K, od.Property.MULTIPLY_RECURRENT, L=3, epsilons=(1e-3,))
-    v = od.multiply_recurrent_check(req)
+    v = od.run_check(req)
     assert v.outcome is od.Outcome.WITNESS_FOUND
     assert v.start_n == 5  # separation constant of K is 4
     entry = v.witness[0]
@@ -86,7 +84,7 @@ def test_multiply_recurrent_witness_on_step_weight(step_system, zgroup):
 def test_multiply_recurrent_witness_on_heisenberg(heisenberg_system, heisenberg):
     K = od.box(heisenberg, [[-1, 1], [-1, 1], [0, 0]])
     req = _req(heisenberg_system, K, od.Property.MULTIPLY_RECURRENT, L=2, epsilons=(1e-2,))
-    v = od.multiply_recurrent_check(req)
+    v = od.run_check(req)
     assert v.outcome is od.Outcome.WITNESS_FOUND
     entry = v.witness[0]
 
@@ -108,7 +106,7 @@ def test_multiply_recurrent_witness_on_heisenberg(heisenberg_system, heisenberg)
 
 def test_unit_weight_is_inconclusive(zgroup):
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
-    v = od.multiply_recurrent_check(_req(unit, od.CompactSet.of([0]), od.Property.MULTIPLY_RECURRENT, L=2))
+    v = od.run_check(_req(unit, od.CompactSet.of([0]), od.Property.MULTIPLY_RECURRENT, L=2))
     assert v.outcome is od.Outcome.INCONCLUSIVE
     assert v.witness == ()
     assert all(p.sup_phi == 1.0 and p.sup_phi_tilde == 1.0 for p in v.series)
@@ -117,7 +115,7 @@ def test_unit_weight_is_inconclusive(zgroup):
 def test_depth_monotonicity(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     verdicts = {
-        L: od.multiply_recurrent_check(_req(step_system, K, od.Property.MULTIPLY_RECURRENT, L=L))
+        L: od.run_check(_req(step_system, K, od.Property.MULTIPLY_RECURRENT, L=L))
         for L in (1, 2, 3, 4)
     }
     assert all(v.outcome is od.Outcome.WITNESS_FOUND for v in verdicts.values())
@@ -145,17 +143,6 @@ def test_term_domination(step_system):
 # ------------------------------------------- recurrent / transitive equality
 
 
-def _verdict_core(v):
-    return (
-        v.outcome,
-        tuple((w.epsilon, w.n, w.sup_by_l) for w in v.witness),
-        v.obstruction,
-        tuple((p.n, p.sup_phi, p.sup_phi_tilde, p.chaos_sum) for p in v.series),
-        v.budget,
-        v.start_n,
-    )
-
-
 def test_recurrent_equals_transitive_everywhere(step_system, block_system, zgroup):
     systems = [
         step_system,
@@ -166,19 +153,17 @@ def test_recurrent_equals_transitive_everywhere(step_system, block_system, zgrou
     ]
     for sys in systems:
         for K in (od.CompactSet.of([0]), od.box(zgroup, [[-2, 2]])):
-            r = od.recurrent_check(_req(sys, K, od.Property.RECURRENT))
-            t = od.transitive_check(_req(sys, K, od.Property.TRANSITIVE))
-            assert r.property is od.Property.RECURRENT
-            assert t.property is od.Property.TRANSITIVE
-            assert _verdict_core(r) == _verdict_core(t)
+            r = od.run_check(_req(sys, K, od.Property.RECURRENT))
+            t = od.run_check(_req(sys, K, od.Property.TRANSITIVE))
+            assert dataclasses.replace(r, request=t.request) == t
 
 
 def test_verdict_determinism(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     req = _req(step_system, K, od.Property.MULTIPLY_RECURRENT, L=3)
-    assert od.multiply_recurrent_check(req) == od.multiply_recurrent_check(req)
+    assert od.run_check(req) == od.run_check(req)
     creq = _req(step_system, K, od.Property.CHAOTIC, L=3)
-    assert od.chaotic_check(creq) == od.chaotic_check(creq)
+    assert od.run_check(creq) == od.run_check(creq)
 
 
 # ----------------------------------------------------------------- mixing
@@ -186,7 +171,7 @@ def test_verdict_determinism(step_system, zgroup):
 
 def test_mixing_on_step_weight(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
-    v = od.mixing_check(_req(step_system, K, od.Property.MIXING))
+    v = od.run_check(_req(step_system, K, od.Property.MIXING))
     assert v.outcome is od.Outcome.WITNESS_FOUND
     # the combined sup series 2^{4-n} is monotone beyond the start
     sups = [max(p.sup_phi, p.sup_phi_tilde) for p in v.series]
@@ -197,8 +182,8 @@ def test_mixing_on_step_weight(step_system, zgroup):
 
 def test_block_weight_separates_transitive_from_mixing(block_system):
     K = od.CompactSet.of([0])
-    t = od.transitive_check(_req(block_system, K, od.Property.TRANSITIVE, N_max=150))
-    m = od.mixing_check(_req(block_system, K, od.Property.MIXING, N_max=150))
+    t = od.run_check(_req(block_system, K, od.Property.TRANSITIVE, N_max=150))
+    m = od.run_check(_req(block_system, K, od.Property.MIXING, N_max=150))
     assert t.outcome is od.Outcome.WITNESS_FOUND
     assert m.outcome is od.Outcome.INCONCLUSIVE
     # witnesses land on the square block midpoints: first dip below 2^-k is
@@ -221,7 +206,7 @@ def test_block_weight_separates_transitive_from_mixing(block_system):
 
 def test_mixing_unit_weight_inconclusive(zgroup):
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
-    v = od.mixing_check(_req(unit, od.CompactSet.of([0]), od.Property.MIXING))
+    v = od.run_check(_req(unit, od.CompactSet.of([0]), od.Property.MIXING))
     assert v.outcome is od.Outcome.INCONCLUSIVE
 
 
@@ -231,7 +216,7 @@ def test_mixing_unit_weight_inconclusive(zgroup):
 def test_chaotic_heisenberg_matches_closed_form(heisenberg_system, heisenberg):
     K = od.box(heisenberg, [[-1, 1], [-1, 1], [0, 0]])
     req = _req(heisenberg_system, K, od.Property.CHAOTIC, L=2, N_max=20, L_max=64)
-    v = od.chaotic_check(req)
+    v = od.run_check(req)
     assert v.outcome is od.Outcome.WITNESS_FOUND
     assert v.tail_bounded is True
     # summed products with tail bound reproduce 3 / (2^n - 1)
@@ -243,7 +228,7 @@ def test_chaotic_heisenberg_matches_closed_form(heisenberg_system, heisenberg):
 
 def test_chaotic_step_weight_single_point(step_system):
     K = od.CompactSet.of([0])
-    v = od.chaotic_check(_req(step_system, K, od.Property.CHAOTIC, N_max=20, L_max=64))
+    v = od.run_check(_req(step_system, K, od.Property.CHAOTIC, N_max=20, L_max=64))
     assert v.outcome is od.Outcome.WITNESS_FOUND
     for p in v.series:
         assert p.chaos_sum == pytest.approx(2.0 / (2.0**p.n - 1.0), rel=1e-9)
@@ -251,13 +236,13 @@ def test_chaotic_step_weight_single_point(step_system):
 
 def test_chaotic_unit_weight_tail_unbounded(zgroup):
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
-    v = od.chaotic_check(_req(unit, od.CompactSet.of([0]), od.Property.CHAOTIC))
+    v = od.run_check(_req(unit, od.CompactSet.of([0]), od.Property.CHAOTIC))
     assert v.outcome is od.Outcome.INCONCLUSIVE
     assert v.tail_bounded is False
 
 
 def test_chaotic_block_weight_not_witness(block_system):
-    v = od.chaotic_check(
+    v = od.run_check(
         _req(block_system, od.CompactSet.of([0]), od.Property.CHAOTIC, N_max=100, L_max=8)
     )
     assert v.outcome is od.Outcome.INCONCLUSIVE
@@ -267,7 +252,7 @@ def test_chaos_witness_validates_recurrence_predicate(step_system, zgroup):
     # single product terms are dominated by the summed series, so every
     # chaos witness step satisfies the depth predicate at the same epsilon
     K = od.box(zgroup, [[-2, 2]])
-    v = od.chaotic_check(_req(step_system, K, od.Property.CHAOTIC, L=3))
+    v = od.run_check(_req(step_system, K, od.Property.CHAOTIC, L=3))
     assert v.outcome is od.Outcome.WITNESS_FOUND
     for entry in v.witness:
         for l in (1, 2, 3):
@@ -276,40 +261,37 @@ def test_chaos_witness_validates_recurrence_predicate(step_system, zgroup):
                 assert od.phi_tilde_product(step_system, x, l * entry.n) < entry.epsilon
 
 
-# ------------------------------------------------------------------- audit
+# ------------------------------------- known false witnesses (ROADMAP item 1)
 
 
-def test_implication_audit_consistent(step_system, zgroup):
-    K = od.box(zgroup, [[-2, 2]])
-    mr = od.multiply_recurrent_check(_req(step_system, K, od.Property.MULTIPLY_RECURRENT, L=3))
-    mx = od.mixing_check(_req(step_system, K, od.Property.MIXING))
-    ch = od.chaotic_check(_req(step_system, K, od.Property.CHAOTIC, L=3))
-    report = od.implication_audit([mr, mx, ch])
-    assert report.consistent
-    assert any("chaotic" in c.description for c in report.checks)
-    assert any("mixing" in c.description for c in report.checks)
+def _dip_then_growth(zgroup, growth):
+    """Weight 0.5 on [1, 20], growth on [21, 399], 2 on [-400, 0], 1 elsewhere.
+
+    The forward products at 0 dip to 2^-20, then grow like growth^n up to
+    n = 399 and stay there: for growth > 2 they never tend to 0, so the
+    operator is neither mixing nor chaotic."""
+    entries = {j: 0.5 for j in range(1, 21)}
+    entries.update({j: growth for j in range(21, 400)})
+    entries.update({j: 2.0 for j in range(-400, 1)})
+    weight = od.TableWeight(entries=tuple(entries.items()), default=1.0)
+    return od.WeightedSystem(group=zgroup, a=1, weight=weight, young=P2)
 
 
-def test_implication_audit_empty_is_consistent():
-    assert od.implication_audit([]).consistent
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_chaos_scan_does_not_extrapolate_the_tail_ratio(zgroup):
+    # The largest term ratio seen in L_max = 4 terms is below 1, but the
+    # terms grow again from step 21 on.
+    sys = _dip_then_growth(zgroup, 3.0)
+    req = _req(sys, od.CompactSet.of([0]), od.Property.CHAOTIC, N_max=4, L_max=4, epsilons=(0.5, 0.25))
+    assert od.run_check(req).outcome is not od.Outcome.WITNESS_FOUND
 
 
-def test_implication_audit_detects_corruption(step_system, zgroup):
-    K = od.box(zgroup, [[-2, 2]])
-    ch = od.chaotic_check(_req(step_system, K, od.Property.CHAOTIC, L=3))
-    bogus_entry = od.WitnessEntry(epsilon=1e-9, n=1, sup_by_l=(0.0,))
-    corrupted = dataclasses.replace(ch, witness=(bogus_entry,))
-    with pytest.raises(InconsistentVerdictsError):
-        od.implication_audit([corrupted])
-
-
-def test_implication_audit_rejects_mismatched_requests(step_system, zgroup):
-    K1 = od.box(zgroup, [[-2, 2]])
-    K2 = od.CompactSet.of([0])
-    v1 = od.chaotic_check(_req(step_system, K1, od.Property.CHAOTIC))
-    v2 = od.multiply_recurrent_check(_req(step_system, K2, od.Property.MULTIPLY_RECURRENT))
-    with pytest.raises(ValueError):
-        od.implication_audit([v1, v2])
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_mixing_scan_does_not_stop_at_the_budget(zgroup):
+    # Every step n <= 16 is in the dip; the products reach 1 at n = 30 and grow on.
+    sys = _dip_then_growth(zgroup, 4.0)
+    req = _req(sys, od.CompactSet.of([0]), od.Property.MIXING, N_max=16)
+    assert od.run_check(req).outcome is not od.Outcome.WITNESS_FOUND
 
 
 # ------------------------------------------------------------ request plumbing
@@ -341,7 +323,7 @@ def test_criteria_on_lattice_group():
     weight = od.TableWeight(entries=entries, default=2.0)
     sys = od.WeightedSystem(group=z2, a=(1, 1), weight=weight, young=P2)
     K = od.CompactSet.of([(0, 0)])
-    v = od.recurrent_check(_req(sys, K, od.Property.RECURRENT, N_max=12, epsilons=(0.1,)))
+    v = od.run_check(_req(sys, K, od.Property.RECURRENT, N_max=12, epsilons=(0.1,)))
     assert v.outcome is od.Outcome.WITNESS_FOUND
     entry = v.witness[0]
     # oracle: forward products halve along the diagonal, backward products
@@ -356,7 +338,7 @@ def test_uncertified_separation_starts_search_at_one(step_system, zgroup):
     # fall back to starting at n = 1 rather than fail
     K = od.box(zgroup, [[-5, 5]])
     assert od.separation_constant(zgroup, K, 1, 8) is None
-    v = od.recurrent_check(_req(step_system, K, od.Property.RECURRENT, N_max=8))
+    v = od.run_check(_req(step_system, K, od.Property.RECURRENT, N_max=8))
     assert v.start_n == 1
     assert v.budget == 8
 
@@ -365,38 +347,13 @@ def test_run_check_dispatch(step_system, zgroup):
     K = od.CompactSet.of([0])
     for prop in od.Property:
         v = od.run_check(_req(step_system, K, prop))
-        assert v.property is prop
-
-
-def test_checker_rejects_a_request_for_another_property(step_system, zgroup):
-    # |K| = 1000 and N_max = 60000 pass the memory cap as a recurrent
-    # request (0.89 GiB); the chaos series of the same budgets needs
-    # 57 GiB, so the chaos checker must refuse the request before it scans.
-    K = od.box(zgroup, [[0, 999]])
-    req = _req(step_system, K, od.Property.RECURRENT, N_max=60_000)
-    with pytest.raises(ConfigError) as info:
-        od.chaotic_check(req)
-    assert info.value.field == "property"
-    checkers = {
-        od.Property.RECURRENT: od.recurrent_check,
-        od.Property.MULTIPLY_RECURRENT: od.multiply_recurrent_check,
-        od.Property.TRANSITIVE: od.transitive_check,
-        od.Property.MIXING: od.mixing_check,
-        od.Property.CHAOTIC: od.chaotic_check,
-    }
-    for prop in od.Property:
-        small = _req(step_system, od.CompactSet.of([0]), prop, N_max=4)
-        for other, checker in checkers.items():
-            if other is prop:
-                assert checker(small).property is prop
-            else:
-                with pytest.raises(ConfigError, match="property"):
-                    checker(small)
+        assert v.request.property is prop
+        assert v.to_json()["property"] == prop.value
 
 
 def test_verdict_json_schema(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
-    v = od.chaotic_check(_req(step_system, K, od.Property.CHAOTIC))
+    v = od.run_check(_req(step_system, K, od.Property.CHAOTIC))
     blob = v.to_json()
     assert set(blob) == {
         "property", "outcome", "witness", "obstruction", "series",

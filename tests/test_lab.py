@@ -229,7 +229,7 @@ def test_criterion_dynamics_agreement(step_system, zgroup):
     norm_f = od.luxemburg_norm(f, P2)
     L = 3
     req = od.CriterionRequest(system=step_system, K=K, property=od.Property.MULTIPLY_RECURRENT, L=L)
-    verdict = od.multiply_recurrent_check(req)
+    verdict = od.run_check(req)
     assert verdict.outcome is od.Outcome.WITNESS_FOUND
     for entry in verdict.witness:
         target = entry.epsilon * L * norm_f * (1.0 + 1e-9)
