@@ -106,6 +106,14 @@ def _number(value, path: str) -> float:
         raise ConfigError(path, f"number out of float range: {value!r}") from exc
 
 
+def _weight_value(value, path: str) -> float:
+    """A table weight: a positive, finite number."""
+    w = _number(value, path)
+    if not 0.0 < w < math.inf:
+        raise ConfigError(path, f"weights must be positive and finite, got {value!r}")
+    return w
+
+
 def _list(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, f"expected a list, got {value!r}")
@@ -167,12 +175,12 @@ def _weight(spec, group: Group) -> Weight:
     if spec.get("family") == "table":
         _object(spec, "weight", ("family", "entries", "default"))
         entries = {}
-        for c, v in _pairs(_require(spec, "entries", "weight"), "weight.entries"):
+        for i, (c, v) in enumerate(_pairs(_require(spec, "entries", "weight"), "weight.entries")):
             g = _element(group, c, "weight.entries")
             if g in entries:
                 raise ConfigError("weight.entries", f"{c!r} repeats the element {group.coords(g)}")
-            entries[g] = _number(v, "weight.entries")
-        default = _number(spec.get("default", 1.0), "weight.default")
+            entries[g] = _weight_value(v, f"weight.entries[{i}]")
+        default = _weight_value(spec.get("default", 1.0), "weight.default")
         return _build("weight", TableWeight, tuple(entries.items()), default)
     family = _name(spec.get("family"), (*WEIGHTS, "table"), "weight")
     cls, fields, kind = WEIGHTS[family]
@@ -221,7 +229,7 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         if len(bounds) != rank:
             raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
         size = math.prod(max(hi - lo + 1, 0) for lo, hi in bounds)
-        if size * 32 > SERIES_MEMORY_CAP:  # every checker keeps 2 series of >= 2 float64 a point
+        if size * 32 > SERIES_MEMORY_CAP:  # enumerating K alone takes more than 32 bytes a point
             raise ConfigError("K.box", f"{size} points would pass the {SERIES_MEMORY_CAP / 2**30:g} GiB series cap")
         return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:

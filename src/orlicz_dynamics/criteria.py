@@ -16,7 +16,11 @@ so all suprema run over the whole of K):
 ``run_check`` checks the obstructions, then the property's scan (the
 ``_SCANS`` table) turns the sup series over K into one row of terms per
 candidate step n, and each epsilon's witness is the first n whose terms
-all lie below it.
+all lie below it.  The scans run over K a block of points at a time and
+drop each block's series once reduced: sups over K are maxima and merge
+block by block, and the chaos scan keeps only each point's truncated sum
+and last term per n.  So what a scan holds at once is one block's series
+plus what it keeps, not |K| series of the full depth.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, contracting weight, expanding
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -59,10 +63,14 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
 
-# Largest total size, in bytes, of the float64 product series one checker
-# holds for all of K.  Requests above it fail validation instead of
+# Largest size, in bytes, of the float64 product series one checker holds
+# at once (see _held_bytes).  Requests above it fail validation instead of
 # dying in allocation.
 SERIES_MEMORY_CAP = 1 << 30
+
+# The scans run over K a block of points at a time, each block as many
+# points as fit one float64 series of theirs in this many bytes.
+_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,9 @@ class CriterionRequest:
 
     epsilons defaults to the halving schedule 2^{-k}, k = 1..10; N_max
     bounds the step search; L_max truncates the chaos series.  A field out
-    of range raises ConfigError on its name, and budgets whose product
-    series (see series_depth) would pass SERIES_MEMORY_CAP raise it on the
+    of range raises ConfigError on its name, and budgets whose scan would
+    hold more than SERIES_MEMORY_CAP bytes at once (the series of one point
+    of K plus what the scan keeps over K; see _held_bytes) raise it on the
     N_max field.
     """
 
@@ -141,17 +150,27 @@ class CriterionRequest:
             raise ConfigError("L_max", "must be >= 1")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
             raise ConfigError("epsilons", "must be nonempty, each in (0, 1)")
-        depth = series_depth(self)
-        arrays = 4 if self.property is Property.CHAOTIC else 2
-        size = len(self.K) * (depth + 1) * arrays * 8
+        size = _held_bytes(self)
         if size > SERIES_MEMORY_CAP:
             raise ConfigError(
                 "N_max",
                 f"{self.property.value} with N_max = {self.N_max}, L = {self.L} and "
-                f"L_max = {self.L_max} needs {arrays} product series of {depth} steps "
-                f"over |K| = {len(self.K)} points: {size / 2**30:.3g} GiB, over the "
+                f"L_max = {self.L_max} holds product series of {series_depth(self)} steps over "
+                f"|K| = {len(self.K)} points: {size / 2**30:.3g} GiB at once, over the "
                 f"{SERIES_MEMORY_CAP / 2**30:g} GiB cap",
             )
+
+
+def _held_bytes(req: CriterionRequest) -> int:
+    """Bytes of float64 the scan of req holds at once when a block of K is
+    one point.  For chaotic: that point's linear and log series, their
+    gathers at the candidate steps and the log-ratio differences, plus the
+    truncated sum and last term of every point of K per candidate n.
+    Otherwise: one series of that point and the two sups over K."""
+    depth = series_depth(req)
+    if req.property is Property.CHAOTIC:
+        return (5 * (depth + 1) + 2 * len(req.K) * req.N_max) * 8
+    return 3 * (depth + 1) * 8
 
 
 def series_depth(req: CriterionRequest) -> int:
@@ -225,12 +244,24 @@ def _start_n(req: CriterionRequest) -> int:
     return min(M + 1, req.N_max)
 
 
-def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise sup over K of the product series, for m = 0..depth."""
+def _point_blocks(req: CriterionRequest, depth: int) -> Iterator[list]:
+    """The sorted points of K in blocks small enough that one float64
+    series of depth + 1 steps over a block fits in _BLOCK_BYTES (a block
+    has at least one point)."""
     pts = _sorted_points(req)
-    phi, _ = orbit_series(req.system, pts, depth)
-    tilde, _ = orbit_series(req.system, pts, depth, backward=True)
-    return phi.max(axis=0), tilde.max(axis=0)
+    rows = max(1, _BLOCK_BYTES // (8 * (depth + 1)))
+    for start in range(0, len(pts), rows):
+        yield pts[start : start + rows]
+
+
+def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise sup over K of the product series, for m = 0..depth,
+    merged block by block."""
+    sups = np.full((2, depth + 1), -np.inf)
+    for blk in _point_blocks(req, depth):
+        for sup, backward in zip(sups, (False, True)):
+            np.maximum(sup, orbit_series(req.system, blk, depth, backward=backward)[0].max(axis=0), out=sup)
+    return sups[0], sups[1]
 
 
 def _obstruction_verdict(req: CriterionRequest, obs: Obstruction) -> Verdict:
@@ -253,8 +284,10 @@ def _obstruction_verdict(req: CriterionRequest, obs: Obstruction) -> Verdict:
 _ScanResult = tuple[list[SeriesPoint], np.ndarray, Optional[bool]]
 
 
-def _series_points(ns: np.ndarray, sup_phi: np.ndarray, sup_tilde: np.ndarray) -> list[SeriesPoint]:
-    return [SeriesPoint(*p) for p in zip(ns.tolist(), sup_phi.tolist(), sup_tilde.tolist())]
+def _series_points(ns: np.ndarray, *columns: np.ndarray) -> list[SeriesPoint]:
+    """One SeriesPoint per n from the columns sup_phi, sup_phi_tilde and
+    optionally chaos_sum."""
+    return [SeriesPoint(*p) for p in zip(ns.tolist(), *(c.tolist() for c in columns))]
 
 
 def _subsequence_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
@@ -281,6 +314,24 @@ def _mixing_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     return _series_points(ns, sp, st), tail[:, None], None
 
 
+def _chaos_block(
+    req: CriterionRequest, pts: list, idx: np.ndarray, backward: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One product family on a block of points, gathered at the steps idx
+    (one row l*n, l = 1..n_terms, per candidate n): the truncated sum over
+    l <= L_max and the L_max-th term of every point per n, and the sup over
+    the block of the first term and of the consecutive log-term ratios."""
+    lin, log = orbit_series(req.system, pts, series_depth(req), backward=backward, logs=True)
+    terms = lin[:, idx]
+    ratio = np.diff(log[:, idx], axis=-1).max(axis=(0, 2))
+    L_sum = req.L_max
+    # The last terms stay a view of the gather on purpose: it then lives
+    # until the next block's series are allocated, and the allocator keeps
+    # its pages instead of returning them (a copy measured nearly three
+    # times the page faults on the Heisenberg chaos check).
+    return terms[:, :, :L_sum].sum(axis=-1), terms[:, :, L_sum - 1], terms[:, :, 0].max(axis=0), ratio
+
+
 def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     """One term per n: the certified total
 
@@ -290,35 +341,36 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     term ratio observed over K and both families, tail <= last * r/(1-r),
     valid only when r < 1.  Where no tail bound exists the term is inf,
     so that n is never a witness; tail_bounded records whether any
-    candidate had one."""
-    L_sum = req.L_max
-    n_terms = max(L_sum, 2)  # ratio estimation needs two consecutive terms
-    depth = series_depth(req)
-    pts = _sorted_points(req)
-    phi_lin, phi_log = orbit_series(req.system, pts, depth, logs=True)
-    til_lin, til_log = orbit_series(req.system, pts, depth, backward=True, logs=True)
-    series = []
-    terms = np.empty((len(ns), 1))
-    tail_any = False
-    for i, n in enumerate(ns.tolist()):
-        idx = np.arange(1, n_terms + 1) * n
-        tp_lin, tp_log = phi_lin[:, idx], phi_log[:, idx]
-        tt_lin, tt_log = til_lin[:, idx], til_log[:, idx]
-        trunc = tp_lin[:, :L_sum].sum(axis=1) + tt_lin[:, :L_sum].sum(axis=1)
-        r_log = max(float(np.diff(tp_log, axis=1).max()), float(np.diff(tt_log, axis=1).max()))
-        r = math.exp(r_log) if r_log < 700.0 else math.inf
-        if r < 1.0:
-            tail = (tp_lin[:, L_sum - 1] + tt_lin[:, L_sum - 1]) * (r / (1.0 - r))
-            sup_total = float((trunc + tail).max())
-            terms[i] = sup_total
-            tail_any = True
-        else:
-            sup_total = float(trunc.max())
-            terms[i] = math.inf
-        series.append(
-            SeriesPoint(n, float(tp_lin[:, 0].max()), float(tt_lin[:, 0].max()), chaos_sum=sup_total)
-        )
-    return series, terms, tail_any
+    candidate had one.
+
+    K is scanned a block of points at a time: only the truncated sums and
+    last terms of every point per n are kept, and the sups and the ratio
+    r, being maxima, merge across blocks."""
+    n_terms = max(req.L_max, 2)  # ratio estimation needs two consecutive terms
+    idx = ns[:, None] * np.arange(1, n_terms + 1)
+    trunc = np.zeros((len(req.K), len(ns)))
+    last = np.zeros((len(req.K), len(ns)))
+    firsts = np.full((2, len(ns)), -np.inf)  # sup phi_n, sup phi~_n
+    r_log = np.full(len(ns), -np.inf)
+    row = 0
+    for blk in _point_blocks(req, series_depth(req)):
+        rows = slice(row, row + len(blk))
+        row += len(blk)
+        for first, backward in zip(firsts, (False, True)):
+            t, end, f, ratio = _chaos_block(req, blk, idx, backward)
+            trunc[rows] += t
+            last[rows] += end
+            np.maximum(first, f, out=first)
+            np.maximum(r_log, ratio, out=r_log)
+    # math.exp, not np.exp, whose rounding may differ from the C library's.
+    r = np.array([math.exp(x) if x < 700.0 else math.inf for x in r_log.tolist()])
+    bounded = r < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        last *= r / (1.0 - r)
+    last[:, ~bounded] = 0.0
+    sup_total = (trunc + last).max(axis=0)
+    terms = np.where(bounded, sup_total, math.inf)[:, None]
+    return _series_points(ns, firsts[0], firsts[1], sup_total), terms, bool(bounded.any())
 
 
 _SCANS: dict[Property, Callable[[CriterionRequest, np.ndarray], _ScanResult]] = {

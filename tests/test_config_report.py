@@ -288,7 +288,7 @@ def _table_weight(entries, **fields):
         pytest.param(_step_weight(c_neg=True), "weight.c_neg", id="weight.c_neg-bool"),
         pytest.param(lambda c: c["young"].update(p="2"), "young.p", id="young.p-string"),
         pytest.param(_table_weight([[[0], 2.0]], default=True), "weight.default", id="weight.default-bool"),
-        pytest.param(_table_weight([[[0], True]]), "weight.entries", id="weight.entries-bool-value"),
+        pytest.param(_table_weight([[[0], True]]), "weight.entries[0]", id="weight.entries-bool-value"),
         pytest.param(_table_weight([[[0.7], 2.0]]), "weight.entries", id="weight.entries-float-coordinate"),
         pytest.param(_table_weight([[[math.inf], 2.0]]), "weight.entries", id="weight.entries-inf-coordinate"),
         pytest.param(_table_weight([[0, 2.0, 1.0]]), "weight.entries", id="weight.entries-not-pairs"),
@@ -339,6 +339,26 @@ def test_repeated_table_weight_element_is_rejected(group, entries, message):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.field == "weight.entries" and message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "weight,field",
+    [
+        # Each used to fail on the whole "weight" node, from TableWeight's
+        # own check, naming neither the entry nor the default.
+        pytest.param({"entries": [[[0], math.nan]], "default": 1.0}, "weight.entries[0]", id="entry-nan"),
+        pytest.param({"entries": [[[0], 0.0]], "default": 1.0}, "weight.entries[0]", id="entry-zero"),
+        pytest.param({"entries": [[[0], 2.0], [[1], -1.0]], "default": 1.0}, "weight.entries[1]", id="entry-negative"),
+        pytest.param({"entries": [[[0], 2.0]], "default": math.inf}, "weight.default", id="default-infinite"),
+    ],
+)
+def test_bad_table_weight_value_fails_on_its_field(weight, field):
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw["weight"] = {"family": "table", **weight}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    assert "positive and finite" in str(err.value)
 
 
 def test_K_with_both_box_and_points_is_rejected():
