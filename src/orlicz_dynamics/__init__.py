@@ -25,7 +25,6 @@ from .groups import (
     LatticeGroup,
     box,
     separation_constant,
-    torsion_order,
 )
 from .lab import (
     PeriodicityReport,

@@ -2,7 +2,8 @@
 
 A run config writes down one weighted system (G, a, w, Phi) over a
 finite set K, the property to check and the search budgets; parsing it
-builds the validated ``CriterionRequest`` once.  Every field is read by
+builds the validated ``CriterionRequest`` once, from only the request
+fields the config sets, so omitted ones take the request's defaults.  Every field is read by
 a typed reader (``_object``, ``_require``, ``_name``, ``_int``,
 ``_number``, ``_list``, ``_pairs``, ``_element``), so a wrong type or
 shape fails as a ConfigError on its path, and a bool or a string is
@@ -21,7 +22,7 @@ from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import DEFAULT_EPSILONS, SERIES_MEMORY_CAP, CriterionRequest, Property
+from .criteria import SERIES_MEMORY_CAP, CriterionRequest, Property
 from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
@@ -37,7 +38,8 @@ from .young import AlphaLogYoung, PowerYoung, TableYoung, YoungFunction
 
 SCHEMA_VERSION = 1
 
-DEFAULTS = {"L": 1, "N_max": 64, "L_max": 32, "seed": 0}
+# The request fields' defaults live in CriterionRequest alone.
+DEFAULTS = {"seed": 0}
 
 # The integer parameters of each group kind's constructor, beyond "kind".
 _GROUP_PARAMS = {"Zd": ("d",), "cyclic": ("m",)}
@@ -51,7 +53,8 @@ WEIGHTS = {
 # Young families: class and its number fields.  "custom" is read on its own.
 YOUNGS = {"power": (PowerYoung, ("p",)), "alphalog": (AlphaLogYoung, ("alpha",))}
 
-_TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *DEFAULTS)
+_BUDGETS = ("L", "N_max", "L_max")
+_TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *_BUDGETS, *DEFAULTS)
 _PROPERTIES = tuple(p.value for p in Property)
 
 
@@ -258,18 +261,10 @@ def parse_config(raw) -> RunConfig:
     )
     K, K_spec = compact_set_from_config(_require(raw, "K", ""), group)
     prop = Property(_name(_require(raw, "property", ""), _PROPERTIES, "property"))
-    epsilons = tuple(_number(e, "epsilons") for e in _list(raw.get("epsilons", DEFAULT_EPSILONS), "epsilons"))
-    if len(set(epsilons)) != len(epsilons):
-        raise ConfigError("epsilons", f"duplicate values in {list(epsilons)}")
-    request = CriterionRequest(
-        system=system,
-        K=K,
-        property=prop,
-        L=_int(raw.get("L", DEFAULTS["L"]), "L"),
-        epsilons=epsilons,
-        N_max=_int(raw.get("N_max", DEFAULTS["N_max"]), "N_max"),
-        L_max=_int(raw.get("L_max", DEFAULTS["L_max"]), "L_max"),
-    )
+    fields = {key: _int(raw[key], key) for key in _BUDGETS if key in raw}
+    if "epsilons" in raw:
+        fields["epsilons"] = tuple(_number(e, "epsilons") for e in _list(raw["epsilons"], "epsilons"))
+    request = CriterionRequest(system=system, K=K, property=prop, **fields)
     return RunConfig(request=request, K_spec=K_spec, seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"))
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .groups import CompactSet, separation_constant, torsion_order
+from .groups import CompactSet, separation_constant
 from .translations import WeightedSystem, orbit_series
 
 
@@ -121,12 +121,13 @@ class SeriesPoint:
 class CriterionRequest:
     """One criterion run: system, finite set K, property and budgets.
 
-    epsilons defaults to the halving schedule 2^{-k}, k = 1..10; N_max
-    bounds the step search; L_max truncates the chaos series.  A field out
-    of range raises ConfigError on its name, and budgets whose scan would
-    hold more than SERIES_MEMORY_CAP bytes at once (the series of one point
-    of K plus what the scan keeps over K; see _held_bytes) raise it on the
-    N_max field.
+    The one owner of the request defaults and rules, which configs
+    inherit: epsilons defaults to the halving schedule 2^{-k}, k = 1..10;
+    N_max bounds the step search; L_max truncates the chaos series.  A
+    field out of range, or a repeated epsilon, raises ConfigError on its
+    name, and budgets whose scan would hold more than SERIES_MEMORY_CAP
+    bytes at once (the series of one point of K plus what the scan keeps
+    over K; see _held_bytes) raise it on the N_max field.
     """
 
     system: WeightedSystem
@@ -150,6 +151,8 @@ class CriterionRequest:
             raise ConfigError("L_max", "must be >= 1")
         if not self.epsilons or any(not (0.0 < e < 1.0) for e in self.epsilons):
             raise ConfigError("epsilons", "must be nonempty, each in (0, 1)")
+        if len(set(self.epsilons)) != len(self.epsilons):
+            raise ConfigError("epsilons", f"duplicate values in {list(self.epsilons)}")
         size = _held_bytes(self)
         if size > SERIES_MEMORY_CAP:
             raise ConfigError(
@@ -211,8 +214,7 @@ class Verdict:
 def check_obstructions(req: CriterionRequest) -> Optional[Obstruction]:
     """Torsion, contraction and expansion gates, in that order."""
     group, a, w = req.system.group, req.system.a, req.system.weight
-    budget = group.order() or max(req.N_max, 64)
-    order = torsion_order(group, a, budget)
+    order = group.element_order(a)
     if order is not None:
         return Obstruction("torsion", order=order, detail=f"a^{order} is the identity")
     sup = w.sup_bound()

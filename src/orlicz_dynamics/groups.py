@@ -3,7 +3,8 @@
 Concrete groups: the integers, integer lattices, the integer Heisenberg
 group and finite cyclic groups.  Elements are plain ints or int tuples,
 so they hash and compare natively.  Haar measure is counting measure
-throughout; "compact set" means a finite explicit set of elements.
+throughout; "compact set" means a finite explicit set of elements.  Each
+group gives the order of an element in closed form (``element_order``).
 
 Besides the scalar ``mul``, each group gives its orbits x·a^j in closed
 form over a whole range of exponents j (negative j included), as int64
@@ -17,6 +18,7 @@ and for table weights.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
@@ -36,7 +38,6 @@ class Group(ABC):
     """Countable discrete group: identity, multiplication, inversion."""
 
     kind: str = ""
-    torsion_free: bool = False
 
     @abstractmethod
     def identity(self) -> Element: ...
@@ -71,9 +72,11 @@ class Group(ABC):
         by repeated multiplication with a (or its inverse).
         """
 
-    def order(self) -> Optional[int]:
-        """Group order, or None when infinite."""
-        return None
+    def element_order(self, g: Element) -> Optional[int]:
+        """Least n >= 1 with g^n = identity, or None when g has infinite
+        order.  This default serves the torsion-free groups, where only
+        the identity has finite order; finite groups override it."""
+        return 1 if g == self.identity() else None
 
     def pow(self, g: Element, n: int) -> Element:
         """n-fold product of g (inverse-fold for negative n), by
@@ -96,7 +99,6 @@ class IntegerGroup(Group):
     """The additive group of integers."""
 
     kind: str = "Z"
-    torsion_free: bool = True
 
     def identity(self):
         return 0
@@ -129,7 +131,6 @@ class LatticeGroup(Group):
 
     d: int = 2
     kind: str = "Zd"
-    torsion_free: bool = True
 
     def __post_init__(self):
         if self.d < 1:
@@ -165,7 +166,6 @@ class HeisenbergGroup(Group):
     (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y') and inverse (-x,-y,xy-z)."""
 
     kind: str = "heisenberg"
-    torsion_free: bool = True
 
     def identity(self):
         return (0, 0, 0)
@@ -239,8 +239,8 @@ class CyclicGroup(Group):
         (x,) = coords
         return int(x) % self.m
 
-    def order(self):
-        return self.m
+    def element_order(self, g):
+        return self.m // math.gcd(g, self.m)
 
 
 @dataclass(frozen=True)
@@ -280,26 +280,6 @@ def box(group: Group, bounds: Sequence[Sequence[int]]) -> CompactSet:
     return CompactSet(frozenset(group.element(list(c)) for c in itertools.product(*ranges)))
 
 
-def torsion_order(group: Group, a: Element, n_max: int) -> Optional[int]:
-    """Smallest n <= n_max with a^n = identity, or None.
-
-    Torsion-free groups short-circuit analytically for a != identity.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    e = group.identity()
-    if a == e:
-        return 1
-    if group.torsion_free:
-        return None
-    g = a
-    for n in range(1, n_max + 1):
-        if g == e:
-            return n
-        g = group.mul(g, a)
-    return None
-
-
 def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[int]:
     """Smallest M with K ∩ K·a^{±n} = ∅ for every n in (M, n_max].
 
@@ -316,7 +296,7 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    order = torsion_order(group, a, n_max)
+    order = group.element_order(a)
     if order is not None:
         raise TorsionElementError(order)
     collides = _closed_form_collisions(group, K, a, n_max)

@@ -12,13 +12,8 @@ truncation.
 Every iterate comes from ``translations.iterates``, bit for bit the
 vectors of applying S or T one step at a time.  The returns, the two
 boundary terms and each truncation level reuse a stack or the level
-before instead of starting again from f.
-``_stack`` sums the pieces in one dict: it adds the same floats in the
-same order as repeated ``v + piece`` and drops a key when its running
-sum reaches 0.0, as each intermediate vector's pruning did.  A piece
-holds each key once, so dropping the key at once rather than at the end
-of its piece keeps the same keys in the same insertion order, and a key
-that comes back later is appended at the end either way.
+before instead of starting again from f, and each stack is one
+``orlicz.vector_sum``, bit for bit repeated ``+``.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import SeparationViolatedError, TailUnboundedError
-from .orlicz import OrliczVector, luxemburg_norm
+from .orlicz import OrliczVector, luxemburg_norm, vector_sum
 from .translations import WeightedSystem, apply_S_n, apply_T_n, iterates
 
 # Witness/periodic summands larger than this abort the construction
@@ -64,19 +59,6 @@ class PeriodicityReport:
         return asdict(self)
 
 
-def _stack(pieces: list[OrliczVector]) -> OrliczVector:
-    """The sum of the pieces, bit for bit as repeated ``+`` builds it."""
-    acc: dict = {}
-    for piece in pieces:
-        for x, v in piece.items():
-            s = acc.get(x, 0.0) + v
-            if s != 0.0:
-                acc[x] = s
-            else:
-                del acc[x]
-    return OrliczVector(acc)
-
-
 def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: int) -> OrliczVector:
     """v = f + S^n f + S^{2n} f + ... + S^{Ln} f, by iterated application.
 
@@ -94,7 +76,7 @@ def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: i
             f"witness summand supports overlap at n={n}; "
             "n must exceed the separation constant of supp(f)"
         )
-    return _stack(pieces)
+    return vector_sum(pieces)
 
 
 def empirical_return(
@@ -141,7 +123,7 @@ def chaos_periodic_vector(
                 f"trailing terms do not decay at n={n} (T: {t_prev} -> {t_last}, "
                 f"S: {s_prev} -> {s_last})"
             )
-    v = _stack([f, *t_pieces, *s_pieces])
+    v = vector_sum([f, *t_pieces, *s_pieces])
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
     bound = luxemburg_norm(t_edge, phi) + s_last
     report = PeriodicityReport(

@@ -8,9 +8,10 @@ to infinity.  Built-in families:
 * ``TableYoung(knots)``  -- piecewise-linear interpolation of a sampled
   table on [0, T], validated for monotonicity and convexity
 
-Exponents and knots must be finite.  The config module alone reads and
-writes the JSON form of these families (``power``, ``alphalog``,
-``custom``).
+Exponents and knots must be finite.  Every family has ``domain_max``, the
+largest |t| it is defined at: inf for power and alphalog, the last knot
+for tables.  The config module alone reads and writes the JSON form of
+these families (``power``, ``alphalog``, ``custom``).
 
 Each family evaluates three ways:
 
@@ -67,6 +68,7 @@ class PowerYoung:
     """Phi(t) = |t|^p / p."""
 
     p: float
+    domain_max = math.inf
 
     def __post_init__(self):
         if not 1.0 <= self.p < math.inf:
@@ -101,6 +103,7 @@ class AlphaLogYoung:
     """
 
     alpha: float
+    domain_max = math.inf
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
@@ -230,15 +233,13 @@ def inverse(phi: YoungFunction, s: float) -> float:
         raise ValueError("inverse argument must be >= 0")
     if s == 0.0:
         return 0.0
-    hi = 1.0
-    cap = getattr(phi, "domain_max", None)
-    if cap is not None:
-        if phi.evaluate(cap) < s:
-            raise OutOfRangeError(f"target {s} above table maximum {phi.evaluate(cap)}")
-        hi = min(hi, cap)
+    cap = phi.domain_max
+    if phi.evaluate(cap) < s:
+        raise OutOfRangeError(f"target {s} above table maximum {phi.evaluate(cap)}")
+    hi = min(1.0, cap)
     guard = 0
     while phi.evaluate(hi) < s:
-        hi = min(2.0 * hi, cap) if cap is not None else 2.0 * hi
+        hi = min(2.0 * hi, cap)
         guard += 1
         if guard > 4096:
             raise RuntimeError("inverse bracket expansion failed to terminate")
@@ -277,12 +278,11 @@ def complementary(phi: YoungFunction, y: float) -> float:
     def objective(x: float) -> float:
         return x * ay - phi.evaluate(x)
 
-    cap = getattr(phi, "domain_max", None)
-    if cap is not None:
-        return max(_bracketed_max(objective, 0.0, cap), 0.0)
-    hi = expand_while_increasing(objective)
-    if hi is None:
-        return math.inf
+    hi = phi.domain_max
+    if hi == math.inf:
+        hi = expand_while_increasing(objective)
+        if hi is None:
+            return math.inf
     return max(_bracketed_max(objective, 0.0, hi), 0.0)
 
 
@@ -295,8 +295,7 @@ def young_inequality_check(phi: YoungFunction, samples: int, seed: int = 0) -> f
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    cap = getattr(phi, "domain_max", None)
-    x_hi = cap if cap is not None else 8.0
+    x_hi = phi.domain_max if phi.domain_max < math.inf else 8.0
     worst = -math.inf
     for _ in range(samples):
         x = float(rng.uniform(0.0, x_hi))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,24 @@ def test_check_cyclic_reports_torsion_order(capsys):
     obstruction = envelope["results"]["verdict"]["obstruction"]
     assert obstruction["kind"] == "torsion"
     assert obstruction["order"] == 3
+
+
+def test_check_torsion_on_a_huge_cyclic_group_is_immediate(capsys, tmp_path):
+    cfg = {
+        "group": {"kind": "cyclic", "m": 10**12},
+        "a": [1],
+        "weight": {"family": "constant", "c": 1.0},
+        "young": {"family": "power", "p": 2.0},
+        "K": {"points": [[0], [1]]},
+        "property": "chaotic",
+    }
+    path = tmp_path / "huge_cyclic.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    code, envelope = _run(capsys, "check", "--config", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert envelope["results"]["verdict"]["obstruction"]["order"] == 10**12
 
 
 def test_check_unit_weight_is_inconclusive(capsys, tmp_path):
@@ -166,6 +185,27 @@ def test_norm_command_examples(capsys, tmp_path):
     single.write_text(json.dumps([[[5], 3.0]]))
     code, envelope = _run(capsys, "norm", "--config", str(cfg_path), "--vector", str(single))
     assert envelope["results"]["norm"] == pytest.approx(3.0, rel=1e-11)
+
+
+def test_norm_under_a_table_shorter_than_one(capsys, tmp_path):
+    # The bracket starts where |f|/k lies in the table's domain [0, 0.5],
+    # not at max|f| = 1 past it.
+    cfg = {
+        "group": {"kind": "Z"},
+        "a": [1],
+        "weight": {"family": "constant", "c": 1.5},
+        "young": {"family": "custom", "table": [[0.0, 0.0], [0.5, 2.0]]},
+        "K": {"box": [[0, 0]]},
+        "property": "transitive",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    vec = tmp_path / "delta.json"
+    vec.write_text(json.dumps([[[0], 1.0]]))
+    code, envelope = _run(capsys, "norm", "--config", str(cfg_path), "--vector", str(vec))
+    assert code == 0
+    phi = od.TableYoung(((0.0, 0.0), (0.5, 2.0)))
+    assert envelope["results"]["norm"] == od.indicator_norm_closed_form(od.CompactSet.of([0]), phi) == 4.0
 
 
 def test_probe_young_command(capsys, tmp_path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 import orlicz_dynamics as od
+from orlicz_dynamics.errors import ConfigError
 from conftest import P2, block_alternating_weight
 
 
@@ -25,6 +27,17 @@ def test_obstruction_torsion():
     )
     obs = od.check_obstructions(_req(sys, od.CompactSet.of([0, 1]), od.Property.TRANSITIVE))
     assert obs is not None and obs.kind == "torsion" and obs.order == 3
+
+
+def test_torsion_order_is_found_in_closed_form():
+    # The order is m // gcd(a, m), not the first n with a^n = e by search:
+    # a search over 10^12 steps would not end.
+    sys = od.WeightedSystem(group=od.CyclicGroup(10**12), a=1, weight=od.ConstantWeight(1.0), young=P2)
+    t0 = time.perf_counter()
+    verdict = od.run_check(_req(sys, od.CompactSet.of([0, 1]), od.Property.CHAOTIC))
+    assert time.perf_counter() - t0 < 1.0
+    assert verdict.outcome is od.Outcome.OBSTRUCTION_FOUND
+    assert verdict.obstruction.kind == "torsion" and verdict.obstruction.order == 10**12
 
 
 def test_obstruction_contraction_and_expansion(zgroup):
@@ -311,6 +324,9 @@ def test_request_validation(step_system, zgroup):
         _req(step_system, K, od.Property.TRANSITIVE, epsilons=(1.5,))
     with pytest.raises(ValueError):
         _req(step_system, K, od.Property.TRANSITIVE, epsilons=())
+    with pytest.raises(ConfigError) as exc:
+        _req(step_system, K, od.Property.TRANSITIVE, epsilons=(0.5, 0.5))
+    assert exc.value.field == "epsilons"
     with pytest.raises(ValueError):
         _req(step_system, od.CompactSet.of([]), od.Property.TRANSITIVE)
 

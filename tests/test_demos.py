@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the current public API."""
+"""Each demo script, and the README's library tour, runs to completion
+against the current public API."""
 
 from __future__ import annotations
 
@@ -29,3 +30,10 @@ def test_demo_exits_zero(script, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -56,19 +56,28 @@ def test_pow_examples():
 
 
 def test_torsion_order():
-    assert od.torsion_order(od.CyclicGroup(6), 2, 10) == 3
-    assert od.torsion_order(od.IntegerGroup(), 1, 10) is None
-    assert od.torsion_order(od.CyclicGroup(6), 5, 10) == 6
-    assert od.torsion_order(od.CyclicGroup(6), 1, 3) is None  # order 6 beyond budget
+    assert od.CyclicGroup(6).element_order(2) == 3
+    assert od.IntegerGroup().element_order(1) is None
+    assert od.CyclicGroup(6).element_order(5) == 6
     # identity always has order 1, even on torsion-free groups
     for group in all_groups():
-        assert od.torsion_order(group, group.identity(), 5) == 1
+        assert group.element_order(group.identity()) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 7, 12, 30])
+def test_cyclic_element_order_is_the_first_return_to_the_identity(m):
+    c = od.CyclicGroup(m)
+    for g in range(-m, 2 * m):
+        power, n = c.element(g), 1
+        while power != c.identity():
+            power, n = c.mul(power, g), n + 1
+        assert c.element_order(g) == n
 
 
 def test_heisenberg_torsion_free_by_enumeration():
     h = od.HeisenbergGroup()
     a = (3, 0, 2)
-    assert od.torsion_order(h, a, 64) is None
+    assert h.element_order(a) is None
     g = a
     for _ in range(64):
         assert g != h.identity()
@@ -120,6 +129,10 @@ def test_separation_constant_rejects_torsion():
     c = od.CyclicGroup(6)
     with pytest.raises(TorsionElementError):
         od.separation_constant(c, od.CompactSet.of([0, 1]), 2, 16)
+    # a finite order is torsion whatever the budget: a^6 = e lies past n_max = 3
+    with pytest.raises(TorsionElementError) as exc:
+        od.separation_constant(c, od.CompactSet.of([0, 1]), 1, 3)
+    assert exc.value.order == 6
 
 
 def _scalar_separation(group, K, a, n_max):

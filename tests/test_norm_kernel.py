@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -40,7 +42,9 @@ def _old_evaluate(phi, t):
 
 
 def _old_modular(f, phi, k):
-    return sum(_old_evaluate(phi, abs(v) / k) for _, v in f.items())
+    # A left fold, one rounding per addition: what builtin sum does for
+    # floats before Python 3.12, which compensates.
+    return reduce(add, (_old_evaluate(phi, abs(v) / k) for _, v in f.items()), 0.0)
 
 
 def _old_norm(f, phi):
@@ -159,3 +163,11 @@ def vectors(draw):
 def test_modular_and_norm_match_the_scalar_code(phi, f, k):
     assert _bits(lambda: od.modular(f, phi, k)) == _bits(lambda: _old_modular(f, phi, k))
     assert _bits(lambda: od.luxemburg_norm(f, phi)) == _bits(lambda: _old_norm(f, phi))
+
+
+def test_modular_adds_its_terms_left_to_right():
+    # Each 1e-16 is below half an ulp of 1, so the left fold stays at 1;
+    # a compensated sum (builtin sum from Python 3.12 on) gives 1 + 2^-51.
+    terms = [1.0, 1e-16, 1e-16, 1e-16, 1e-16]
+    f = od.OrliczVector(dict(enumerate(terms)))
+    assert od.modular(f, od.PowerYoung(1.0), 1.0).hex() == reduce(add, terms, 0.0).hex() == (1.0).hex()

@@ -58,7 +58,6 @@ PUBLIC_NAMES = [
     "recurrence_witness_vector",
     "run_check",
     "separation_constant",
-    "torsion_order",
     "translate",
     "young_inequality_check",
 ]
