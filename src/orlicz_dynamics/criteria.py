@@ -16,11 +16,13 @@ so all suprema run over the whole of K):
 ``run_check`` checks the obstructions, then the property's scan (the
 ``_SCANS`` table) turns the sup series over K into one row of terms per
 candidate step n, and each epsilon's witness is the first n whose terms
-all lie below it.  The scans run over K a block of points at a time and
-drop each block's series once reduced: sups over K are maxima and merge
-block by block, and the chaos scan keeps only each point's truncated sum
-and last term per n.  So what a scan holds at once is one block's series
-plus what it keeps, not |K| series of the full depth.
+all lie below it.  The scans take K's series from
+``translations.orbit_series`` a block of points at a time (about
+``groups.BLOCK_ELEMENTS`` values, and at least one point, per block) and
+reduce each block before the next overwrites it: sups over K are maxima
+and merge block by block, and the chaos scan keeps only each point's
+truncated sum and last term per n.  So what a scan holds at once is one
+block's series plus what it keeps, not |K| series of the full depth.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, contracting weight, expanding
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,10 +69,6 @@ OBSTRUCTION_SERIES_CAP = 64
 # at once (see _held_bytes).  Requests above it fail validation instead of
 # dying in allocation.
 SERIES_MEMORY_CAP = 1 << 30
-
-# The scans run over K a block of points at a time, each block as many
-# points as fit one float64 series of theirs in this many bytes.
-_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -246,23 +244,14 @@ def _start_n(req: CriterionRequest) -> int:
     return min(M + 1, req.N_max)
 
 
-def _point_blocks(req: CriterionRequest, depth: int) -> Iterator[list]:
-    """The sorted points of K in blocks small enough that one float64
-    series of depth + 1 steps over a block fits in _BLOCK_BYTES (a block
-    has at least one point)."""
-    pts = _sorted_points(req)
-    rows = max(1, _BLOCK_BYTES // (8 * (depth + 1)))
-    for start in range(0, len(pts), rows):
-        yield pts[start : start + rows]
-
-
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise sup over K of the product series, for m = 0..depth,
     merged block by block."""
+    pts = _sorted_points(req)
     sups = np.full((2, depth + 1), -np.inf)
-    for blk in _point_blocks(req, depth):
-        for sup, backward in zip(sups, (False, True)):
-            np.maximum(sup, orbit_series(req.system, blk, depth, backward=backward)[0].max(axis=0), out=sup)
+    for sup, backward in zip(sups, (False, True)):
+        for _, linear, _ in orbit_series(req.system, pts, depth, backward=backward):
+            np.maximum(sup, linear.max(axis=0), out=sup)
     return sups[0], sups[1]
 
 
@@ -316,24 +305,6 @@ def _mixing_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     return _series_points(ns, sp, st), tail[:, None], None
 
 
-def _chaos_block(
-    req: CriterionRequest, pts: list, idx: np.ndarray, backward: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One product family on a block of points, gathered at the steps idx
-    (one row l*n, l = 1..n_terms, per candidate n): the truncated sum over
-    l <= L_max and the L_max-th term of every point per n, and the sup over
-    the block of the first term and of the consecutive log-term ratios."""
-    lin, log = orbit_series(req.system, pts, series_depth(req), backward=backward, logs=True)
-    terms = lin[:, idx]
-    ratio = np.diff(log[:, idx], axis=-1).max(axis=(0, 2))
-    L_sum = req.L_max
-    # The last terms stay a view of the gather on purpose: it then lives
-    # until the next block's series are allocated, and the allocator keeps
-    # its pages instead of returning them (a copy measured nearly three
-    # times the page faults on the Heisenberg chaos check).
-    return terms[:, :, :L_sum].sum(axis=-1), terms[:, :, L_sum - 1], terms[:, :, 0].max(axis=0), ratio
-
-
 def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     """One term per n: the certified total
 
@@ -345,25 +316,27 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     so that n is never a witness; tail_bounded records whether any
     candidate had one.
 
-    K is scanned a block of points at a time: only the truncated sums and
-    last terms of every point per n are kept, and the sups and the ratio
-    r, being maxima, merge across blocks."""
+    K is scanned a block of points at a time, each family's series
+    gathered at the steps l*n (l = 1..n_terms, one row per candidate n):
+    only the truncated sums over l <= L_max and the L_max-th terms of
+    every point per n are kept, and the sups of the first terms and the
+    ratio r, being maxima, merge across blocks."""
     n_terms = max(req.L_max, 2)  # ratio estimation needs two consecutive terms
     idx = ns[:, None] * np.arange(1, n_terms + 1)
-    trunc = np.zeros((len(req.K), len(ns)))
-    last = np.zeros((len(req.K), len(ns)))
+    pts = _sorted_points(req)
+    trunc = np.zeros((len(pts), len(ns)))
+    last = np.zeros((len(pts), len(ns)))
     firsts = np.full((2, len(ns)), -np.inf)  # sup phi_n, sup phi~_n
     r_log = np.full(len(ns), -np.inf)
-    row = 0
-    for blk in _point_blocks(req, series_depth(req)):
-        rows = slice(row, row + len(blk))
-        row += len(blk)
-        for first, backward in zip(firsts, (False, True)):
-            t, end, f, ratio = _chaos_block(req, blk, idx, backward)
-            trunc[rows] += t
-            last[rows] += end
-            np.maximum(first, f, out=first)
-            np.maximum(r_log, ratio, out=r_log)
+    for first, backward in zip(firsts, (False, True)):
+        for rows, linear, log in orbit_series(req.system, pts, series_depth(req), backward=backward, logs=True):
+            # np.take gathers a few-point block several times faster than linear[:, idx].
+            terms = np.take(linear, idx, axis=1)
+            trunc[rows] += terms[:, :, : req.L_max].sum(axis=-1)
+            last[rows] += terms[:, :, req.L_max - 1]
+            np.maximum(first, terms[:, :, 0].max(axis=0), out=first)
+            np.maximum(r_log, np.diff(np.take(log, idx, axis=1), axis=-1).max(axis=(0, 2)), out=r_log)
+            del terms  # freed before the next block, whose kernel then reuses its pages
     # math.exp, not np.exp, whose rounding may differ from the C library's.
     r = np.array([math.exp(x) if x < 700.0 else math.inf for x in r_log.tolist()])
     bounded = r < 1.0

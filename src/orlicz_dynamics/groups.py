@@ -6,13 +6,18 @@ so they hash and compare natively.  Haar measure is counting measure
 throughout; "compact set" means a finite explicit set of elements.  Each
 group gives the order of an element in closed form (``element_order``).
 
-Besides the scalar ``mul``, each group gives its orbits x·a^j in closed
-form over a whole range of exponents j (negative j included), as int64
-coordinate arrays.  ``orbit_bound`` is the exact Python-int guard for
-that form: callers use it only while the bound stays below
-``INT64_GUARD``, so no int64 intermediate can wrap.  ``CoordinateIndex``
-looks such coordinates up in a finite set, for ``separation_constant``
-and for table weights.
+Besides the scalar ``pow`` and ``mul``, each group has their vectorized
+forms on int64 coordinate arrays: ``power_coords(a, js)`` tabulates a^j
+over a whole range of exponents j (negative j included), in closed form,
+and ``mul_coords(xs, ps)`` multiplies broadcast coordinate arrays, so the
+orbits x·a^j of many points are one table and one product.
+``orbit_bound`` is the exact Python-int guard for both: callers use them
+only while the bound stays below ``INT64_GUARD``, so no int64
+intermediate can wrap.  ``CoordinateIndex`` looks such coordinates up in
+a finite set, for ``separation_constant`` and for table weights.
+
+The array kernels here and in ``translations`` work through
+``BLOCK_ELEMENTS`` values at a time, so their temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -30,8 +35,14 @@ from .errors import TorsionElementError
 Element = Hashable
 
 # Closed-form orbits are used only while orbit_bound stays below this:
-# every int64 intermediate of orbit_coords then stays clear of 2^63.
+# every int64 intermediate of power_coords and mul_coords then stays
+# clear of 2^63.
 INT64_GUARD = 2**62
+
+# The one block size of the array kernels: this many values (128 KiB of
+# float64) per block.  Smaller blocks cost per-block overhead, larger ones
+# leave the cache and, past glibc's mmap threshold, fault in fresh pages.
+BLOCK_ELEMENTS = 1 << 14
 
 
 class Group(ABC):
@@ -58,19 +69,22 @@ class Group(ABC):
 
     @abstractmethod
     def orbit_bound(self, x: Element, a: Element, J: int) -> int:
-        """Exact bound on |c| for every coordinate c of x·a^j with |j| <= J
-        and on every intermediate :meth:`orbit_coords` computes for it."""
+        """Exact bound on |c| for every coordinate c of x·a^j with |j| <= J,
+        and on every intermediate that :meth:`power_coords` (of a, for
+        such j) and :meth:`mul_coords` (of x by a^j) compute for it."""
 
     @abstractmethod
-    def orbit_coords(self, xs: np.ndarray, a: Element, js: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Coordinates of x·a^j in closed form, one int64 array per
-        coordinate of shape (len(xs), len(js)).
+    def power_coords(self, a: Element, js: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Coordinates of a^j for each int64 exponent in js, in closed
+        form: one int64 array per coordinate, shaped like js, equal to
+        ``pow(a, j)`` while ``orbit_bound`` of a point for max |j| passes
+        the guard."""
 
-        xs is the int64 (points, rank) array of the starting points and js
-        the int64 exponents.  Each point must pass the ``orbit_bound`` guard
-        for max |j|; the arrays then equal the coordinates ``mul`` reaches
-        by repeated multiplication with a (or its inverse).
-        """
+    @abstractmethod
+    def mul_coords(self, xs: tuple[np.ndarray, ...], ps: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Coordinates of x·p, as ``mul`` gives them, for int64
+        coordinate arrays xs and ps that broadcast together (one array per
+        coordinate), such as a column of points and a row of powers."""
 
     def element_order(self, g: Element) -> Optional[int]:
         """Least n >= 1 with g^n = identity, or None when g has infinite
@@ -112,8 +126,11 @@ class IntegerGroup(Group):
     def orbit_bound(self, x, a, J):
         return abs(x) + (J + 1) * abs(a)
 
-    def orbit_coords(self, xs, a, js):
-        return (xs[:, :1] + js * a,)
+    def power_coords(self, a, js):
+        return (js * a,)
+
+    def mul_coords(self, xs, ps):
+        return (xs[0] + ps[0],)
 
     def coords(self, g):
         return [g]
@@ -148,8 +165,11 @@ class LatticeGroup(Group):
     def orbit_bound(self, x, a, J):
         return max(abs(xk) + (J + 1) * abs(ak) for xk, ak in zip(x, a))
 
-    def orbit_coords(self, xs, a, js):
-        return tuple(xs[:, k : k + 1] + js * ak for k, ak in enumerate(a))
+    def power_coords(self, a, js):
+        return tuple(js * ak for ak in a)
+
+    def mul_coords(self, xs, ps):
+        return tuple(x + p for x, p in zip(xs, ps))
 
     def coords(self, g):
         return list(g)
@@ -190,11 +210,21 @@ class HeisenbergGroup(Group):
             + J1 * J1 * (1 + abs(a1 * a2))
         )
 
-    def orbit_coords(self, xs, a, js):
+    def power_coords(self, a, js):
         a1, a2, a3 = a
-        x1, x2, x3 = xs[:, :1], xs[:, 1:2], xs[:, 2:]
-        z_of_power = js * a3 + (a1 * a2) * (js * (js - 1) // 2)
-        return (x1 + js * a1, x2 + js * a2, x3 + z_of_power + (x1 * a2) * js)
+        z = js - 1  # z = j*a3 + a1*a2 * j*(j-1)/2, built in place
+        z *= js
+        z //= 2
+        z *= a1 * a2
+        z += js * a3
+        return (js * a1, js * a2, z)
+
+    def mul_coords(self, xs, ps):
+        (x1, x2, x3), (p1, p2, p3) = xs, ps
+        z = x1 * p2  # then x3 and p3 added in place: exact, so in any order
+        z += x3
+        z += p3
+        return (x1 + p1, x2 + p2, z)
 
     def coords(self, g):
         return list(g)
@@ -225,10 +255,14 @@ class CyclicGroup(Group):
         return (-g) % self.m
 
     def orbit_bound(self, x, a, J):
-        return abs(x) + (J + 1) * abs(a)
+        # a^j reduces to a residue below m, which x + a^j may then add.
+        return abs(x) + (J + 1) * abs(a) + self.m
 
-    def orbit_coords(self, xs, a, js):
-        return ((xs[:, :1] + js * a) % self.m,)
+    def power_coords(self, a, js):
+        return ((js * a) % self.m,)
+
+    def mul_coords(self, xs, ps):
+        return ((xs[0] + ps[0]) % self.m,)
 
     def coords(self, g):
         return [g]
@@ -288,11 +322,11 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     for elements of finite order, for which no such M can exist.
 
     K meets K·a^n exactly when it meets K·a^{-n} (k·a^n = k' gives
-    k = k'·a^{-n}), so only the shifts K·a^n are formed, from the
-    closed-form ``orbit_coords`` a block of exponents at a time, and their
-    membership in K is looked up in a ``CoordinateIndex`` of K.  When a
-    point of K is past the ``orbit_bound`` guard, the scalar ``mul`` loop
-    decides instead.
+    k = k'·a^{-n}), so only the shifts K·a^n are formed: one table of
+    ``power_coords`` for n = 1..n_max, then ``mul_coords`` of K by a block
+    of it at a time, and their membership in K is looked up in a
+    ``CoordinateIndex`` of K.  When a point of K is past the
+    ``orbit_bound`` guard, the scalar ``mul`` loop decides instead.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -368,11 +402,6 @@ def _lookup(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return at, sorted_values[at] == x
 
 
-# Shifted copies of K are tested this many points at a time: a block's
-# int64 temporaries then stay under 1 MiB, and larger blocks ran slower.
-_BLOCK_POINTS = 1 << 14
-
-
 def _closed_form_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[np.ndarray]:
     """``_scalar_collisions`` from the closed-form orbits, or None when K
     is empty or a point of K is past the ``orbit_bound`` guard."""
@@ -381,11 +410,13 @@ def _closed_form_collisions(group: Group, K: CompactSet, a: Element, n_max: int)
         return None
     ks = np.array([group.coords(k) for k in base], dtype=np.int64)
     index = CoordinateIndex(ks)
-    collides = np.zeros(n_max, dtype=bool)
-    step = max(1, _BLOCK_POINTS // len(base))
-    for start in range(1, n_max + 1, step):
-        js = np.arange(start, min(start + step, n_max + 1))
-        collides[js - 1] = (index.find(group.orbit_coords(ks, a, js)) >= 0).any(axis=0)
+    columns = tuple(ks.T[:, :, None])
+    powers = group.power_coords(a, np.arange(1, n_max + 1))
+    collides = np.empty(n_max, dtype=bool)
+    step = max(1, BLOCK_ELEMENTS // len(base))
+    for start in range(0, n_max, step):
+        shifts = group.mul_coords(columns, tuple(p[start : start + step] for p in powers))
+        collides[start : start + step] = (index.find(shifts) >= 0).any(axis=0)
     return collides
 
 

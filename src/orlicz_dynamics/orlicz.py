@@ -168,21 +168,41 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     The modular is continuous and strictly decreasing in k on finitely
     supported vectors, so the infimum is the root of rho(k) = 1.
     Bracket: start at max|f| / min(1, domain_max), where every |f|/k lies
-    in Phi's domain, double until rho <= 1, halve until rho >= 1, then
-    bisect to relative tolerance 1e-12 on k.  Supports of at least
-    ``SCREEN_MIN`` entries take each step's sign from the numpy screen
-    where it is certain (see the module docstring).
+    in Phi's domain (or at the domain's edge, see ``_domain_edge``, should
+    that quotient round below it), double until rho <= 1, halve until
+    rho >= 1, then bisect to relative tolerance 1e-12 on k.  The halving
+    stops at the edge: below it Phi(max|f|/k) is infinite, so when rho is
+    still at most 1 there the norm is the edge.
+    Supports of at least ``SCREEN_MIN`` entries take each step's sign
+    from the numpy screen where it is certain (see the module docstring).
     """
     if not f:
         return 0.0
     for _, v in f.items():
         if not math.isfinite(v):
             raise NonFiniteVectorError(f"entry {v!r} is not finite")
-    k0 = f.max_abs() / min(1.0, phi.domain_max)
+    top = f.max_abs()
+    edge = _domain_edge(top, phi.domain_max)
+    k0 = max(top / min(1.0, phi.domain_max), edge)
     if len(f) < SCREEN_MIN:
-        return _norm_root(lambda k: modular(f, phi, k) - 1.0, k0)
+        return _norm_root(lambda k: modular(f, phi, k) - 1.0, k0, edge)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _norm_root(_screened_excess(f, phi), k0)
+        return _norm_root(_screened_excess(f, phi), k0, edge)
+
+
+def _domain_edge(top: float, domain_max: float) -> float:
+    """The least float k with top / k <= domain_max (top > 0): from there
+    up every |f|/k lies in Phi's domain, and below it the largest entry
+    leaves it.  0 on an unbounded domain.  top / k rounds monotonically
+    in k, so the least such k is found by stepping from top / domain_max."""
+    edge = top / domain_max
+    if edge == 0.0:
+        return edge
+    while top / edge > domain_max:
+        edge = math.nextafter(edge, math.inf)
+    while top / math.nextafter(edge, 0.0) <= domain_max:
+        edge = math.nextafter(edge, 0.0)
+    return edge
 
 
 def _screened_excess(f: OrliczVector, phi: YoungFunction) -> Callable[[float], float]:
@@ -209,9 +229,10 @@ def _screen_tolerance(n: int) -> tuple[float, float]:
     return (4 * n + 64) * 2.0**-53, n * 2.0**-1000
 
 
-def _norm_root(excess: Callable[[float], float], k0: float) -> float:
+def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> float:
     """Bracket and bisect the root of excess, which is positive below
-    the norm and negative above it, starting from k0."""
+    the norm and negative above it, starting from k0 >= edge; excess is
+    only asked at k >= edge, below which it is +inf."""
     hi = k0
     guard = 0
     while excess(hi) > 0.0:
@@ -221,6 +242,11 @@ def _norm_root(excess: Callable[[float], float], k0: float) -> float:
             raise RuntimeError("norm bracket expansion failed to terminate")
     lo = hi
     while excess(lo) < 0.0:
+        if lo * 0.5 < edge:
+            if lo == edge or excess(edge) <= 0.0:
+                return edge
+            lo = edge
+            break
         lo *= 0.5
         guard += 1
         if guard > 8192 or lo == 0.0:

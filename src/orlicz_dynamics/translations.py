@@ -8,21 +8,24 @@ sequences along the orbit of a point x:
     forward products   prod_{j=1..n} w(x * a^j)
     backward products  1 / prod_{j=0..n-1} w(x * a^{-j})
 
-``orbit_series`` computes both for many points at once.  The group gives
-the orbit x * a^j in closed form for a whole range of j as int64
-coordinate arrays (affine in j on Z, Z^d and cyclic groups, quadratic in
-the Heisenberg z coordinate), and the weight's ``evaluate_many`` maps
-them to a (points, steps) weight block.  The series are then one
-sequential cumprod per row, and a cumsum of the logs: the same
-operations, in the same order, on the same float64 weights as the
-scalar loop ``orbit_weights_forward`` / ``orbit_weights_backward`` that
-applies ``Group.mul`` once per step, so every product is bit-identical
-to it; a table weight looks its float64 values up in a
-``groups.CoordinateIndex`` of its keys.  The loop remains the reference
-and the only path for orbits whose coordinates could reach
-``groups.INT64_GUARD``, as an exact Python-int bound decides.  The
-per-point functions (``phi_product``, ``phi_series_pair``, ...) are
-views of one row of the kernel.
+``orbit_series`` computes both for a whole set of points and yields
+them a block of points at a time.  Each call tabulates the coordinates
+of a^j once for all the steps j (``Group.power_coords``: affine in j on
+Z, Z^d and cyclic groups, quadratic in the Heisenberg z coordinate).
+Each block of points then takes one ``Group.mul_coords`` of its
+coordinate column by that table, and the weight's ``evaluate_many``
+writes the (points, steps) weights straight into the block's series
+buffer, which is reused from block to block and holds about
+``groups.BLOCK_ELEMENTS`` values.  The series are then one sequential
+cumprod per row, and a cumsum of the logs: the same operations, in the
+same order, on the same float64 weights as the scalar loop
+``orbit_weights_forward`` / ``orbit_weights_backward`` that applies
+``Group.mul`` once per step, so every product is bit-identical to it; a
+table weight looks its float64 values up in a ``groups.CoordinateIndex``
+of its keys.  The loop remains the reference and the only path for
+orbits whose coordinates could reach ``groups.INT64_GUARD``, as an exact
+Python-int bound decides.  The per-point functions (``phi_product``,
+``phi_series_pair``, ...) are views of a one-point block.
 
 ``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
 l = 1..count, from the same weight block: row i starts with the i-th
@@ -48,10 +51,12 @@ variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import groupby
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import groups
 from .groups import INT64_GUARD, CoordinateIndex, Element, Group
 from .orlicz import OrliczVector
 
@@ -67,8 +72,8 @@ class ConstantWeight:
     def __call__(self, g: Element) -> float:
         return self.c
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        return np.full(coords[0].shape, self.c)
+    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+        out.fill(self.c)
 
     def sup_bound(self) -> float:
         return self.c
@@ -91,9 +96,10 @@ class TwoSidedStepWeight:
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
         (x,) = coords
-        return np.where(x >= 1, self.c_pos, self.c_neg)
+        out.fill(self.c_neg)
+        np.copyto(out, self.c_pos, where=x >= 1)
 
     def sup_bound(self) -> float:
         return max(self.c_neg, self.c_pos)
@@ -119,9 +125,11 @@ class HeisenbergDyadicWeight:
             return 2.0
         return 2.0 ** (-z)
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
+    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
         _, _, z = coords
-        return np.where(z >= 1, 0.5, np.where(z <= -1, 2.0, 1.0))
+        out.fill(1.0)
+        np.copyto(out, 0.5, where=z >= 1)
+        np.copyto(out, 2.0, where=z <= -1)
 
     def sup_bound(self) -> float:
         return 2.0
@@ -152,8 +160,9 @@ class TableWeight:
     def __call__(self, g: Element) -> float:
         return self._table.get(g, self.default)
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
-        return self._values[self._index.find(coords)]  # a miss finds -1: the default
+    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+        # A miss finds -1, which wraps to the default.
+        np.take(self._values, self._index.find(coords), out=out, mode="wrap")
 
     def sup_bound(self) -> float:
         return max(max(self._table.values(), default=self.default), self.default)
@@ -226,9 +235,14 @@ def iterates(
     if step < 1 or count < 0:
         raise ValueError("need step >= 1 and count >= 0")
     pts = [x for x, _ in f.items()]
-    block = np.empty((len(pts), count * step + 1))
+    m = count * step
+    block = np.empty((len(pts), m + 1))
     block[:, 0] = np.fromiter(f.values(), float, len(pts))
-    _orbit_weights(sys, pts, count * step, backward, block[:, 1:])
+    closed, powers = _orbit_plan(sys, pts, m, backward)
+    rows = _block_rows(m + 1)
+    for start in range(0, len(pts), rows):
+        blk = slice(start, start + rows)
+        _fill_weights(sys, pts[blk], closed[blk], powers, backward, block[blk, 1:])
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
     k = -step if backward else step
@@ -269,37 +283,59 @@ def orbit_weights_backward(sys: WeightedSystem, x: Element, m: int) -> np.ndarra
     return out
 
 
-# Closed-form orbits are evaluated this many weights at a time, so each
-# int64 coordinate temporary of a block stays at 1 MiB.
-_BLOCK_ELEMENTS = 1 << 17
+def _orbit_plan(
+    sys: WeightedSystem, points: Sequence[Element], m: int, backward: bool
+) -> tuple[list[bool], Optional[tuple[np.ndarray, ...]]]:
+    """Which points take the closed form for orbits of m steps, and the
+    table of a^j coordinates for the orbit's exponents (j = 1..m, or
+    0, -1, ..., -(m-1) when backward), built once for them all: None when
+    every orbit could leave the int64 guard."""
+    g, a = sys.group, sys.a
+    closed = [g.orbit_bound(x, a, m) < INT64_GUARD for x in points]
+    if not any(closed):
+        return closed, None
+    js = -np.arange(m) if backward else np.arange(1, m + 1)
+    return closed, g.power_coords(a, js)
 
 
-def _orbit_weights(
-    sys: WeightedSystem, points: Sequence[Element], m: int, backward: bool, out: np.ndarray
+def _fill_weights(
+    sys: WeightedSystem,
+    points: Sequence[Element],
+    closed: Sequence[bool],
+    powers: Optional[tuple[np.ndarray, ...]],
+    backward: bool,
+    out: np.ndarray,
 ) -> None:
-    """Fill the (len(points), m) block out with the weights along each
+    """Fill the (len(points), m) array out with the weights along each
     orbit: row i equals orbit_weights_forward(sys, points[i], m), or
     orbit_weights_backward when backward is set.
 
-    Points take the group's closed-form orbit coordinates and the
-    weight's ``evaluate_many``, a block of rows at a time; points whose
-    orbit could leave the int64 guard take the scalar loop."""
-    g, a = sys.group, sys.a
+    Each run of closed-form points takes ``mul_coords`` of its
+    coordinates by the power table, a block of steps at a time (all of
+    them unless one row is longer than a block), and the weight's
+    ``evaluate_many`` writes into out in place; the other points take
+    the scalar loop."""
+    g = sys.group
     scalar = orbit_weights_backward if backward else orbit_weights_forward
-    closed = []
-    for i, x in enumerate(points):
-        if g.orbit_bound(x, a, m) < INT64_GUARD:
-            closed.append(i)
+    i = 0
+    for is_closed, run in groupby(closed):
+        j = i + len(list(run))
+        if is_closed:
+            xs = np.array([g.coords(x) for x in points[i:j]], dtype=np.int64)
+            columns = tuple(xs.T[:, :, None])
+            step = _block_rows(j - i)
+            for c in range(0, out.shape[1], step):
+                coords = g.mul_coords(columns, tuple(p[c : c + step] for p in powers))
+                sys.weight.evaluate_many(coords, out=out[i:j, c : c + step])
         else:
-            out[i] = scalar(sys, x, m)
-    if not closed or m == 0:
-        return
-    js = -np.arange(m) if backward else np.arange(1, m + 1)
-    rows = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, len(closed), rows):
-        idx = closed[start : start + rows]
-        xs = np.array([g.coords(points[i]) for i in idx], dtype=np.int64)
-        out[idx] = sys.weight.evaluate_many(g.orbit_coords(xs, a, js))
+            for r in range(i, j):
+                out[r] = scalar(sys, points[r], out.shape[1])
+        i = j
+
+
+def _block_rows(width: int) -> int:
+    """Rows of width values each that make one block (at least one)."""
+    return max(1, groups.BLOCK_ELEMENTS // width)
 
 
 def orbit_series(
@@ -308,40 +344,62 @@ def orbit_series(
     depth: int,
     backward: bool = False,
     logs: bool = False,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Product series of every point for n = 0..depth, as (linear, log)
-    arrays of shape (len(points), depth + 1); log is None unless asked.
+) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
+    """Product series of every point for n = 0..depth, a block of points
+    at a time: yields (rows, linear, log), where rows is the slice of
+    points the block covers and linear and log are (rows, depth + 1)
+    arrays (log is None unless asked).
 
-    Row i equals phi_series_pair(sys, points[i], depth), or
-    phi_tilde_series_pair when backward is set, bit for bit: each row is
-    the same sequential cumprod (and cumsum of logs) over the same
-    weights."""
-    shape = (len(points), depth + 1)
+    Row i of a block equals phi_series_pair(sys, points[rows][i], depth),
+    or phi_tilde_series_pair when backward is set, bit for bit: each row
+    is the same sequential cumprod (and cumsum of logs) over the same
+    weights.  The power table is built once per call, and every block
+    reuses the same buffers of about ``groups.BLOCK_ELEMENTS`` values, so
+    a block's arrays hold only until the next block is asked for."""
+    closed, powers = _orbit_plan(sys, points, depth, backward)
+    rows = _block_rows(depth + 1)
+    shape = (min(rows, len(points)), depth + 1)
     linear = np.empty(shape)
     linear[:, 0] = 1.0
-    ws = linear[:, 1:]
-    _orbit_weights(sys, points, depth, backward, ws)
     log = None
     if logs:
         log = np.empty(shape)
         log[:, 0] = 0.0
-        tail = log[:, 1:]
-        np.log(ws, out=tail)
-        np.cumsum(tail, axis=1, out=tail)
-        if backward:
-            np.negative(tail, out=tail)
-    with np.errstate(over="ignore", divide="ignore"):
-        np.cumprod(ws, axis=1, out=ws)
-        if backward:
-            np.divide(1.0, ws, out=ws)
-    return linear, log
+    for start in range(0, len(points), rows):
+        blk = slice(start, min(start + rows, len(points)))
+        n = blk.stop - start
+        lin = linear[:n]
+        ws = lin[:, 1:]
+        _fill_weights(sys, points[blk], closed[blk], powers, backward, ws)
+        lg = None
+        if logs:
+            lg = log[:n]
+            tail = lg[:, 1:]
+            np.log(ws, out=tail)
+            np.cumsum(tail, axis=1, out=tail)
+            if backward:
+                np.negative(tail, out=tail)
+        with np.errstate(over="ignore", divide="ignore"):
+            np.cumprod(ws, axis=1, out=ws)
+            if backward:
+                np.divide(1.0, ws, out=ws)
+        yield blk, lin, lg
+
+
+def _point_series(
+    sys: WeightedSystem, x: Element, depth: int, backward: bool = False, logs: bool = False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The (linear, log) series of the one point x, as orbit_series'
+    single block gives it."""
+    _, linear, log = next(orbit_series(sys, [x], depth, backward=backward, logs=logs))
+    return linear[0], None if log is None else log[0]
 
 
 def phi_product(sys: WeightedSystem, x: Element, n: int) -> float:
     """Forward product prod_{j=1..n} w(x * a^j); empty product is 1."""
     if n < 0:
         raise ValueError("product length must be >= 0")
-    return float(orbit_series(sys, [x], n)[0][0, n])
+    return float(_point_series(sys, x, n)[0][n])
 
 
 def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
@@ -351,7 +409,7 @@ def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
     small weights); use the pair variant for the log value."""
     if n < 0:
         raise ValueError("product length must be >= 0")
-    return float(orbit_series(sys, [x], n, backward=True)[0][0, n])
+    return float(_point_series(sys, x, n, backward=True)[0][n])
 
 
 def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
@@ -376,11 +434,9 @@ def phi_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.nda
     Returns (linear, log) arrays of length n_max + 1 built by the running
     recurrence value(n+1) = value(n) * w(x * a^{n+1}).
     """
-    linear, log = orbit_series(sys, [x], n_max, logs=True)
-    return linear[0], log[0]
+    return _point_series(sys, x, n_max, logs=True)
 
 
 def phi_tilde_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Incremental backward reciprocal products for n = 0..n_max."""
-    linear, log = orbit_series(sys, [x], n_max, backward=True, logs=True)
-    return linear[0], log[0]
+    return _point_series(sys, x, n_max, backward=True, logs=True)

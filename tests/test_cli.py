@@ -208,6 +208,31 @@ def test_norm_under_a_table_shorter_than_one(capsys, tmp_path):
     assert envelope["results"]["norm"] == od.indicator_norm_closed_form(od.CompactSet.of([0]), phi) == 4.0
 
 
+@pytest.mark.parametrize(
+    "table,expected",
+    [(((0.0, 0.0), (0.5, 0.5)), 2.0), (((0.0, 0.0), (1.5, 0.9)), 1 / 1.5)],
+    ids=["short-table-low", "long-table-low"],
+)
+def test_norm_at_the_table_edge(capsys, tmp_path, table, expected):
+    # rho stays below 1 at the edge of the table's domain, where the
+    # halving used to step past the table and raise OutOfRangeError.
+    cfg = {
+        "group": {"kind": "Z"},
+        "a": [1],
+        "weight": {"family": "constant", "c": 1.5},
+        "young": {"family": "custom", "table": [list(knot) for knot in table]},
+        "K": {"box": [[0, 0]]},
+        "property": "transitive",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    vec = tmp_path / "delta.json"
+    vec.write_text(json.dumps([[[0], 1.0]]))
+    code, envelope = _run(capsys, "norm", "--config", str(cfg_path), "--vector", str(vec))
+    assert code == 0
+    assert envelope["results"]["norm"] == expected
+
+
 def test_probe_young_command(capsys, tmp_path):
     for young, expected in (
         ({"family": "power", "p": 2.0}, 4.0),

@@ -158,14 +158,77 @@ def separation_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(separation_cases(), st.sampled_from([groups._BLOCK_POINTS, 1, 7]))
+@given(separation_cases(), st.sampled_from([groups.BLOCK_ELEMENTS, 1, 7]))
 def test_separation_closed_form_matches_the_scalar_loop(case, block):
     group, K, a, n_max = case
-    with mock.patch.object(groups, "_BLOCK_POINTS", block):
+    with mock.patch.object(groups, "BLOCK_ELEMENTS", block):
         closed = groups._closed_form_collisions(group, K, a, n_max)
     assert closed is not None
     assert np.array_equal(closed, groups._scalar_collisions(group, K, a, n_max))
     assert od.separation_constant(group, K, a, n_max) == _scalar_separation(group, K, a, n_max)
+
+
+_small = st.integers(-5, 5)
+
+
+@st.composite
+def power_cases(draw):
+    """A group, a non-identity a, a few points x and an exponent bound J.
+
+    Some points sit just under the orbit_bound guard for J: their last
+    coordinate (the modulus, on a cyclic group) is pushed until the bound
+    lies a few units below INT64_GUARD."""
+    kind = draw(st.sampled_from(["Z", "Zd", "heisenberg", "cyclic"]))
+    J = draw(st.integers(0, 40))
+    top = groups.INT64_GUARD - 1 - draw(st.integers(0, 3))
+    if kind == "cyclic":
+        a, points = draw(st.integers(1, 5)), draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+        m = draw(st.sampled_from([a + 1, 7, top - max(points) - (J + 1) * a]))
+        return od.CyclicGroup(m=m), a % m, [x % m for x in points], J
+    group = {"Z": od.IntegerGroup(), "Zd": od.LatticeGroup(d=3), "heisenberg": od.HeisenbergGroup()}[kind]
+    rank = len(group.coords(group.identity()))
+    element = st.lists(_small, min_size=rank, max_size=rank).map(group.element)
+    a = draw(element.filter(lambda g: g != group.identity()))
+    points = draw(st.lists(element, min_size=1, max_size=3))
+    for i in draw(st.sets(st.integers(0, len(points) - 1))):
+        # The bound grows by one per unit of |last coordinate| once that dominates.
+        sign = draw(st.sampled_from([1, -1]))
+        coords = group.coords(points[i])
+        coords[-1] = sign * top
+        coords[-1] = sign * (2 * top - group.orbit_bound(group.element(coords), a, J))
+        points[i] = group.element(coords)
+    return group, a, points, J
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_cases())
+def test_power_and_mul_coords_match_pow_and_mul(case):
+    group, a, points, J = case
+    assert all(group.orbit_bound(x, a, J) < groups.INT64_GUARD for x in points)
+    js = np.arange(-J, J + 1)
+    powers = group.power_coords(a, js)
+    columns = tuple(np.array([[c] for c in col], dtype=np.int64) for col in zip(*map(group.coords, points)))
+    products = group.mul_coords(columns, powers)
+    for i, j in enumerate(js.tolist()):
+        assert [int(p[i]) for p in powers] == group.coords(group.pow(a, j))
+    step = {1: a, -1: group.inv(a)}
+    for row, x in enumerate(points):
+        orbit = {0: x}
+        for j in range(1, J + 1):
+            orbit[j] = group.mul(orbit[j - 1], step[1])
+            orbit[-j] = group.mul(orbit[1 - j], step[-1])
+        for i, j in enumerate(js.tolist()):
+            assert [int(c[row, i]) for c in products] == group.coords(orbit[j])
+
+
+def test_cyclic_orbits_past_the_int64_range_take_the_scalar_loop():
+    # A modulus past int64 used to reach the closed form, whose numpy
+    # arithmetic raised OverflowError inside run_check.
+    group = od.CyclicGroup(m=2**64)
+    assert group.orbit_bound(0, 1, 8) >= groups.INT64_GUARD
+    system = od.WeightedSystem(group=group, a=1, weight=od.ConstantWeight(0.5), young=od.PowerYoung(2.0))
+    verdict = od.run_check(od.CriterionRequest(system=system, K=od.CompactSet.of([0, 1]), property="mixing", N_max=8))
+    assert verdict.obstruction.kind == "torsion" and verdict.obstruction.order == 2**64
 
 
 def test_separation_past_the_orbit_guard_takes_the_scalar_loop():

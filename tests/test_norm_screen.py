@@ -27,13 +27,19 @@ U = 2.0**-53
 
 
 def _exact_norm(f, phi):
-    """luxemburg_norm as it was before the screen: every step runs modular."""
-    k0 = f.max_abs()
-    hi = k0
+    """luxemburg_norm without the screen: every step runs modular."""
+    top = f.max_abs()
+    edge = orlicz._domain_edge(top, phi.domain_max)
+    hi = max(top / min(1.0, phi.domain_max), edge)
     while od.modular(f, phi, hi) > 1.0:
         hi *= 2.0
     lo = hi
     while od.modular(f, phi, lo) < 1.0:
+        if lo * 0.5 < edge:  # past the table's domain, rho is infinite
+            if lo == edge or od.modular(f, phi, edge) <= 1.0:
+                return edge
+            lo = edge
+            break
         lo *= 0.5
         if lo == 0.0:
             raise RuntimeError("norm bracket contraction failed to terminate")
@@ -124,7 +130,8 @@ def test_errors_match_the_exact_path():
         od.luxemburg_norm(_vector([1.0] * n + [math.nan]), od.PowerYoung(2.0))
     with pytest.raises(NonFiniteVectorError, match="entry -inf"):
         od.luxemburg_norm(_vector([-math.inf] + [1.0] * n), od.PowerYoung(2.0))
-    # A flat table: halving the scale walks the arguments past its domain.
+    # A flat table: the halving stops at the edge of its domain, k = 0.5,
+    # where rho is still 32e-3 (it used to step past it and raise).
     flat = od.TableYoung(((0.0, 0.0), (2.0, 1e-3)))
     # Pow overflows on the first halving; 2^21 also passes the power
     # screen's guard for large exponents.
@@ -139,7 +146,7 @@ def test_errors_match_the_exact_path():
         f = _vector(values)
         expected = _outcome(lambda: _exact_norm(f, phi))
         assert _outcome(lambda: od.luxemburg_norm(f, phi)) == expected
-    assert _outcome(lambda: od.luxemburg_norm(_vector([1.0] * n), flat))[0] is OutOfRangeError
+    assert _outcome(lambda: od.luxemburg_norm(_vector([1.0] * n), flat)) == (0.5).hex()
     assert _outcome(lambda: od.luxemburg_norm(_vector(steep), od.PowerYoung(2000.0)))[0] is OverflowError
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
-from orlicz_dynamics import translations
+from orlicz_dynamics import groups, translations
 from orlicz_dynamics.groups import INT64_GUARD
 from conftest import P2
 
@@ -23,6 +23,19 @@ small = st.integers(-40, 40)
 near = st.tuples(st.sampled_from([-NEAR_2_61, NEAR_2_61]), small).map(sum)
 coordinate = st.one_of(small, small, small, near)
 positive = st.floats(0.125, 4.0, allow_nan=False, allow_infinity=False)
+
+
+def _series(sys, points, depth, backward=False):
+    """orbit_series' blocks stacked into (linear, log) arrays over all the
+    points, checking that the blocks cover the points in order."""
+    linear, logs, covered = [], [], 0
+    for rows, lin, log in translations.orbit_series(sys, points, depth, backward=backward, logs=True):
+        assert rows == slice(covered, covered + len(lin))
+        covered = rows.stop
+        linear.append(lin.copy())  # the next block overwrites the buffers
+        logs.append(log.copy())
+    assert covered == len(points)
+    return np.concatenate(linear), np.concatenate(logs)
 
 
 def _reference(sys, x, depth, backward):
@@ -64,11 +77,14 @@ def systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems(), st.integers(0, 60), st.booleans(), st.sampled_from([1, 7, 1 << 17]))
+@given(systems(), st.integers(0, 60), st.booleans(), st.sampled_from([1, 7, 3 * 61, groups.BLOCK_ELEMENTS]))
 def test_kernel_matches_scalar_loop_bit_for_bit(case, depth, backward, block):
     sys, points = case
-    with mock.patch.object(translations, "_BLOCK_ELEMENTS", block):
-        linear, logs = translations.orbit_series(sys, points, depth, backward=backward, logs=True)
+    with mock.patch.object(groups, "BLOCK_ELEMENTS", block):
+        blocks = [len(lin) for _, lin, _ in translations.orbit_series(sys, points, depth, backward=backward)]
+        linear, logs = _series(sys, points, depth, backward)
+    rows = max(1, block // (depth + 1))
+    assert blocks == [min(rows, len(points) - start) for start in range(0, len(points), rows)]
     assert linear.shape == logs.shape == (len(points), depth + 1)
     for i, x in enumerate(points):
         ref_linear, ref_logs = _reference(sys, x, depth, backward)
@@ -81,7 +97,7 @@ def test_cyclic_orbits_wrap_around():
         group=od.CyclicGroup(m=5), a=3, weight=od.TwoSidedStepWeight(0.75, 1.5), young=P2
     )
     for backward in (False, True):
-        linear, logs = translations.orbit_series(sys, [0, 4], 23, backward=backward, logs=True)
+        linear, logs = _series(sys, [0, 4], 23, backward)
         for i, x in enumerate([0, 4]):
             ref_linear, ref_logs = _reference(sys, x, 23, backward)
             assert np.array_equal(linear[i], ref_linear)
@@ -104,7 +120,7 @@ def test_int64_guard_sends_only_large_orbits_to_the_scalar_loop():
         return scalar(s, x, m)
 
     with mock.patch.object(translations, "orbit_weights_forward", counted):
-        linear, logs = translations.orbit_series(sys, [small_point, big], 16, logs=True)
+        linear, logs = _series(sys, [small_point, big], 16)
     assert calls == [big]
     for i, x in enumerate([small_point, big]):
         ref_linear, ref_logs = _reference(sys, x, 16, False)
@@ -137,7 +153,7 @@ def test_table_weight_orbits_under_the_guard_take_the_kernel(group, a):
             mock.patch.object(translations, "orbit_weights_forward", side_effect=AssertionError("loop ran")),
             mock.patch.object(translations, "orbit_weights_backward", side_effect=AssertionError("loop ran")),
         ):
-            linear, logs = translations.orbit_series(sys, points, 24, backward=backward, logs=True)
+            linear, logs = _series(sys, points, 24, backward)
         for i, (ref_linear, ref_logs) in enumerate(refs):
             assert np.array_equal(linear[i], ref_linear)
             assert np.array_equal(logs[i], ref_logs)
@@ -160,3 +176,23 @@ def test_table_weight_keys_must_be_group_elements(group, key):
     with pytest.raises(ValueError) as err:
         od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
     assert f"key {key!r} is not an element" in str(err.value)
+
+
+def test_power_table_is_built_once_per_call():
+    sys = od.WeightedSystem(
+        group=od.HeisenbergGroup(), a=(3, 0, 2), weight=od.HeisenbergDyadicWeight(), young=P2
+    )
+    points = [(x, y, 0) for x in range(-1, 2) for y in range(-1, 2)]
+    real = od.HeisenbergGroup.power_coords
+    with (
+        mock.patch.object(groups, "BLOCK_ELEMENTS", 41),
+        mock.patch.object(od.HeisenbergGroup, "power_coords", autospec=True, side_effect=real) as spy,
+    ):
+        blocks = sum(1 for _ in translations.orbit_series(sys, points, 40, backward=True))
+        assert (blocks, spy.call_count) == (9, 1)
+        translations.iterates(sys, od.OrliczVector.indicator(points), 5, 8)
+        assert spy.call_count == 2
+        # No table when every orbit is past the guard.
+        far = (INT64_GUARD, 0, 0)
+        assert sum(1 for _ in translations.orbit_series(sys, [far, far], 40)) == 2
+        assert spy.call_count == 2

@@ -189,3 +189,36 @@ def test_norm_with_custom_table_family():
         assert 1.0 - 1e-9 <= od.modular(f, table, approx) <= 1.0 + 1e-9
     B = od.box(group, [[0, 7]])
     assert od.indicator_norm_closed_form(B, table) == pytest.approx(2.0, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "table,size,expected",
+    [
+        # Phi(0.5) = 0.5: rho(2) = 0.5 at the edge k = 2, and the halving
+        # used to probe k = 1, past the table.
+        pytest.param(((0.0, 0.0), (0.5, 0.5)), 1, 2.0, id="short-table-low"),
+        # domain_max 1.5 > 1: the bracket starts at max|f| = 1, rho(1) = 0.6,
+        # and k = 0.5 lies past the table; the edge is 1/1.5, rho = 0.9 there.
+        pytest.param(((0.0, 0.0), (1.5, 0.9)), 1, 1 / 1.5, id="long-table-low"),
+        # A screened support: rho at the edge 2 is 20 * 0.01.
+        pytest.param(((0.0, 0.0), (0.5, 0.01)), 20, 2.0, id="screened"),
+    ],
+)
+def test_norm_stops_at_the_table_edge(table, size, expected):
+    # Past the table Phi is infinite, so where rho stays below 1 at the
+    # edge of the domain the norm is that edge.
+    f = od.OrliczVector.indicator(range(size))
+    phi = od.TableYoung(table)
+    assert od.luxemburg_norm(f, phi) == expected
+    assert od.modular(f, phi, expected) <= 1.0
+
+
+def test_norm_bisects_above_the_table_edge():
+    # Phi(t) = 0.2 t on [0, 1.5]: rho(k) = 0.8 / k, so rho(1) < 1, the
+    # next halving (k = 0.5) lies past the edge 1/1.5, where rho = 1.2 > 1,
+    # and the root 0.8 lies between the edge and 1.
+    f = od.OrliczVector.indicator(range(4))
+    phi = od.TableYoung(((0.0, 0.0), (1.5, 0.3)))
+    norm = od.luxemburg_norm(f, phi)
+    assert norm == pytest.approx(0.8, rel=1e-11)
+    assert od.modular(f, phi, norm) == pytest.approx(1.0, rel=1e-11)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import P2
-from orlicz_dynamics import criteria
+from orlicz_dynamics import criteria, groups
 from orlicz_dynamics.config import parse_config
+from orlicz_dynamics.translations import orbit_series
 from orlicz_dynamics.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -32,9 +33,22 @@ def _config(name: str, **overrides):
 
 
 def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdict:
-    """run_check with a block budget of rows points of the scan's series."""
-    monkeypatch.setattr(criteria, "_BLOCK_BYTES", rows * 8 * (criteria.series_depth(req) + 1))
-    return od.run_check(req)
+    """run_check with a block size of rows points of the scan's series,
+    checking that the scan's blocks of that depth hold that many."""
+    depth = criteria.series_depth(req)
+    monkeypatch.setattr(groups, "BLOCK_ELEMENTS", rows * (depth + 1))
+    seen = []
+
+    def spy(system, points, d, **kwargs):
+        for block in orbit_series(system, points, d, **kwargs):
+            if d == depth:
+                seen.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(criteria, "orbit_series", spy)
+    verdict = od.run_check(req)
+    assert not seen or max(seen) == min(rows, len(req.K))
+    return verdict
 
 
 def _requests():
@@ -86,20 +100,42 @@ def test_table_weight_verdicts_do_not_depend_on_the_block_size(entries, default,
         assert _run_with_rows(mp, req, 2) == whole
 
 
-def test_chaos_scan_holds_one_block_not_all_of_K():
-    # K = [-5,5]^2 x {0}, N_max = 256 and L_max = 64: the scan used to hold
-    # four series of 121 x 16 385 float64 at once, about 61 MiB.
-    req = _config(
-        "heisenberg_paper", K={"box": [[-5, 5], [-5, 5], [0, 0]]}, N_max=256, L_max=64
-    )
+def _traced_peak(req: od.CriterionRequest) -> tuple[od.Verdict, int]:
+    """run_check's verdict and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
         verdict = od.run_check(req)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return verdict, peak
+
+
+def test_chaos_scan_holds_one_block_not_all_of_K():
+    # K = [-5,5]^2 x {0}, N_max = 256 and L_max = 64: the scan used to hold
+    # four series of 121 x 16 385 float64 at once, about 61 MiB, and then
+    # blocks of 15 points, 12 MiB.  One point's series is 128 KiB.
+    req = _config(
+        "heisenberg_paper", K={"box": [[-5, 5], [-5, 5], [0, 0]]}, N_max=256, L_max=64
+    )
+    verdict, peak = _traced_peak(req)
     assert verdict.outcome is od.Outcome.WITNESS_FOUND
-    assert peak < 16 * 2**20
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # 401 points to depth 512 (3.7 MiB in blocks of 2 MiB series).
+        pytest.param({"property": "mixing", "K": {"box": [[-200, 200]]}, "N_max": 512}, id="z-mixing"),
+        # 41 points to depth 4096 (6.3 MiB in blocks of 2 MiB series).
+        pytest.param({"K": {"box": [[-20, 20]]}, "N_max": 128}, id="z-chaos"),
+    ],
+)
+def test_step_scans_hold_one_cache_sized_block(overrides):
+    verdict, peak = _traced_peak(_config("z_shift_chaotic", **overrides))
+    assert verdict.outcome is od.Outcome.WITNESS_FOUND
+    assert peak < 2**20
 
 
 def _full_depth_bytes(req: od.CriterionRequest) -> int:
