@@ -65,10 +65,17 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
 
-# Largest size, in bytes, of the float64 product series one checker holds
-# at once (see _held_bytes).  Requests above it fail validation instead of
-# dying in allocation.
+# Largest size, in bytes, of what one checker's scan holds at once (see
+# _held_bytes).  Requests above it fail validation instead of dying in
+# allocation.
 SERIES_MEMORY_CAP = 1 << 30
+
+# Bytes each candidate step n costs a scan beyond its series: its
+# SeriesPoint (the object, its floats and n, and its slots in the lists and
+# tuple that carry it into the Verdict) and the scan's per-n arrays.
+# tracemalloc measures 216 to 258 bytes (CPython 3.11, every scan); this
+# rounds up.
+_CANDIDATE_BYTES = 288
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,9 @@ class CriterionRequest:
     N_max bounds the step search; L_max truncates the chaos series.  A
     field out of range, or a repeated epsilon, raises ConfigError on its
     name, and budgets whose scan would hold more than SERIES_MEMORY_CAP
-    bytes at once (the series of one point of K plus what the scan keeps
-    over K; see _held_bytes) raise it on the N_max field.
+    bytes at once (one point's series and their gathers, plus what the
+    scan keeps over K and per candidate step; see _held_bytes) raise it on
+    the N_max field.
     """
 
     system: WeightedSystem
@@ -163,15 +171,19 @@ class CriterionRequest:
 
 
 def _held_bytes(req: CriterionRequest) -> int:
-    """Bytes of float64 the scan of req holds at once when a block of K is
-    one point.  For chaotic: that point's linear and log series, their
-    gathers at the candidate steps and the log-ratio differences, plus the
-    truncated sum and last term of every point of K per candidate n.
-    Otherwise: one series of that point and the two sups over K."""
+    """Bytes the scan of req holds at once when a block of K is one point
+    (a block of several points holds at most ``groups.BLOCK_ELEMENTS``
+    values a series).  Six arrays of depth + 1 float64 or int64 values:
+    for chaotic, that point's linear and log series, the int64 gather
+    index and the three gathers taken from it (the linear terms, the log
+    terms and their differences); otherwise the two sups over K, the
+    gather index and its three gathers (or the point's series, a max over
+    it and the weight fill's temporaries, before the sups are gathered).
+    Plus, for chaotic, the truncated sum and last term of every point of K
+    per candidate n, and _CANDIDATE_BYTES per candidate n for every scan."""
     depth = series_depth(req)
-    if req.property is Property.CHAOTIC:
-        return (5 * (depth + 1) + 2 * len(req.K) * req.N_max) * 8
-    return 3 * (depth + 1) * 8
+    kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
+    return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES
 
 
 def series_depth(req: CriterionRequest) -> int:
@@ -343,7 +355,8 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         last *= r / (1.0 - r)
     last[:, ~bounded] = 0.0
-    sup_total = (trunc + last).max(axis=0)
+    last += trunc  # in place: no third |K| x |ns| array
+    sup_total = last.max(axis=0)
     terms = np.where(bounded, sup_total, math.inf)[:, None]
     return _series_points(ns, firsts[0], firsts[1], sup_total), terms, bool(bounded.any())
 

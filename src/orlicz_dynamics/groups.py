@@ -6,17 +6,14 @@ so they hash and compare natively.  Haar measure is counting measure
 throughout; "compact set" means a finite explicit set of elements.  Each
 group gives the order of an element in closed form (``element_order``).
 
-Besides the scalar ``pow`` and ``mul``, each group has their vectorized
-forms on int64 coordinate arrays: ``power_coords(a, js)`` tabulates a^j
-over a whole range of exponents j (negative j included), in closed form,
-and ``mul_coords(xs, ps)`` multiplies broadcast coordinate arrays, so the
-orbits x·a^j of many points are one table and one product.
-``orbit_bound`` is the exact Python-int guard for both: callers use them
-only while the bound stays below ``INT64_GUARD``, so no int64
-intermediate can wrap.  ``CoordinateIndex`` looks such coordinates up in
-a finite set, for ``separation_constant`` and for table weights.
+Each group also gives ``orbit_index(x, a) = (r, i)``: x = r·a^i, where r
+is the same for every point of the orbit x·a^n (n in Z), and i is taken
+modulo the order of a when that is finite.  Two points share an orbit
+exactly when their r agree, and then x·a^j = y exactly when j = i_y - i_x.
+It is exact integer arithmetic with no size limit; ``separation_constant``
+and the weight fills in ``translations`` derive every orbit from it.
 
-The array kernels here and in ``translations`` work through
+The array kernels in ``translations`` and ``criteria`` work through
 ``BLOCK_ELEMENTS`` values at a time, so their temporaries stay in cache.
 """
 
@@ -33,11 +30,6 @@ import numpy as np
 from .errors import TorsionElementError
 
 Element = Hashable
-
-# Closed-form orbits are used only while orbit_bound stays below this:
-# every int64 intermediate of power_coords and mul_coords then stays
-# clear of 2^63.
-INT64_GUARD = 2**62
 
 # The one block size of the array kernels: this many values (128 KiB of
 # float64) per block.  Smaller blocks cost per-block overhead, larger ones
@@ -68,23 +60,11 @@ class Group(ABC):
         """Inverse of :meth:`coords`; accepts a bare int for rank-1 groups."""
 
     @abstractmethod
-    def orbit_bound(self, x: Element, a: Element, J: int) -> int:
-        """Exact bound on |c| for every coordinate c of x·a^j with |j| <= J,
-        and on every intermediate that :meth:`power_coords` (of a, for
-        such j) and :meth:`mul_coords` (of x by a^j) compute for it."""
-
-    @abstractmethod
-    def power_coords(self, a: Element, js: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Coordinates of a^j for each int64 exponent in js, in closed
-        form: one int64 array per coordinate, shaped like js, equal to
-        ``pow(a, j)`` while ``orbit_bound`` of a point for max |j| passes
-        the guard."""
-
-    @abstractmethod
-    def mul_coords(self, xs: tuple[np.ndarray, ...], ps: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Coordinates of x·p, as ``mul`` gives them, for int64
-        coordinate arrays xs and ps that broadcast together (one array per
-        coordinate), such as a column of points and a row of powers."""
+    def orbit_index(self, x: Element, a: Element) -> tuple[Element, int]:
+        """(r, i) with x = r·a^i, where r is the same for every point of
+        the orbit x·a^n and i is taken modulo ``element_order(a)`` when
+        that is finite: x·a^j = y exactly when both give the same r and
+        j = i_y - i_x (modulo that order)."""
 
     def element_order(self, g: Element) -> Optional[int]:
         """Least n >= 1 with g^n = identity, or None when g has infinite
@@ -123,14 +103,9 @@ class IntegerGroup(Group):
     def inv(self, g):
         return -g
 
-    def orbit_bound(self, x, a, J):
-        return abs(x) + (J + 1) * abs(a)
-
-    def power_coords(self, a, js):
-        return (js * a,)
-
-    def mul_coords(self, xs, ps):
-        return (xs[0] + ps[0],)
+    def orbit_index(self, x, a):
+        i = _lead_index((x,), (a,))
+        return x - i * a, i
 
     def coords(self, g):
         return [g]
@@ -162,14 +137,9 @@ class LatticeGroup(Group):
     def inv(self, g):
         return tuple(-a for a in g)
 
-    def orbit_bound(self, x, a, J):
-        return max(abs(xk) + (J + 1) * abs(ak) for xk, ak in zip(x, a))
-
-    def power_coords(self, a, js):
-        return tuple(js * ak for ak in a)
-
-    def mul_coords(self, xs, ps):
-        return tuple(x + p for x, p in zip(xs, ps))
+    def orbit_index(self, x, a):
+        i = _lead_index(x, a)
+        return tuple(xk - i * ak for xk, ak in zip(x, a)), i
 
     def coords(self, g):
         return list(g)
@@ -199,32 +169,13 @@ class HeisenbergGroup(Group):
         x, y, z = g
         return (-x, -y, x * y - z)
 
-    def orbit_bound(self, x, a, J):
-        # a^j = (j*a1, j*a2, j*a3 + a1*a2*j*(j-1)/2), so the z coordinate of
-        # x·a^j is quadratic in j; the bound sums every term's magnitude.
+    def orbit_index(self, x, a):
+        # x·a^t = (x1 + t*a1, x2 + t*a2, x3 + t*(a3 + x1*a2) + a1*a2*t*(t-1)/2):
+        # the first two coordinates are linear in t, and so is the third
+        # when a1 = a2 = 0.  r = x·a^{-i}, in closed form.
         (x1, x2, x3), (a1, a2, a3) = x, a
-        J1 = J + 1
-        return (
-            abs(x1) + abs(x2) + abs(x3)
-            + J1 * (abs(a1) + abs(a2) + abs(a3) + abs(x1 * a2))
-            + J1 * J1 * (1 + abs(a1 * a2))
-        )
-
-    def power_coords(self, a, js):
-        a1, a2, a3 = a
-        z = js - 1  # z = j*a3 + a1*a2 * j*(j-1)/2, built in place
-        z *= js
-        z //= 2
-        z *= a1 * a2
-        z += js * a3
-        return (js * a1, js * a2, z)
-
-    def mul_coords(self, xs, ps):
-        (x1, x2, x3), (p1, p2, p3) = xs, ps
-        z = x1 * p2  # then x3 and p3 added in place: exact, so in any order
-        z += x3
-        z += p3
-        return (x1 + p1, x2 + p2, z)
+        i = _lead_index(x, a)
+        return (x1 - i * a1, x2 - i * a2, x3 - i * (a3 + x1 * a2) + a1 * a2 * i * (i + 1) // 2), i
 
     def coords(self, g):
         return list(g)
@@ -254,15 +205,13 @@ class CyclicGroup(Group):
     def inv(self, g):
         return (-g) % self.m
 
-    def orbit_bound(self, x, a, J):
-        # a^j reduces to a residue below m, which x + a^j may then add.
-        return abs(x) + (J + 1) * abs(a) + self.m
-
-    def power_coords(self, a, js):
-        return ((js * a) % self.m,)
-
-    def mul_coords(self, xs, ps):
-        return ((xs[0] + ps[0]) % self.m,)
+    def orbit_index(self, x, a):
+        # x·a^i = x + i*a covers the residues x mod g, g = gcd(a, m), with
+        # period m / g; a / g is invertible modulo that period.
+        g = math.gcd(a, self.m)
+        r = x % g
+        period = self.m // g
+        return r, (x - r) // g * pow(a // g, -1, period) % period
 
     def coords(self, g):
         return [g]
@@ -321,23 +270,29 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     (the last probed shift still collides).  Raises TorsionElementError
     for elements of finite order, for which no such M can exist.
 
-    K meets K·a^n exactly when it meets K·a^{-n} (k·a^n = k' gives
-    k = k'·a^{-n}), so only the shifts K·a^n are formed: one table of
-    ``power_coords`` for n = 1..n_max, then ``mul_coords`` of K by a block
-    of it at a time, and their membership in K is looked up in a
-    ``CoordinateIndex`` of K.  When a point of K is past the
-    ``orbit_bound`` guard, the scalar ``mul`` loop decides instead.
+    K meets K·a^{±n} exactly when two points of K share an orbit and
+    their ``orbit_index`` exponents differ by n.  So K is grouped by
+    orbit, each orbit's exponents are sorted, and the last collision is
+    the largest difference within an orbit that is at most n_max, found
+    with two pointers: exact, and O(|K| log |K|) whatever n_max is.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     order = group.element_order(a)
     if order is not None:
         raise TorsionElementError(order)
-    collides = _closed_form_collisions(group, K, a, n_max)
-    if collides is None:
-        collides = _scalar_collisions(group, K, a, n_max)
-    hits = np.flatnonzero(collides)
-    last_collision = int(hits[-1]) + 1 if hits.size else 0
+    orbits: dict = {}
+    for k in K:
+        r, i = group.orbit_index(k, a)
+        orbits.setdefault(r, []).append(i)
+    last_collision = 0
+    for exps in orbits.values():
+        exps.sort()
+        lo = 0
+        for top in exps:
+            while top - exps[lo] > n_max:
+                lo += 1
+            last_collision = max(last_collision, top - exps[lo])
     if last_collision == n_max:
         return None
     return last_collision
@@ -345,7 +300,7 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
 
 def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> np.ndarray:
     """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
-    repeated ``mul``: the reference for the closed form."""
+    repeated ``mul``: the reference for ``separation_constant``."""
     base = K.elements
     collides = np.zeros(n_max, dtype=bool)
     an = group.identity()
@@ -358,66 +313,13 @@ def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> n
     return collides
 
 
-class CoordinateIndex:
-    """Row lookup over a finite set of distinct int64 coordinate rows.
-
-    Each prefix of a row's coordinates is keyed by its rank among the
-    set's own prefixes: the previous key times the number of values of the
-    next coordinate, plus that value's rank, re-ranked.  Keys thus stay
-    below the set's size squared, whatever the rank or the coordinates."""
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        # An empty set has one coordinate, which takes no values.
-        cols = np.array(rows, dtype=np.int64).T if len(rows) else np.zeros((1, 0), dtype=np.int64)
-        self._values = [_sorted_unique(col) for col in cols]
-        self._levels = []
-        key = np.searchsorted(self._values[0], cols[0])  # already a rank among the set's own
-        for v, col in zip(self._values[1:], cols[1:]):
-            key = key * len(v) + np.searchsorted(v, col)
-            self._levels.append(_sorted_unique(key))
-            key = np.searchsorted(self._levels[-1], key)
-        self._row_of = np.full(len(rows) + 1, -1)  # the last slot answers every miss
-        self._row_of[key] = np.arange(len(rows))
-
-    def find(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        """The row each query point equals, or -1; cols holds one int64 array per coordinate."""
-        key, found = _lookup(self._values[0], cols[0])
-        found &= len(cols) == len(self._values)  # a point of another rank is in no set
-        for v, level, col in zip(self._values[1:], self._levels, cols[1:]):
-            rank, ok = _lookup(v, col)
-            key, ok_key = _lookup(level, key * len(v) + rank)
-            found &= ok & ok_key
-        return self._row_of[np.where(found, key, -1)]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    # Python's sort keeps numpy's SIMD sort kernels (1 MB resident) out of the
-    # process; int64's maximum, past any guarded value, stops every search.
-    return np.array([*sorted(set(values.tolist())), 2**63 - 1], dtype=np.int64)
-
-
-def _lookup(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, present) of each x in sorted_values."""
-    at = np.searchsorted(sorted_values, x)
-    return at, sorted_values[at] == x
-
-
-def _closed_form_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[np.ndarray]:
-    """``_scalar_collisions`` from the closed-form orbits, or None when K
-    is empty or a point of K is past the ``orbit_bound`` guard."""
-    base = list(K.elements)
-    if not base or any(group.orbit_bound(k, a, n_max) >= INT64_GUARD for k in base):
-        return None
-    ks = np.array([group.coords(k) for k in base], dtype=np.int64)
-    index = CoordinateIndex(ks)
-    columns = tuple(ks.T[:, :, None])
-    powers = group.power_coords(a, np.arange(1, n_max + 1))
-    collides = np.empty(n_max, dtype=bool)
-    step = max(1, BLOCK_ELEMENTS // len(base))
-    for start in range(0, n_max, step):
-        shifts = group.mul_coords(columns, tuple(p[start : start + step] for p in powers))
-        collides[start : start + step] = (index.find(shifts) >= 0).any(axis=0)
-    return collides
+def _lead_index(x: Sequence[int], a: Sequence[int]) -> int:
+    """x_k // a_k at the first nonzero coordinate a_k of a (0 when a is the
+    identity): the exponent i of x = r·a^i on a coordinate linear in i."""
+    for xk, ak in zip(x, a):
+        if ak:
+            return xk // ak
+    return 0
 
 
 GROUP_KINDS = {

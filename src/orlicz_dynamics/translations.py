@@ -9,23 +9,24 @@ sequences along the orbit of a point x:
     backward products  1 / prod_{j=0..n-1} w(x * a^{-j})
 
 ``orbit_series`` computes both for a whole set of points and yields
-them a block of points at a time.  Each call tabulates the coordinates
-of a^j once for all the steps j (``Group.power_coords``: affine in j on
-Z, Z^d and cyclic groups, quadratic in the Heisenberg z coordinate).
-Each block of points then takes one ``Group.mul_coords`` of its
-coordinate column by that table, and the weight's ``evaluate_many``
-writes the (points, steps) weights straight into the block's series
-buffer, which is reused from block to block and holds about
-``groups.BLOCK_ELEMENTS`` values.  The series are then one sequential
-cumprod per row, and a cumsum of the logs: the same operations, in the
-same order, on the same float64 weights as the scalar loop
-``orbit_weights_forward`` / ``orbit_weights_backward`` that applies
-``Group.mul`` once per step, so every product is bit-identical to it; a
-table weight looks its float64 values up in a ``groups.CoordinateIndex``
-of its keys.  The loop remains the reference and the only path for
-orbits whose coordinates could reach ``groups.INT64_GUARD``, as an exact
-Python-int bound decides.  The per-point functions (``phi_product``,
-``phi_series_pair``, ...) are views of a one-point block.
+them a block of points at a time.  Each weight fills the (points, steps)
+block of its values along the orbits in closed form, straight into the
+block's series buffer, which is reused from block to block and holds
+about ``groups.BLOCK_ELEMENTS`` values (``orbit_filler``): along an orbit
+every weight family is a few constant runs, solved in exact Python ints
+with no size limit.  A constant weight is one run; a step weight on Z
+has one cut per row, where x + j·a crosses 1; the dyadic Heisenberg
+weight has at most five sign runs of the integer quadratic 2z(j); a
+table weight groups its keys by ``Group.orbit_index`` once per call, so
+each row's hits are the keys of its orbit at exponents j = i_key - i_x
+(a strided slice when a has finite order).  The series are then one
+sequential cumprod per row, and a cumsum of the logs: the same
+operations, in the same order, on the same float64 weights as the
+scalar loop ``orbit_weights_forward`` / ``orbit_weights_backward`` that
+applies ``Group.mul`` once per step, so every product is bit-identical
+to it.  That loop is kept as the reference; no computation takes it.
+The per-point functions (``phi_product``, ``phi_series_pair``, ...) are
+views of a one-point block.
 
 ``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
 l = 1..count, from the same weight block: row i starts with the i-th
@@ -50,14 +51,15 @@ variants.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import groups
-from .groups import INT64_GUARD, CoordinateIndex, Element, Group
+from .groups import CyclicGroup, Element, Group
 from .orlicz import OrliczVector
 
 
@@ -72,8 +74,8 @@ class ConstantWeight:
     def __call__(self, g: Element) -> float:
         return self.c
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
-        out.fill(self.c)
+    def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
+        return lambda points, out: out.fill(self.c)
 
     def sup_bound(self) -> float:
         return self.c
@@ -96,10 +98,30 @@ class TwoSidedStepWeight:
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
-        (x,) = coords
-        out.fill(self.c_neg)
-        np.copyto(out, self.c_pos, where=x >= 1)
+    def orbit_filler(self, group: Group, a: int, backward: bool) -> Filler:
+        if isinstance(group, CyclicGroup):  # residues: x >= 1 means x != 0
+            return _table_filler(group, a, backward, {0: self.c_neg}, self.c_pos)
+        first, step = _exponents(backward)
+        b = step * a  # column c of a row holds the weight at x0 + c*b
+        # Columns before a row's cut hold `before`, the rest `after`.
+        before, after = (self.c_neg, self.c_pos) if b >= 0 else (self.c_pos, self.c_neg)
+
+        def fill(points: Sequence[int], out: np.ndarray) -> None:
+            m = out.shape[1]
+            cuts = []
+            for x in points:
+                x0 = x + first * a
+                if b > 0:
+                    cut = -((x0 - 1) // b)  # the first c with x0 + c*b >= 1
+                elif b < 0:
+                    cut = (x0 - 1) // -b + 1  # the first c with x0 + c*b <= 0
+                else:
+                    cut = 0 if x0 >= 1 else m
+                cuts.append(min(max(cut, 0), m))
+            out.fill(before)
+            np.copyto(out, after, where=np.arange(m) >= np.array(cuts)[:, None])
+
+        return fill
 
     def sup_bound(self) -> float:
         return max(self.c_neg, self.c_pos)
@@ -125,11 +147,24 @@ class HeisenbergDyadicWeight:
             return 2.0
         return 2.0 ** (-z)
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
-        _, _, z = coords
-        out.fill(1.0)
-        np.copyto(out, 0.5, where=z >= 1)
-        np.copyto(out, 2.0, where=z <= -1)
+    def orbit_filler(self, group: Group, a: tuple[int, int, int], backward: bool) -> Filler:
+        first, step = _exponents(backward)
+        a1, a2, a3 = a
+        A = a1 * a2
+
+        def fill(points: Sequence[tuple[int, int, int]], out: np.ndarray) -> None:
+            m = out.shape[1]
+            for row, (x1, _, x3) in zip(out, points):
+                # 2z at t = first + step*c: 2*x3 + 2t(a3 + x1*a2) + A*t(t - 1),
+                # as A c^2 + B c + C.
+                B0 = 2 * (a3 + x1 * a2) - A
+                B = step * (2 * A * first + B0)
+                C = (A * first + B0) * first + 2 * x3
+                for lo, hi in _sign_runs(A, B, C, m):
+                    q = (A * lo + B) * lo + C
+                    row[lo:hi] = 0.5 if q > 0 else 2.0 if q < 0 else 1.0
+
+        return fill
 
     def sup_bound(self) -> float:
         return 2.0
@@ -151,18 +186,12 @@ class TableWeight:
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "entries", tuple(sorted(table.items(), key=lambda e: repr(e[0]))))
         object.__setattr__(self, "_table", table)
-        coords = {g: g if isinstance(g, tuple) else (g,) for g in table}
-        # No orbit under the int64 guard reaches a key past it.
-        keys = [g for g, c in coords.items() if max(map(abs, c)) < INT64_GUARD]
-        object.__setattr__(self, "_index", CoordinateIndex([coords[g] for g in keys]))
-        object.__setattr__(self, "_values", np.array([table[g] for g in keys] + [self.default], dtype=float))
 
     def __call__(self, g: Element) -> float:
         return self._table.get(g, self.default)
 
-    def evaluate_many(self, coords: tuple[np.ndarray, ...], out: np.ndarray) -> None:
-        # A miss finds -1, which wraps to the default.
-        np.take(self._values, self._index.find(coords), out=out, mode="wrap")
+    def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
+        return _table_filler(group, a, backward, self._table, self.default)
 
     def sup_bound(self) -> float:
         return max(max(self._table.values(), default=self.default), self.default)
@@ -172,6 +201,69 @@ class TableWeight:
 
 
 Weight = ConstantWeight | TwoSidedStepWeight | HeisenbergDyadicWeight | TableWeight
+
+# What a weight's orbit_filler returns: fill(points, out) writes the
+# weights along each point's orbit into the matching row of out, as
+# orbit_weights_forward (or _backward) gives them, for every row length.
+Filler = Callable[[Sequence[Element], np.ndarray], None]
+
+
+def _exponents(backward: bool) -> tuple[int, int]:
+    """(first, step): column c of a filled row holds the weight at
+    x·a^(first + step*c), which is j = c + 1 forward and j = -c backward."""
+    return (0, -1) if backward else (1, 1)
+
+
+def _sign_runs(A: int, B: int, C: int, m: int) -> list[tuple[int, int]]:
+    """Cut [0, m) into runs [lo, hi) on which the integer quadratic
+    A c^2 + B c + C keeps one sign.  Its sign can change only next to a
+    real root; each root is approximated to within 2 (isqrt, floor
+    division), and every integer within 3 of that is a cut."""
+    if A:
+        disc = B * B - 4 * A * C
+        s = math.isqrt(disc) if disc >= 0 else None
+        roots = [] if s is None else [(-B - s) // (2 * A), (-B + s) // (2 * A)]
+    else:
+        roots = [-C // B] if B else []
+    cuts = sorted({0, m, *(min(max(r + k, 0), m) for r in roots for k in range(-3, 4))})
+    return list(zip(cuts, cuts[1:]))
+
+
+def _table_filler(group: Group, a: Element, backward: bool, table: dict, default: float) -> Filler:
+    """The fill of a table of weights with a default: the keys are grouped
+    by orbit once, and each row takes the keys of its own orbit."""
+    first, step = _exponents(backward)
+    order = group.element_order(a)
+    orbits: dict = {}
+    for key, v in table.items():
+        r, i = group.orbit_index(key, a)
+        orbits.setdefault(r, []).append((i, v))
+    for r, hits in orbits.items():
+        hits.sort()
+        orbits[r] = ([i for i, _ in hits], np.array([v for _, v in hits]))
+
+    def fill(points: Sequence[Element], out: np.ndarray) -> None:
+        m = out.shape[1]
+        out.fill(default)
+        for row, x in zip(out, points):
+            r, i = group.orbit_index(x, a)
+            if r not in orbits:
+                continue  # no key on this orbit
+            exps, values = orbits[r]
+            # Column c holds the point of exponent base + step*c on the orbit.
+            base = i + first
+            if order is not None:
+                for e, v in zip(exps, values):
+                    row[step * (e - base) % order :: order] = v
+                continue
+            if step > 0:
+                lo, hi = bisect_left(exps, base), bisect_left(exps, base + m)
+            else:
+                lo, hi = bisect_right(exps, base - m), bisect_right(exps, base)
+            if lo < hi:
+                row[[step * (e - base) for e in exps[lo:hi]]] = values[lo:hi]
+
+    return fill
 
 
 @dataclass(frozen=True)
@@ -184,8 +276,8 @@ class WeightedSystem:
     young: object
 
     def __post_init__(self):
-        # The kernel looks table weights up by coordinates, the scalar loop
-        # by element: a key that is not a group element splits the two.
+        # The fills find table keys by their orbit_index, the scalar loop by
+        # element: a key that is not a group element splits the two.
         for g, _ in self.weight.entries if isinstance(self.weight, TableWeight) else ():
             try:
                 ok = self.group.element(self.group.coords(g)) == g
@@ -238,11 +330,11 @@ def iterates(
     m = count * step
     block = np.empty((len(pts), m + 1))
     block[:, 0] = np.fromiter(f.values(), float, len(pts))
-    closed, powers = _orbit_plan(sys, pts, m, backward)
+    fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
     rows = _block_rows(m + 1)
     for start in range(0, len(pts), rows):
         blk = slice(start, start + rows)
-        _fill_weights(sys, pts[blk], closed[blk], powers, backward, block[blk, 1:])
+        fill(pts[blk], block[blk, 1:])
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
     k = -step if backward else step
@@ -257,10 +349,8 @@ def _moved(sys: WeightedSystem, pts: Sequence[Element], k: int, values: Sequence
 
 
 def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray:
-    """Array [w(x*a), w(x*a^2), ..., w(x*a^m)], by repeated ``mul``.
-
-    The scalar reference for the closed-form kernel, and its path for
-    orbits past the int64 guard."""
+    """Array [w(x*a), w(x*a^2), ..., w(x*a^m)], by repeated ``mul``: the
+    scalar reference for the weight fills."""
     g, a, w = sys.group, sys.a, sys.weight
     out = np.empty(m)
     cur = x
@@ -283,56 +373,6 @@ def orbit_weights_backward(sys: WeightedSystem, x: Element, m: int) -> np.ndarra
     return out
 
 
-def _orbit_plan(
-    sys: WeightedSystem, points: Sequence[Element], m: int, backward: bool
-) -> tuple[list[bool], Optional[tuple[np.ndarray, ...]]]:
-    """Which points take the closed form for orbits of m steps, and the
-    table of a^j coordinates for the orbit's exponents (j = 1..m, or
-    0, -1, ..., -(m-1) when backward), built once for them all: None when
-    every orbit could leave the int64 guard."""
-    g, a = sys.group, sys.a
-    closed = [g.orbit_bound(x, a, m) < INT64_GUARD for x in points]
-    if not any(closed):
-        return closed, None
-    js = -np.arange(m) if backward else np.arange(1, m + 1)
-    return closed, g.power_coords(a, js)
-
-
-def _fill_weights(
-    sys: WeightedSystem,
-    points: Sequence[Element],
-    closed: Sequence[bool],
-    powers: Optional[tuple[np.ndarray, ...]],
-    backward: bool,
-    out: np.ndarray,
-) -> None:
-    """Fill the (len(points), m) array out with the weights along each
-    orbit: row i equals orbit_weights_forward(sys, points[i], m), or
-    orbit_weights_backward when backward is set.
-
-    Each run of closed-form points takes ``mul_coords`` of its
-    coordinates by the power table, a block of steps at a time (all of
-    them unless one row is longer than a block), and the weight's
-    ``evaluate_many`` writes into out in place; the other points take
-    the scalar loop."""
-    g = sys.group
-    scalar = orbit_weights_backward if backward else orbit_weights_forward
-    i = 0
-    for is_closed, run in groupby(closed):
-        j = i + len(list(run))
-        if is_closed:
-            xs = np.array([g.coords(x) for x in points[i:j]], dtype=np.int64)
-            columns = tuple(xs.T[:, :, None])
-            step = _block_rows(j - i)
-            for c in range(0, out.shape[1], step):
-                coords = g.mul_coords(columns, tuple(p[c : c + step] for p in powers))
-                sys.weight.evaluate_many(coords, out=out[i:j, c : c + step])
-        else:
-            for r in range(i, j):
-                out[r] = scalar(sys, points[r], out.shape[1])
-        i = j
-
-
 def _block_rows(width: int) -> int:
     """Rows of width values each that make one block (at least one)."""
     return max(1, groups.BLOCK_ELEMENTS // width)
@@ -353,10 +393,10 @@ def orbit_series(
     Row i of a block equals phi_series_pair(sys, points[rows][i], depth),
     or phi_tilde_series_pair when backward is set, bit for bit: each row
     is the same sequential cumprod (and cumsum of logs) over the same
-    weights.  The power table is built once per call, and every block
+    weights.  The weight's filler is built once per call, and every block
     reuses the same buffers of about ``groups.BLOCK_ELEMENTS`` values, so
     a block's arrays hold only until the next block is asked for."""
-    closed, powers = _orbit_plan(sys, points, depth, backward)
+    fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
     rows = _block_rows(depth + 1)
     shape = (min(rows, len(points)), depth + 1)
     linear = np.empty(shape)
@@ -370,7 +410,7 @@ def orbit_series(
         n = blk.stop - start
         lin = linear[:n]
         ws = lin[:, 1:]
-        _fill_weights(sys, points[blk], closed[blk], powers, backward, ws)
+        fill(points[blk], ws)
         lg = None
         if logs:
             lg = log[:n]

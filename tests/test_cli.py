@@ -5,11 +5,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import orlicz_dynamics as od
 from conftest import block_alternating_weight
+from orlicz_dynamics import groups, translations
 from orlicz_dynamics.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -45,6 +47,27 @@ def test_check_heisenberg_witnesses(capsys):
     assert verdict["outcome"] == "witness_found"
     assert len(verdict["witness"]) == len(od.DEFAULT_EPSILONS)
     assert verdict["tail_bounded"] is True
+
+
+def test_check_far_out_K_gives_the_verdict_at_the_origin(capsys, tmp_path):
+    # With a = (3, 0, 2) the orbit's z coordinate is x3 + 2j whatever x1 and
+    # x2 are, so K shifted by (2^70, 2^70, 0) has the verdict of K at the
+    # origin.  Those orbits once went to the scalar loops; neither may run.
+    raw = json.loads((CONFIG_DIR / "heisenberg_paper.json").read_text())
+    far = 2**70
+    raw["K"] = {"box": [[far - 1, far + 1], [far - 1, far + 1], [0, 0]]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(raw))
+    _, origin = _run(capsys, "check", "--config", str(CONFIG_DIR / "heisenberg_paper.json"))
+    loop_ran = AssertionError("scalar loop ran")
+    with (
+        mock.patch.object(translations, "orbit_weights_forward", side_effect=loop_ran),
+        mock.patch.object(translations, "orbit_weights_backward", side_effect=loop_ran),
+        mock.patch.object(groups, "_scalar_collisions", side_effect=loop_ran),
+    ):
+        code, envelope = _run(capsys, "check", "--config", str(path))
+    assert code == 0
+    assert envelope["results"]["verdict"] == origin["results"]["verdict"]
 
 
 def test_check_cyclic_reports_torsion_order(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import orlicz_dynamics as od
 from conftest import all_groups, random_element
 
-from orlicz_dynamics import groups
+from orlicz_dynamics import groups, translations
 from orlicz_dynamics.errors import TorsionElementError
 
 
@@ -150,7 +150,9 @@ def separation_cases(draw):
     rank = len(group.coords(group.identity()))
     point = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     a = draw(point.map(group.element).filter(lambda g: g != group.identity()))
-    offset = draw(st.lists(st.integers(-10**6, 10**6), min_size=rank, max_size=rank))
+    # Offsets up to 2^90: coordinates and Heisenberg twists far past int64.
+    scale = draw(st.sampled_from([10**6, 2**64, 2**90]))
+    offset = draw(st.lists(st.integers(-scale, scale), min_size=rank, max_size=rank))
     # Scattered points, so K is rarely a product of coordinate sets.
     points = draw(st.lists(point, min_size=1, max_size=12))
     K = od.CompactSet.of(group.element([o + c for o, c in zip(offset, p)]) for p in points)
@@ -158,139 +160,105 @@ def separation_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(separation_cases(), st.sampled_from([groups.BLOCK_ELEMENTS, 1, 7]))
-def test_separation_closed_form_matches_the_scalar_loop(case, block):
+@given(separation_cases())
+def test_separation_closed_form_matches_the_scalar_loop(case):
     group, K, a, n_max = case
-    with mock.patch.object(groups, "BLOCK_ELEMENTS", block):
-        closed = groups._closed_form_collisions(group, K, a, n_max)
-    assert closed is not None
-    assert np.array_equal(closed, groups._scalar_collisions(group, K, a, n_max))
     assert od.separation_constant(group, K, a, n_max) == _scalar_separation(group, K, a, n_max)
 
 
-_small = st.integers(-5, 5)
+_coordinate = st.one_of(st.integers(-5, 5), st.integers(-(2**64), 2**64), st.integers(-(2**100), 2**100))
+_ORBIT_GROUPS = [
+    od.IntegerGroup(), od.LatticeGroup(d=3), od.HeisenbergGroup(), od.CyclicGroup(12), od.CyclicGroup(2**64 + 6)
+]
 
 
 @st.composite
-def power_cases(draw):
-    """A group, a non-identity a, a few points x and an exponent bound J.
-
-    Some points sit just under the orbit_bound guard for J: their last
-    coordinate (the modulus, on a cyclic group) is pushed until the bound
-    lies a few units below INT64_GUARD."""
-    kind = draw(st.sampled_from(["Z", "Zd", "heisenberg", "cyclic"]))
-    J = draw(st.integers(0, 40))
-    top = groups.INT64_GUARD - 1 - draw(st.integers(0, 3))
-    if kind == "cyclic":
-        a, points = draw(st.integers(1, 5)), draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
-        m = draw(st.sampled_from([a + 1, 7, top - max(points) - (J + 1) * a]))
-        return od.CyclicGroup(m=m), a % m, [x % m for x in points], J
-    group = {"Z": od.IntegerGroup(), "Zd": od.LatticeGroup(d=3), "heisenberg": od.HeisenbergGroup()}[kind]
+def orbit_index_cases(draw):
+    """A group, an element a (the identity too), a point x and a point y:
+    either x·a^j for a small j, or drawn on its own."""
+    group = draw(st.sampled_from(_ORBIT_GROUPS))
     rank = len(group.coords(group.identity()))
-    element = st.lists(_small, min_size=rank, max_size=rank).map(group.element)
-    a = draw(element.filter(lambda g: g != group.identity()))
-    points = draw(st.lists(element, min_size=1, max_size=3))
-    for i in draw(st.sets(st.integers(0, len(points) - 1))):
-        # The bound grows by one per unit of |last coordinate| once that dominates.
-        sign = draw(st.sampled_from([1, -1]))
-        coords = group.coords(points[i])
-        coords[-1] = sign * top
-        coords[-1] = sign * (2 * top - group.orbit_bound(group.element(coords), a, J))
-        points[i] = group.element(coords)
-    return group, a, points, J
+    element = st.lists(_coordinate, min_size=rank, max_size=rank).map(group.element)
+    a = draw(st.one_of(st.just(group.identity()), element))
+    x = draw(element)
+    y = draw(st.one_of(st.integers(-20, 20).map(lambda j: group.mul(x, group.pow(a, j))), element))
+    return group, a, x, y
 
 
-@settings(max_examples=300, deadline=None)
-@given(power_cases())
-def test_power_and_mul_coords_match_pow_and_mul(case):
-    group, a, points, J = case
-    assert all(group.orbit_bound(x, a, J) < groups.INT64_GUARD for x in points)
-    js = np.arange(-J, J + 1)
-    powers = group.power_coords(a, js)
-    columns = tuple(np.array([[c] for c in col], dtype=np.int64) for col in zip(*map(group.coords, points)))
-    products = group.mul_coords(columns, powers)
-    for i, j in enumerate(js.tolist()):
-        assert [int(p[i]) for p in powers] == group.coords(group.pow(a, j))
-    step = {1: a, -1: group.inv(a)}
-    for row, x in enumerate(points):
-        orbit = {0: x}
-        for j in range(1, J + 1):
-            orbit[j] = group.mul(orbit[j - 1], step[1])
-            orbit[-j] = group.mul(orbit[1 - j], step[-1])
-        for i, j in enumerate(js.tolist()):
-            assert [int(c[row, i]) for c in products] == group.coords(orbit[j])
+def _within_steps(group, a, x, y, steps=20):
+    """Whether y = x·a^j for some |j| <= steps, by repeated mul."""
+    fwd = bwd = x
+    a_inv = group.inv(a)
+    for _ in range(steps + 1):
+        if y in (fwd, bwd):
+            return True
+        fwd, bwd = group.mul(fwd, a), group.mul(bwd, a_inv)
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(orbit_index_cases())
+def test_orbit_index_is_exact(case):
+    group, a, x, y = case
+    order = group.element_order(a)
+    r, i = group.orbit_index(x, a)
+    assert group.mul(r, group.pow(a, i)) == x
+    if order is not None:
+        assert 0 <= i < order
+    # One step along the orbit keeps r and adds 1 to i (mod the order).
+    r1, i1 = group.orbit_index(group.mul(x, a), a)
+    assert r1 == r
+    assert i1 == (i + 1) % order if order is not None else i1 == i + 1
+    # Points share r exactly when they share an orbit, and then
+    # x·a^(i_y - i_x) = y.
+    ry, iy = group.orbit_index(y, a)
+    if ry == r:
+        assert group.mul(x, group.pow(a, iy - i)) == y
+    else:
+        assert not _within_steps(group, a, x, y)
+
+
+def test_orbit_index_examples():
+    assert od.IntegerGroup().orbit_index(-7, 3) == (2, -3)
+    assert od.IntegerGroup().orbit_index(-7, 0) == (-7, 0)
+    assert od.LatticeGroup(d=2).orbit_index((5, 9), (0, -2)) == ((5, -1), -5)
+    # a = (3, 0, 2): x·a^t = (x1 + 3t, x2, x3 + 2t), so r has x1 in {0, 1, 2}.
+    assert od.HeisenbergGroup().orbit_index((7, 4, 1), (3, 0, 2)) == ((1, 4, -3), 2)
+    # a = 4 in Z/10: orbits are the residues mod 2, with period 5.
+    c = od.CyclicGroup(10)
+    assert c.orbit_index(6, 4) == (0, 4) and c.orbit_index(c.mul(6, 4), 4) == (0, 0)
 
 
 def test_cyclic_orbits_past_the_int64_range_take_the_scalar_loop():
-    # A modulus past int64 used to reach the closed form, whose numpy
-    # arithmetic raised OverflowError inside run_check.
+    # A modulus past int64 once reached int64 coordinate arithmetic, which
+    # raised OverflowError inside run_check; the orbit fills are exact
+    # Python ints, and their series match the scalar loop's.
     group = od.CyclicGroup(m=2**64)
-    assert group.orbit_bound(0, 1, 8) >= groups.INT64_GUARD
     system = od.WeightedSystem(group=group, a=1, weight=od.ConstantWeight(0.5), young=od.PowerYoung(2.0))
     verdict = od.run_check(od.CriterionRequest(system=system, K=od.CompactSet.of([0, 1]), property="mixing", N_max=8))
     assert verdict.obstruction.kind == "torsion" and verdict.obstruction.order == 2**64
+    table = od.TableWeight(((2**64 - 1, 4.0), (3, 0.25)), default=0.5)
+    system = od.WeightedSystem(group=group, a=2**64 - 1, weight=table, young=od.PowerYoung(2.0))
+    for x in (0, 2**63 + 5):
+        weights = translations.orbit_weights_forward(system, x, 8)
+        assert np.array_equal(od.phi_series_pair(system, x, 8)[0], np.cumprod([1.0, *weights]))
 
 
 def test_separation_past_the_orbit_guard_takes_the_scalar_loop():
+    # Points and steps near 2^61 once sent separation to its scalar loop;
+    # the orbit indices are exact at any size and agree with that loop.
     z = od.IntegerGroup()
     K = od.CompactSet.of([2**61, 2**61 + 3, 0])
-    assert groups._closed_form_collisions(z, K, 2**60, 8) is None
     assert od.separation_constant(z, K, 2**60, 8) == _scalar_separation(z, K, 2**60, 8) == 2
-    # A small step keeps the same points under the guard.
-    assert groups._closed_form_collisions(z, K, 3, 8) is not None
-    assert od.separation_constant(z, K, 3, 8) == 1
-    assert groups._closed_form_collisions(z, od.CompactSet.of([]), 1, 8) is None
+    assert od.separation_constant(z, K, 3, 8) == _scalar_separation(z, K, 3, 8) == 1
     assert od.separation_constant(z, od.CompactSet.of([]), 1, 8) == 0
-    # 250 points with distinct coordinates in Z^8: their mixed-radix keys,
-    # 250^8 of them, would pass 2^62, but the index re-ranks every prefix.
+    # 250 points with distinct coordinates in Z^8.
     z8 = od.LatticeGroup(d=8)
     K = od.CompactSet.of(tuple(3 * i + c for c in range(8)) for i in range(250))
     for a in ((3,) * 8, (1,) * 8):
-        assert np.array_equal(groups._closed_form_collisions(z8, K, a, 8), groups._scalar_collisions(z8, K, a, 8))
+        assert od.separation_constant(z8, K, a, 8) == _scalar_separation(z8, K, a, 8)
     assert od.separation_constant(z8, K, (3,) * 8, 8) is None
     assert od.separation_constant(z8, K, (1,) * 8, 8) == 6  # shifts by multiples of 3 collide
-
-
-# Few values per coordinate, so points often share a prefix of coordinates
-# with a row of the set yet miss it; one in four lies near +-2^61.
-_index_coordinate = st.one_of(
-    st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([-(2**61), 2**61 - 1])
-)
-
-
-@st.composite
-def index_cases(draw):
-    rank = draw(st.integers(1, 8))
-    point = st.lists(_index_coordinate, min_size=rank, max_size=rank).map(tuple)
-    rows = draw(st.lists(point, max_size=24, unique=True))
-    queries = rows + draw(st.lists(point, min_size=1, max_size=24))
-    return rows, draw(st.permutations(queries))
-
-
-def _check_index(rows, queries):
-    index = groups.CoordinateIndex(rows)
-    expected = [{row: i for i, row in enumerate(rows)}.get(q, -1) for q in queries]
-    cols = np.array(queries, dtype=np.int64).T
-    assert index.find(tuple(cols)).tolist() == expected
-    # Orbit coordinates come as (points, steps) blocks; find keeps the shape.
-    assert index.find(tuple(c.reshape(-1, 1) for c in cols)).tolist() == [[e] for e in expected]
-
-
-@settings(max_examples=300, deadline=None)
-@given(index_cases())
-def test_coordinate_index_matches_a_dict(case):
-    _check_index(*case)
-
-
-def test_coordinate_index_edge_cases():
-    _check_index([], [(0,), (-(2**61),)])
-    # A point of another rank is in no set, as in a dict of tuples.
-    assert groups.CoordinateIndex([(0,)]).find((np.array([0]), np.array([0]))).tolist() == [-1]
-    # The 250-point Z^8 set of the separation test: mixed-radix keys would
-    # reach 250^8 > 2^62.
-    rows = [tuple(3 * i + c for c in range(8)) for i in range(250)]
-    shifted = [tuple(c + 1 for c in row) for row in rows]
-    _check_index(rows, rows + shifted + [tuple(-c for c in rows[-1])])
 
 
 def test_separation_counts_no_group_multiplications():

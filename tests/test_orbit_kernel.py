@@ -1,4 +1,4 @@
-"""The closed-form orbit kernel against the scalar ``mul`` loop, bit for bit."""
+"""The closed-form orbit fills against the scalar ``mul`` loop, bit for bit."""
 
 from __future__ import annotations
 
@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from orlicz_dynamics import groups, translations
-from orlicz_dynamics.groups import INT64_GUARD
 from conftest import P2
 
 NEAR_2_61 = 2**61
 
 small = st.integers(-40, 40)
-# One coordinate in four lies near +-2^61: some of those orbits stay under
-# the int64 guard and take the closed form with huge values, others cross
-# it and fall back to the scalar loop.
-near = st.tuples(st.sampled_from([-NEAR_2_61, NEAR_2_61]), small).map(sum)
+# One coordinate in four lies near +-2^61, +-2^63 or +-2^100, where int64
+# arithmetic would wrap: the fills work in exact Python ints.
+near = st.tuples(st.sampled_from([-NEAR_2_61, NEAR_2_61, -(2**63), 2**63, -(2**100), 2**100]), small).map(sum)
 coordinate = st.one_of(small, small, small, near)
+nonzero = st.one_of(st.integers(-40, -1), st.integers(1, 40))
 positive = st.floats(0.125, 4.0, allow_nan=False, allow_infinity=False)
 
 
@@ -53,17 +52,34 @@ def _reference(sys, x, depth, backward):
 def systems(draw):
     group = draw(
         st.sampled_from(
-            [od.IntegerGroup(), od.LatticeGroup(d=2), od.HeisenbergGroup(), od.CyclicGroup(m=7)]
+            [
+                od.IntegerGroup(),
+                od.LatticeGroup(d=2),
+                od.HeisenbergGroup(),
+                od.CyclicGroup(m=7),
+                od.CyclicGroup(m=2**70 + 6),
+            ]
         )
     )
     rank = len(group.coords(group.identity()))
     element = st.lists(coordinate, min_size=rank, max_size=rank).map(group.element)
-    a = draw(element.filter(lambda g: g != group.identity()))
+    # The identity too: the obstruction diagnostics reach it (a = 0 on Z).
+    a = draw(st.one_of(element, st.just(group.identity())))
+    if group.kind == "heisenberg" and draw(st.booleans()):
+        # a1*a2 != 0: the orbit's z coordinate is quadratic in the step.
+        a = (draw(nonzero), draw(nonzero), draw(coordinate))
+    points = draw(st.lists(element, min_size=1, max_size=6))
+    # Table keys drawn on the points' orbits, a few steps either way, and
+    # anywhere in the group.
+    on_orbit = st.tuples(st.sampled_from(points), st.integers(-70, 70)).map(
+        lambda p: group.mul(p[0], group.pow(a, p[1]))
+    )
+    key = st.one_of(element, on_orbit, on_orbit)
     weights = [
         st.builds(od.ConstantWeight, positive),
         st.builds(
             od.TableWeight,
-            st.lists(st.tuples(element, positive), max_size=6).map(tuple),
+            st.lists(st.tuples(key, positive), max_size=8).map(tuple),
             positive,
         ),
     ]
@@ -72,7 +88,6 @@ def systems(draw):
     if group.kind == "heisenberg":
         weights.append(st.just(od.HeisenbergDyadicWeight()))
     weight = draw(st.one_of(weights))
-    points = draw(st.lists(element, min_size=1, max_size=6))
     return od.WeightedSystem(group=group, a=a, weight=weight, young=P2), points
 
 
@@ -104,30 +119,6 @@ def test_cyclic_orbits_wrap_around():
             assert np.array_equal(logs[i], ref_logs)
 
 
-def test_int64_guard_sends_only_large_orbits_to_the_scalar_loop():
-    # z of (2^61, 0, 0)·a^j is about j * 2^61: int64 would wrap from j = 4 on.
-    sys = od.WeightedSystem(
-        group=od.HeisenbergGroup(), a=(1, 1, 0), weight=od.HeisenbergDyadicWeight(), young=P2
-    )
-    big, small_point = (NEAR_2_61, 0, 0), (-3, 2, 5)
-    assert sys.group.orbit_bound(big, sys.a, 16) >= INT64_GUARD
-    assert sys.group.orbit_bound(small_point, sys.a, 16) < INT64_GUARD
-    calls = []
-    scalar = translations.orbit_weights_forward
-
-    def counted(s, x, m):
-        calls.append(x)
-        return scalar(s, x, m)
-
-    with mock.patch.object(translations, "orbit_weights_forward", counted):
-        linear, logs = _series(sys, [small_point, big], 16)
-    assert calls == [big]
-    for i, x in enumerate([small_point, big]):
-        ref_linear, ref_logs = _reference(sys, x, 16, False)
-        assert np.array_equal(linear[i], ref_linear)
-        assert np.array_equal(logs[i], ref_logs)
-
-
 @pytest.mark.parametrize(
     "group,a",
     [
@@ -141,7 +132,7 @@ def test_table_weight_orbits_under_the_guard_take_the_kernel(group, a):
     rank = len(group.coords(group.identity()))
     points = [group.element([0] * (rank - 1) + [c]) for c in (0, 1, NEAR_2_61 - 7, 7 - NEAR_2_61)]
     # Keys as config builds them: points of these orbits, some near +-2^61,
-    # and one past the guard, which the weight's index leaves out.
+    # and one past 2^62.
     on_orbits = [group.mul(x, group.pow(a, j)) for x in points for j in (-3, 0, 2, 5)]
     keys = [group.coords(g) for g in on_orbits] + [[2**62 + 1] * rank]
     entries = tuple((group.element(c), 0.25 + 0.5 * i) for i, c in enumerate(keys))
@@ -176,23 +167,3 @@ def test_table_weight_keys_must_be_group_elements(group, key):
     with pytest.raises(ValueError) as err:
         od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
     assert f"key {key!r} is not an element" in str(err.value)
-
-
-def test_power_table_is_built_once_per_call():
-    sys = od.WeightedSystem(
-        group=od.HeisenbergGroup(), a=(3, 0, 2), weight=od.HeisenbergDyadicWeight(), young=P2
-    )
-    points = [(x, y, 0) for x in range(-1, 2) for y in range(-1, 2)]
-    real = od.HeisenbergGroup.power_coords
-    with (
-        mock.patch.object(groups, "BLOCK_ELEMENTS", 41),
-        mock.patch.object(od.HeisenbergGroup, "power_coords", autospec=True, side_effect=real) as spy,
-    ):
-        blocks = sum(1 for _ in translations.orbit_series(sys, points, 40, backward=True))
-        assert (blocks, spy.call_count) == (9, 1)
-        translations.iterates(sys, od.OrliczVector.indicator(points), 5, 8)
-        assert spy.call_count == 2
-        # No table when every orbit is past the guard.
-        far = (INT64_GUARD, 0, 0)
-        assert sum(1 for _ in translations.orbit_series(sys, [far, far], 40)) == 2
-        assert spy.call_count == 2

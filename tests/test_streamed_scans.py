@@ -159,6 +159,24 @@ def test_cap_bounds_what_a_scan_holds_at_once(monkeypatch, name, overrides, cap)
     assert od.run_check(dataclasses.replace(req)) == expected
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"property": "chaotic", "N_max": 256, "L_max": 256}, id="chaotic"),
+        pytest.param({"property": "multiply_recurrent", "L": 256, "N_max": 256}, id="multiply_recurrent"),
+        pytest.param({"property": "recurrent", "N_max": 2**16}, id="recurrent"),
+    ],
+)
+def test_cap_counts_the_gathers_and_the_candidates(overrides):
+    # Depth 2^16 over two points: the gathers, their int64 index and one
+    # SeriesPoint per candidate n outweigh the series themselves, which
+    # were all the cap used to count.
+    req = _config("heisenberg_paper", K={"points": [[0, 0, 0], [1, 0, 0]]}, **overrides)
+    assert criteria.series_depth(req) == 2**16
+    _, peak = _traced_peak(req)
+    assert peak <= criteria._held_bytes(req) + 2**20
+
+
 def test_cap_still_counts_what_the_chaos_scan_keeps_over_K(monkeypatch):
     # The kept truncated sums and last terms grow with |K| x N_max.
     req = _config("z_shift_chaotic", K={"box": [[-20000, 20000]]}, N_max=64, L_max=2)
