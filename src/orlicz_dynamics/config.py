@@ -22,7 +22,7 @@ from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import SERIES_MEMORY_CAP, CriterionRequest, Property
+from .criteria import SERIES_MEMORY_CAP, CriterionRequest, Property, point_bytes
 from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
@@ -194,8 +194,7 @@ def _weight(spec, group: Group) -> Weight:
 
 def _weight_to_config(w: Weight, group: Group) -> dict:
     if isinstance(w, TableWeight):
-        rows = sorted(((group.coords(g), v) for g, v in w.entries), key=lambda r: tuple(r[0]))
-        return {"family": "table", "entries": [[c, v] for c, v in rows], "default": w.default}
+        return {"family": "table", "entries": [[group.coords(g), v] for g, v in w.entries], "default": w.default}
     return _emit_family(WEIGHTS, w)
 
 
@@ -232,7 +231,7 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         if len(bounds) != rank:
             raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
         size = math.prod(max(hi - lo + 1, 0) for lo, hi in bounds)
-        if size * 32 > SERIES_MEMORY_CAP:  # enumerating K alone takes more than 32 bytes a point
+        if size * point_bytes(group) > SERIES_MEMORY_CAP:
             raise ConfigError("K.box", f"{size} points would pass the {SERIES_MEMORY_CAP / 2**30:g} GiB series cap")
         return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:
@@ -240,7 +239,7 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         if not pts:
             raise ConfigError("K.points", "point list is empty")
         K = CompactSet.of(pts)
-        return K, ("points", tuple(sorted(tuple(group.coords(p)) for p in K)))
+        return K, ("points", tuple(tuple(group.coords(p)) for p in K))
     raise ConfigError("K", "need either a 'box' or a 'points' entry")
 
 

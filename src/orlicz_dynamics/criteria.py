@@ -15,21 +15,31 @@ so all suprema run over the whole of K):
 
 ``run_check`` checks the obstructions, then the property's scan (the
 ``_SCANS`` table) turns the sup series over K into one row of terms per
-candidate step n, and each epsilon's witness is the first n whose terms
-all lie below it.  The scans take K's series from
-``translations.orbit_series`` a block of points at a time (about
-``groups.BLOCK_ELEMENTS`` values, and at least one point, per block) and
-reduce each block before the next overwrites it: sups over K are maxima
-and merge block by block, and the chaos scan keeps only each point's
-truncated sum and last term per n.  So what a scan holds at once is one
+candidate step n, and each epsilon's witness is the first n whose terms,
+raised by a rounding margin, all lie below it.  The scans take K's
+series, in K's order, from ``translations.orbit_series`` a block of
+points at a time (about ``groups.BLOCK_ELEMENTS`` values, and at least
+one point, per block) and reduce each block before the next overwrites
+it: sups over K are maxima and merge block by block, and the chaos scan
+keeps only each point's truncated sum and last term per n.  So what a scan holds at once is one
 block's series plus what it keeps, not |K| series of the full depth.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, contracting weight, expanding
 weight), or *Inconclusive*.  Absence of a witness within the budget is
 never reported as a negative result.  The operator-norm obstructions are
-claimed only with strict margin (sup w < 1, inf w > 1); boundary weights
-fall through to an inconclusive search.
+claimed only with strict margin (max and min of the weight's ``values``:
+sup w < 1, inf w > 1); boundary weights fall through to an inconclusive
+search.
+
+The rounding margin g makes each exact term, the one the float weights
+define, at most term * (1 + g), so a witness holds for those weights, not
+only for their rounded products.  g is ``translations.product_gamma`` of
+the longest product the scan builds (m weights take m - 1 multiplies, and
+the reciprocal one divide more), 0 when every weight value is a power of
+two; the chaos sums add a gamma of their additions, but not the error of
+the tail majorant, a heuristic.  g counts two roundings more, for
+term * (1 + g) itself, and holds while no product leaves the normal range.
 """
 
 from __future__ import annotations
@@ -42,8 +52,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .groups import CompactSet, separation_constant
-from .translations import WeightedSystem, orbit_series
+from .groups import CompactSet, Group, separation_constant
+from .numerics import gamma
+from .translations import WeightedSystem, orbit_series, product_gamma
 
 
 class Property(str, Enum):
@@ -76,6 +87,14 @@ SERIES_MEMORY_CAP = 1 << 30
 # tracemalloc measures 216 to 258 bytes (CPython 3.11, every scan); this
 # rounds up.
 _CANDIDATE_BYTES = 288
+
+
+def point_bytes(group: Group) -> int:
+    """Bytes a point of K costs besides the series: itself, and its orbit
+    entry in ``separation_constant``.  tracemalloc measures up to 250 + 46 d
+    on rank d (CPython 3.11, d = 1..24, large coordinates, one orbit a
+    point); this rounds up."""
+    return 256 + 48 * len(group.coords(group.identity()))
 
 
 @dataclass(frozen=True)
@@ -131,9 +150,9 @@ class CriterionRequest:
     N_max bounds the step search; L_max truncates the chaos series.  A
     field out of range, or a repeated epsilon, raises ConfigError on its
     name, and budgets whose scan would hold more than SERIES_MEMORY_CAP
-    bytes at once (one point's series and their gathers, plus what the
-    scan keeps over K and per candidate step; see _held_bytes) raise it on
-    the N_max field.
+    bytes at once (one point's series and their gathers, plus K and what
+    the scan keeps over it and per candidate step; see _held_bytes) raise
+    it on the N_max field.
     """
 
     system: WeightedSystem
@@ -180,10 +199,12 @@ def _held_bytes(req: CriterionRequest) -> int:
     gather index and its three gathers (or the point's series, a max over
     it and the weight fill's temporaries, before the sups are gathered).
     Plus, for chaotic, the truncated sum and last term of every point of K
-    per candidate n, and _CANDIDATE_BYTES per candidate n for every scan."""
+    per candidate n, _CANDIDATE_BYTES per candidate n for every scan, and
+    ``point_bytes`` per point of K."""
     depth = series_depth(req)
     kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
-    return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES
+    K_bytes = len(req.K) * point_bytes(req.system.group)
+    return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES + K_bytes
 
 
 def series_depth(req: CriterionRequest) -> int:
@@ -227,21 +248,17 @@ def check_obstructions(req: CriterionRequest) -> Optional[Obstruction]:
     order = group.element_order(a)
     if order is not None:
         return Obstruction("torsion", order=order, detail=f"a^{order} is the identity")
-    sup = w.sup_bound()
+    sup = max(w.values)
     if sup < 1.0:
         return Obstruction(
             "contraction", bound=sup, detail="sup w < 1: backward products never drop below 1"
         )
-    inf_ = w.inf_bound()
+    inf_ = min(w.values)
     if inf_ > 1.0:
         return Obstruction(
             "expansion", bound=inf_, detail="inf w > 1: forward products never drop below 1"
         )
     return None
-
-
-def _sorted_points(req: CriterionRequest) -> list:
-    return req.K.sorted_elements(req.system.group)
 
 
 def _start_n(req: CriterionRequest) -> int:
@@ -259,10 +276,9 @@ def _start_n(req: CriterionRequest) -> int:
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise sup over K of the product series, for m = 0..depth,
     merged block by block."""
-    pts = _sorted_points(req)
     sups = np.full((2, depth + 1), -np.inf)
     for sup, backward in zip(sups, (False, True)):
-        for _, linear, _ in orbit_series(req.system, pts, depth, backward=backward):
+        for _, linear, _ in orbit_series(req.system, req.K.elements, depth, backward=backward):
             np.maximum(sup, linear.max(axis=0), out=sup)
     return sups[0], sups[1]
 
@@ -333,9 +349,9 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     only the truncated sums over l <= L_max and the L_max-th terms of
     every point per n are kept, and the sups of the first terms and the
     ratio r, being maxima, merge across blocks."""
-    n_terms = max(req.L_max, 2)  # ratio estimation needs two consecutive terms
+    n_terms = series_depth(req) // req.N_max
     idx = ns[:, None] * np.arange(1, n_terms + 1)
-    pts = _sorted_points(req)
+    pts = req.K.elements
     trunc = np.zeros((len(pts), len(ns)))
     last = np.zeros((len(pts), len(ns)))
     firsts = np.full((2, len(ns)), -np.inf)  # sup phi_n, sup phi~_n
@@ -361,6 +377,16 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     return _series_points(ns, firsts[0], firsts[1], sup_total), terms, bool(bounded.any())
 
 
+def _rounding_margin(req: CriterionRequest) -> float:
+    """g with exact term <= term * (1 + g) on every term of req's scan (see
+    the module docstring): the chaos sums have 2 L_max additions, and a
+    gamma of twice that bounds their error relative to the computed sum."""
+    g = product_gamma(req.system.weight, series_depth(req) + 2)
+    if req.property is Property.CHAOTIC:
+        g += gamma(4 * req.L_max + 4)
+    return g
+
+
 _SCANS: dict[Property, Callable[[CriterionRequest, np.ndarray], _ScanResult]] = {
     Property.RECURRENT: _subsequence_scan,
     Property.MULTIPLY_RECURRENT: _subsequence_scan,
@@ -375,14 +401,15 @@ def run_check(req: CriterionRequest) -> Verdict:
 
     After the obstruction gate, the property's scan runs on the candidate
     steps ns = start..N_max.  Each epsilon's witness is the first n whose
-    terms all lie below it, recorded with that row of terms."""
+    terms, times 1 + the rounding margin, all lie below it, recorded with
+    that row of terms."""
     obs = check_obstructions(req)
     if obs is not None:
         return _obstruction_verdict(req, obs)
     start = _start_n(req)
     ns = np.arange(start, req.N_max + 1)
     series, terms, tail_bounded = _SCANS[req.property](req, ns)
-    row_max = terms.max(axis=1)
+    row_max = terms.max(axis=1) * (1.0 + _rounding_margin(req))
     witness = []
     for eps in req.epsilons:
         hits = np.flatnonzero(row_max < eps)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -228,13 +229,18 @@ class CyclicGroup(Group):
 
 @dataclass(frozen=True)
 class CompactSet:
-    """Finite explicit element set; the counting measure is its size."""
+    """Finite explicit element set; the counting measure is its size.  Its
+    points are held once, in native order, which is coordinate order on
+    every group here, whatever iterable built it."""
 
-    elements: frozenset
+    elements: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
 
     @classmethod
     def of(cls, elements: Iterable[Element]) -> "CompactSet":
-        return cls(frozenset(elements))
+        return cls(elements)
 
     def measure(self) -> int:
         return len(self.elements)
@@ -246,11 +252,11 @@ class CompactSet:
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in self.elements
-
-    def sorted_elements(self, group: Group) -> list[Element]:
-        """Elements in coordinate order, for deterministic iteration."""
-        return sorted(self.elements, key=lambda g: tuple(group.coords(g)))
+        try:
+            i = bisect_left(self.elements, g)
+        except TypeError:  # g does not compare with the points: not one of them
+            return False
+        return i < len(self.elements) and self.elements[i] == g
 
 
 def box(group: Group, bounds: Sequence[Sequence[int]]) -> CompactSet:
@@ -260,7 +266,7 @@ def box(group: Group, bounds: Sequence[Sequence[int]]) -> CompactSet:
         if lo > hi:
             raise ValueError(f"empty bound ({lo}, {hi})")
         ranges.append(range(int(lo), int(hi) + 1))
-    return CompactSet(frozenset(group.element(list(c)) for c in itertools.product(*ranges)))
+    return CompactSet.of(group.element(list(c)) for c in itertools.product(*ranges))
 
 
 def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> Optional[int]:
@@ -301,7 +307,7 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
 def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> np.ndarray:
     """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
     repeated ``mul``: the reference for ``separation_constant``."""
-    base = K.elements
+    base = set(K)
     collides = np.zeros(n_max, dtype=bool)
     an = group.identity()
     for n in range(1, n_max + 1):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import SeparationViolatedError, TailUnboundedError
 from .orlicz import OrliczVector, luxemburg_norm, vector_sum
-from .translations import WeightedSystem, apply_S_n, apply_T_n, iterates
+from .translations import WeightedSystem, apply_S_n, apply_T_n, iterates, product_gamma
 
 # Witness/periodic summands larger than this abort the construction
 # instead of producing meaningless floating-point towers.
@@ -104,6 +104,14 @@ def chaos_periodic_vector(
     N(T^{(L+1)n} f) + N(S^{Ln} f), which is reported as the predicted
     bound.  TailUnboundedError is raised when a summand exceeds the
     magnitude cap or the trailing terms show no decay.
+
+    In floats T^n(S^{ln} f) is S^{(l-1)n} f only when the divisions are
+    exact, so ``within_bound`` allows a defect past the bound by rounding:
+    each entry of the computed T^n v - v takes k = (L+1)n + 2L + 1
+    roundings, so (summands on disjoint supports) it errs by at most
+    gamma_k (|v| + |T^n v|), whose norm is at most gamma_k (bound + 2 N(v)),
+    with N(v) <= approx_residual + N(f).  k counts three more for the
+    second-order terms; gamma is 0 with dyadic weights (``product_gamma``).
     """
     if n < 1:
         raise ValueError("step count n must be >= 1")
@@ -126,13 +134,19 @@ def chaos_periodic_vector(
     v = vector_sum([f, *t_pieces, *s_pieces])
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
     bound = luxemburg_norm(t_edge, phi) + s_last
+    residual = luxemburg_norm(v - f, phi)
+    within = defect <= bound * (1.0 + 1e-9) + 1e-300
+    g = 0.0 if within else product_gamma(sys.weight, (L_trunc + 1) * n + 2 * L_trunc + 4)
+    if g:
+        allowance = g * (bound + 2.0 * (residual + luxemburg_norm(f, phi)))
+        within = defect <= (bound + allowance) * (1.0 + 1e-9) + 1e-300
     report = PeriodicityReport(
         n=n,
         L_trunc=L_trunc,
         defect=defect,
         predicted_bound=bound,
-        approx_residual=luxemburg_norm(v - f, phi),
-        within_bound=defect <= bound * (1.0 + 1e-9) + 1e-300,
+        approx_residual=residual,
+        within_bound=within,
     )
     return v, report
 

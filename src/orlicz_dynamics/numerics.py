@@ -1,8 +1,7 @@
-"""Scalar root bracketing, bisection and golden-section search.
-
-These three routines are the numerical core behind the Luxemburg norm
-(root of a monotone modular), generalized inverses of Young functions,
-and the numeric convex conjugate (1-D concave maximization).
+"""Scalar root bracketing, bisection and golden-section search: the
+numerical core behind the Luxemburg norm (root of a monotone modular),
+generalized inverses of Young functions, and the numeric convex
+conjugate (1-D concave maximization).  Plus the rounding bound gamma.
 """
 
 from __future__ import annotations
@@ -11,6 +10,19 @@ import math
 from typing import Callable
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) for k u < 1: k rounded multiplies or
+    divides, or k additions of nonnegative terms, err by at most gamma_k
+    relative to the exact result while no step leaves the normal range
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Lemma 3.1 and section 4.2)."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import NonFiniteVectorError
 from .groups import CompactSet, Element, Group
-from .numerics import bisect_root
+from .numerics import UNIT_ROUNDOFF, bisect_root
 from .young import SCREEN_CEILING, YoungFunction, inverse
 
 # Supports at least this large take their bisection decisions from the
@@ -226,7 +226,7 @@ def _screened_excess(f: OrliczVector, phi: YoungFunction) -> Callable[[float], f
 
 def _screen_tolerance(n: int) -> tuple[float, float]:
     """(rel, floor) with E(n, s) = rel * s + floor."""
-    return (4 * n + 64) * 2.0**-53, n * 2.0**-1000
+    return (4 * n + 64) * UNIT_ROUNDOFF, n * 2.0**-1000
 
 
 def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> float:

@@ -39,8 +39,11 @@ every later piece; rows keep f's insertion order.  It is the package's
 only way to build T^n f or S^n f: ``apply_T`` and ``apply_S`` are its
 one-step views, ``apply_T_n`` and ``apply_S_n`` its views with step n.
 
-The weights are plain validated objects (positive, finite values); the
-config module alone reads and writes their JSON form.
+Each weight states the finite set of values it takes as ``values``:
+(c,), (c_neg, c_pos), (1/2, 1, 2), or the table values and the default.
+They are checked once, positive and finite, and they are what the
+obstruction gate and the rounding bounds (``product_gamma``) read.  The
+config module alone reads and writes the weights' JSON form.
 
 Products are accumulated in linear space and in log space side by side;
 for long orbits (n > 128) the linear value may legitimately underflow to
@@ -60,16 +63,25 @@ import numpy as np
 
 from . import groups
 from .groups import CyclicGroup, Element, Group
+from .numerics import gamma
 from .orlicz import OrliczVector
 
 
-@dataclass(frozen=True)
-class ConstantWeight:
-    c: float
+class _Weight:
+    """Every weight family: its ``values`` are checked once, here."""
 
     def __post_init__(self):
-        if not 0.0 < self.c < np.inf:
-            raise ValueError("constant weight must be positive and finite")
+        if not all(0.0 < v < math.inf for v in self.values):
+            raise ValueError("weights must be positive and finite")
+
+
+@dataclass(frozen=True)
+class ConstantWeight(_Weight):
+    c: float
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (self.c,)
 
     def __call__(self, g: Element) -> float:
         return self.c
@@ -77,23 +89,17 @@ class ConstantWeight:
     def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
         return lambda points, out: out.fill(self.c)
 
-    def sup_bound(self) -> float:
-        return self.c
-
-    def inf_bound(self) -> float:
-        return self.c
-
 
 @dataclass(frozen=True)
-class TwoSidedStepWeight:
+class TwoSidedStepWeight(_Weight):
     """On the integers: c_neg for x <= 0, c_pos for x >= 1."""
 
     c_neg: float
     c_pos: float
 
-    def __post_init__(self):
-        if not (0.0 < self.c_neg < np.inf and 0.0 < self.c_pos < np.inf):
-            raise ValueError("step weights must be positive and finite")
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (self.c_neg, self.c_pos)
 
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
@@ -123,21 +129,17 @@ class TwoSidedStepWeight:
 
         return fill
 
-    def sup_bound(self) -> float:
-        return max(self.c_neg, self.c_pos)
-
-    def inf_bound(self) -> float:
-        return min(self.c_neg, self.c_pos)
-
 
 @dataclass(frozen=True)
-class HeisenbergDyadicWeight:
+class HeisenbergDyadicWeight(_Weight):
     """Dyadic step weight on Heisenberg triples, keyed by the z coordinate:
     1/2 for z >= 1, 2^{-z} for -1 < z < 1, and 2 for z <= -1.
 
     At integer z the values are exact powers of two, so orbit products of
     this weight are exact in floating point.
     """
+
+    values = (0.5, 1.0, 2.0)
 
     def __call__(self, g: tuple[int, int, int]) -> float:
         z = g[2]
@@ -166,38 +168,34 @@ class HeisenbergDyadicWeight:
 
         return fill
 
-    def sup_bound(self) -> float:
-        return 2.0
-
-    def inf_bound(self) -> float:
-        return 0.5
-
 
 @dataclass(frozen=True)
-class TableWeight:
-    """Explicit per-element weights with a default for everything else."""
+class TableWeight(_Weight):
+    """Explicit per-element weights with a default for everything else.
+    The entries are kept in the native order of their keys."""
 
     entries: tuple[tuple[Element, float], ...]
     default: float = 1.0
 
     def __post_init__(self):
         table = {g: float(v) for g, v in self.entries}
-        if not all(0.0 < v < np.inf for v in (*table.values(), self.default)):
-            raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "entries", tuple(sorted(table.items(), key=lambda e: repr(e[0]))))
+        try:
+            entries = tuple(sorted(table.items()))
+        except TypeError as exc:
+            raise ValueError(f"table weight keys do not compare: {exc}") from exc
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_table", table)
+        super().__post_init__()
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (*self._table.values(), self.default)
 
     def __call__(self, g: Element) -> float:
         return self._table.get(g, self.default)
 
     def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
         return _table_filler(group, a, backward, self._table, self.default)
-
-    def sup_bound(self) -> float:
-        return max(max(self._table.values(), default=self.default), self.default)
-
-    def inf_bound(self) -> float:
-        return min(min(self._table.values(), default=self.default), self.default)
 
 
 Weight = ConstantWeight | TwoSidedStepWeight | HeisenbergDyadicWeight | TableWeight
@@ -206,6 +204,16 @@ Weight = ConstantWeight | TwoSidedStepWeight | HeisenbergDyadicWeight | TableWei
 # weights along each point's orbit into the matching row of out, as
 # orbit_weights_forward (or _backward) gives them, for every row length.
 Filler = Callable[[Sequence[Element], np.ndarray], None]
+
+
+def product_gamma(w: Weight, k: int) -> float:
+    """Relative error bound of a value computed from exact inputs by k
+    multiplies or divides by values of w: ``numerics.gamma(k)``, or 0 when
+    every value of w is a power of two, which scales a normal float
+    exactly."""
+    if all(math.frexp(v)[0] == 0.5 for v in w.values):
+        return 0.0
+    return gamma(k)
 
 
 def _exponents(backward: bool) -> tuple[int, int]:
@@ -430,15 +438,15 @@ def _point_series(
     sys: WeightedSystem, x: Element, depth: int, backward: bool = False, logs: bool = False
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The (linear, log) series of the one point x, as orbit_series'
-    single block gives it."""
+    single block gives it; a negative depth raises ValueError."""
+    if depth < 0:
+        raise ValueError("product length must be >= 0")
     _, linear, log = next(orbit_series(sys, [x], depth, backward=backward, logs=logs))
     return linear[0], None if log is None else log[0]
 
 
 def phi_product(sys: WeightedSystem, x: Element, n: int) -> float:
     """Forward product prod_{j=1..n} w(x * a^j); empty product is 1."""
-    if n < 0:
-        raise ValueError("product length must be >= 0")
     return float(_point_series(sys, x, n)[0][n])
 
 
@@ -447,23 +455,17 @@ def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
 
     Overflows to inf when the backward product underflows (long orbits of
     small weights); use the pair variant for the log value."""
-    if n < 0:
-        raise ValueError("product length must be >= 0")
     return float(_point_series(sys, x, n, backward=True)[0][n])
 
 
 def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
     """Forward product as a (log, linear) pair; see module notes on underflow."""
-    if n < 0:
-        raise ValueError("product length must be >= 0")
     linear, log = phi_series_pair(sys, x, n)
     return ProductValue(float(log[n]), float(linear[n]))
 
 
 def phi_tilde_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
     """Reciprocal backward product as a (log, linear) pair."""
-    if n < 0:
-        raise ValueError("product length must be >= 0")
     linear, log = phi_tilde_series_pair(sys, x, n)
     return ProductValue(float(log[n]), float(linear[n]))
 

@@ -246,20 +246,24 @@ def inverse(phi: YoungFunction, s: float) -> float:
     return bisect_root(lambda t: phi.evaluate(t) - s, 0.0, hi)
 
 
-def _bracketed_max(objective, lo: float, hi: float) -> float:
-    """Max of the objective on [lo, hi]: coarse grid scan, then golden
-    refinement around the best cell.
+def _conjugate_objective(phi: YoungFunction, ay: float):
+    """x -> x|y| - Phi(x), the objective whose sup is Psi(y)."""
+    return lambda x: x * ay - phi.evaluate(x)
+
+
+def _bracketed_max(phi: YoungFunction, ay: float, lo: float, hi: float) -> float:
+    """Max of the conjugate objective on [lo, hi]: coarse grid scan, then
+    golden refinement around the best cell.  The grid takes Phi from one
+    ``evaluate_many`` call, bit for bit the scalar objective.
 
     The scan costs nothing for concave objectives and protects against the
     mild non-unimodality of equivalent-to-convex families, whose conjugate
     objective can carry two local maxima.
     """
-    xs = np.linspace(lo, hi, 129)
-    vals = [objective(float(x)) for x in xs]
+    xs = np.linspace(lo, hi, 129).tolist()
+    vals = [x * ay - v for x, v in zip(xs, phi.evaluate_many(xs))]
     i = int(np.argmax(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    _, refined = golden_max(objective, a, b)
+    _, refined = golden_max(_conjugate_objective(phi, ay), xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)])
     return max(refined, max(vals))
 
 
@@ -274,16 +278,12 @@ def complementary(phi: YoungFunction, y: float) -> float:
     ay = abs(y)
     if ay == 0.0:
         return 0.0
-
-    def objective(x: float) -> float:
-        return x * ay - phi.evaluate(x)
-
     hi = phi.domain_max
     if hi == math.inf:
-        hi = expand_while_increasing(objective)
+        hi = expand_while_increasing(_conjugate_objective(phi, ay))
         if hi is None:
             return math.inf
-    return max(_bracketed_max(objective, 0.0, hi), 0.0)
+    return max(_bracketed_max(phi, ay, 0.0, hi), 0.0)
 
 
 def young_inequality_check(phi: YoungFunction, samples: int, seed: int = 0) -> float:

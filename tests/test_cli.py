@@ -128,6 +128,21 @@ def test_simulate_z_shift(capsys, tmp_path):
     assert len(orbit) == len(envelope["results"]["orbit_norms"]) + 1
 
 
+def test_simulate_periodicity_allows_for_rounding(capsys, tmp_path):
+    # With c_neg = 3 the divisions of S round, so T^n(S^{ln} f) is not
+    # S^{(l-1)n} f bit for bit, and the defect passes the predicted bound
+    # by a rounding error (3.5858e-16 against 3.5855e-16 at n = 7).
+    cfg = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    cfg["weight"]["c_neg"] = 3.0
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(cfg))
+    code, envelope = _run(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    reports = [item["periodicity"] for item in envelope["results"]["lab"]]
+    assert all(r["within_bound"] for r in reports)
+    assert any(r["defect"] > r["predicted_bound"] for r in reports)
+
+
 def test_simulate_multiply_recurrent_variant(capsys, tmp_path):
     cfg = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
     cfg["property"] = "multiply_recurrent"

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from orlicz_dynamics.errors import ConfigError
 from conftest import P2, block_alternating_weight
+from exact_oracle import exact_term
 
 
 def _req(system, K, prop, **kw):
@@ -305,6 +310,78 @@ def test_mixing_scan_does_not_stop_at_the_budget(zgroup):
     sys = _dip_then_growth(zgroup, 4.0)
     req = _req(sys, od.CompactSet.of([0]), od.Property.MIXING, N_max=16)
     assert od.run_check(req).outcome is not od.Outcome.WITNESS_FOUND
+
+
+# ------------------------------------ rounding-certified witnesses (item 10)
+
+
+def test_witness_needs_the_rounding_margin(zgroup):
+    # c_pos^13 rounds to 0.014443788506004532, just below epsilon, but the
+    # exact product of the float weights lies above it (as does every
+    # c_pos^k, k <= 13): no step in the budget meets the predicate.
+    sys = od.WeightedSystem(group=zgroup, a=1, weight=od.TwoSidedStepWeight(2.0, 0.7218334595390007), young=P2)
+    eps = 0.014443788506004534
+    req = _req(sys, od.CompactSet.of([0]), od.Property.RECURRENT, N_max=13, epsilons=(eps,))
+    assert exact_term(req, 13) > Fraction(eps)
+    assert od.run_check(req).outcome is od.Outcome.INCONCLUSIVE
+
+
+def test_dyadic_weights_need_no_margin(step_system, zgroup):
+    # Products of powers of two are exact: an epsilon one ulp above a term
+    # is met at that term's step.
+    req = _req(step_system, od.CompactSet.of([0]), od.Property.RECURRENT, N_max=13, epsilons=(0.5,))
+    last = od.run_check(req).series[-1]
+    term = max(last.sup_phi, last.sup_phi_tilde)
+    tight = dataclasses.replace(req, epsilons=(math.nextafter(term, 1.0),))
+    assert [w.n for w in od.run_check(tight).witness] == [13]
+
+
+def _row_maxima(verdict: od.Verdict) -> list[float]:
+    """Each candidate step's largest term, as the scan computed it, from
+    the verdict's series."""
+    rows = [max(p.sup_phi, p.sup_phi_tilde) for p in verdict.series]
+    if verdict.request.property is od.Property.MIXING:
+        rows = [max(rows[i:]) for i in range(len(rows))]
+    return rows
+
+
+_weights = st.one_of(
+    st.builds(od.TwoSidedStepWeight, st.floats(1.0, 3.0), st.floats(0.3, 1.0)),
+    st.builds(
+        od.TableWeight,
+        st.dictionaries(st.integers(-6, 6), st.floats(0.3, 3.0), max_size=6).map(lambda d: tuple(d.items())),
+        st.floats(0.3, 3.0),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    weight=_weights,
+    a=st.sampled_from([1, -1, 2]),
+    points=st.sets(st.integers(-4, 4), min_size=1, max_size=3),
+    prop=st.sampled_from([od.Property.RECURRENT, od.Property.MULTIPLY_RECURRENT, od.Property.MIXING]),
+    L=st.integers(1, 3),
+    N_max=st.integers(4, 16),
+    data=st.data(),
+)
+def test_every_witness_meets_the_exact_predicate(weight, a, points, prop, L, N_max, data):
+    # Epsilons one ulp above a computed term sit where rounding decides the
+    # comparison; each reported witness must hold for the exact products.
+    sys = od.WeightedSystem(group=od.IntegerGroup(), a=a, weight=weight, young=P2)
+    req = _req(sys, od.CompactSet.of(points), prop, L=L, N_max=N_max)
+    if od.check_obstructions(req) is not None:
+        return
+    # Only a record low is the first row below an epsilon one ulp above it.
+    rows = _row_maxima(od.run_check(req))
+    lows = [t for i, t in enumerate(rows) if t < min(rows[:i], default=math.inf)]
+    tight = [math.nextafter(t, 1.0) for t in lows if 0.0 < t < 0.5]
+    if not tight:
+        return
+    eps = data.draw(st.lists(st.sampled_from(tight), min_size=1, max_size=3, unique=True))
+    verdict = od.run_check(dataclasses.replace(req, epsilons=tuple(eps)))
+    for w in verdict.witness:
+        assert exact_term(req, w.n) < Fraction(w.epsilon)
 
 
 # ------------------------------------------------------------ request plumbing

@@ -106,7 +106,7 @@ def test_separation_exhaustive_recheck(bounds, a, n_max):
     K = od.box(z, bounds)
     M = od.separation_constant(z, K, a, n_max)
     assert M is not None
-    base = K.elements
+    base = set(K)
     for n in range(M + 1, n_max + 1):
         for sign in (n, -n):
             shift = z.pow(a, sign)
@@ -272,10 +272,47 @@ def test_box_and_compact_set():
     z2 = od.LatticeGroup(d=2)
     K = od.box(z2, [[0, 1], [0, 2]])
     assert K.measure() == 6
-    assert (1, 2) in K
-    assert K.sorted_elements(z2)[0] == (0, 0)
+    assert (1, 2) in K and (2, 2) not in K and (-1, 0) not in K and 0 not in K
+    assert K.elements[0] == (0, 0) and K.elements[-1] == (1, 2)
+    # However K is built, it holds each point once, in native order.
+    points = [(1, 2), (0, 0), (1, 2), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert od.CompactSet(frozenset(points)) == od.CompactSet.of(points) == K
+    assert K.elements == tuple(sorted(set(points)))
     with pytest.raises(ValueError):
         od.box(z2, [[1, 0], [0, 0]])
+
+
+_ORDER_GROUPS = (
+    od.IntegerGroup(),
+    od.LatticeGroup(d=1),
+    od.LatticeGroup(d=3),
+    od.HeisenbergGroup(),
+    od.CyclicGroup(5),
+    od.CyclicGroup(12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    group=st.sampled_from(_ORDER_GROUPS),
+    raw=st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3), min_size=1, max_size=25),
+    bounds=st.lists(st.tuples(st.integers(-15, 15), st.integers(0, 14)), min_size=3, max_size=3),
+)
+def test_native_order_is_coordinate_order(group, raw, bounds):
+    # The premise of K's order: plain ints and int tuples sort natively
+    # exactly as their coordinates do, on every group, also where cyclic
+    # residues wrap around and where a list or a box repeats a point.
+    rank = len(group.coords(group.identity()))
+    by_coords = lambda g: tuple(group.coords(g))
+    points = [group.element(c[:rank]) for c in raw]
+    K = od.CompactSet.of(points)
+    assert K.elements == tuple(sorted(set(points), key=by_coords))
+    assert od.CompactSet(frozenset(points)) == K == od.CompactSet.of(reversed(points))
+    boxed = od.box(group, [[lo, lo + w] for lo, w in bounds[:rank]])
+    assert boxed.elements == tuple(sorted(set(boxed), key=by_coords))
+    assert len(set(boxed)) == len(boxed)
+    table = od.TableWeight(entries=tuple((g, 1.0) for g in reversed(K.elements)))
+    assert tuple(g for g, _ in table.entries) == K.elements
 
 
 def test_element_serialization_round_trip():

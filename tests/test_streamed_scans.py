@@ -148,7 +148,8 @@ def _full_depth_bytes(req: od.CriterionRequest) -> int:
     "name,overrides,cap",
     [
         pytest.param("heisenberg_paper", {}, 500_000, id="chaotic"),
-        pytest.param("z_shift_chaotic", {"property": "mixing", "K": {"box": [[-2000, 2000]]}}, 100_000, id="mixing"),
+        # K itself now counts, 304 bytes a point on Z: 1.2 MB of the cap.
+        pytest.param("z_shift_chaotic", {"property": "mixing", "K": {"box": [[-2000, 2000]]}}, 2_000_000, id="mixing"),
     ],
 )
 def test_cap_bounds_what_a_scan_holds_at_once(monkeypatch, name, overrides, cap):
@@ -174,6 +175,27 @@ def test_cap_counts_the_gathers_and_the_candidates(overrides):
     req = _config("heisenberg_paper", K={"points": [[0, 0, 0], [1, 0, 0]]}, **overrides)
     assert criteria.series_depth(req) == 2**16
     _, peak = _traced_peak(req)
+    assert peak <= criteria._held_bytes(req) + 2**20
+
+
+@pytest.mark.parametrize(
+    "name,K",
+    [
+        pytest.param("z_shift_chaotic", {"box": [[-20000, 20000]]}, id="Z-40001"),
+        pytest.param("heisenberg_paper", {"box": [[-60, 60], [-60, 60], [0, 0]]}, id="heisenberg-14641"),
+    ],
+)
+def test_cap_counts_K(name, K):
+    # Short series over a large K: K itself and the orbit entry that
+    # separation_constant makes per point outweigh the series, which were
+    # all the cap counted (1.4 KB against a peak of several MB).
+    tracemalloc.start()
+    try:
+        req = _config(name, K=K, property="recurrent", N_max=4)
+        od.run_check(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak <= criteria._held_bytes(req) + 2**20
 
 

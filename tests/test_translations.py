@@ -142,7 +142,7 @@ def test_operator_norm_bound(group):
     for _ in range(15):
         sys = _random_system(group, rng)
         f = random_vector(group, rng)
-        bound = sys.weight.sup_bound() * od.luxemburg_norm(f, P2)
+        bound = max(sys.weight.values) * od.luxemburg_norm(f, P2)
         assert od.luxemburg_norm(od.apply_T(sys, f), P2) <= bound + 1e-9
 
 
@@ -201,9 +201,12 @@ def test_weight_validation():
             od.TableWeight(entries=((0, bad),), default=1.0)
         with pytest.raises(ValueError):
             od.TableWeight(entries=(), default=bad)
-    w = od.TableWeight(entries=((0, 2.0), (1, 0.5)), default=1.0)
-    assert w.sup_bound() == 2.0 and w.inf_bound() == 0.5
+    w = od.TableWeight(entries=((1, 0.5), (0, 2.0)), default=1.0)
+    assert w.values == (0.5, 2.0, 1.0)
+    assert w.entries == ((0, 2.0), (1, 0.5))  # in the keys' native order
     assert w(0) == 2.0 and w(99) == 1.0
+    with pytest.raises(ValueError, match="do not compare"):
+        od.TableWeight(entries=((0, 2.0), ((1, 0), 0.5)))
 
 
 def test_declared_weight_bounds_are_honest():
@@ -218,12 +221,8 @@ def test_declared_weight_bounds_are_honest():
         ),
     ]
     for w, group in cases:
-        lo, hi = w.inf_bound(), w.sup_bound()
-        assert 0.0 < lo <= hi
-        for _ in range(300):
-            g = random_element(group, rng, span=8)
-            assert lo <= w(g) <= hi
-            assert 1.0 / w(g) <= 1.0 / lo
+        seen = {w(random_element(group, rng, span=8)) for _ in range(300)}
+        assert seen == set(w.values)
 
 
 def test_heisenberg_weight_values():
