@@ -7,7 +7,7 @@ so all suprema run over the whole of K):
 
 * recurrent / transitive: both product families dip below each epsilon at
   some common step n (subsequence decay); the two properties share one
-  scan and always get identical verdicts.
+  scan and get identical verdicts whenever a has infinite order.
 * multiply recurrent: the dip must hold simultaneously at n, 2n, ..., Ln.
 * mixing: the dip must hold for every n in a whole tail of the budget.
 * chaotic: the summed products over all multiples of n, bounded by a
@@ -18,15 +18,19 @@ so all suprema run over the whole of K):
 candidate step n, and each epsilon's witness is the first n whose terms,
 raised by a rounding margin, all lie below it.  The scans take K's
 series, in K's order, from ``translations.orbit_series`` a block of
-points at a time (about ``groups.BLOCK_ELEMENTS`` values, and at least
+points at a time (about ``translations.BLOCK_ELEMENTS`` values, and at least
 one point, per block) and reduce each block before the next overwrites
 it: sups over K are maxima and merge block by block, and the chaos scan
 keeps only each point's truncated sum and last term per n.  So what a scan holds at once is one
 block's series plus what it keeps, not |K| series of the full depth.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
-*ObstructionFound* (torsion element, contracting weight, expanding
-weight), or *Inconclusive*.  Absence of a witness within the budget is
+*ObstructionFound* (torsion element, cycle product other than 1,
+contracting weight, expanding weight), or *Inconclusive*.  An a of
+finite order P decides every property in closed form: transitivity,
+mixing and chaos are obstructed, and recurrence (multiple too) holds
+on K exactly when every cycle through K has weight product 1, with
+witness n = P (``check_obstructions``).  Absence of a witness within the budget is
 never reported as a negative result.  The operator-norm obstructions are
 claimed only with strict margin (max and min of the weight's ``values``:
 sup w < 1, inf w > 1); boundary weights fall through to an inconclusive
@@ -54,7 +58,7 @@ import numpy as np
 from .errors import ConfigError
 from .groups import CompactSet, Group, separation_constant
 from .numerics import gamma
-from .translations import WeightedSystem, orbit_series, product_gamma
+from .translations import WeightedSystem, cycle_values, orbit_series, product_gamma
 
 
 class Property(str, Enum):
@@ -101,9 +105,11 @@ def point_bytes(group: Group) -> int:
 class Obstruction:
     """Analytic reason the search cannot succeed.
 
-    kind is "torsion" (a has finite order), "contraction" (sup w < 1, so
-    backward products stay >= 1) or "expansion" (inf w > 1, so forward
-    products stay >= 1).
+    kind is "torsion" (a has finite order, so T is not transitive, mixing
+    or chaotic), "cycle_product" (a has finite order and the weights on
+    a cycle through K do not multiply to 1, so T is not recurrent),
+    "contraction" (sup w < 1, so backward products stay >= 1) or
+    "expansion" (inf w > 1, so forward products stay >= 1).
     """
 
     kind: str
@@ -191,7 +197,7 @@ class CriterionRequest:
 
 def _held_bytes(req: CriterionRequest) -> int:
     """Bytes the scan of req holds at once when a block of K is one point
-    (a block of several points holds at most ``groups.BLOCK_ELEMENTS``
+    (a block of several points holds at most ``translations.BLOCK_ELEMENTS``
     values a series).  Six arrays of depth + 1 float64 or int64 values:
     for chaotic, that point's linear and log series, the int64 gather
     index and the three gathers taken from it (the linear terms, the log
@@ -243,10 +249,14 @@ class Verdict:
 
 
 def check_obstructions(req: CriterionRequest) -> Optional[Obstruction]:
-    """Torsion, contraction and expansion gates, in that order."""
+    """Torsion (for recurrence, a cycle product other than 1), contraction
+    and expansion gates, in that order.  None for a recurrence check with
+    an a of finite order means that check is decided: see run_check."""
     group, a, w = req.system.group, req.system.a, req.system.weight
     order = group.element_order(a)
     if order is not None:
+        if req.property in (Property.RECURRENT, Property.MULTIPLY_RECURRENT):
+            return _cycle_obstruction(req, order)
         return Obstruction("torsion", order=order, detail=f"a^{order} is the identity")
     sup = max(w.values)
     if sup < 1.0:
@@ -257,6 +267,34 @@ def check_obstructions(req: CriterionRequest) -> Optional[Obstruction]:
     if inf_ > 1.0:
         return Obstruction(
             "expansion", bound=inf_, detail="inf w > 1: forward products never drop below 1"
+        )
+    return None
+
+
+def _cycle_obstruction(req: CriterionRequest, order: int) -> Optional[Obstruction]:
+    """None when every cycle through K has product h(x) = prod_{j<P}
+    w(x·a^j) = 1 exactly, P the order of a; else the cycle_product
+    obstruction of the first x of K where it does not.
+
+    On each cycle T^P multiplies by h, and a finite-dimensional operator
+    is recurrent exactly when it is similar to a diagonal one with
+    unimodular eigenvalues, so T is recurrent on the cycles through K
+    exactly when h = 1 on each (then T^P = I there).  A float is an odd
+    integer times a power of two, and a product of odd integers is 1 only
+    when each is, so h = 1 exactly when every weight on the cycle is a
+    power of two and their exponents sum to 0: integer counts, with no P
+    steps.  ``bound`` is log2 h, rounded."""
+    values = cycle_values(req.system)
+    for x in req.K:
+        counts = values(x)
+        exps = [(n, *math.frexp(v)) for v, n in counts.items()]  # v = m 2^e
+        if all(m == 0.5 for _, m, _ in exps) and sum(n * (e - 1) for n, _, e in exps) == 0:
+            continue
+        return Obstruction(
+            "cycle_product",
+            order=order,
+            bound=math.fsum(n * math.log2(v) for v, n in counts.items()),
+            detail=f"the weights on the cycle through {req.system.group.coords(x)} do not multiply to 1",
         )
     return None
 
@@ -283,14 +321,23 @@ def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarr
     return sups[0], sups[1]
 
 
-def _obstruction_verdict(req: CriterionRequest, obs: Obstruction) -> Verdict:
+def _decided_verdict(req: CriterionRequest, obs: Optional[Obstruction]) -> Verdict:
+    """The verdict of a gate, with a diagnostic series: obs, or when obs is
+    None (a recurrence check with an a of finite order P and every cycle
+    product 1) T^P = I on the cycles through K, so each epsilon's witness
+    is n = P, with terms 0."""
     cap = min(req.N_max, OBSTRUCTION_SERIES_CAP)
     sup_phi, sup_tilde = _sup_series(req, cap)
     ns = np.arange(1, cap + 1)
+    witness = ()
+    if obs is None:
+        period = req.system.group.element_order(req.system.a)
+        zeros = (0.0,) * (series_depth(req) // req.N_max)
+        witness = tuple(WitnessEntry(eps, period, zeros) for eps in req.epsilons)
     return Verdict(
         request=req,
-        outcome=Outcome.OBSTRUCTION_FOUND,
-        witness=(),
+        outcome=Outcome.OBSTRUCTION_FOUND if obs else Outcome.WITNESS_FOUND,
+        witness=witness,
         obstruction=obs,
         series=tuple(_series_points(ns, sup_phi[ns], sup_tilde[ns])),
         budget=0,
@@ -314,7 +361,8 @@ def _subsequence_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     max_{1<=l<=L} max_{x in K} max(phi_{ln}(x), phi~_{ln}(x)) < epsilon.
 
     L is req.L for multiple recurrence and 1 for recurrence and
-    transitivity, which share this predicate and so always agree."""
+    transitivity, which share this predicate and so agree whenever a has
+    infinite order."""
     depth = series_depth(req)
     sup_phi, sup_tilde = _sup_series(req, depth)
     idx = np.outer(ns, np.arange(1, depth // req.N_max + 1))
@@ -399,13 +447,14 @@ _SCANS: dict[Property, Callable[[CriterionRequest, np.ndarray], _ScanResult]] = 
 def run_check(req: CriterionRequest) -> Verdict:
     """Check req.property on K within the request's budgets.
 
-    After the obstruction gate, the property's scan runs on the candidate
+    The gates decide every a of finite order (see ``check_obstructions``).
+    Otherwise, after the obstruction gate, the property's scan runs on the candidate
     steps ns = start..N_max.  Each epsilon's witness is the first n whose
     terms, times 1 + the rounding margin, all lie below it, recorded with
     that row of terms."""
     obs = check_obstructions(req)
-    if obs is not None:
-        return _obstruction_verdict(req, obs)
+    if obs is not None or req.system.group.element_order(req.system.a) is not None:
+        return _decided_verdict(req, obs)
     start = _start_n(req)
     ns = np.arange(start, req.N_max + 1)
     series, terms, tail_bounded = _SCANS[req.property](req, ns)

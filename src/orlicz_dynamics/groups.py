@@ -4,7 +4,9 @@ Concrete groups: the integers, integer lattices, the integer Heisenberg
 group and finite cyclic groups.  Elements are plain ints or int tuples,
 so they hash and compare natively.  Haar measure is counting measure
 throughout; "compact set" means a finite explicit set of elements.  Each
-group gives the order of an element in closed form (``element_order``).
+group states its law in closed form twice: ``mul``, and ``pow(g, n)`` for
+every integer n.  The inverse is derived once, as ``pow(g, -1)``.  Each
+group also gives the order of an element in closed form (``element_order``).
 
 Each group also gives ``orbit_index(x, a) = (r, i)``: x = r·a^i, where r
 is the same for every point of the orbit x·a^n (n in Z), and i is taken
@@ -12,9 +14,6 @@ modulo the order of a when that is finite.  Two points share an orbit
 exactly when their r agree, and then x·a^j = y exactly when j = i_y - i_x.
 It is exact integer arithmetic with no size limit; ``separation_constant``
 and the weight fills in ``translations`` derive every orbit from it.
-
-The array kernels in ``translations`` and ``criteria`` work through
-``BLOCK_ELEMENTS`` values at a time, so their temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -32,14 +31,9 @@ from .errors import TorsionElementError
 
 Element = Hashable
 
-# The one block size of the array kernels: this many values (128 KiB of
-# float64) per block.  Smaller blocks cost per-block overhead, larger ones
-# leave the cache and, past glibc's mmap threshold, fault in fresh pages.
-BLOCK_ELEMENTS = 1 << 14
-
 
 class Group(ABC):
-    """Countable discrete group: identity, multiplication, inversion."""
+    """Countable discrete group: identity, multiplication and powers."""
 
     kind: str = ""
 
@@ -50,7 +44,12 @@ class Group(ABC):
     def mul(self, g: Element, h: Element) -> Element: ...
 
     @abstractmethod
-    def inv(self, g: Element) -> Element: ...
+    def pow(self, g: Element, n: int) -> Element:
+        """g^n for every integer n, in closed form."""
+
+    def inv(self, g: Element) -> Element:
+        """g^-1, derived from ``pow``."""
+        return self.pow(g, -1)
 
     @abstractmethod
     def coords(self, g: Element) -> list[int]:
@@ -73,21 +72,6 @@ class Group(ABC):
         the identity has finite order; finite groups override it."""
         return 1 if g == self.identity() else None
 
-    def pow(self, g: Element, n: int) -> Element:
-        """n-fold product of g (inverse-fold for negative n), by
-        square-and-multiply over ``mul``."""
-        if n < 0:
-            return self.pow(self.inv(g), -n)
-        acc = self.identity()
-        base = g
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return acc
-
 
 @dataclass(frozen=True)
 class IntegerGroup(Group):
@@ -101,8 +85,8 @@ class IntegerGroup(Group):
     def mul(self, g, h):
         return g + h
 
-    def inv(self, g):
-        return -g
+    def pow(self, g, n):
+        return n * g
 
     def orbit_index(self, x, a):
         i = _lead_index((x,), (a,))
@@ -135,8 +119,8 @@ class LatticeGroup(Group):
     def mul(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
 
-    def inv(self, g):
-        return tuple(-a for a in g)
+    def pow(self, g, n):
+        return tuple(n * c for c in g)
 
     def orbit_index(self, x, a):
         i = _lead_index(x, a)
@@ -154,7 +138,8 @@ class LatticeGroup(Group):
 @dataclass(frozen=True)
 class HeisenbergGroup(Group):
     """Integer Heisenberg group on triples (x, y, z) with
-    (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y') and inverse (-x,-y,xy-z)."""
+    (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y') and
+    (x,y,z)^n = (nx, ny, nz + xy n(n-1)/2)."""
 
     kind: str = "heisenberg"
 
@@ -166,17 +151,15 @@ class HeisenbergGroup(Group):
         xp, yp, zp = h
         return (x + xp, y + yp, z + zp + x * yp)
 
-    def inv(self, g):
+    def pow(self, g, n):
         x, y, z = g
-        return (-x, -y, x * y - z)
+        return (n * x, n * y, n * z + x * y * (n * (n - 1) // 2))
 
     def orbit_index(self, x, a):
-        # x·a^t = (x1 + t*a1, x2 + t*a2, x3 + t*(a3 + x1*a2) + a1*a2*t*(t-1)/2):
-        # the first two coordinates are linear in t, and so is the third
-        # when a1 = a2 = 0.  r = x·a^{-i}, in closed form.
-        (x1, x2, x3), (a1, a2, a3) = x, a
+        # The first two coordinates of x·a^t are linear in t, and so is the
+        # third when a1 = a2 = 0.
         i = _lead_index(x, a)
-        return (x1 - i * a1, x2 - i * a2, x3 - i * (a3 + x1 * a2) + a1 * a2 * i * (i + 1) // 2), i
+        return self.mul(x, self.pow(a, -i)), i
 
     def coords(self, g):
         return list(g)
@@ -203,8 +186,8 @@ class CyclicGroup(Group):
     def mul(self, g, h):
         return (g + h) % self.m
 
-    def inv(self, g):
-        return (-g) % self.m
+    def pow(self, g, n):
+        return n * g % self.m
 
     def orbit_index(self, x, a):
         # x·a^i = x + i*a covers the residues x mod g, g = gcd(a, m), with

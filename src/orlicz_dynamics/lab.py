@@ -83,8 +83,13 @@ def empirical_return(
     sys: WeightedSystem, f: OrliczVector, n: int, L: int, epsilon: float
 ) -> ReturnReport:
     """Build the witness vector and measure its returns: the norm residuals
-    N(v - f) and N(T^{ln} v - f) for l = 1..L, all vs the target epsilon."""
-    v = recurrence_witness_vector(sys, f, n, L)
+    N(v - f) and N(T^{ln} v - f) for l = 1..L, all vs the target epsilon.
+
+    When the order of a divides n, T^n keeps every point in place, so
+    S^{ln} f lies on supp(f): f itself is then the witness vector, and
+    its returns are N(T^{ln} f - f)."""
+    order = sys.group.element_order(sys.a)
+    v = f if order is not None and n % order == 0 else recurrence_witness_vector(sys, f, n, L)
     phi = sys.young
     r0 = luxemburg_norm(v - f, phi)
     returns = tuple(luxemburg_norm(piece - f, phi) for piece in iterates(sys, v, n, L))

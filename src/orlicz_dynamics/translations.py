@@ -12,7 +12,7 @@ sequences along the orbit of a point x:
 them a block of points at a time.  Each weight fills the (points, steps)
 block of its values along the orbits in closed form, straight into the
 block's series buffer, which is reused from block to block and holds
-about ``groups.BLOCK_ELEMENTS`` values (``orbit_filler``): along an orbit
+about ``BLOCK_ELEMENTS`` values (``orbit_filler``): along an orbit
 every weight family is a few constant runs, solved in exact Python ints
 with no size limit.  A constant weight is one run; a step weight on Z
 has one cut per row, where x + j·a crosses 1; the dyadic Heisenberg
@@ -42,8 +42,10 @@ one-step views, ``apply_T_n`` and ``apply_S_n`` its views with step n.
 Each weight states the finite set of values it takes as ``values``:
 (c,), (c_neg, c_pos), (1/2, 1, 2), or the table values and the default.
 They are checked once, positive and finite, and they are what the
-obstruction gate and the rounding bounds (``product_gamma``) read.  The
-config module alone reads and writes the weights' JSON form.
+obstruction gate and the rounding bounds (``product_gamma``) read.  When
+a has finite order, ``cycle_values`` counts the weights on each cycle in
+closed form, for the exact cycle products of the criteria.  The config
+module alone reads and writes the weights' JSON form.
 
 Products are accumulated in linear space and in log space side by side;
 for long orbits (n > 128) the linear value may legitimately underflow to
@@ -56,15 +58,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import groups
 from .groups import CyclicGroup, Element, Group
 from .numerics import gamma
 from .orlicz import OrliczVector
+
+# The one block size of the array kernels: this many values (128 KiB of
+# float64) per block.  Smaller blocks cost per-block overhead, larger ones
+# leave the cache and, past glibc's mmap threshold, fault in fresh pages.
+BLOCK_ELEMENTS = 1 << 14
 
 
 class _Weight:
@@ -104,9 +111,14 @@ class TwoSidedStepWeight(_Weight):
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
 
+    def residue_table(self) -> tuple[dict, float]:
+        """(table, default) on a cyclic group, whose residues x >= 1 are
+        the x != 0: the table {0: c_neg} with default c_pos."""
+        return {0: self.c_neg}, self.c_pos
+
     def orbit_filler(self, group: Group, a: int, backward: bool) -> Filler:
-        if isinstance(group, CyclicGroup):  # residues: x >= 1 means x != 0
-            return _table_filler(group, a, backward, {0: self.c_neg}, self.c_pos)
+        if isinstance(group, CyclicGroup):
+            return _table_filler(group, a, backward, *self.residue_table())
         first, step = _exponents(backward)
         b = step * a  # column c of a row holds the weight at x0 + c*b
         # Columns before a row's cut hold `before`, the rest `after`.
@@ -214,6 +226,32 @@ def product_gamma(w: Weight, k: int) -> float:
     if all(math.frexp(v)[0] == 0.5 for v in w.values):
         return 0.0
     return gamma(k)
+
+
+def cycle_values(sys: WeightedSystem) -> Callable[[Element], Counter]:
+    """For an a of finite order P: x -> the weights w(x·a^j), j < P, on the
+    cycle through x, as a Counter {value: count}, in closed form.  When
+    P = 1 the cycle is x alone.  Otherwise the group is cyclic: a constant
+    c gives c P times, and a table (or the step weight's
+    ``residue_table``) gives the values of its keys on that cycle and the
+    default for the P - #keys other points."""
+    group, a, w = sys.group, sys.a, sys.weight
+    order = group.element_order(a)
+    if order == 1:
+        return lambda x: Counter({w(x): 1})
+    if isinstance(w, ConstantWeight):
+        return lambda x: Counter({w.c: order})
+    table, default = w.residue_table() if isinstance(w, TwoSidedStepWeight) else (w._table, w.default)
+    on_cycle: dict = {}
+    for key, v in table.items():
+        on_cycle.setdefault(group.orbit_index(key, a)[0], Counter())[v] += 1
+
+    def values(x: Element) -> Counter:
+        counts = Counter(on_cycle.get(group.orbit_index(x, a)[0], {}))
+        counts[default] += order - counts.total()
+        return +counts  # drops the default when keys fill the cycle
+
+    return values
 
 
 def _exponents(backward: bool) -> tuple[int, int]:
@@ -383,7 +421,7 @@ def orbit_weights_backward(sys: WeightedSystem, x: Element, m: int) -> np.ndarra
 
 def _block_rows(width: int) -> int:
     """Rows of width values each that make one block (at least one)."""
-    return max(1, groups.BLOCK_ELEMENTS // width)
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 def orbit_series(
@@ -402,7 +440,7 @@ def orbit_series(
     or phi_tilde_series_pair when backward is set, bit for bit: each row
     is the same sequential cumprod (and cumsum of logs) over the same
     weights.  The weight's filler is built once per call, and every block
-    reuses the same buffers of about ``groups.BLOCK_ELEMENTS`` values, so
+    reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so
     a block's arrays hold only until the next block is asked for."""
     fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
     rows = _block_rows(depth + 1)

@@ -18,10 +18,10 @@ Each family evaluates three ways:
 * ``evaluate(t)`` is the scalar reference.
 * ``evaluate_many(ts)`` maps an iterable of nonnegative floats to Python
   floats equal, bit for bit, to ``evaluate`` on each element: the power
-  and alphalog kernels chain libm ``math.pow`` and ``math.log`` through
-  ``map`` (numpy's ``power`` and ``log`` round differently on a few
-  inputs), and the table kernel maps its O(log knots) scalar
-  ``evaluate``.  An overflow in ``pow`` raises OverflowError and a table
+  and alphalog kernels call libm ``math.pow`` and ``math.log`` through
+  ``map`` or one list comprehension (numpy's ``power`` and ``log`` round
+  differently on a few inputs), and the table kernel maps its O(log
+  knots) scalar ``evaluate``.  An overflow in ``pow`` raises OverflowError and a table
   argument past the domain raises OutOfRangeError, as in the scalar path.
   The exact modular sums it.
 * ``evaluate_array(ts)`` is the float64 numpy screen the Luxemburg norm
@@ -49,7 +49,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import add, mul, truediv
+from operator import truediv
 from typing import Iterable
 
 import numpy as np
@@ -109,23 +109,19 @@ class AlphaLogYoung:
         if not 1.0 < self.alpha < math.inf:
             raise ValueError("alphalog exponent must satisfy 1 < alpha < inf")
 
+    # Each log is taken at t, or at 5e-324, the least positive float, when
+    # t = 0: it is finite there, and the power makes the term 0.
     def evaluate(self, t: float) -> float:
         at = abs(t)
-        if at == 0.0:
-            return 0.0
-        return at**self.alpha * (1.0 + abs(math.log(at)))
+        return at**self.alpha * (1.0 + abs(math.log(at or 5e-324)))
 
     def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
-        ts = list(ts)
-        if 0.0 in ts:  # log(0) raises; the scalar path maps 0 to 0
-            return map(self.evaluate, ts)
-        logs = map(abs, map(math.log, ts))
-        return map(mul, map(math.pow, ts, repeat(self.alpha)), map(add, repeat(1.0), logs))
+        alpha, log, pow_ = self.alpha, math.log, math.pow
+        return [pow_(t, alpha) * (1.0 + abs(log(t or 5e-324))) for t in ts]
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        # An argument of 0 gives 0 * inf = nan, which sends the caller to
-        # the exact path.
-        logs = np.log(ts)
+        logs = np.maximum(ts, 5e-324)
+        np.log(logs, out=logs)
         np.abs(logs, out=logs)
         logs += 1.0
         np.power(ts, self.alpha, out=ts)

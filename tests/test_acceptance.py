@@ -279,12 +279,19 @@ def test_criterion_8_recurrent_transitive_equivalence_matrix():
         t = od.run_check(
             od.CriterionRequest(system=sys, K=K, property=od.Property.TRANSITIVE)
         )
-        r_core = dataclasses.replace(r, request=t.request)
-        assert r_core == t
+        if sys.group.element_order(sys.a) is None:
+            r_core = dataclasses.replace(r, request=t.request)
+            assert r_core == t
+        else:
+            # A finite order blocks transitivity, while recurrence is
+            # decided by the cycle products.
+            assert t.obstruction.kind == "torsion"
+            assert r.obstruction.kind == "cycle_product" and r.obstruction.order == t.obstruction.order
         checked += 1
     _report(
         8,
         checked == len(matrix),
         f"recurrent and transitive checkers returned identical verdicts on all "
-        f"{checked} systems in the config matrix",
+        f"{checked} systems in the config matrix where a has infinite order, and "
+        f"torsion / cycle_product obstructions where it has finite order",
     )

@@ -96,6 +96,60 @@ def test_check_torsion_on_a_huge_cyclic_group_is_immediate(capsys, tmp_path):
     assert envelope["results"]["verdict"]["obstruction"]["order"] == 10**12
 
 
+def _write_config(tmp_path, **fields):
+    cfg = {
+        "group": {"kind": "cyclic", "m": 4},
+        "a": [1],
+        "weight": {"family": "constant", "c": 1.0},
+        "young": {"family": "power", "p": 2.0},
+        "K": {"points": [[0], [1]]},
+        "property": "recurrent",
+        **fields,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("prop,L", [("recurrent", 1), ("multiply_recurrent", 2)])
+def test_periodic_torsion_is_recurrent_and_simulates_exactly(capsys, tmp_path, prop, L):
+    # Z/4 with a = 1 and weight 1: T^4 = I, so S^{4l} f = f and f is its own
+    # witness vector, with returns N(T^{4l} f - f) = 0.
+    cfg = _write_config(tmp_path, property=prop, L=L)
+    code, envelope = _run(capsys, "check", "--config", cfg)
+    assert code == 0 and {w["n"] for w in envelope["results"]["verdict"]["witness"]} == {4}
+    code, envelope = _run(capsys, "simulate", "--config", cfg)
+    assert code == 0
+    returns = [entry["return"] for entry in envelope["results"]["lab"]]
+    assert len(returns) == len(od.DEFAULT_EPSILONS)
+    for rep in returns:
+        assert rep["n"] == 4 and rep["success"]
+        assert rep["residual_to_f"] == 0.0 and rep["return_residuals"] == [0.0] * L
+
+
+def test_shipped_torsion_config_is_not_recurrent(capsys, tmp_path):
+    raw = json.loads((CONFIG_DIR / "cyclic_torsion.json").read_text())
+    path = tmp_path / "recurrent.json"
+    path.write_text(json.dumps({**raw, "property": "recurrent"}))
+    for command in ("check", "simulate"):
+        code, envelope = _run(capsys, command, "--config", str(path))
+        assert code == 2
+        obstruction = envelope["results"]["verdict"]["obstruction"]
+        # Cycle products 2 on {0, 2, 4} and 1/2 on {1, 3, 5}; 0 comes first.
+        assert obstruction["kind"] == "cycle_product"
+        assert (obstruction["order"], obstruction["bound"]) == (3, 1.0)
+
+
+def test_a_period_too_long_to_simulate_fails_fast(capsys, tmp_path):
+    cfg = _write_config(tmp_path, group={"kind": "cyclic", "m": 10**12})
+    t0 = time.perf_counter()
+    code, envelope = _run(capsys, "check", "--config", cfg)
+    assert code == 0 and envelope["results"]["verdict"]["witness"][0]["n"] == 10**12
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "GiB cap" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_check_unit_weight_is_inconclusive(capsys, tmp_path):
     cfg = {
         "group": {"kind": "Z"},

@@ -45,6 +45,85 @@ def test_torsion_order_is_found_in_closed_form():
     assert verdict.obstruction.kind == "torsion" and verdict.obstruction.order == 10**12
 
 
+def _cyclic4():
+    # T^4 = I: every vector is periodic, so T is recurrent and multiply recurrent.
+    return od.WeightedSystem(group=od.CyclicGroup(4), a=1, weight=od.ConstantWeight(1.0), young=P2)
+
+
+@pytest.mark.parametrize("prop,L", [("recurrent", 1), ("multiply_recurrent", 2), ("multiply_recurrent", 3)])
+def test_torsion_recurrence_is_decided_by_cycle_products(prop, L):
+    sys = _cyclic4()
+    K = od.CompactSet.of([0, 1])
+    f = od.OrliczVector.indicator(K)
+    assert od.apply_T_n(sys, f, 4) == f
+    verdict = od.run_check(_req(sys, K, prop, L=L))
+    assert verdict.outcome is od.Outcome.WITNESS_FOUND and verdict.obstruction is None
+    assert [(w.epsilon, w.n, w.sup_by_l) for w in verdict.witness] == [
+        (eps, 4, (0.0,) * L) for eps in od.DEFAULT_EPSILONS
+    ]
+
+
+@pytest.mark.parametrize("prop", ["transitive", "mixing", "chaotic"])
+def test_torsion_still_blocks_transitivity_mixing_and_chaos(prop):
+    verdict = od.run_check(_req(_cyclic4(), od.CompactSet.of([0, 1]), prop))
+    assert verdict.obstruction.kind == "torsion" and verdict.obstruction.order == 4
+
+
+def _cycle_obstruction(group, a, weight, K, prop="recurrent"):
+    sys = od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
+    verdict = od.run_check(_req(sys, od.CompactSet.of(K), prop))
+    assert verdict.outcome is od.Outcome.OBSTRUCTION_FOUND and verdict.witness == ()
+    assert verdict.obstruction.kind == "cycle_product"
+    return verdict.obstruction
+
+
+def test_cycle_products_other_than_1_obstruct_recurrence():
+    # Z/6 with a = 2: cycles {0, 2, 4} (product 2) and {1, 3, 5} (product 1/2).
+    table = od.TableWeight(((0, 2.0), (1, 0.5)), default=1.0)
+    obs = _cycle_obstruction(od.CyclicGroup(6), 2, table, [1, 3], "multiply_recurrent")
+    assert (obs.order, obs.bound) == (3, -1.0) and "[1]" in obs.detail
+    # 3 * (1/3) rounds to 1.0, but the exact product of those floats is not 1.
+    assert 3.0 * (1 / 3) == 1.0
+    thirds = od.TableWeight(((0, 3.0), (2, 1 / 3)), default=1.0)
+    assert _cycle_obstruction(od.CyclicGroup(6), 2, thirds, [0]).order == 3
+    # a = 0 has order 1, so each point is its own cycle, with product w(x).
+    obs = _cycle_obstruction(od.IntegerGroup(), 0, od.TwoSidedStepWeight(2.0, 0.5), [0])
+    assert (obs.order, obs.bound) == (1, 1.0)
+    # 1.5 = 0.75 * 2^1 has binary exponent 0 and is still not 1.
+    obs = _cycle_obstruction(od.HeisenbergGroup(), (0, 0, 0), od.ConstantWeight(1.5), [(0, 0, 0)])
+    assert obs.bound == math.log2(1.5)
+    # The step weight on a cyclic group: 2 at 0, 1/2 at 1, 2, 3.
+    obs = _cycle_obstruction(od.CyclicGroup(4), 1, od.TwoSidedStepWeight(2.0, 0.5), [0])
+    assert (obs.order, obs.bound) == (4, -2.0)
+
+
+def test_power_of_two_cycle_products_of_1_are_witnesses():
+    group = od.CyclicGroup(6)
+    table = od.TableWeight(((0, 2.0), (2, 0.25), (4, 2.0), (1, 0.25)), default=2.0)
+    sys = od.WeightedSystem(group=group, a=2, weight=table, young=P2)
+    verdict = od.run_check(_req(sys, od.CompactSet.of([0, 3, 5]), "recurrent"))
+    assert verdict.outcome is od.Outcome.WITNESS_FOUND and {w.n for w in verdict.witness} == {3}
+    step = od.WeightedSystem(group=od.CyclicGroup(3), a=1, weight=od.TwoSidedStepWeight(0.25, 2.0), young=P2)
+    assert od.run_check(_req(step, od.CompactSet.of([1]), "recurrent")).outcome is od.Outcome.WITNESS_FOUND
+    z = od.WeightedSystem(group=od.IntegerGroup(), a=0, weight=od.TwoSidedStepWeight(1.0, 0.5), young=P2)
+    assert od.run_check(_req(z, od.CompactSet.of([-3, 0]), "recurrent")).witness[0].n == 1
+
+
+def test_cycle_products_are_found_in_closed_form():
+    # Cycles of 5 * 10^11 points, with no step along them.
+    group = od.CyclicGroup(10**12)
+    for entries, outcome in [
+        (((0, 2.0), (2, 0.5), (1, 4.0)), od.Outcome.WITNESS_FOUND),
+        (((0, 2.0), (4, 2.0)), od.Outcome.OBSTRUCTION_FOUND),
+    ]:
+        sys = od.WeightedSystem(group=group, a=2, weight=od.TableWeight(entries, default=1.0), young=P2)
+        t0 = time.perf_counter()
+        verdict = od.run_check(_req(sys, od.CompactSet.of([0, 2, 6]), "recurrent"))
+        assert time.perf_counter() - t0 < 1.0
+        assert verdict.outcome is outcome
+    assert verdict.obstruction.order == 5 * 10**11 and verdict.obstruction.bound == 2.0
+
+
 def test_obstruction_contraction_and_expansion(zgroup):
     half = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(0.5), young=P2)
     obs = od.check_obstructions(_req(half, od.CompactSet.of([0]), od.Property.TRANSITIVE))

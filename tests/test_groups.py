@@ -55,6 +55,51 @@ def test_pow_examples():
     assert c.pow(2, 3) == 0
 
 
+_POW_GROUPS = [
+    od.IntegerGroup(), od.LatticeGroup(d=3), od.HeisenbergGroup(), od.CyclicGroup(12), od.CyclicGroup(2**100 + 7)
+]
+# Past 2^63 and 2^100, and small, so the Heisenberg twist x·y is rarely 0.
+_big = st.one_of(st.integers(-5, 5), st.integers(2**63, 2**64), st.integers(-(2**101), -(2**100)))
+
+
+@st.composite
+def pow_cases(draw):
+    group = draw(st.sampled_from(_POW_GROUPS))
+    rank = len(group.coords(group.identity()))
+    return group, draw(st.lists(_big, min_size=rank, max_size=rank).map(group.element)), draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_cases())
+def test_pow_is_the_fold_of_mul(case):
+    group, g, n = case
+    fold = group.identity()
+    for _ in range(n):
+        fold = group.mul(fold, g)
+    assert group.pow(g, n) == fold
+    assert group.mul(group.pow(g, -n), group.pow(g, n)) == group.identity()
+    assert group.mul(group.pow(g, n), group.pow(g, -n)) == group.identity()
+
+
+def test_heisenberg_pow_has_its_quadratic_term():
+    h = od.HeisenbergGroup()
+    g = (2**100 + 3, -(2**63) - 5, 7)
+    fold = h.identity()
+    for n in range(1, 9):
+        fold = h.mul(fold, g)
+        assert h.pow(g, n) == fold
+        assert (h.pow(g, n)[2] != n * g[2]) == (n > 1)  # the x·y·n(n-1)/2 term
+    assert h.pow((2, 3, 5), 4) == (8, 12, 20 + 2 * 3 * 6)
+    assert h.pow((2, 3, 5), -2) == (-4, -6, -10 + 2 * 3 * 3)
+
+
+def test_inverse_formulas():
+    assert od.IntegerGroup().inv(5) == -5
+    assert od.LatticeGroup(d=2).inv((1, -2)) == (-1, 2)
+    assert od.HeisenbergGroup().inv((2, 3, 5)) == (-2, -3, 2 * 3 - 5)
+    assert od.CyclicGroup(6).inv(2) == 4 and od.CyclicGroup(6).inv(0) == 0
+
+
 def test_torsion_order():
     assert od.CyclicGroup(6).element_order(2) == 3
     assert od.IntegerGroup().element_order(1) is None

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
-from orlicz_dynamics import groups, translations
+from orlicz_dynamics import translations
 from conftest import P2
 
 NEAR_2_61 = 2**61
@@ -92,10 +92,10 @@ def systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems(), st.integers(0, 60), st.booleans(), st.sampled_from([1, 7, 3 * 61, groups.BLOCK_ELEMENTS]))
+@given(systems(), st.integers(0, 60), st.booleans(), st.sampled_from([1, 7, 3 * 61, translations.BLOCK_ELEMENTS]))
 def test_kernel_matches_scalar_loop_bit_for_bit(case, depth, backward, block):
     sys, points = case
-    with mock.patch.object(groups, "BLOCK_ELEMENTS", block):
+    with mock.patch.object(translations, "BLOCK_ELEMENTS", block):
         blocks = [len(lin) for _, lin, _ in translations.orbit_series(sys, points, depth, backward=backward)]
         linear, logs = _series(sys, points, depth, backward)
     rows = max(1, block // (depth + 1))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import P2
-from orlicz_dynamics import criteria, groups
+from orlicz_dynamics import criteria, translations
 from orlicz_dynamics.config import parse_config
 from orlicz_dynamics.translations import orbit_series
 from orlicz_dynamics.errors import ConfigError
@@ -36,7 +36,7 @@ def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdi
     """run_check with a block size of rows points of the scan's series,
     checking that the scan's blocks of that depth hold that many."""
     depth = criteria.series_depth(req)
-    monkeypatch.setattr(groups, "BLOCK_ELEMENTS", rows * (depth + 1))
+    monkeypatch.setattr(translations, "BLOCK_ELEMENTS", rows * (depth + 1))
     seen = []
 
     def spy(system, points, d, **kwargs):

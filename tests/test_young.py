@@ -18,6 +18,29 @@ def test_evaluate_closed_forms():
     assert od.AlphaLogYoung(1.5).evaluate(0.0) == 0.0
 
 
+def test_alphalog_evaluates_zero_by_its_formula():
+    phi = od.AlphaLogYoung(1.5)
+    ts = [0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 0.0]
+    scalar = [phi.evaluate(t) for t in ts]
+    assert scalar[0] == scalar[-1] == 0.0
+    assert list(phi.evaluate_many(ts)) == scalar
+    array = phi.evaluate_array(np.array(ts))
+    assert array[0] == array[-1] == 0.0 and not np.isnan(array).any()
+    assert np.allclose(array, scalar, rtol=1e-14, atol=0.0)
+
+
+def test_alphalog_conjugate_table_batches_its_grid(monkeypatch):
+    # The 128-row conjugate table of probe-young: each grid of the
+    # conjugate's maximization starts at 0.0 and is one evaluate_many call.
+    phi = od.AlphaLogYoung(1.5)
+    calls = []
+    evaluate = od.AlphaLogYoung.evaluate
+    monkeypatch.setattr(od.AlphaLogYoung, "evaluate", lambda self, t: calls.append(t) or evaluate(self, t))
+    for i in range(128):
+        od.complementary(phi, 8.0 * i / 127.0)
+    assert len(calls) <= 7000
+
+
 @pytest.mark.parametrize(
     "phi",
     [od.PowerYoung(1.0), od.PowerYoung(2.0), od.PowerYoung(3.5), od.AlphaLogYoung(1.5)],
