@@ -22,11 +22,12 @@ from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import SERIES_MEMORY_CAP, CriterionRequest, Property, point_bytes
+from .criteria import CriterionRequest, Property
 from .errors import ConfigError
-from .groups import GROUP_KINDS, CompactSet, Element, Group, box
+from .groups import GROUP_KINDS, CompactSet, Element, Group, box, point_bytes
 from .orlicz import OrliczVector
 from .translations import (
+    SERIES_MEMORY_CAP,
     ConstantWeight,
     HeisenbergDyadicWeight,
     TableWeight,
@@ -43,12 +44,11 @@ DEFAULTS = {"seed": 0}
 
 # The integer parameters of each group kind's constructor, beyond "kind".
 _GROUP_PARAMS = {"Zd": ("d",), "cyclic": ("m",)}
-# Weight families: class, its number fields in constructor order, and the
-# group kind it is defined on (None: any).  "table" is read on its own.
+# Weight families: class and its number fields.  "table" is read on its own.
 WEIGHTS = {
-    "constant": (ConstantWeight, ("c",), None),
-    "two_sided_step": (TwoSidedStepWeight, ("c_neg", "c_pos"), "Z"),
-    "heisenberg_paper": (HeisenbergDyadicWeight, (), "heisenberg"),
+    "constant": (ConstantWeight, ("c",)),
+    "two_sided_step": (TwoSidedStepWeight, ("c_neg", "c_pos")),
+    "heisenberg_paper": (HeisenbergDyadicWeight, ()),
 }
 # Young families: class and its number fields.  "custom" is read on its own.
 YOUNGS = {"power": (PowerYoung, ("p",)), "alphalog": (AlphaLogYoung, ("alpha",))}
@@ -154,7 +154,7 @@ def _from_fields(spec: dict, path: str, cls, fields: tuple):
 
 
 def _emit_family(table: dict, obj) -> dict:
-    for family, (cls, fields, *_) in table.items():
+    for family, (cls, fields) in table.items():
         if type(obj) is cls:
             return {"family": family, **{f: getattr(obj, f) for f in fields}}
     raise TypeError(f"no config family for {obj!r}")
@@ -186,10 +186,7 @@ def _weight(spec, group: Group) -> Weight:
         default = _weight_value(spec.get("default", 1.0), "weight.default")
         return _build("weight", TableWeight, tuple(entries.items()), default)
     family = _name(spec.get("family"), (*WEIGHTS, "table"), "weight")
-    cls, fields, kind = WEIGHTS[family]
-    if kind is not None and group.kind != kind:
-        raise ConfigError("weight", f"{family} weight needs the {kind} group, not {group.kind}")
-    return _from_fields(spec, "weight", cls, fields)
+    return _from_fields(spec, "weight", *WEIGHTS[family])
 
 
 def _weight_to_config(w: Weight, group: Group) -> dict:
@@ -255,9 +252,8 @@ def parse_config(raw) -> RunConfig:
         raise ConfigError("schema_version", f"unsupported version {version}")
     group = group_from_config(_require(raw, "group", ""))
     a = _element(group, _require(raw, "a", ""), "a")
-    system = WeightedSystem(
-        group=group, a=a, weight=_weight(_require(raw, "weight", ""), group), young=_young(_require(raw, "young", ""))
-    )
+    weight = _weight(_require(raw, "weight", ""), group)
+    system = _build("weight", WeightedSystem, group, a, weight, _young(_require(raw, "young", "")))
     K, K_spec = compact_set_from_config(_require(raw, "K", ""), group)
     prop = Property(_name(_require(raw, "property", ""), _PROPERTIES, "property"))
     fields = {key: _int(raw[key], key) for key in _BUDGETS if key in raw}

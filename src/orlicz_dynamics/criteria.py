@@ -21,8 +21,9 @@ series, in K's order, from ``translations.orbit_series`` a block of
 points at a time (about ``translations.BLOCK_ELEMENTS`` values, and at least
 one point, per block) and reduce each block before the next overwrites
 it: sups over K are maxima and merge block by block, and the chaos scan
-keeps only each point's truncated sum and last term per n.  So what a scan holds at once is one
-block's series plus what it keeps, not |K| series of the full depth.
+keeps only each point's truncated sum and last term per n.  So what a
+scan holds at once is one block's series plus what it keeps, not |K|
+series of the full depth, held to ``translations.SERIES_MEMORY_CAP``.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, cycle product other than 1,
@@ -56,9 +57,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .groups import CompactSet, Group, separation_constant
+from .groups import CompactSet, point_bytes, separation_constant
 from .numerics import gamma
-from .translations import WeightedSystem, cycle_values, orbit_series, product_gamma
+from .translations import SERIES_MEMORY_CAP, WeightedSystem, cycle_values, orbit_series, product_gamma
 
 
 class Property(str, Enum):
@@ -80,25 +81,12 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
 
-# Largest size, in bytes, of what one checker's scan holds at once (see
-# _held_bytes).  Requests above it fail validation instead of dying in
-# allocation.
-SERIES_MEMORY_CAP = 1 << 30
-
 # Bytes each candidate step n costs a scan beyond its series: its
 # SeriesPoint (the object, its floats and n, and its slots in the lists and
 # tuple that carry it into the Verdict) and the scan's per-n arrays.
 # tracemalloc measures 216 to 258 bytes (CPython 3.11, every scan); this
 # rounds up.
 _CANDIDATE_BYTES = 288
-
-
-def point_bytes(group: Group) -> int:
-    """Bytes a point of K costs besides the series: itself, and its orbit
-    entry in ``separation_constant``.  tracemalloc measures up to 250 + 46 d
-    on rank d (CPython 3.11, d = 1..24, large coordinates, one orbit a
-    point); this rounds up."""
-    return 256 + 48 * len(group.coords(group.identity()))
 
 
 @dataclass(frozen=True)
@@ -155,10 +143,10 @@ class CriterionRequest:
     inherit: epsilons defaults to the halving schedule 2^{-k}, k = 1..10;
     N_max bounds the step search; L_max truncates the chaos series.  A
     field out of range, or a repeated epsilon, raises ConfigError on its
-    name, and budgets whose scan would hold more than SERIES_MEMORY_CAP
-    bytes at once (one point's series and their gathers, plus K and what
-    the scan keeps over it and per candidate step; see _held_bytes) raise
-    it on the N_max field.
+    name.  Budgets whose scan would hold more than the bytes of
+    ``translations.SERIES_MEMORY_CAP`` at once (one point's series and
+    their gathers, plus K and what the scan keeps over it and per
+    candidate step; see _held_bytes) raise it on the N_max field.
     """
 
     system: WeightedSystem
@@ -206,7 +194,8 @@ def _held_bytes(req: CriterionRequest) -> int:
     it and the weight fill's temporaries, before the sups are gathered).
     Plus, for chaotic, the truncated sum and last term of every point of K
     per candidate n, _CANDIDATE_BYTES per candidate n for every scan, and
-    ``point_bytes`` per point of K."""
+    ``groups.point_bytes`` per point of K; ``translations.SERIES_MEMORY_CAP``
+    bounds it."""
     depth = series_depth(req)
     kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
     K_bytes = len(req.K) * point_bytes(req.system.group)

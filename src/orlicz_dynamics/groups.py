@@ -287,6 +287,14 @@ def separation_constant(group: Group, K: CompactSet, a: Element, n_max: int) -> 
     return last_collision
 
 
+def point_bytes(group: Group) -> int:
+    """Bytes a point costs besides any series: as a member of K with its
+    orbit entry in ``separation_constant`` (up to 250 + 46 d on rank d, d =
+    1..24, by tracemalloc), or as a vector entry (up to 250 on ranks 1..3;
+    CPython 3.11, coordinates up to 2^100).  This rounds up."""
+    return 256 + 48 * len(group.coords(group.identity()))
+
+
 def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> np.ndarray:
     """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
     repeated ``mul``: the reference for ``separation_constant``."""

@@ -15,9 +15,10 @@ block's series buffer, which is reused from block to block and holds
 about ``BLOCK_ELEMENTS`` values (``orbit_filler``): along an orbit
 every weight family is a few constant runs, solved in exact Python ints
 with no size limit.  A constant weight is one run; a step weight on Z
-has one cut per row, where x + j·a crosses 1; the dyadic Heisenberg
-weight has at most five sign runs of the integer quadratic 2z(j); a
-table weight groups its keys by ``Group.orbit_index`` once per call, so
+has one cut per row, where x + j·a crosses 1; the dyadic weight has at
+most five sign runs of the integer quadratic 2z through the row's first
+three columns, whose z it reads through ``Group.mul`` and ``Group.pow``;
+a table weight groups its keys by ``Group.orbit_index`` once per call, so
 each row's hits are the keys of its orbit at exponents j = i_key - i_x
 (a strided slice when a has finite order).  The series are then one
 sequential cumprod per row, and a cumsum of the logs: the same
@@ -29,7 +30,8 @@ The per-point functions (``phi_product``, ``phi_series_pair``, ...) are
 views of a one-point block.
 
 ``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
-l = 1..count, from the same weight block: row i starts with the i-th
+l = 1..count, from the same weight block, and refuses one that would
+pass ``SERIES_MEMORY_CAP`` before it allocates: row i starts with the i-th
 value of f, and a multiply (T) or divide (S) accumulate along the row
 repeats the one-step loop's v * w(x * a) or v / w(x), in its order.
 numpy's float64 * and / round exactly like Python's, so every value is
@@ -38,6 +40,10 @@ that reaches 0.0, which the loop pruned, stays 0.0 and is pruned from
 every later piece; rows keep f's insertion order.  It is the package's
 only way to build T^n f or S^n f: ``apply_T`` and ``apply_S`` are its
 one-step views, ``apply_T_n`` and ``apply_S_n`` its views with step n.
+
+A weight acts on the groups whose elements it reads (``WeightedSystem``
+checks it at the identity): the step weight on Z and cyclic groups, the
+dyadic weight on the Heisenberg group and Z^d, d >= 3, the rest on any.
 
 Each weight states the finite set of values it takes as ``values``:
 (c,), (c_neg, c_pos), (1/2, 1, 2), or the table values and the default.
@@ -64,7 +70,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import CyclicGroup, Element, Group
+from .errors import ConfigError
+from .groups import CyclicGroup, Element, Group, point_bytes
 from .numerics import gamma
 from .orlicz import OrliczVector
 
@@ -72,6 +79,9 @@ from .orlicz import OrliczVector
 # float64) per block.  Smaller blocks cost per-block overhead, larger ones
 # leave the cache and, past glibc's mmap threshold, fault in fresh pages.
 BLOCK_ELEMENTS = 1 << 14
+
+# The most bytes a checker's scan (``criteria``) or an ``iterates`` stack holds.
+SERIES_MEMORY_CAP = 1 << 30
 
 
 class _Weight:
@@ -144,41 +154,36 @@ class TwoSidedStepWeight(_Weight):
 
 @dataclass(frozen=True)
 class HeisenbergDyadicWeight(_Weight):
-    """Dyadic step weight on Heisenberg triples, keyed by the z coordinate:
-    1/2 for z >= 1, 2^{-z} for -1 < z < 1, and 2 for z <= -1.
-
-    At integer z the values are exact powers of two, so orbit products of
-    this weight are exact in floating point.
-    """
+    """Dyadic step weight keyed by the third coordinate z: 1/2 for z >= 1,
+    1 at z = 0 and 2 for z <= -1, so its orbit products are exact."""
 
     values = (0.5, 1.0, 2.0)
 
-    def __call__(self, g: tuple[int, int, int]) -> float:
-        z = g[2]
-        if z >= 1:
-            return 0.5
-        if z <= -1:
-            return 2.0
-        return 2.0 ** (-z)
+    def __call__(self, g: tuple[int, ...]) -> float:
+        return _dyadic(g[2])
 
-    def orbit_filler(self, group: Group, a: tuple[int, int, int], backward: bool) -> Filler:
+    def orbit_filler(self, group: Group, a: tuple[int, ...], backward: bool) -> Filler:
         first, step = _exponents(backward)
-        a1, a2, a3 = a
-        A = a1 * a2
+        a_first, a_step = group.pow(a, first), group.pow(a, step)
 
-        def fill(points: Sequence[tuple[int, int, int]], out: np.ndarray) -> None:
+        def fill(points: Sequence[tuple[int, ...]], out: np.ndarray) -> None:
             m = out.shape[1]
-            for row, (x1, _, x3) in zip(out, points):
-                # 2z at t = first + step*c: 2*x3 + 2t(a3 + x1*a2) + A*t(t - 1),
-                # as A c^2 + B c + C.
-                B0 = 2 * (a3 + x1 * a2) - A
-                B = step * (2 * A * first + B0)
-                C = (A * first + B0) * first + 2 * x3
+            for row, x in zip(out, points):
+                # z at columns 0, 1, 2 by the group law: z is at most
+                # quadratic in the column c, so 2z = A c^2 + B c + C.
+                g0 = group.mul(x, a_first)
+                g1 = group.mul(g0, a_step)
+                z0, z1, z2 = g0[2], g1[2], group.mul(g1, a_step)[2]
+                A, B, C = z2 - 2 * z1 + z0, 4 * z1 - 3 * z0 - z2, 2 * z0
                 for lo, hi in _sign_runs(A, B, C, m):
-                    q = (A * lo + B) * lo + C
-                    row[lo:hi] = 0.5 if q > 0 else 2.0 if q < 0 else 1.0
+                    row[lo:hi] = _dyadic((A * lo + B) * lo + C)
 
         return fill
+
+
+def _dyadic(z: int) -> float:
+    """The dyadic weight at any z of the sign of the given int."""
+    return 0.5 if z > 0 else 2.0 if z < 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -322,6 +327,10 @@ class WeightedSystem:
     young: object
 
     def __post_init__(self):
+        try:
+            self.weight(self.group.identity())
+        except (TypeError, IndexError) as exc:
+            raise ValueError(f"{type(self.weight).__name__} does not read {self.group.kind} elements: {exc}") from exc
         # The fills find table keys by their orbit_index, the scalar loop by
         # element: a key that is not a group element splits the two.
         for g, _ in self.weight.entries if isinstance(self.weight, TableWeight) else ():
@@ -374,6 +383,10 @@ def iterates(
         raise ValueError("need step >= 1 and count >= 0")
     pts = [x for x, _ in f.items()]
     m = count * step
+    size = len(pts) * ((m + 1) * 8 + count * point_bytes(sys.group))
+    if size > SERIES_MEMORY_CAP:
+        msg = f"{count} iterates of step {step} on {len(pts)} points: {size / 2**30:.3g} GiB"
+        raise ConfigError("N_max", f"{msg}, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
     block = np.empty((len(pts), m + 1))
     block[:, 0] = np.fromiter(f.values(), float, len(pts))
     fill = sys.weight.orbit_filler(sys.group, sys.a, backward)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -148,6 +149,63 @@ def test_a_period_too_long_to_simulate_fails_fast(capsys, tmp_path):
     assert main(["simulate", "--config", cfg]) == 1
     assert "GiB cap" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_simulate_refuses_a_stack_past_the_cap_before_building_it(capsys, tmp_path, monkeypatch):
+    # The request passes, and so does the witness vector v = f + S^n f + ...
+    # + S^{4n} f (201 rows of 4n + 1 values, 1.5 MB at n = 202); the stack of
+    # its returns T^{ln} v has 5 times the rows and would pass a 4 MB cap.
+    cfg = {
+        "group": {"kind": "Z"},
+        "a": [1],
+        "weight": {"family": "two_sided_step", "c_neg": 2.0, "c_pos": 0.5},
+        "young": {"family": "power", "p": 2.0},
+        "K": {"box": [[-100, 100]]},
+        "property": "multiply_recurrent",
+        "L": 4,
+        "N_max": 264,
+    }
+    path = tmp_path / "mr.json"
+    path.write_text(json.dumps(cfg))
+    cap = 4_000_000
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", cap)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "GiB cap" in capsys.readouterr().err
+    assert peak < cap
+
+
+@pytest.mark.parametrize("prop", ["transitive", "recurrent"])
+def test_dyadic_weight_on_Z3_finds_no_false_witness(capsys, tmp_path, prop):
+    # Every weight on the orbit of (2, 0, 0) under a = (1, 1, 0) is 1.
+    cfg = {
+        "group": {"kind": "Zd", "d": 3},
+        "a": [1, 1, 0],
+        "weight": {"family": "heisenberg_paper"},
+        "young": {"family": "power", "p": 2.0},
+        "K": {"points": [[2, 0, 0]]},
+        "property": prop,
+        "epsilons": [0.5],
+        "N_max": 8,
+    }
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("check", "simulate"):
+        code, envelope = _run(capsys, command, "--config", str(path))
+        assert code == 3 and envelope["results"]["verdict"]["outcome"] == "inconclusive"
+
+
+def test_step_weight_reads_cyclic_residues(capsys, tmp_path):
+    # On Z/4 the step weight is c_neg at 0 and c_pos elsewhere: the cycle
+    # product 8 * 0.5^3 is 1, so f is recurrent with witness n = 4.
+    cfg = _write_config(tmp_path, weight={"family": "two_sided_step", "c_neg": 8.0, "c_pos": 0.5})
+    code, envelope = _run(capsys, "check", "--config", cfg)
+    assert code == 0 and {w["n"] for w in envelope["results"]["verdict"]["witness"]} == {4}
 
 
 def test_check_unit_weight_is_inconclusive(capsys, tmp_path):

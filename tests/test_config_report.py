@@ -409,8 +409,9 @@ def test_weight_group_mismatch_rejected():
         "K": {"box": [[0, 1], [0, 1], [0, 0]]},
         "property": "transitive",
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(base)
+    assert err.value.field == "weight"
 
 
 def test_vector_file_round_trip(tmp_path):

@@ -391,6 +391,23 @@ def test_mixing_scan_does_not_stop_at_the_budget(zgroup):
     assert od.run_check(req).outcome is not od.Outcome.WITNESS_FOUND
 
 
+# ------------------------------------------------ series overflow (open)
+
+
+@pytest.mark.xfail(strict=True, reason="the running cumprod passes the float range and stays inf")
+def test_series_survive_overflow_along_the_orbit(step_system):
+    # From x = -R the forward product doubles up to 2^R at n = R, then
+    # halves: the exact sup over K = [-R, R] is 2^(2R - n) <= 1/2 for
+    # n > 2R, a witness at n = 2R + 2.  With R = 1100 the running product
+    # passes 2^1024 on the way (2^-1074 backward) and every series point
+    # reads inf; with R = 1000 the witness is found.
+    R = 1100
+    K = od.box(od.IntegerGroup(), [(-R, R)])
+    verdict = od.run_check(_req(step_system, K, od.Property.TRANSITIVE, epsilons=(0.5,), N_max=2 * R + 64))
+    assert verdict.outcome is od.Outcome.WITNESS_FOUND and verdict.witness[0].n == 2 * R + 2
+    assert verdict.series[-1].sup_phi == 2.0**-64
+
+
 # ------------------------------------ rounding-certified witnesses (item 10)
 
 

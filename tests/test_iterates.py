@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import reduce
 from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
+from orlicz_dynamics import translations
+from orlicz_dynamics.errors import ConfigError
+from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.orlicz import vector_sum
 from orlicz_dynamics.translations import iterates
 from conftest import P2
@@ -128,6 +133,44 @@ def test_overflow_to_inf_and_points_past_the_int64_guard():
     got = iterates(sys, f, 2, 3)
     assert got[-1][(6, 6, 15)] == math.inf
     assert [_bits(v) for v in got] == [_bits(v) for v in _reference(sys, f, 2, 3, False)]
+
+
+@pytest.mark.parametrize(
+    "group", [od.IntegerGroup(), od.LatticeGroup(d=2), od.HeisenbergGroup()], ids=["Z", "Z2", "heisenberg"]
+)
+def test_point_bytes_bounds_an_entry_of_an_iterate(group):
+    # What iterates counts against the cap: each row's m + 1 float64 values
+    # and, for each of its count pieces, one vector entry of point_bytes.
+    # Coordinates past 2^63 (and z near 2^128 on the Heisenberg group).
+    rank = len(group.coords(group.identity()))
+    f = od.OrliczVector({group.element([2**64 + i] + [2**64 + 7 * i] * (rank - 1)): 1.0 + i for i in range(5000)})
+    sys = od.WeightedSystem(group=group, a=group.element([1] * rank), weight=od.ConstantWeight(0.5), young=P2)
+    count = 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pieces = iterates(sys, f, 1, count)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, pieces)) == len(f) * count
+    assert held <= len(f) * count * point_bytes(group)
+    assert peak <= len(f) * ((count + 1) * 8 + count * point_bytes(group))
+
+
+def test_iterates_refuses_a_stack_past_the_cap_before_building_it(monkeypatch):
+    # 1000 rows of 11 values (88 kB) become 10 000 vector entries (3 MB): the
+    # entries count too.
+    sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(0.5), young=P2)
+    f = od.OrliczVector({x: 1.0 for x in range(1000)})
+    size = 1000 * (11 * 8 + 10 * point_bytes(sys.group))
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", size)
+    assert len(iterates(sys, f, 1, 10)) == 10
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", size - 1)
+    monkeypatch.setattr(translations.np, "empty", lambda *args: pytest.fail("stack allocated"))
+    with pytest.raises(ConfigError) as err:
+        iterates(sys, f, 1, 10)
+    assert err.value.field == "N_max" and "GiB cap" in str(err.value)
 
 
 def test_one_step_views(step_system):

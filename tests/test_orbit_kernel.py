@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
@@ -55,6 +55,7 @@ def systems(draw):
             [
                 od.IntegerGroup(),
                 od.LatticeGroup(d=2),
+                od.LatticeGroup(d=3),
                 od.HeisenbergGroup(),
                 od.CyclicGroup(m=7),
                 od.CyclicGroup(m=2**70 + 6),
@@ -75,20 +76,21 @@ def systems(draw):
         lambda p: group.mul(p[0], group.pow(a, p[1]))
     )
     key = st.one_of(element, on_orbit, on_orbit)
-    weights = [
-        st.builds(od.ConstantWeight, positive),
-        st.builds(
-            od.TableWeight,
-            st.lists(st.tuples(key, positive), max_size=8).map(tuple),
-            positive,
-        ),
-    ]
-    if group.kind in ("Z", "cyclic"):
-        weights.append(st.builds(od.TwoSidedStepWeight, positive, positive))
-    if group.kind == "heisenberg":
-        weights.append(st.just(od.HeisenbergDyadicWeight()))
-    weight = draw(st.one_of(weights))
-    return od.WeightedSystem(group=group, a=a, weight=weight, young=P2), points
+    # Every family on every group; WeightedSystem turns down the pairs whose
+    # weight does not read the group's elements.
+    weight = draw(
+        st.one_of(
+            st.builds(od.ConstantWeight, positive),
+            st.builds(od.TableWeight, st.lists(st.tuples(key, positive), max_size=8).map(tuple), positive),
+            st.builds(od.TwoSidedStepWeight, positive, positive),
+            st.just(od.HeisenbergDyadicWeight()),
+        )
+    )
+    try:
+        sys = od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
+    except ValueError:
+        assume(False)
+    return sys, points
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,3 +169,33 @@ def test_table_weight_keys_must_be_group_elements(group, key):
     with pytest.raises(ValueError) as err:
         od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
     assert f"key {key!r} is not an element" in str(err.value)
+
+
+def test_dyadic_weight_reads_z_through_the_group_law():
+    # On Z^3 the third coordinate of (2, 0, 0) + j(1, 1, 0) stays 0, so every
+    # weight is 1; a fill that restated the Heisenberg law saw z = j(j - 1)/2
+    # + 2j and gave T^3 f = 1/8 there, and a false witness at n = 3.
+    group = od.LatticeGroup(d=3)
+    sys = od.WeightedSystem(group=group, a=(1, 1, 0), weight=od.HeisenbergDyadicWeight(), young=P2)
+    assert od.apply_T_n(sys, od.OrliczVector({(2, 0, 0): 1.0}), 3) == od.OrliczVector({(5, 3, 0): 1.0})
+    K = od.CompactSet.of([(2, 0, 0)])
+    for prop in (od.Property.TRANSITIVE, od.Property.RECURRENT):
+        req = od.CriterionRequest(system=sys, K=K, property=prop, epsilons=(0.5,), N_max=8)
+        assert od.run_check(req).outcome is od.Outcome.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "group,weight",
+    [
+        (od.IntegerGroup(), od.HeisenbergDyadicWeight()),
+        (od.LatticeGroup(d=2), od.HeisenbergDyadicWeight()),
+        (od.CyclicGroup(m=5), od.HeisenbergDyadicWeight()),
+        (od.LatticeGroup(d=2), od.TwoSidedStepWeight(2.0, 0.5)),
+        (od.HeisenbergGroup(), od.TwoSidedStepWeight(2.0, 0.5)),
+    ],
+)
+def test_a_weight_that_does_not_read_the_group_is_rejected(group, weight):
+    # Each pair used to crash deep inside a fill.
+    with pytest.raises(ValueError) as err:
+        od.WeightedSystem(group=group, a=group.identity(), weight=weight, young=P2)
+    assert f"{type(weight).__name__} does not read {group.kind} elements" in str(err.value)
