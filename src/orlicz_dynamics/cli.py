@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, emit_config, load_config, vector_from_file
-from .criteria import Outcome, Property, run_check
+from .criteria import Outcome, Property, SeriesPoint, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
 from .orlicz import OrliczVector, luxemburg_norm, modular
@@ -64,14 +66,14 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
                 L_trunc = choose_truncation(sys_, f, entry.n, cap=min(req.L_max, 32))
                 _, rep = chaos_periodic_vector(sys_, f, entry.n, L_trunc)
                 ok &= rep.within_bound and rep.approx_residual <= entry.epsilon * norm_f * (1 + 1e-9)
-                results["lab"].append({"epsilon": entry.epsilon, "periodicity": rep.to_json()})
+                results["lab"].append({"epsilon": entry.epsilon, "periodicity": vars(rep).copy()})
             else:
                 # Residuals of the witness vector are bounded by
                 # depth * epsilon * N(chi_K); that bound is the target.
                 target = entry.epsilon * depth * norm_f * (1 + 1e-9)
                 rep = empirical_return(sys_, f, entry.n, depth, target)
                 ok &= rep.success
-                results["lab"].append({"epsilon": entry.epsilon, "return": rep.to_json()})
+                results["lab"].append({"epsilon": entry.epsilon, "return": vars(rep).copy()})
     except TailUnboundedError as exc:
         results["flag"] = "tail_unbounded"
         results["lab"].append({"error": str(exc)})
@@ -97,7 +99,7 @@ def cmd_probe_young(cfg: RunConfig) -> tuple[dict, int]:
     for i in range(128):
         y = 8.0 * i / 127.0
         table.append([y, complementary(young, y)])
-    return {"command": "probe-young", "delta2": probe.to_json(), "conjugate_table": table}, EXIT_WITNESS
+    return {"command": "probe-young", "delta2": vars(probe).copy(), "conjugate_table": table}, EXIT_WITNESS
 
 
 # The lambdas look each cmd_* up when called, so wrappers set on the
@@ -128,9 +130,9 @@ def _emit(envelope: dict, out: str | None, command: str) -> None:
         write_envelope(out, envelope)
         stem = Path(out)
         if command in ("check", "simulate"):
-            verdict = envelope["results"]["verdict"]
-            rows = [(p["n"], p["sup_phi"], p["sup_phi_tilde"], p["chaos_sum"]) for p in verdict["series"]]
-            write_series_csv(stem.with_suffix(".series.csv"), ("n", "sup_phi", "sup_phi_tilde", "chaos_sum"), rows)
+            header = [f.name for f in fields(SeriesPoint)]
+            rows = map(itemgetter(*header), envelope["results"]["verdict"]["series"])
+            write_series_csv(stem.with_suffix(".series.csv"), header, rows)
         if command == "simulate" and "orbit_norms" in envelope["results"]:
             rows = list(enumerate(envelope["results"]["orbit_norms"]))
             write_series_csv(stem.with_suffix(".orbit.csv"), ("n", "value"), rows)

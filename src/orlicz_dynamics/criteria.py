@@ -105,18 +105,12 @@ class Obstruction:
     bound: Optional[float] = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "order": self.order, "bound": self.bound, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class WitnessEntry:
     epsilon: float
     n: int
     sup_by_l: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"epsilon": self.epsilon, "n": self.n, "sup_by_l": list(self.sup_by_l)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +119,6 @@ class SeriesPoint:
     sup_phi: float
     sup_phi_tilde: float
     chaos_sum: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sup_phi": self.sup_phi,
-            "sup_phi_tilde": self.sup_phi_tilde,
-            "chaos_sum": self.chaos_sum,
-        }
 
 
 @dataclass(frozen=True)
@@ -228,9 +214,9 @@ class Verdict:
         return {
             "property": self.request.property.value,
             "outcome": self.outcome.value,
-            "witness": [w.to_json() for w in self.witness],
-            "obstruction": self.obstruction.to_json() if self.obstruction else None,
-            "series": [s.to_json() for s in self.series],
+            "witness": [vars(w).copy() for w in self.witness],
+            "obstruction": vars(self.obstruction).copy() if self.obstruction else None,
+            "series": [vars(s).copy() for s in self.series],
             "budget": self.budget,
             "start_n": self.start_n,
             "tail_bounded": self.tail_bounded,

@@ -18,7 +18,7 @@ before instead of starting again from f, and each stack is one
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import SeparationViolatedError, TailUnboundedError
 from .orlicz import OrliczVector, luxemburg_norm, vector_sum
@@ -40,9 +40,6 @@ class ReturnReport:
     return_residuals: tuple[float, ...]
     success: bool
 
-    def to_json(self) -> dict:
-        return {**asdict(self), "return_residuals": list(self.return_residuals)}
-
 
 @dataclass(frozen=True)
 class PeriodicityReport:
@@ -54,9 +51,6 @@ class PeriodicityReport:
     predicted_bound: float
     approx_residual: float
     within_bound: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: int) -> OrliczVector:

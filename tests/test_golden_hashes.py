@@ -49,3 +49,94 @@ def test_report_hash_is_pinned(capsys, tmp_path, command, name, code, digest):
     assert main([command, "--config", str(path)]) == code
     envelope = json.loads(capsys.readouterr().out)
     assert envelope["determinism_hash"] == digest
+
+
+def _values(count: int) -> list[float]:
+    # Distinct, non-dyadic magnitudes with mixed signs.
+    return [(-1) ** i * ((7 * i) % 11 + 1) / 3.0 for i in range(count)]
+
+
+def _z_vector(count: int) -> list:
+    return [[[i - count // 2], v] for i, v in enumerate(_values(count))]
+
+
+def _heisenberg_vector(count: int) -> list:
+    return [[[i % 3 - 1, i // 3 - 3, i % 2], v] for i, v in enumerate(_values(count))]
+
+
+def _norm_config(young: dict, group: dict | None = None, a: list | None = None) -> dict:
+    return {
+        "group": group or {"kind": "Z"},
+        "a": a or [1],
+        "weight": {"family": "constant", "c": 1.5},
+        "young": young,
+        "K": {"points": [[0] * len(a or [1])]},
+        "property": "transitive",
+    }
+
+
+_TABLE = {"family": "custom", "table": [[0.25 * i, (0.25 * i) ** 2 / 2 + 0.01 * i] for i in range(41)]}
+
+# Supports of at least orlicz.SCREEN_MIN = 16 entries take the numpy
+# screen, smaller ones the exact modular at every bisection step.
+NORM_GOLDEN = [
+    (
+        "power-screen",
+        _norm_config({"family": "power", "p": 2.5}),
+        _z_vector(24),
+        "d06249b0cf6c2b24a6b98baaa7589679f84fe28541df4f67a1833f645ebcb7ad",
+    ),
+    (
+        "power-exact",
+        _norm_config({"family": "power", "p": 2.5}),
+        _z_vector(9),
+        "3db8ac1aee69ccecdfb22e188d189e6c71c98e542e171b71aaca34b363d72ced",
+    ),
+    (
+        "alphalog-heisenberg",
+        _norm_config({"family": "alphalog", "alpha": 1.5}, {"kind": "heisenberg"}, [1, 0, 0]),
+        _heisenberg_vector(20),
+        "5dd81c52ae440b4d312af3b31d9e3306ad8af5be9c9c89dfa2340a459c0dbea2",
+    ),
+    (
+        "table-exact",
+        _norm_config(_TABLE),
+        _z_vector(12),
+        "15c9510cb7fb1db8db54c99730192f88f305f444eba27ab77628dae3f17ce670",
+    ),
+    (
+        "table-screen",
+        _norm_config(_TABLE),
+        _z_vector(30),
+        "962b078c242f375791742046ae96f137adfb89390c4b505811b13d0d5f87209f",
+    ),
+]
+PROBE_GOLDEN = [
+    (
+        "power",
+        _norm_config({"family": "power", "p": 2.5}),
+        "22d2b505e45adfab5244827ad4d3da7f8e15af807151d8d846a236c8c0c9dc52",
+    ),
+    (
+        "alphalog",
+        _norm_config({"family": "alphalog", "alpha": 1.5}),
+        "8943b186e59f28679c3b4b96b2f9bfcb606da417444fecdef6e5fd9c117a7d3a",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,vector,digest", [c[1:] for c in NORM_GOLDEN], ids=[c[0] for c in NORM_GOLDEN])
+def test_norm_report_hash_is_pinned(capsys, tmp_path, config, vector, digest):
+    cfg, vec = tmp_path / "cfg.json", tmp_path / "vec.json"
+    cfg.write_text(json.dumps(config))
+    vec.write_text(json.dumps(vector))
+    assert main(["norm", "--config", str(cfg), "--vector", str(vec)]) == 0
+    assert json.loads(capsys.readouterr().out)["determinism_hash"] == digest
+
+
+@pytest.mark.parametrize("config,digest", [c[1:] for c in PROBE_GOLDEN], ids=[c[0] for c in PROBE_GOLDEN])
+def test_probe_young_report_hash_is_pinned(capsys, tmp_path, config, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["probe-young", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["determinism_hash"] == digest

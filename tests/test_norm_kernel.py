@@ -84,6 +84,7 @@ table_points = st.one_of(
     st.floats(0.0, TABLE.domain_max),
     st.sampled_from(TABLE_KNOTS),
     st.just(TABLE.domain_max),
+    st.just(0.0),
     subnormal,
 )
 
@@ -115,7 +116,30 @@ def test_kernels_match_scalar_evaluate_on_a_seeded_bulk(phi):
     rng = np.random.default_rng(11)
     hi = math.log10(TABLE.domain_max) if phi is TABLE else 3.0
     ts = (10.0 ** rng.uniform(-3.0, hi, 200_000)).tolist()
+    if phi is TABLE:
+        # Every knot (the last one too), both zeros and negative arguments.
+        ts += TABLE_KNOTS + [0.0, -0.0] + [-t for t in ts[:1000]]
     assert _bits(lambda: list(phi.evaluate_many(iter(ts)))) == _bits(lambda: [phi.evaluate(t) for t in ts])
+    if phi is TABLE:
+        ts.insert(500, -PAST_DOMAIN)
+        assert _bits(lambda: list(phi.evaluate_many(iter(ts)))) is OutOfRangeError
+        with pytest.raises(OutOfRangeError, match=f"= {PAST_DOMAIN!r} beyond"):
+            list(phi.evaluate_many(ts))
+
+
+def test_table_kernel_matches_scalar_evaluate_on_random_tables():
+    # Uneven knots and slopes: on the evenly spaced TABLE a segment search
+    # off by one at the knots still rounds to the same values.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        steps = rng.uniform(0.01, 3.0, int(rng.integers(1, 60)))
+        ts = np.concatenate(([0.0], np.cumsum(steps)))
+        vs = np.concatenate(([0.0], np.cumsum(np.sort(rng.uniform(0.001, 5.0, len(steps))) * steps)))
+        phi = od.TableYoung(tuple(zip(ts.tolist(), vs.tolist())))
+        points = [*rng.uniform(-ts[-1], ts[-1], 250).tolist(), *ts.tolist(), 0.0]
+        assert _bits(lambda: list(phi.evaluate_many(iter(points)))) == _bits(
+            lambda: [_old_evaluate(phi, t) for t in points]
+        )
 
 
 def test_edges_of_each_kernel():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,48 @@ def test_cyclic_orbits_wrap_around():
             ref_linear, ref_logs = _reference(sys, x, 23, backward)
             assert np.array_equal(linear[i], ref_linear)
             assert np.array_equal(logs[i], ref_logs)
+
+
+# Powers of two multiply exactly; the rest need not.
+weight_value = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), positive)
+
+
+@st.composite
+def finite_order_systems(draw):
+    """Every system whose a has finite order: a cyclic group with m <= 12
+    and any a, or a = identity on Z, Z^2 and the Heisenberg group."""
+    group = draw(
+        st.one_of(
+            st.integers(1, 12).map(lambda m: od.CyclicGroup(m=m)),
+            st.sampled_from([od.IntegerGroup(), od.LatticeGroup(d=2), od.HeisenbergGroup()]),
+        )
+    )
+    rank = len(group.coords(group.identity()))
+    element = st.lists(small, min_size=rank, max_size=rank).map(group.element)
+    a = draw(element) if group.kind == "cyclic" else group.identity()
+    weight = draw(
+        st.one_of(
+            st.builds(od.ConstantWeight, weight_value),
+            st.builds(od.TwoSidedStepWeight, weight_value, weight_value),
+            st.builds(od.TableWeight, st.lists(st.tuples(element, weight_value), max_size=8).map(tuple), weight_value),
+            st.just(od.HeisenbergDyadicWeight()),
+        )
+    )
+    try:
+        sys = od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
+    except ValueError:
+        assume(False)
+    return sys, draw(st.lists(element, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_order_systems())
+def test_cycle_counts_match_scalar_loop(case):
+    sys, points = case
+    order = sys.group.element_order(sys.a)
+    values = translations.cycle_values(sys)
+    for x in points:
+        assert values(x) == Counter(translations.orbit_weights_forward(sys, x, order))
 
 
 @pytest.mark.parametrize(
