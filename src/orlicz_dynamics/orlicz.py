@@ -33,9 +33,39 @@ iterate and norm bit-identical.  A term that the exact pass would
 overflow or reject (OverflowError, OutOfRangeError) makes s inf, nan or
 at least the ceiling, so those steps run ``modular`` and raise as before.
 
-Below ``SCREEN_MIN`` one exact pass costs less than a screened one (the
-crossover is about 16 entries), so small supports take ``modular`` at
-every step.
+Before the bracket starts, ``_band`` looks for a band (a, b) around the
+root outside which the sign of rho(f/k) - 1 is proven, from the value v
+the norm already computes: the screen's s, or the exact r below
+``SCREEN_MIN``.  The proof rests on four facts.
+
+* T(k) = sum_i Phi(fl(|f_i|/k)), with Phi evaluated exactly, is
+  nonincreasing in k: a correctly rounded division is monotone in k and
+  every family's Phi is nondecreasing.
+* r and s each lie within E(n, v) of T.  Each exact term is within 8u
+  of its Phi (libm's pow and log err by at most one ulp, 2u, and a table
+  term takes six roundings), each screen term within 32u more, unless
+  the terms are below 2^-1000; the sums add (n - 1) u.  So with
+  B = (n + 39) u, T is within B max(v, T) + n 2^-1000 of v, well inside
+  E(n, v).
+* So v(a) - 1 > 2 E(n, v(a)) proves rho(f/k) > 1 at every k <= a:
+  r(k) >= (1 - B) T(k) - n 2^-1000 >= (1 - B) T(a) - n 2^-1000
+  >= (1 - B)^2 v(a) - 2n 2^-1000 > 1.
+* Likewise 1 - v(b) > 2 E(n, v(b)) proves rho(f/k) < 1 at every k >= b.
+
+The wrapper that ``_norm_root`` calls answers -1.0 at k >= b and 1.0 at
+k <= a, and runs the real step inside (a, b).  The bracket loops and
+``bisect_root`` read only signs and zeros, so every step, iterate, norm
+and hash stays the same.  One step at k <= a could raise on the exact
+path: an overflowing pow, or a table argument past the domain.  Such a
+term is monotone in |f_i|/k, so the wrapper evaluates Phi(fl(max|f|/k))
+first, at each k below the least that passed, and if that raises it
+runs the real step, which raises the same error with the same message.
+The band search itself never raises; where it certifies no end it
+leaves that side to the real steps.
+
+Below ``SCREEN_MIN`` a norm costs less from exact passes than from the
+screen, so small supports take ``modular`` for v and for every step
+inside the band.
 """
 
 from __future__ import annotations
@@ -49,13 +79,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteVectorError
+from .errors import NonFiniteVectorError, OutOfRangeError
 from .groups import CompactSet, Element, Group
 from .numerics import UNIT_ROUNDOFF, bisect_root
 from .young import SCREEN_CEILING, YoungFunction, inverse
 
-# Supports at least this large take their bisection decisions from the
-# numpy screen; the measured break-even with the exact pass.
+# Supports at least this large take v and their steps from the numpy
+# screen.  Measured under the band (best of 7 runs of 40 norms a size on a
+# 2-vCPU x86-64 VM, CPython 3.11, numpy 2.4), a whole norm costs the same
+# both ways at about 28 entries for power and 20 for alphalog, while a
+# 401-knot table is faster screened at every size (at 16 entries: power
+# 41 us screened against 35 exact, alphalog 70 against 61, table 62
+# against 163).
 SCREEN_MIN = 16
 
 if sys.version_info >= (3, 12):
@@ -173,21 +208,57 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     rho >= 1, then bisect to relative tolerance 1e-12 on k.  The halving
     stops at the edge: below it Phi(max|f|/k) is infinite, so when rho is
     still at most 1 there the norm is the edge.
-    Supports of at least ``SCREEN_MIN`` entries take each step's sign
+    A certified band around the root answers every step outside it, and
+    supports of at least ``SCREEN_MIN`` entries take each step's sign
     from the numpy screen where it is certain (see the module docstring).
     """
     if not f:
         return 0.0
-    for _, v in f.items():
-        if not math.isfinite(v):
-            raise NonFiniteVectorError(f"entry {v!r} is not finite")
-    top = f.max_abs()
+    n = len(f)
+    if n < SCREEN_MIN:
+        for v in f.values():
+            if not math.isfinite(v):
+                raise NonFiniteVectorError(f"entry {v!r} is not finite")
+
+        def rho(k: float) -> float:
+            return modular(f, phi, k)
+
+        return _banded_root(rho, lambda k: rho(k) - 1.0, phi, f.max_abs(), n)
+    values = np.fromiter(f.values(), float, n)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteVectorError(f"entry {float(values[finite.argmin()])!r} is not finite")
+    absf = np.abs(values, out=values)
+    screen = _screen(phi, absf)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _banded_root(screen, _screened_excess(f, phi, screen), phi, float(absf.max()), n)
+
+
+def _banded_root(
+    value: Callable[[float], float], excess: Callable[[float], float], phi: YoungFunction, top: float, n: int
+) -> float:
+    """The norm from value (k -> the exact modular or the screen) and
+    excess, on a support of n entries whose largest |f| is top."""
     edge = _domain_edge(top, phi.domain_max)
     k0 = max(top / min(1.0, phi.domain_max), edge)
-    if len(f) < SCREEN_MIN:
-        return _norm_root(lambda k: modular(f, phi, k) - 1.0, k0, edge)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _norm_root(_screened_excess(f, phi), k0, edge)
+    a, b = _band(value, k0, n)
+    safe = math.inf  # the least k <= a known to give no raising term
+
+    def banded(k: float) -> float:
+        nonlocal safe
+        if k >= b:
+            return -1.0
+        if k > a:
+            return excess(k)
+        if k < safe:
+            try:  # where the exact pass raises, excess raises as it does
+                phi.evaluate(top / k)
+            except (OverflowError, OutOfRangeError):
+                return excess(k)
+            safe = k
+        return 1.0
+
+    return _norm_root(banded, k0, edge)
 
 
 def _domain_edge(top: float, domain_max: float) -> float:
@@ -205,18 +276,25 @@ def _domain_edge(top: float, domain_max: float) -> float:
     return edge
 
 
-def _screened_excess(f: OrliczVector, phi: YoungFunction) -> Callable[[float], float]:
+def _screen(phi: YoungFunction, absf: np.ndarray) -> Callable[[float], float]:
+    """k -> the screen's sum s of Phi(|f|/k), through one buffer."""
+    buf = np.empty(len(absf))
+
+    def screen(k: float) -> float:
+        np.divide(absf, k, out=buf)
+        return float(np.add.reduce(phi.evaluate_array(buf)))
+
+    return screen
+
+
+def _screened_excess(f: OrliczVector, phi: YoungFunction, screen: Callable[[float], float]) -> Callable[[float], float]:
     """k -> a float with the sign of rho(f/k) - 1 that is 0 only when
     rho(f/k) == 1: the screen's s - 1 where E certifies it, else the
     exact ``modular(f, phi, k) - 1``."""
-    n = len(f)
-    absf = np.abs(np.fromiter(f.values(), float, n))
-    buf = np.empty(n)
-    rel, floor = _screen_tolerance(n)
+    rel, floor = _screen_tolerance(len(f))
 
     def excess(k: float) -> float:
-        np.divide(absf, k, out=buf)
-        s = float(np.add.reduce(phi.evaluate_array(buf)))
+        s = screen(k)
         if s < SCREEN_CEILING and abs(s - 1.0) > rel * s + floor:
             return s - 1.0
         return modular(f, phi, k) - 1.0
@@ -227,6 +305,61 @@ def _screened_excess(f: OrliczVector, phi: YoungFunction) -> Callable[[float], f
 def _screen_tolerance(n: int) -> tuple[float, float]:
     """(rel, floor) with E(n, s) = rel * s + floor."""
     return (4 * n + 64) * UNIT_ROUNDOFF, n * 2.0**-1000
+
+
+def _band(value: Callable[[float], float], k0: float, n: int) -> tuple[float, float]:
+    """A certified band (a, b) around the root of value(k) = 1: the
+    modular exceeds 1 at every k <= a and falls below it at every k >= b
+    (see the module docstring).  value is the exact modular or the
+    screen on a support of n entries.
+
+    Secant steps in log k on log value, the first from k0 with slope -1,
+    aim each probe just below or just above the estimated root, at
+    relative distance h = 8 rel, on whichever side is looser.  A probe
+    whose value lies within 2E of 1 widens h 64-fold, at most 3 times.
+    A probe that raises or whose value leaves (0, SCREEN_CEILING) is
+    retried halfway, in log k, back to the last good one.  The search
+    stops at a band at most 4h wide or after 12 probes, and returns the
+    ends certified so far, 0 and inf where none.  It never raises."""
+    rel, floor = _screen_tolerance(n)
+    a, b = 0.0, math.inf
+    h, widenings = 8.0 * rel, 0
+    k, prev = k0, None
+    for _ in range(12):
+        try:
+            v = value(k)
+        except (OverflowError, OutOfRangeError):
+            v = math.nan
+        if not 0.0 < v < SCREEN_CEILING:
+            if prev is None:
+                break
+            k = math.sqrt(k) * math.sqrt(prev[0])
+            continue
+        margin = 2.0 * (rel * v + floor)
+        if v - 1.0 > margin:
+            a = max(a, k)
+        elif 1.0 - v > margin:
+            b = min(b, k)
+        elif prev is not None:  # a probe too close to the root for its bounds
+            if widenings == 3:
+                break
+            h, widenings = 64.0 * h, widenings + 1
+        if b <= a * (1.0 + 4.0 * h):
+            break
+        y = math.log(v)
+        if prev is None:
+            step = y  # slope -1
+        else:  # to the secant's root, where its slope is negative
+            dx, dy = math.log(k / prev[0]), prev[1] - y
+            step = y * dx / dy if dx * dy > 0.0 else math.nan
+        est = k * math.exp(step) if abs(step) < 700.0 else math.nan
+        if not a < est < b:
+            if a == 0.0 or b == math.inf:
+                break
+            est = math.sqrt(a) * math.sqrt(b)
+        prev = (k, y)
+        k = est * (1.0 - h) if a == 0.0 or est / a >= b / est else est * (1.0 + h)
+    return a, b
 
 
 def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> float:

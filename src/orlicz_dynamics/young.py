@@ -21,9 +21,10 @@ Each family evaluates three ways:
   and alphalog kernels call libm ``math.pow`` and ``math.log`` through
   ``map`` or one list comprehension (numpy's ``power`` and ``log`` round
   differently on a few inputs), and the table kernel runs ``evaluate``'s
-  segment search and four operations elementwise in numpy (a NaN gives
-  nan, not the last knot's value).  An overflow in ``pow`` raises OverflowError and a table
-  argument past the domain raises OutOfRangeError, as in the scalar path.
+  segment search and four operations elementwise in numpy.  An overflow
+  in ``pow`` raises OverflowError and a table argument past the domain
+  raises OutOfRangeError, as in the scalar path.  A table gives nan for
+  a NaN argument on all three paths.
   The exact modular sums it.
 * ``evaluate_array(ts)`` is the float64 numpy screen the Luxemburg norm
   uses to decide easy bisection steps (see ``orlicz``): ``np.power`` for
@@ -187,7 +188,8 @@ class TableYoung:
             raise OutOfRangeError(f"|t| = {at} beyond table range {ts[-1]}")
         i = bisect_right(ts, at) - 1
         if i >= len(ts) - 1:
-            return self.knots[-1][1]
+            # The last knot, or NaN, which bisect_right puts after every knot.
+            return self.knots[-1][1] if at == ts[-1] else math.nan
         t1, v1 = self.knots[i]
         t2, v2 = self.knots[i + 1]
         return v1 + (v2 - v1) * (at - t1) / (t2 - t1)

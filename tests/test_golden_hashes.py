@@ -78,7 +78,8 @@ def _norm_config(young: dict, group: dict | None = None, a: list | None = None) 
 _TABLE = {"family": "custom", "table": [[0.25 * i, (0.25 * i) ** 2 / 2 + 0.01 * i] for i in range(41)]}
 
 # Supports of at least orlicz.SCREEN_MIN = 16 entries take the numpy
-# screen, smaller ones the exact modular at every bisection step.
+# screen, smaller ones the exact modular, for the band search and for
+# every bisection step inside the band.
 NORM_GOLDEN = [
     (
         "power-screen",

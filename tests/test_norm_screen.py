@@ -1,8 +1,9 @@
-"""The screened Luxemburg bisection against the exact modular alone.
+"""The banded, screened Luxemburg bisection against the exact modular alone.
 
-The screen may decide a bisection step only where its error bound E
-certifies the sign of rho(f/k) - 1, so every norm and every error must
-equal those of the exact path, bit for bit."""
+The band answers a step only where it proves the sign of rho(f/k) - 1,
+and the screen decides one only where its error bound E certifies that
+sign, so every norm and every error must equal those of the exact path,
+bit for bit."""
 
 from __future__ import annotations
 
@@ -22,6 +23,10 @@ FAMILIES = [od.PowerYoung(1.0), od.PowerYoung(1.5), od.PowerYoung(2.0), od.Power
             od.AlphaLogYoung(1.5), od.AlphaLogYoung(1.01), TABLE]
 # A table's repr spells out every knot, so its test id counts them instead.
 FAMILY_IDS = [f"table-{len(phi.knots)}" if phi is TABLE else repr(phi) for phi in FAMILIES]
+# Where the band search runs out: pow overflows a halving away from the
+# root, or the norm is the flat table's domain edge.
+FLAT = od.TableYoung(((0.0, 0.0), (2.0, 1e-3)))
+STEEP = [od.PowerYoung(2000.0), od.PowerYoung(2.0**21)]
 SIZES = [1, orlicz.SCREEN_MIN - 1, orlicz.SCREEN_MIN, orlicz.SCREEN_MIN + 1, 40, 1000]
 U = 2.0**-53
 
@@ -76,8 +81,8 @@ def _spread(rng, kind, n):
 KINDS = ["moderate", "ties", "wide", "subnormal", "decades"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FAMILIES), st.sampled_from(SIZES), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILIES + STEEP + [FLAT]), st.sampled_from(SIZES), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
 def test_norm_equals_the_exact_path_bit_for_bit(phi, n, kind, seed):
     f = _vector(_spread(np.random.default_rng(seed), kind, n))
     if not f:
@@ -89,6 +94,54 @@ def _screen(phi, f, k):
     absf = np.abs(np.fromiter(f.values(), float, len(f)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return float(np.add.reduce(phi.evaluate_array(absf / k)))
+
+
+def _band(f, phi):
+    """The band luxemburg_norm certifies for f, and the value it certifies
+    from: the exact modular below SCREEN_MIN entries, the screen from there."""
+    n, top = len(f), f.max_abs()
+    k0 = max(top / min(1.0, phi.domain_max), orlicz._domain_edge(top, phi.domain_max))
+    if n < orlicz.SCREEN_MIN:
+        value = lambda k: od.modular(f, phi, k)  # noqa: E731
+    else:
+        value = orlicz._screen(phi, np.abs(np.fromiter(f.values(), float, n)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return orlicz._band(value, k0, n), value
+
+
+# log2 of how far below a or above b a step is taken: at the end itself,
+# within rounding of it, or anywhere down to the halvings.
+OFFSETS = st.one_of(st.just(0.0), st.floats(2.0**-52, 2.0**-30), st.floats(0.0, 64.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FAMILIES + STEEP + [FLAT]),
+    st.integers(1, 1000),
+    st.sampled_from(KINDS),
+    st.integers(0, 2**32 - 1),
+    OFFSETS,
+    OFFSETS,
+)
+def test_band_ends_are_certified_by_the_exact_modular(phi, n, kind, seed, below, above):
+    f = _vector(_spread(np.random.default_rng(seed), kind, n))
+    if not f:
+        return
+    (a, b), value = _band(f, phi)
+    assert 0.0 <= a < b
+    rel, floor = orlicz._screen_tolerance(n)
+    for end, side in ((a, 1.0), (b, -1.0)):
+        if 0.0 < end < math.inf:  # the certificate the module docstring proves from
+            v = value(end)
+            assert (v - 1.0) * side > 2.0 * (rel * v + floor)
+    for k, side in ((a * 2.0**-below, 1.0), (b * 2.0**above, -1.0)):
+        if not 0.0 < k < math.inf:
+            continue  # no end certified on this side
+        try:
+            r = od.modular(f, phi, k)
+        except (OverflowError, OutOfRangeError):
+            continue
+        assert (r - 1.0) * side > 0.0
 
 
 @pytest.mark.parametrize("phi", FAMILIES, ids=FAMILY_IDS)
@@ -132,12 +185,11 @@ def test_errors_match_the_exact_path():
         od.luxemburg_norm(_vector([-math.inf] + [1.0] * n), od.PowerYoung(2.0))
     # A flat table: the halving stops at the edge of its domain, k = 0.5,
     # where rho is still 32e-3 (it used to step past it and raise).
-    flat = od.TableYoung(((0.0, 0.0), (2.0, 1e-3)))
     # Pow overflows on the first halving; 2^21 also passes the power
     # screen's guard for large exponents.
     steep = [1.0] + [1e-3] * n
     cases = [
-        (flat, [1.0] * n),
+        (FLAT, [1.0] * n),
         (od.PowerYoung(2000.0), steep),
         (od.PowerYoung(2.0**21), steep),
         (od.AlphaLogYoung(1.5), [1e10] * n + [5e-324]),  # 5e-324 / k underflows to 0
@@ -146,8 +198,24 @@ def test_errors_match_the_exact_path():
         f = _vector(values)
         expected = _outcome(lambda: _exact_norm(f, phi))
         assert _outcome(lambda: od.luxemburg_norm(f, phi)) == expected
-    assert _outcome(lambda: od.luxemburg_norm(_vector([1.0] * n), flat)) == (0.5).hex()
+    assert _outcome(lambda: od.luxemburg_norm(_vector([1.0] * n), FLAT)) == (0.5).hex()
     assert _outcome(lambda: od.luxemburg_norm(_vector(steep), od.PowerYoung(2000.0)))[0] is OverflowError
+
+
+@pytest.mark.parametrize("n", [orlicz.SCREEN_MIN - 1, 1000])
+def test_a_step_below_the_band_raises_as_the_exact_path(n):
+    # rho = n / 2000 < 1 at k0 = 1, so the bracket halves to k = 0.5, where
+    # pow(2, 2000) overflows, while the band lies just below 1.
+    f = _vector([1.0] * n)
+    phi = od.PowerYoung(2000.0)
+    (a, b), _ = _band(f, phi)
+    assert 0.5 < a < b < 1.0
+    with pytest.raises(OverflowError) as exact:
+        od.modular(f, phi, 0.5)
+    with pytest.raises(OverflowError) as banded:
+        od.luxemburg_norm(f, phi)
+    assert str(banded.value) == str(exact.value)
+    assert _outcome(lambda: _exact_norm(f, phi)) == (OverflowError, str(exact.value))
 
 
 def test_near_tie_where_the_two_sums_straddle_one():
@@ -161,8 +229,9 @@ def test_near_tie_where_the_two_sums_straddle_one():
     k = float.fromhex("0x1.355c2b5aa067fp+6")
     assert n == 123
     assert _screen(phi, f, k) < 1.0 < od.modular(f, phi, k)
+    screen = orlicz._screen(phi, np.abs(np.fromiter(f.values(), float, n)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        assert orlicz._screened_excess(f, phi)(k) > 0.0
+        assert orlicz._screened_excess(f, phi, screen)(k) > 0.0
     assert od.luxemburg_norm(f, phi).hex() == _exact_norm(f, phi).hex()
 
 
@@ -174,5 +243,7 @@ def test_screen_leaves_most_steps_to_numpy(monkeypatch):
     od.luxemburg_norm(f, od.PowerYoung(2.0))
     assert 0 < len(exact_passes) <= 8
     exact_passes.clear()
+    # Small supports find the band from exact passes, and run one at each
+    # step inside it.
     od.luxemburg_norm(_vector([0.5] * (orlicz.SCREEN_MIN - 1)), od.PowerYoung(2.0))
-    assert len(exact_passes) > 20  # small supports run the exact pass at every step
+    assert 0 < len(exact_passes) <= 6

@@ -223,6 +223,20 @@ def test_table_young_matches_generator_and_validates():
         assert second >= -1e-12
 
 
+@pytest.mark.parametrize("ts", [[math.nan], [0.0, math.nan, 0.1, 20.0, 40.0, -math.nan, 40.0]])
+def test_table_gives_nan_for_nan_on_every_path(ts):
+    # bisect_right puts NaN after every knot, where evaluate's last-knot
+    # case must not take it; 40.0 is the last knot itself.
+    table = od.TableYoung(tuple((0.1 * i, 0.1 * i * 0.1 * i / 2.0) for i in range(401)))
+    scalar = [table.evaluate(t) for t in ts]
+    many = list(table.evaluate_many(ts))
+    array = table.evaluate_array(np.array(ts)).tolist()
+    nan = [math.isnan(t) for t in ts]
+    for path in (scalar, many, array):
+        assert [math.isnan(v) for v in path] == nan
+    assert [v for v, miss in zip(many, nan) if not miss] == [v for v, miss in zip(scalar, nan) if not miss]
+
+
 @pytest.mark.parametrize(
     "family,value", [(od.PowerYoung, math.inf), (od.PowerYoung, math.nan), (od.AlphaLogYoung, math.inf)]
 )
