@@ -16,14 +16,28 @@ so all suprema run over the whole of K):
 ``run_check`` checks the obstructions, then the property's scan (the
 ``_SCANS`` table) turns the sup series over K into one row of terms per
 candidate step n, and each epsilon's witness is the first n whose terms,
-raised by a rounding margin, all lie below it.  The scans take K's
-series, in K's order, from ``translations.orbit_series`` a block of
-points at a time (about ``translations.BLOCK_ELEMENTS`` values, and at least
-one point, per block) and reduce each block before the next overwrites
-it: sups over K are maxima and merge block by block, and the chaos scan
-keeps only each point's truncated sum and last term per n.  So what a
-scan holds at once is one block's series plus what it keeps, not |K|
-series of the full depth, held to ``translations.SERIES_MEMORY_CAP``.
+raised by a rounding margin, all lie below it.
+
+The scans run on K's distinct rows: the first point of K, in K's order,
+for each distinct pair of forward and backward row keys
+(``translations.Filler``), compared 1024 points of K at a time.  Points with equal pairs have equal series in
+both directions, hence equal terms, equal truncated chaos sums and equal
+term ratios.  Every reduction over K is a maximum (the sups, each
+point's truncated sum plus its tail, the ratio r), and a maximum does
+not change when equal values are dropped, so every series point,
+witness and verdict is the one a scan of every point of K gives, bit for
+bit.  On the Heisenberg example, a = (3, 0, 2) with the dyadic weight,
+every point of a K in the plane z = 0 has the one row z = 2j.  The
+separation constant and the memory cap still read all of K.
+
+The scans take those rows' series from ``translations.orbit_series`` a
+block of points at a time (about ``translations.BLOCK_ELEMENTS`` values,
+and at least one point, per block) and reduce each block before the
+next overwrites it: sups are maxima and merge block by block, and the
+chaos scan keeps only each point's truncated sum and last term per n.
+So what a scan holds at once is one block's series plus what it keeps,
+not |K| series of the full depth, held to
+``translations.SERIES_MEMORY_CAP``.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, cycle product other than 1,
@@ -80,6 +94,12 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
+
+# Points of K whose row keys are compared at once: a distinct key pair
+# holds up to about 600 bytes (a table key on the Heisenberg group at
+# coordinates past 2^63, by tracemalloc), so the keys held stay under a
+# megabyte whatever |K| is, as the cap (_held_bytes) assumes.
+_KEY_BLOCK = 1024
 
 # Bytes each candidate step n costs a scan beyond its series: its
 # SeriesPoint (the object, its floats and n, and its slots in the lists and
@@ -286,12 +306,30 @@ def _start_n(req: CriterionRequest) -> int:
     return min(M + 1, req.N_max)
 
 
+def _distinct_rows(req: CriterionRequest) -> list:
+    """The first point, in K's order, of each distinct pair of forward and
+    backward row keys (``translations.Filler``) in each block of
+    _KEY_BLOCK points of K.  Points with equal pairs have equal product
+    series in both directions, so a scan that reduces over K by maxima gets
+    the same values from these points."""
+    sys = req.system
+    forward, backward = (sys.weight.orbit_filler(sys.group, sys.a, b).key for b in (False, True))
+    rows = []
+    for start in range(0, len(req.K), _KEY_BLOCK):
+        first: dict = {}
+        for x in req.K.elements[start : start + _KEY_BLOCK]:
+            first.setdefault((forward(x), backward(x)), x)
+        rows += first.values()
+    return rows
+
+
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise sup over K of the product series, for m = 0..depth,
-    merged block by block."""
+    """Pointwise sup over K of the product series, for m = 0..depth, from
+    K's distinct rows, merged block by block."""
     sups = np.full((2, depth + 1), -np.inf)
+    pts = _distinct_rows(req)
     for sup, backward in zip(sups, (False, True)):
-        for _, linear, _ in orbit_series(req.system, req.K.elements, depth, backward=backward):
+        for _, linear, _ in orbit_series(req.system, pts, depth, backward=backward):
             np.maximum(sup, linear.max(axis=0), out=sup)
     return sups[0], sups[1]
 
@@ -367,14 +405,14 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     so that n is never a witness; tail_bounded records whether any
     candidate had one.
 
-    K is scanned a block of points at a time, each family's series
-    gathered at the steps l*n (l = 1..n_terms, one row per candidate n):
-    only the truncated sums over l <= L_max and the L_max-th terms of
-    every point per n are kept, and the sups of the first terms and the
-    ratio r, being maxima, merge across blocks."""
+    K's distinct rows are scanned a block of points at a time, each
+    family's series gathered at the steps l*n (l = 1..n_terms, one row per
+    candidate n): only the truncated sums over l <= L_max and the L_max-th
+    terms of each of those points per n are kept, and the sups of the
+    first terms and the ratio r, being maxima, merge across blocks."""
     n_terms = series_depth(req) // req.N_max
     idx = ns[:, None] * np.arange(1, n_terms + 1)
-    pts = req.K.elements
+    pts = _distinct_rows(req)
     trunc = np.zeros((len(pts), len(ns)))
     last = np.zeros((len(pts), len(ns)))
     firsts = np.full((2, len(ns)), -np.inf)  # sup phi_n, sup phi~_n

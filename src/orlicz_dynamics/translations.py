@@ -12,34 +12,49 @@ sequences along the orbit of a point x:
 them a block of points at a time.  Each weight fills the (points, steps)
 block of its values along the orbits in closed form, straight into the
 block's series buffer, which is reused from block to block and holds
-about ``BLOCK_ELEMENTS`` values (``orbit_filler``): along an orbit
-every weight family is a few constant runs, solved in exact Python ints
-with no size limit.  A constant weight is one run; a step weight on Z
-has one cut per row, where x + j·a crosses 1; the dyadic weight has at
-most five sign runs of the integer quadratic 2z through the row's first
-three columns, whose z it reads through ``Group.mul`` and ``Group.pow``;
-a table weight groups its keys by ``Group.orbit_index`` once per call, so
-each row's hits are the keys of its orbit at exponents j = i_key - i_x
-(a strided slice when a has finite order).  The series are then one
-sequential cumprod per row, and a cumsum of the logs: the same
-operations, in the same order, on the same float64 weights as the
-scalar loop ``orbit_weights_forward`` / ``orbit_weights_backward`` that
-applies ``Group.mul`` once per step, so every product is bit-identical
-to it.  That loop is kept as the reference; no computation takes it.
-The per-point functions (``phi_product``, ``phi_series_pair``, ...) are
-views of a one-point block.
+about ``BLOCK_ELEMENTS`` values.  Its ``orbit_filler`` gives a
+``Filler`` of two parts: key(x), the row key of a point, and fill(keys,
+out), which writes the row of each key.  Points with equal keys have
+equal rows at every length, and the fill reads only the keys, never the
+points again.  Along an orbit every weight family is a few constant
+runs, solved in exact Python ints with no size limit:
+
+* a constant weight is one run, and every point has the one key None;
+* a step weight on Z has one cut per row, where x + j·a crosses 1, and
+  the key is that cut (inf when a = 0 and the row never reaches it);
+* the dyadic weight has at most five sign runs of the integer quadratic
+  2z = A c^2 + B c + C in the column c, and the key is (A, B, C), read
+  through ``Group.mul`` and ``Group.pow`` from the z of the row's first
+  three columns;
+* a table weight groups its keys by ``Group.orbit_index`` once per
+  call.  On an orbit that holds keys the row key is the point's (r, i),
+  and the row's hits are the keys of its orbit at exponents
+  j = i_key - i_x, as one int64 array of column gaps (a strided slice
+  when a has finite order); on every other orbit the key is None and the
+  row is the default.
+
+The series are then one sequential cumprod per row, and a cumsum of the
+logs: the same operations, in the same order, on the same float64
+weights as the scalar loop ``orbit_weights_forward`` /
+``orbit_weights_backward`` that applies ``Group.mul`` once per step, so
+every product is bit-identical to it.  That loop is kept as the
+reference; no computation takes it.  The per-point functions
+(``phi_product``, ``phi_series_pair``, ...) are views of a one-point
+block.
 
 ``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
-l = 1..count, from the same weight block, and refuses one that would
-pass ``SERIES_MEMORY_CAP`` before it allocates: row i starts with the i-th
-value of f, and a multiply (T) or divide (S) accumulate along the row
-repeats the one-step loop's v * w(x * a) or v / w(x), in its order.
-numpy's float64 * and / round exactly like Python's, so every value is
-the loop's bit for bit.  Weights are positive and finite, so a value
-that reaches 0.0, which the loop pruned, stays 0.0 and is pruned from
-every later piece; rows keep f's insertion order.  It is the package's
-only way to build T^n f or S^n f: ``apply_T`` and ``apply_S`` are its
-one-step views, ``apply_T_n`` and ``apply_S_n`` its views with step n.
+l = 1..count, from the same weight rows, and refuses one that would
+pass ``SERIES_MEMORY_CAP`` before it allocates.  It fills the row of
+each distinct key once and copies it, in place, to the rows of the
+other points with that key.  Each point's row starts with its value in
+f, and a multiply (T) or divide (S) accumulate along the row repeats the
+one-step loop's v * w(x * a) or v / w(x), in its order.  numpy's float64
+* and / round exactly like Python's, so every value is the loop's bit
+for bit.  Weights are positive and finite, so a value that reaches 0.0,
+which the loop pruned, stays 0.0 and is pruned from every later piece;
+pieces keep f's insertion order.  It is the package's only way to build
+T^n f or S^n f: ``apply_T`` and ``apply_S`` are its one-step views,
+``apply_T_n`` and ``apply_S_n`` its views with step n.
 
 A weight acts on the groups whose elements it reads (``WeightedSystem``
 checks it at the identity): the step weight on Z and cyclic groups, the
@@ -66,7 +81,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +119,7 @@ class ConstantWeight(_Weight):
         return self.c
 
     def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
-        return lambda points, out: out.fill(self.c)
+        return Filler(lambda x: None, lambda keys, out: out.fill(self.c))
 
 
 @dataclass(frozen=True)
@@ -134,22 +149,23 @@ class TwoSidedStepWeight(_Weight):
         # Columns before a row's cut hold `before`, the rest `after`.
         before, after = (self.c_neg, self.c_pos) if b >= 0 else (self.c_pos, self.c_neg)
 
-        def fill(points: Sequence[int], out: np.ndarray) -> None:
-            m = out.shape[1]
-            cuts = []
-            for x in points:
-                x0 = x + first * a
-                if b > 0:
-                    cut = -((x0 - 1) // b)  # the first c with x0 + c*b >= 1
-                elif b < 0:
-                    cut = (x0 - 1) // -b + 1  # the first c with x0 + c*b <= 0
-                else:
-                    cut = 0 if x0 >= 1 else m
-                cuts.append(min(max(cut, 0), m))
-            out.fill(before)
-            np.copyto(out, after, where=np.arange(m) >= np.array(cuts)[:, None])
+        s = first * a - 1  # x0 - 1 of the row of x is x + s
 
-        return fill
+        def cut(x: int) -> int | float:
+            if b > 0:
+                c = -((x + s) // b)  # the first c with x0 + c*b >= 1
+            elif b < 0:
+                c = (x + s) // -b + 1  # the first c with x0 + c*b <= 0
+            else:
+                c = 0 if x + s >= 0 else math.inf
+            return c
+
+        def fill(cuts: Sequence[int | float], out: np.ndarray) -> None:
+            m = out.shape[1]
+            out.fill(before)
+            np.copyto(out, after, where=np.arange(m) >= np.array([min(max(c, 0), m) for c in cuts])[:, None])
+
+        return Filler(cut, fill)
 
 
 @dataclass(frozen=True)
@@ -166,19 +182,21 @@ class HeisenbergDyadicWeight(_Weight):
         first, step = _exponents(backward)
         a_first, a_step = group.pow(a, first), group.pow(a, step)
 
-        def fill(points: Sequence[tuple[int, ...]], out: np.ndarray) -> None:
+        def quadratic(x: tuple[int, ...]) -> tuple[int, int, int]:
+            # z at columns 0, 1, 2 by the group law: z is at most quadratic
+            # in the column c, so 2z = A c^2 + B c + C.
+            g0 = group.mul(x, a_first)
+            g1 = group.mul(g0, a_step)
+            z0, z1, z2 = g0[2], g1[2], group.mul(g1, a_step)[2]
+            return z2 - 2 * z1 + z0, 4 * z1 - 3 * z0 - z2, 2 * z0
+
+        def fill(keys: Sequence[tuple[int, int, int]], out: np.ndarray) -> None:
             m = out.shape[1]
-            for row, x in zip(out, points):
-                # z at columns 0, 1, 2 by the group law: z is at most
-                # quadratic in the column c, so 2z = A c^2 + B c + C.
-                g0 = group.mul(x, a_first)
-                g1 = group.mul(g0, a_step)
-                z0, z1, z2 = g0[2], g1[2], group.mul(g1, a_step)[2]
-                A, B, C = z2 - 2 * z1 + z0, 4 * z1 - 3 * z0 - z2, 2 * z0
+            for row, (A, B, C) in zip(out, keys):
                 for lo, hi in _sign_runs(A, B, C, m):
                     row[lo:hi] = _dyadic((A * lo + B) * lo + C)
 
-        return fill
+        return Filler(quadratic, fill)
 
 
 def _dyadic(z: int) -> float:
@@ -217,10 +235,16 @@ class TableWeight(_Weight):
 
 Weight = ConstantWeight | TwoSidedStepWeight | HeisenbergDyadicWeight | TableWeight
 
-# What a weight's orbit_filler returns: fill(points, out) writes the
-# weights along each point's orbit into the matching row of out, as
-# orbit_weights_forward (or _backward) gives them, for every row length.
-Filler = Callable[[Sequence[Element], np.ndarray], None]
+
+class Filler(NamedTuple):
+    """What a weight's ``orbit_filler`` returns.  key(x) is the row key of
+    the point x, and fill(keys, out) writes the weights along the orbit of
+    a point of each key into the matching row of out, as
+    orbit_weights_forward (or _backward) gives them, for every row length.
+    Points with equal keys have equal rows at every length."""
+
+    key: Callable[[Element], Hashable]
+    fill: Callable[[Sequence[Hashable], np.ndarray], None]
 
 
 def product_gamma(w: Weight, k: int) -> float:
@@ -282,25 +306,34 @@ def _sign_runs(A: int, B: int, C: int, m: int) -> list[tuple[int, int]]:
 
 def _table_filler(group: Group, a: Element, backward: bool, table: dict, default: float) -> Filler:
     """The fill of a table of weights with a default: the keys are grouped
-    by orbit once, and each row takes the keys of its own orbit."""
+    by orbit once.  A point's row key is its ``orbit_index`` on an orbit
+    that holds keys, and None elsewhere, where the row is the default."""
     first, step = _exponents(backward)
     order = group.element_order(a)
     orbits: dict = {}
-    for key, v in table.items():
-        r, i = group.orbit_index(key, a)
+    for g, v in table.items():
+        r, i = group.orbit_index(g, a)
         orbits.setdefault(r, []).append((i, v))
     for r, hits in orbits.items():
         hits.sort()
-        orbits[r] = ([i for i, _ in hits], np.array([v for _, v in hits]))
+        exps = [i for i, _ in hits]
+        # step times the gap to the previous exponent, clipped at 2^62: a
+        # row's window is far narrower, so the gaps inside it are exact.
+        gaps = np.array([0] + [step * min(e - d, 1 << 62) for d, e in zip(exps, exps[1:])], dtype=np.int64)
+        orbits[r] = (exps, gaps, np.array([v for _, v in hits]))
 
-    def fill(points: Sequence[Element], out: np.ndarray) -> None:
+    def key(x: Element) -> Optional[tuple[Element, int]]:
+        r, i = group.orbit_index(x, a)
+        return (r, i) if r in orbits else None
+
+    def fill(keys: Sequence[Optional[tuple[Element, int]]], out: np.ndarray) -> None:
         m = out.shape[1]
         out.fill(default)
-        for row, x in zip(out, points):
-            r, i = group.orbit_index(x, a)
-            if r not in orbits:
+        for row, k in zip(out, keys):
+            if k is None:
                 continue  # no key on this orbit
-            exps, values = orbits[r]
+            r, i = k
+            exps, gaps, values = orbits[r]
             # Column c holds the point of exponent base + step*c on the orbit.
             base = i + first
             if order is not None:
@@ -312,9 +345,12 @@ def _table_filler(group: Group, a: Element, backward: bool, table: dict, default
             else:
                 lo, hi = bisect_right(exps, base - m), bisect_right(exps, base)
             if lo < hi:
-                row[[step * (e - base) for e in exps[lo:hi]]] = values[lo:hi]
+                # The hits' columns: the first one's, then its running gaps.
+                cols = np.cumsum(gaps[lo:hi])
+                cols += step * (exps[lo] - base) - int(cols[0])
+                row[cols] = values[lo:hi]
 
-    return fill
+    return Filler(key, fill)
 
 
 @dataclass(frozen=True)
@@ -388,16 +424,41 @@ def iterates(
         msg = f"{count} iterates of step {step} on {len(pts)} points: {size / 2**30:.3g} GiB"
         raise ConfigError("N_max", f"{msg}, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
     block = np.empty((len(pts), m + 1))
-    block[:, 0] = np.fromiter(f.values(), float, len(pts))
-    fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
-    rows = _block_rows(m + 1)
-    for start in range(0, len(pts), rows):
-        blk = slice(start, start + rows)
-        fill(pts[blk], block[blk, 1:])
+    at = _fill_by_key(sys.weight.orbit_filler(sys.group, sys.a, backward), pts, block)
+    block[at, 0] = np.fromiter(f.values(), float, len(pts))
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
     k = -step if backward else step
-    return [_moved(sys, pts, l * k, block[:, l * step].tolist()) for l in range(1, count + 1)]
+    return [_moved(sys, pts, l * k, block[at, l * step].tolist()) for l in range(1, count + 1)]
+
+
+def _fill_by_key(filler: Filler, points: Sequence[Element], block: np.ndarray) -> np.ndarray | slice:
+    """Fill columns 1.. of block with the weights of points, each distinct
+    row key once: row j holds the j-th distinct key, in the order the keys
+    first appear, and the later points of each key take the rows after
+    those, copied from their key's row.  Returns the row of each point:
+    an index array, or a slice of every row when no two points share a key."""
+    keys = list(map(filler.key, points))
+    distinct = list(dict.fromkeys(keys))  # in the order the keys first appear
+    d = len(distinct)
+    rows = _block_rows(block.shape[1])
+    for start in range(0, d, rows):
+        chunk = distinct[start : start + rows]
+        filler.fill(chunk, block[start : start + len(chunk), 1:])
+    if d == len(keys):
+        return slice(None)
+    key_row = dict(zip(distinct, range(d)))
+    at, src = [], []  # each point's row, and the key row each later row copies
+    for row in map(key_row.__getitem__, keys):
+        if row == len(at) - len(src):  # the first point of its key
+            at.append(row)
+        else:
+            at.append(d + len(src))
+            src.append(row)
+    # Whole rows are contiguous, so mode="clip" writes straight into the
+    # block, with no buffer of its size.
+    np.take(block[:d], src, axis=0, out=block[d:], mode="clip")
+    return np.array(at)
 
 
 def _moved(sys: WeightedSystem, pts: Sequence[Element], k: int, values: Sequence[float]) -> OrliczVector:
@@ -455,7 +516,7 @@ def orbit_series(
     weights.  The weight's filler is built once per call, and every block
     reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so
     a block's arrays hold only until the next block is asked for."""
-    fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
+    key, fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
     rows = _block_rows(depth + 1)
     shape = (min(rows, len(points)), depth + 1)
     linear = np.empty(shape)
@@ -469,7 +530,7 @@ def orbit_series(
         n = blk.stop - start
         lin = linear[:n]
         ws = lin[:, 1:]
-        fill(points[blk], ws)
+        fill([key(x) for x in points[blk]], ws)
         lg = None
         if logs:
             lg = log[:n]

@@ -34,7 +34,8 @@ def _config(name: str, **overrides):
 
 def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdict:
     """run_check with a block size of rows points of the scan's series,
-    checking that the scan's blocks of that depth hold that many."""
+    checking that the scan's blocks of that depth hold that many, or all of
+    K's distinct rows when there are fewer: the scans run on those."""
     depth = criteria.series_depth(req)
     monkeypatch.setattr(translations, "BLOCK_ELEMENTS", rows * (depth + 1))
     seen = []
@@ -47,7 +48,7 @@ def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdi
 
     monkeypatch.setattr(criteria, "orbit_series", spy)
     verdict = od.run_check(req)
-    assert not seen or max(seen) == min(rows, len(req.K))
+    assert not seen or max(seen) == min(rows, len(criteria._distinct_rows(req)))
     return verdict
 
 
