@@ -37,8 +37,9 @@ for entry in verdict.witness[:4]:
 
 f = od.OrliczVector.indicator(K)
 n = verdict.witness[-1].n
-L_trunc = od.choose_truncation(system, f, n)
-v, report = od.chaos_periodic_vector(system, f, n, L_trunc)
+orbit = od.SeedOrbit(system, f)
+L_trunc = od.choose_truncation(orbit, n)
+v, report = od.chaos_periodic_vector(orbit, n, L_trunc)
 print(f"\nPeriodic vector at n = {n}, truncation L = {L_trunc}:")
 print(f"  support size       = {len(v)}")
 print(f"  approx residual    = {report.approx_residual:.6e}")

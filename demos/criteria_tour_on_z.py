@@ -40,7 +40,7 @@ request = od.CriterionRequest(
 )
 entry = od.run_check(request).witness[0]
 f = od.OrliczVector.indicator(K)
-report = od.empirical_return(step, f, entry.n, 3, epsilon=1e-2)
+report = od.empirical_return(od.SeedOrbit(step, f), entry.n, 3, epsilon=1e-2)
 print(f"  n = {entry.n}: N(v - f) = {report.residual_to_f:.6e}")
 for l, r in enumerate(report.return_residuals, start=1):
     print(f"    N(T^({l}*{entry.n}) v - f) = {r:.6e}")

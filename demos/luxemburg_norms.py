@@ -44,5 +44,6 @@ print("\nOrbit norm series under weighted translations:")
 step = od.WeightedSystem(group=group, a=1, weight=od.TwoSidedStepWeight(2.0, 0.5), young=p2)
 doubling = od.WeightedSystem(group=group, a=1, weight=od.ConstantWeight(2.0), young=p2)
 delta = od.OrliczVector.delta(0)
-print("  two-sided step, f = delta_0:", [f"{v:.4f}" for v in od.orbit_norm_series(step, delta, 6)])
-print("  constant 2,     f = delta_0:", [f"{v:.4f}" for v in od.orbit_norm_series(doubling, delta, 6)])
+for label, system in (("two-sided step,", step), ("constant 2,    ", doubling)):
+    series = od.orbit_norm_series(od.SeedOrbit(system, delta), 6)
+    print(f"  {label} f = delta_0:", [f"{v:.4f}" for v in series])

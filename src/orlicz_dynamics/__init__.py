@@ -29,6 +29,7 @@ from .groups import (
 from .lab import (
     PeriodicityReport,
     ReturnReport,
+    SeedOrbit,
     chaos_periodic_vector,
     choose_truncation,
     empirical_return,

@@ -23,7 +23,7 @@ from . import __version__
 from .config import RunConfig, emit_config, load_config, vector_from_file
 from .criteria import Outcome, Property, SeriesPoint, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
-from .lab import chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
+from .lab import SeedOrbit, chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
 from .orlicz import OrliczVector, luxemburg_norm, modular
 from .report import make_envelope, render_envelope, write_envelope, write_series_csv
 from .young import complementary, delta2_probe
@@ -55,23 +55,22 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
             results["flag"] = "tail_unbounded"
         return results, _OUTCOME_EXIT[verdict.outcome]
 
-    sys_ = req.system
-    f = OrliczVector.indicator(req.K)
-    norm_f = luxemburg_norm(f, sys_.young)
+    orbit = SeedOrbit(req.system, OrliczVector.indicator(req.K))
+    norm_f = orbit.norm(0)
     depth = req.L if req.property is Property.MULTIPLY_RECURRENT else 1
     ok = True
     try:
         for entry in verdict.witness:
             if req.property is Property.CHAOTIC:
-                L_trunc = choose_truncation(sys_, f, entry.n, cap=min(req.L_max, 32))
-                _, rep = chaos_periodic_vector(sys_, f, entry.n, L_trunc)
+                L_trunc = choose_truncation(orbit, entry.n, cap=min(req.L_max, 32))
+                _, rep = chaos_periodic_vector(orbit, entry.n, L_trunc)
                 ok &= rep.within_bound and rep.approx_residual <= entry.epsilon * norm_f * (1 + 1e-9)
                 results["lab"].append({"epsilon": entry.epsilon, "periodicity": vars(rep).copy()})
             else:
                 # Residuals of the witness vector are bounded by
                 # depth * epsilon * N(chi_K); that bound is the target.
                 target = entry.epsilon * depth * norm_f * (1 + 1e-9)
-                rep = empirical_return(sys_, f, entry.n, depth, target)
+                rep = empirical_return(orbit, entry.n, depth, target)
                 ok &= rep.success
                 results["lab"].append({"epsilon": entry.epsilon, "return": vars(rep).copy()})
     except TailUnboundedError as exc:
@@ -80,7 +79,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_WITNESS if ok else EXIT_ERROR
-    results["orbit_norms"] = orbit_norm_series(sys_, f, min(req.N_max, 32))
+    results["orbit_norms"] = orbit_norm_series(orbit, min(req.N_max, 32))
     return results, code
 
 

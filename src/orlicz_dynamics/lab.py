@@ -9,20 +9,32 @@ periodic construction additionally stacks forward iterates, and its
 period defect is exactly the two dropped boundary terms of the
 truncation.
 
-Every iterate comes from ``translations.iterates``, bit for bit the
-vectors of applying S or T one step at a time.  The returns, the two
-boundary terms and each truncation level reuse a stack or the level
-before instead of starting again from f, and each stack is one
+Every summand of both constructions, their boundary terms and the orbit
+norm series lie on one orbit {T^m f, S^m f : m >= 0} of the seed f, and
+the lab functions take it as a ``SeedOrbit``.  It keeps one forward and
+one backward ``translations.orbit_stack`` of f, grows a stack only when
+a request passes its depth, and takes each piece's norm once.  A piece
+is one column of a stack, and T^m f is the same vector, bit for bit and
+in the same insertion order, however m is split into steps (see
+``translations``): each piece is the vector that applying T or S to f
+one step at a time gives, whatever depth its stack has grown to.  A
+norm reads its column on f's own points, which is the piece translated
+back; ``luxemburg_norm`` reads the values alone, in order, so that is
+the piece's norm bit for bit, and no point is moved for it.  The
+returns T^{ln} v of a witness v lie on v's orbit, not f's, and take
+``translations.iterates``.  Each sum of pieces is one
 ``orlicz.vector_sum``, bit for bit repeated ``+``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from . import translations
 from .errors import SeparationViolatedError, TailUnboundedError
 from .orlicz import OrliczVector, luxemburg_norm, vector_sum
-from .translations import WeightedSystem, apply_S_n, apply_T_n, iterates, product_gamma
+from .translations import Stack, WeightedSystem, apply_T_n, iterates, orbit_stack, product_gamma
 
 # Witness/periodic summands larger than this abort the construction
 # instead of producing meaningless floating-point towers.
@@ -53,8 +65,59 @@ class PeriodicityReport:
     within_bound: bool
 
 
-def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: int) -> OrliczVector:
-    """v = f + S^n f + S^{2n} f + ... + S^{Ln} f, by iterated application.
+class SeedOrbit:
+    """The orbit of a seed f under a system: ``piece(m)`` is T^m f for
+    m > 0, S^{-m} f for m < 0 and f at 0, and ``norm(m)`` its Luxemburg
+    norm, taken once from the column of piece(m) left on f's points
+    (``translations.Stack.unmoved``; see the module docstring).
+
+    Each direction keeps one stack of f (``translations.orbit_stack``).
+    A request past its depth rebuilds it to max(request, twice its
+    depth), with the shallower stack freed first.  The stacks held count
+    against ``translations.SERIES_MEMORY_CAP`` before the new one
+    allocates: the growth is clipped to what fits beside the other
+    stack, and when the request itself does not fit beside it, the other
+    stack is dropped, to be rebuilt when next asked for.  So a request is
+    refused only when its stack alone passes the cap, as ``iterates``
+    would refuse it."""
+
+    def __init__(self, sys: WeightedSystem, f: OrliczVector):
+        self.sys, self.f = sys, f
+        self._stacks: dict[bool, Stack] = {}
+        self._norms: dict[int, float] = {}
+
+    def piece(self, m: int) -> OrliczVector:
+        return self._column(m, Stack.iterate)
+
+    def norm(self, m: int) -> float:
+        if m not in self._norms:
+            self._norms[m] = luxemburg_norm(self._column(m, Stack.unmoved), self.sys.young)
+        return self._norms[m]
+
+    def _column(self, m: int, read: Callable[[Stack, int], OrliczVector]) -> OrliczVector:
+        if m == 0 or not self.f:
+            return self.f
+        return read(self._stack(m < 0, abs(m)), abs(m))
+
+    def _stack(self, backward: bool, depth: int) -> Stack:
+        stack = self._stacks.get(backward)
+        if stack is not None and stack.depth >= depth:
+            return stack
+        built = 0 if stack is None else self._stacks.pop(backward).depth
+        stack = None  # the shallower stack is freed before the deeper one allocates
+        row = 8 * len(self.f)
+        held = sum(s.block.nbytes for s in self._stacks.values())
+        if held + (depth + 1) * row > translations.SERIES_MEMORY_CAP:
+            self._stacks.clear()
+            held = 0
+        room = (translations.SERIES_MEMORY_CAP - held) // row - 1
+        stack = orbit_stack(self.sys, self.f, max(depth, min(2 * built, room)), backward, held)
+        self._stacks[backward] = stack
+        return stack
+
+
+def recurrence_witness_vector(orbit: SeedOrbit, n: int, L: int) -> OrliczVector:
+    """v = f + S^n f + S^{2n} f + ... + S^{Ln} f, from the seed's orbit.
 
     Requires n past the separation constant of supp(f): the L+1 summand
     supports must be pairwise disjoint, otherwise SeparationViolatedError
@@ -64,7 +127,7 @@ def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: i
         raise ValueError("step count n must be >= 1")
     if L < 0:
         raise ValueError("depth L must be >= 0")
-    pieces = [f, *iterates(sys, f, n, L, backward=True)]
+    pieces = [orbit.piece(-l * n) for l in range(L + 1)]
     if len(set().union(*(piece.support() for piece in pieces))) < sum(map(len, pieces)):
         raise SeparationViolatedError(
             f"witness summand supports overlap at n={n}; "
@@ -73,17 +136,16 @@ def recurrence_witness_vector(sys: WeightedSystem, f: OrliczVector, n: int, L: i
     return vector_sum(pieces)
 
 
-def empirical_return(
-    sys: WeightedSystem, f: OrliczVector, n: int, L: int, epsilon: float
-) -> ReturnReport:
+def empirical_return(orbit: SeedOrbit, n: int, L: int, epsilon: float) -> ReturnReport:
     """Build the witness vector and measure its returns: the norm residuals
     N(v - f) and N(T^{ln} v - f) for l = 1..L, all vs the target epsilon.
 
     When the order of a divides n, T^n keeps every point in place, so
     S^{ln} f lies on supp(f): f itself is then the witness vector, and
     its returns are N(T^{ln} f - f)."""
+    sys, f = orbit.sys, orbit.f
     order = sys.group.element_order(sys.a)
-    v = f if order is not None and n % order == 0 else recurrence_witness_vector(sys, f, n, L)
+    v = f if order is not None and n % order == 0 else recurrence_witness_vector(orbit, n, L)
     phi = sys.young
     r0 = luxemburg_norm(v - f, phi)
     returns = tuple(luxemburg_norm(piece - f, phi) for piece in iterates(sys, v, n, L))
@@ -93,9 +155,7 @@ def empirical_return(
     )
 
 
-def chaos_periodic_vector(
-    sys: WeightedSystem, f: OrliczVector, n: int, L_trunc: int
-) -> tuple[OrliczVector, PeriodicityReport]:
+def chaos_periodic_vector(orbit: SeedOrbit, n: int, L_trunc: int) -> tuple[OrliczVector, PeriodicityReport]:
     """Truncated periodic vector v = f + sum_{l<=L} T^{ln} f + sum_{l<=L} S^{ln} f.
 
     Applying T^n maps the stack onto itself except for the two boundary
@@ -116,15 +176,15 @@ def chaos_periodic_vector(
         raise ValueError("step count n must be >= 1")
     if L_trunc < 0:
         raise ValueError("truncation level must be >= 0")
-    phi = sys.young
-    *t_pieces, t_edge = iterates(sys, f, n, L_trunc + 1)
-    s_pieces = iterates(sys, f, n, L_trunc, backward=True)
+    sys, f, phi = orbit.sys, orbit.f, orbit.sys.young
+    t_pieces = [orbit.piece(l * n) for l in range(1, L_trunc + 1)]
+    s_pieces = [orbit.piece(-l * n) for l in range(1, L_trunc + 1)]
     if any(piece.max_abs() > TERM_MAGNITUDE_CAP for piece in t_pieces + s_pieces):
         raise TailUnboundedError(f"summand magnitude exceeds cap {TERM_MAGNITUDE_CAP:g} at n={n}")
-    s_last = luxemburg_norm(s_pieces[-1] if s_pieces else f, phi)
+    s_last = orbit.norm(-L_trunc * n)
     if L_trunc >= 2:
-        t_last, t_prev = luxemburg_norm(t_pieces[-1], phi), luxemburg_norm(t_pieces[-2], phi)
-        s_prev = luxemburg_norm(s_pieces[-2], phi)
+        t_last, t_prev = orbit.norm(L_trunc * n), orbit.norm((L_trunc - 1) * n)
+        s_prev = orbit.norm(-(L_trunc - 1) * n)
         if t_last >= t_prev or s_last >= s_prev:
             raise TailUnboundedError(
                 f"trailing terms do not decay at n={n} (T: {t_prev} -> {t_last}, "
@@ -132,12 +192,12 @@ def chaos_periodic_vector(
             )
     v = vector_sum([f, *t_pieces, *s_pieces])
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
-    bound = luxemburg_norm(t_edge, phi) + s_last
+    bound = orbit.norm((L_trunc + 1) * n) + s_last
     residual = luxemburg_norm(v - f, phi)
     within = defect <= bound * (1.0 + 1e-9) + 1e-300
     g = 0.0 if within else product_gamma(sys.weight, (L_trunc + 1) * n + 2 * L_trunc + 4)
     if g:
-        allowance = g * (bound + 2.0 * (residual + luxemburg_norm(f, phi)))
+        allowance = g * (bound + 2.0 * (residual + orbit.norm(0)))
         within = defect <= (bound + allowance) * (1.0 + 1e-9) + 1e-300
     report = PeriodicityReport(
         n=n,
@@ -150,19 +210,17 @@ def chaos_periodic_vector(
     return v, report
 
 
-def choose_truncation(sys: WeightedSystem, f: OrliczVector, n: int, cap: int = 32) -> int:
+def choose_truncation(orbit: SeedOrbit, n: int, cap: int = 32) -> int:
     """Smallest truncation level L whose boundary terms N(T^{(L+1)n} f) and
     N(S^{Ln} f) sum below 1e-15, capped at ``cap``."""
-    t_edge, s_edge = apply_T_n(sys, f, n), f
     for L in range(1, cap + 1):
-        t_edge, s_edge = apply_T_n(sys, t_edge, n), apply_S_n(sys, s_edge, n)
-        if luxemburg_norm(t_edge, sys.young) + luxemburg_norm(s_edge, sys.young) < 1e-15:
+        if orbit.norm((L + 1) * n) + orbit.norm(-L * n) < 1e-15:
             return L
     return cap
 
 
-def orbit_norm_series(sys: WeightedSystem, f: OrliczVector, n_steps: int) -> list[float]:
-    """Norms N(T^n f) for n = 0..n_steps, from the step-by-step iterates."""
+def orbit_norm_series(orbit: SeedOrbit, n_steps: int) -> list[float]:
+    """Norms N(T^n f) for n = 0..n_steps, from the seed's orbit."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    return [luxemburg_norm(piece, sys.young) for piece in [f, *iterates(sys, f, 1, n_steps)]]
+    return [orbit.norm(m) for m in range(n_steps + 1)]

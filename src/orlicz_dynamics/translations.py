@@ -42,19 +42,24 @@ reference; no computation takes it.  The per-point functions
 (``phi_product``, ``phi_series_pair``, ...) are views of a one-point
 block.
 
-``iterates`` builds the lab's stacks T^{l*step} f (or S^{l*step} f),
-l = 1..count, from the same weight rows, and refuses one that would
-pass ``SERIES_MEMORY_CAP`` before it allocates.  It fills the row of
-each distinct key once and copies it, in place, to the rows of the
-other points with that key.  Each point's row starts with its value in
-f, and a multiply (T) or divide (S) accumulate along the row repeats the
-one-step loop's v * w(x * a) or v / w(x), in its order.  numpy's float64
-* and / round exactly like Python's, so every value is the loop's bit
-for bit.  Weights are positive and finite, so a value that reaches 0.0,
+``orbit_stack`` builds the stack of a vector f to a depth: T^c f (or
+S^c f) for c = 0..depth, one column each, from the same weight rows, and
+refuses one that would pass ``SERIES_MEMORY_CAP`` before it allocates.
+It fills the row of each distinct key once and copies it, in place, to
+the rows of the other points with that key.  Each point's row starts
+with its value in f, and a multiply (T) or divide (S) accumulate along
+the row repeats the one-step loop's v * w(x * a) or v / w(x), in its
+order.  numpy's float64 * and / round exactly like Python's, so every
+value is the loop's bit for bit, and column c does not depend on the
+depth.  Weights are positive and finite, so a value that reaches 0.0,
 which the loop pruned, stays 0.0 and is pruned from every later piece;
-pieces keep f's insertion order.  It is the package's only way to build
-T^n f or S^n f: ``apply_T`` and ``apply_S`` are its one-step views,
-``apply_T_n`` and ``apply_S_n`` its views with step n.
+pieces keep f's insertion order.  So T^m f is the same vector, bit for
+bit and in the same insertion order, however m is split into steps.
+The stack is the package's only way to build T^n f or S^n f:
+``iterates`` reads the columns l*step, l = 1..count, of one stack;
+``apply_T`` and ``apply_S`` are its one-step views, ``apply_T_n`` and
+``apply_S_n`` its views with step n; and ``lab.SeedOrbit`` keeps one
+stack of its seed each way.
 
 A weight acts on the groups whose elements it reads (``WeightedSystem``
 checks it at the identity): the step weight on Z and cyclic groups, the
@@ -417,19 +422,53 @@ def iterates(
     time builds them; see the module docstring."""
     if step < 1 or count < 0:
         raise ValueError("need step >= 1 and count >= 0")
+    stack = orbit_stack(sys, f, count * step, backward, count * len(f) * point_bytes(sys.group))
+    return [stack.iterate(l * step) for l in range(1, count + 1)]
+
+
+class Stack(NamedTuple):
+    """A vector f under T (or S, when backward) one step at a time, to a
+    depth: row at[i] of block holds f's value at pts[i] in column 0, and in
+    column c the value that c steps move to pts[i] * a^{+-c}."""
+
+    sys: WeightedSystem
+    pts: list
+    block: np.ndarray
+    at: np.ndarray | slice
+    backward: bool
+
+    @property
+    def depth(self) -> int:
+        return self.block.shape[1] - 1
+
+    def iterate(self, c: int) -> OrliczVector:
+        """T^c f (S^c f when backward), 1 <= c <= depth: column c, moved by
+        a^{+-c}, in f's order; zero values are pruned."""
+        g = self.sys.group
+        shift = g.pow(self.sys.a, -c if self.backward else c)
+        return OrliczVector({g.mul(y, shift): v for y, v in zip(self.pts, self.block[self.at, c].tolist())})
+
+    def unmoved(self, c: int) -> OrliczVector:
+        """Column c on f's own points: ``iterate(c)`` translated back by
+        a^{-+c}, with its values in its order, and no ``mul``."""
+        return OrliczVector(zip(self.pts, self.block[self.at, c].tolist()))
+
+
+def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool, held: int) -> Stack:
+    """f's ``Stack`` to depth, bit for bit the one-step loop's values (see
+    the module docstring).  Refused before it allocates when its bytes and
+    the held bytes its caller keeps beside it would pass SERIES_MEMORY_CAP."""
     pts = [x for x, _ in f.items()]
-    m = count * step
-    size = len(pts) * ((m + 1) * 8 + count * point_bytes(sys.group))
+    size = len(pts) * (depth + 1) * 8 + held
     if size > SERIES_MEMORY_CAP:
-        msg = f"{count} iterates of step {step} on {len(pts)} points: {size / 2**30:.3g} GiB"
-        raise ConfigError("N_max", f"{msg}, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
-    block = np.empty((len(pts), m + 1))
+        msg = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
+        raise ConfigError("N_max", f"{msg}: {size / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
+    block = np.empty((len(pts), depth + 1))
     at = _fill_by_key(sys.weight.orbit_filler(sys.group, sys.a, backward), pts, block)
     block[at, 0] = np.fromiter(f.values(), float, len(pts))
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
-    k = -step if backward else step
-    return [_moved(sys, pts, l * k, block[at, l * step].tolist()) for l in range(1, count + 1)]
+    return Stack(sys, pts, block, at, backward)
 
 
 def _fill_by_key(filler: Filler, points: Sequence[Element], block: np.ndarray) -> np.ndarray | slice:
@@ -459,13 +498,6 @@ def _fill_by_key(filler: Filler, points: Sequence[Element], block: np.ndarray) -
     # block, with no buffer of its size.
     np.take(block[:d], src, axis=0, out=block[d:], mode="clip")
     return np.array(at)
-
-
-def _moved(sys: WeightedSystem, pts: Sequence[Element], k: int, values: Sequence[float]) -> OrliczVector:
-    """The vector with values[i] at pts[i] * a^k; zero values are pruned."""
-    g = sys.group
-    shift = g.pow(sys.a, k)
-    return OrliczVector({g.mul(y, shift): v for y, v in zip(pts, values)})
 
 
 def orbit_weights_forward(sys: WeightedSystem, x: Element, m: int) -> np.ndarray:
@@ -511,26 +543,38 @@ def orbit_series(
     arrays (log is None unless asked).
 
     Row i of a block equals phi_series_pair(sys, points[rows][i], depth),
-    or phi_tilde_series_pair when backward is set, bit for bit: each row
-    is the same sequential cumprod (and cumsum of logs) over the same
-    weights.  The weight's filler is built once per call, and every block
-    reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so
-    a block's arrays hold only until the next block is asked for."""
+    or phi_tilde_series_pair when backward is set, bit for bit; see
+    ``keyed_series``, which it runs on the points' row keys."""
     key, fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
+    return keyed_series(fill, [key(x) for x in points], depth, backward, logs)
+
+
+def keyed_series(
+    fill: Callable[[Sequence[Hashable], np.ndarray], None],
+    keys: Sequence[Hashable],
+    depth: int,
+    backward: bool,
+    logs: bool,
+) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
+    """``orbit_series`` of the rows with the given keys, from the fill of
+    their weight's ``Filler``: each row is the same sequential cumprod (and
+    cumsum of logs) over the same weights as the scalar loop.  Every block
+    reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so a
+    block's arrays hold only until the next block is asked for."""
     rows = _block_rows(depth + 1)
-    shape = (min(rows, len(points)), depth + 1)
+    shape = (min(rows, len(keys)), depth + 1)
     linear = np.empty(shape)
     linear[:, 0] = 1.0
     log = None
     if logs:
         log = np.empty(shape)
         log[:, 0] = 0.0
-    for start in range(0, len(points), rows):
-        blk = slice(start, min(start + rows, len(points)))
+    for start in range(0, len(keys), rows):
+        blk = slice(start, min(start + rows, len(keys)))
         n = blk.stop - start
         lin = linear[:n]
         ws = lin[:, 1:]
-        fill([key(x) for x in points[blk]], ws)
+        fill(keys[blk], ws)
         lg = None
         if logs:
             lg = log[:n]

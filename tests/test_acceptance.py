@@ -162,12 +162,12 @@ def test_criterion_5_criterion_dynamics_loop_on_integers():
         and mr.witness[0].sup_by_l[0] == 2.0 ** (4 - 14)
     )
     f = od.OrliczVector.indicator(K)
-    back = od.empirical_return(sys, f, 14, 3, epsilon=1e-2)
+    back = od.empirical_return(od.SeedOrbit(sys, f), 14, 3, epsilon=1e-2)
     chaos = od.run_check(
         od.CriterionRequest(system=sys, K=K, property=od.Property.CHAOTIC, L=3)
     )
     chaos_ok = chaos.outcome is od.Outcome.WITNESS_FOUND and chaos.tail_bounded is True
-    _, periodic = od.chaos_periodic_vector(sys, f, chaos.witness[-1].n, 8)
+    _, periodic = od.chaos_periodic_vector(od.SeedOrbit(sys, f), chaos.witness[-1].n, 8)
     elapsed = time.perf_counter() - t0
     ok = witness_ok and back.success and chaos_ok and periodic.within_bound and elapsed < 5.0
     _report(

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_dynamics import cli
+from orlicz_dynamics.config import load_config
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -38,3 +41,16 @@ def test_counted_methods_resolve(module, cls, method):
     owner = getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), cls)
     # The tracer patches the method found in the class's own namespace.
     assert method in vars(owner)
+
+
+def test_a_traced_simulate_counts_norms_and_applies():
+    # The tracer counts the names it wraps: a norm or an apply routed
+    # around them reads 0 in the benchmark.  The period defect T^n v - v
+    # is the one apply a chaotic simulate makes.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "heisenberg_paper.json")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _, code = cli.cmd_simulate(cfg)
+    metrics = tracer.metrics()
+    assert code == 0
+    assert metrics["orlicz.norm.calls"] > 0 and metrics["translations.apply.calls"] > 0

@@ -13,7 +13,7 @@ from orlicz_dynamics.errors import SeparationViolatedError, TailUnboundedError
 
 def test_witness_vector_trivial_depth(step_system):
     f = od.OrliczVector({0: 1.0, 1: -2.0})
-    assert od.recurrence_witness_vector(step_system, f, 5, 0) == f
+    assert od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 5, 0) == f
 
 
 def test_witness_vector_unrolled_values(step_system):
@@ -28,7 +28,7 @@ def test_witness_vector_unrolled_values(step_system):
             cur = od.apply_S(step_system, cur)
         ((x, v),) = cur.items()
         pieces[x] = v
-    v = od.recurrence_witness_vector(step_system, f, 5, 2)
+    v = od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 5, 2)
     assert v.as_dict() == pieces
     assert v.support() == {0, -5, -10}
     assert v[-5] == 2.0**-5  # 1 / (w(0) w(-1) w(-2) w(-3) w(-4))
@@ -39,15 +39,15 @@ def test_witness_vector_separation_guard(step_system, zgroup):
     f = od.OrliczVector.indicator(od.box(zgroup, [[-2, 2]]))
     # separation constant of {-2..2} is 4: n = 4 overlaps, n = 5 clears it
     with pytest.raises(SeparationViolatedError):
-        od.recurrence_witness_vector(step_system, f, 4, 1)
-    v = od.recurrence_witness_vector(step_system, f, 5, 2)
+        od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 4, 1)
+    v = od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 5, 2)
     assert len(v) == 15
 
 
 def test_empirical_return_step_weight(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     f = od.OrliczVector.indicator(K)
-    report = od.empirical_return(step_system, f, 14, 3, epsilon=1e-2)
+    report = od.empirical_return(od.SeedOrbit(step_system, f), 14, 3, epsilon=1e-2)
     assert report.success
     assert report.residual_to_f < 1e-2
     assert all(r < 1e-2 for r in report.return_residuals)
@@ -56,7 +56,7 @@ def test_empirical_return_step_weight(step_system, zgroup):
 
 def test_empirical_return_trivial_depth(step_system):
     f = od.OrliczVector.delta(0)
-    report = od.empirical_return(step_system, f, 5, 0, epsilon=0.5)
+    report = od.empirical_return(od.SeedOrbit(step_system, f), 5, 0, epsilon=0.5)
     assert report.residual_to_f == 0.0
     assert report.return_residuals == ()
     assert report.success
@@ -66,7 +66,7 @@ def test_empirical_return_unit_weight_never_decays(zgroup):
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
     f = od.OrliczVector.indicator(od.box(zgroup, [[-1, 1]]))
     base = od.luxemburg_norm(f, P2)
-    report = od.empirical_return(unit, f, 10, 2, epsilon=0.5)
+    report = od.empirical_return(od.SeedOrbit(unit, f), 10, 2, epsilon=0.5)
     assert not report.success
     # pure translation: the shifted copy of f never leaves the residual
     for r in report.return_residuals:
@@ -79,7 +79,7 @@ def test_residual_bound_chain(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     f = od.OrliczVector.indicator(K)
     n, L = 9, 3
-    v = od.recurrence_witness_vector(step_system, f, n, L)
+    v = od.recurrence_witness_vector(od.SeedOrbit(step_system, f), n, L)
     norm_f = od.luxemburg_norm(f, P2)
     lhs = od.luxemburg_norm(v - f, P2)
     terms = []
@@ -100,7 +100,7 @@ def test_disjoint_sum_norm_exactness(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     f = od.OrliczVector.indicator(K)
     n, L = 7, 2
-    v = od.recurrence_witness_vector(step_system, f, n, L)
+    v = od.recurrence_witness_vector(od.SeedOrbit(step_system, f), n, L)
     pieces = [f]
     cur = f
     for _ in range(L):
@@ -116,7 +116,7 @@ def test_disjoint_sum_norm_exactness(step_system, zgroup):
 def test_chaos_periodic_vector_step_weight(step_system, zgroup):
     K = od.box(zgroup, [[-2, 2]])
     f = od.OrliczVector.indicator(K)
-    v, report = od.chaos_periodic_vector(step_system, f, 10, 8)
+    v, report = od.chaos_periodic_vector(od.SeedOrbit(step_system, f), 10, 8)
     assert report.within_bound
     assert report.defect <= report.predicted_bound * (1.0 + 1e-9)
     assert report.defect < 1e-12
@@ -125,7 +125,7 @@ def test_chaos_periodic_vector_step_weight(step_system, zgroup):
 
 def test_chaos_periodic_vector_trivial_truncation(step_system, zgroup):
     f = od.OrliczVector.indicator(od.box(zgroup, [[-2, 2]]))
-    v, report = od.chaos_periodic_vector(step_system, f, 6, 0)
+    v, report = od.chaos_periodic_vector(od.SeedOrbit(step_system, f), 6, 0)
     assert v == f
     direct = od.luxemburg_norm(od.apply_T_n(step_system, f, 6) - f, P2)
     assert report.defect == pytest.approx(direct, rel=1e-12)
@@ -139,8 +139,8 @@ def test_lab_constructions_call_no_scalar_weight(step_system, zgroup):
     with mock.patch.object(
         od.TwoSidedStepWeight, "__call__", side_effect=AssertionError("scalar weight call")
     ):
-        assert len(od.recurrence_witness_vector(step_system, f, 9, 3)) == 20
-        v, report = od.chaos_periodic_vector(step_system, f, 10, 4)
+        assert len(od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 9, 3)) == 20
+        v, report = od.chaos_periodic_vector(od.SeedOrbit(step_system, f), 10, 4)
     assert len(v) == 5 * (2 * 4 + 1)
     assert report.within_bound
 
@@ -150,7 +150,7 @@ def test_chaos_periodic_defect_shrinks_with_truncation(heisenberg_system, heisen
     f = od.OrliczVector.indicator(K)
     defects = []
     for L in (1, 2, 4, 6):
-        _, report = od.chaos_periodic_vector(heisenberg_system, f, 5, L)
+        _, report = od.chaos_periodic_vector(od.SeedOrbit(heisenberg_system, f), 5, L)
         assert report.within_bound
         defects.append(report.defect)
     assert all(b < a for a, b in zip(defects, defects[1:]))
@@ -160,19 +160,19 @@ def test_chaos_periodic_vector_rejects_flat_tail(zgroup):
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
     f = od.OrliczVector.delta(0)
     with pytest.raises(TailUnboundedError):
-        od.chaos_periodic_vector(unit, f, 3, 4)
+        od.chaos_periodic_vector(od.SeedOrbit(unit, f), 3, 4)
 
 
 def test_chaos_periodic_vector_magnitude_cap(zgroup):
     growing = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(10.0), young=P2)
     f = od.OrliczVector.delta(0)
     with pytest.raises(TailUnboundedError):
-        od.chaos_periodic_vector(growing, f, 5, 3)  # T-side reaches 10^15
+        od.chaos_periodic_vector(od.SeedOrbit(growing, f), 5, 3)  # T-side reaches 10^15
 
 
 def test_choose_truncation(step_system, zgroup):
     f = od.OrliczVector.indicator(od.box(zgroup, [[-2, 2]]))
-    L = od.choose_truncation(step_system, f, 10, cap=32)
+    L = od.choose_truncation(od.SeedOrbit(step_system, f), 10, cap=32)
     assert 1 <= L <= 32
     t_bound = od.luxemburg_norm(
         f.mul_pointwise(lambda x: od.phi_product(step_system, x, (L + 1) * 10)), P2
@@ -197,7 +197,7 @@ def test_boundary_terms_equal_the_rebuilt_iterates_bit_for_bit(zgroup):
     sys = _odd_table_system(zgroup)
     f = od.OrliczVector({-2: 1.0, 0: -0.7, 1: 1.3, 3: 0.1})
     for n, L_trunc in ((3, 0), (3, 1), (4, 3), (5, 6)):
-        _, report = od.chaos_periodic_vector(sys, f, n, L_trunc)
+        _, report = od.chaos_periodic_vector(od.SeedOrbit(sys, f), n, L_trunc)
         t_edge = od.apply_T_n(sys, f, (L_trunc + 1) * n)
         s_edge = od.apply_S_n(sys, f, L_trunc * n)
         assert report.predicted_bound == od.luxemburg_norm(t_edge, P2) + od.luxemburg_norm(s_edge, P2)
@@ -217,8 +217,8 @@ def test_choose_truncation_matches_the_per_level_rebuild(zgroup):
 
     for n in (2, 3, 5, 7):
         for cap in (3, 32):
-            assert od.choose_truncation(sys, f, n, cap=cap) == rebuilt(n, cap)
-    assert 3 < od.choose_truncation(sys, f, 3, cap=32) < 32
+            assert od.choose_truncation(od.SeedOrbit(sys, f), n, cap=cap) == rebuilt(n, cap)
+    assert 3 < od.choose_truncation(od.SeedOrbit(sys, f), 3, cap=32) < 32
 
 
 def test_criterion_dynamics_agreement(step_system, zgroup):
@@ -233,7 +233,7 @@ def test_criterion_dynamics_agreement(step_system, zgroup):
     assert verdict.outcome is od.Outcome.WITNESS_FOUND
     for entry in verdict.witness:
         target = entry.epsilon * L * norm_f * (1.0 + 1e-9)
-        report = od.empirical_return(step_system, f, entry.n, L, epsilon=target)
+        report = od.empirical_return(od.SeedOrbit(step_system, f), entry.n, L, epsilon=target)
         assert report.success
 
 
@@ -241,12 +241,12 @@ def test_orbit_norm_series_closed_forms(step_system, zgroup):
     f = od.OrliczVector.delta(0)
     base = od.luxemburg_norm(f, P2)
     unit = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(1.0), young=P2)
-    series = od.orbit_norm_series(unit, f, 6)
+    series = od.orbit_norm_series(od.SeedOrbit(unit, f), 6)
     assert all(v == pytest.approx(base, rel=1e-12) for v in series)
     doubling = od.WeightedSystem(group=zgroup, a=1, weight=od.ConstantWeight(2.0), young=P2)
-    series = od.orbit_norm_series(doubling, f, 6)
+    series = od.orbit_norm_series(od.SeedOrbit(doubling, f), 6)
     for n, v in enumerate(series):
         assert v == pytest.approx(2.0**n * base, rel=1e-10)
-    series = od.orbit_norm_series(step_system, f, 6)
+    series = od.orbit_norm_series(od.SeedOrbit(step_system, f), 6)
     for n, v in enumerate(series):
         assert v == pytest.approx(2.0**-n * base, rel=1e-10)

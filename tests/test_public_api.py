@@ -27,6 +27,7 @@ PUBLIC_NAMES = [
     "ProductValue",
     "Property",
     "ReturnReport",
+    "SeedOrbit",
     "TableWeight",
     "TableYoung",
     "TwoSidedStepWeight",

@@ -22,7 +22,13 @@ import orlicz_dynamics as od
 from conftest import P2
 from orlicz_dynamics import criteria, translations
 from orlicz_dynamics.groups import point_bytes
-from orlicz_dynamics.translations import iterates, orbit_series, orbit_weights_backward, orbit_weights_forward
+from orlicz_dynamics.translations import (
+    iterates,
+    keyed_series,
+    orbit_series,
+    orbit_weights_backward,
+    orbit_weights_forward,
+)
 
 # Rows of this length cover every shorter one: a row is a prefix of the
 # longer rows of its point.
@@ -95,20 +101,20 @@ def test_scans_on_distinct_rows_match_a_scan_of_every_point(case, prop, N_max, L
     )
     distinct = _json(od.run_check(req))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "_distinct_rows", lambda r: list(r.K.elements))
+        mp.setattr(criteria, "_KEY_BLOCK", 1)
         assert _json(od.run_check(req)) == distinct
 
 
 def _points_asked(monkeypatch, req: od.CriterionRequest) -> tuple[od.Verdict, dict]:
-    """run_check's verdict and the number of points each orbit_series call
+    """run_check's verdict and the number of rows each keyed_series call
     is asked for, by direction."""
     asked = {False: [], True: []}
 
-    def spy(system, points, depth, backward=False, logs=False):
-        asked[backward].append(len(points))
-        return orbit_series(system, points, depth, backward=backward, logs=logs)
+    def spy(fill, keys, depth, backward, logs):
+        asked[backward].append(len(keys))
+        return keyed_series(fill, keys, depth, backward, logs)
 
-    monkeypatch.setattr(criteria, "orbit_series", spy)
+    monkeypatch.setattr(criteria, "keyed_series", spy)
     return od.run_check(req), asked
 
 
@@ -135,7 +141,7 @@ def test_step_rows_all_differ(monkeypatch, step_system, prop):
     req = od.CriterionRequest(system=step_system, K=od.CompactSet.of(range(-7, 8)), property=prop, L=3, N_max=64)
     verdict, asked = _points_asked(monkeypatch, req)
     assert asked == {False: [15], True: [15]}
-    monkeypatch.setattr(criteria, "_distinct_rows", lambda r: list(r.K.elements))
+    monkeypatch.setattr(criteria, "_KEY_BLOCK", 1)
     assert od.run_check(req) == verdict
 
 
@@ -145,9 +151,10 @@ def test_keys_are_compared_a_block_of_K_at_a_time(monkeypatch, heisenberg_system
     K = od.box(od.HeisenbergGroup(), [[0, 9], [0, 0], [0, 0]])
     req = od.CriterionRequest(system=heisenberg_system, K=K, property="chaotic", N_max=16, L_max=4)
     monkeypatch.setattr(criteria, "_KEY_BLOCK", 4)
-    assert criteria._distinct_rows(req) == [K.elements[0], K.elements[4], K.elements[8]]
+    rows = criteria._distinct_rows(req)
+    assert [keys for _, keys in rows] == [[filler.key(K.elements[i]) for i in (0, 4, 8)] for filler, _ in rows]
     verdict = od.run_check(req)
-    monkeypatch.setattr(criteria, "_distinct_rows", lambda r: list(r.K.elements))
+    monkeypatch.setattr(criteria, "_KEY_BLOCK", 1)
     assert od.run_check(req) == verdict
 
 
@@ -219,3 +226,27 @@ def test_table_keys_far_apart_match_the_scalar_loop(a):
             want = 1.0 / want
         _, linear, _ = next(orbit_series(system, points, depth, backward=backward))
         assert linear[:, 1:].tobytes() == want.tobytes()
+
+
+def test_dense_table_builds_each_filler_once(monkeypatch):
+    # The scans take the fillers and keys that named K's distinct rows: one
+    # filler each way, and one orbit_index per table key and per point of
+    # K each way, plus K's 401 in separation_constant.  Building them again
+    # for the series took 4 fillers and 3,609 orbit_index calls.
+    builds, indices = [], []
+    table_filler, orbit_index = translations._table_filler, od.IntegerGroup.orbit_index
+
+    def built(*args):
+        builds.append(args[2])
+        return table_filler(*args)
+
+    def counted(group, x, a):
+        indices.append(x)
+        return orbit_index(group, x, a)
+
+    monkeypatch.setattr(translations, "_table_filler", built)
+    monkeypatch.setattr(od.IntegerGroup, "orbit_index", counted)
+    verdict = od.run_check(_table_401())
+    assert builds == [False, True] and len(indices) <= 2005
+    digest = hashlib.sha256(_json(verdict).encode()).hexdigest()
+    assert digest == "ad123bcd2fc5abe74922b8fd7eeef27df98faafa7bd2a54c610a3bd43aeb6126"

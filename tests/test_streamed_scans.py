@@ -19,7 +19,7 @@ import orlicz_dynamics as od
 from conftest import P2
 from orlicz_dynamics import criteria, translations
 from orlicz_dynamics.config import parse_config
-from orlicz_dynamics.translations import orbit_series
+from orlicz_dynamics.translations import keyed_series
 from orlicz_dynamics.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -40,15 +40,15 @@ def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdi
     monkeypatch.setattr(translations, "BLOCK_ELEMENTS", rows * (depth + 1))
     seen = []
 
-    def spy(system, points, d, **kwargs):
-        for block in orbit_series(system, points, d, **kwargs):
+    def spy(fill, keys, d, *args):
+        for block in keyed_series(fill, keys, d, *args):
             if d == depth:
                 seen.append(len(block[1]))
             yield block
 
-    monkeypatch.setattr(criteria, "orbit_series", spy)
+    monkeypatch.setattr(criteria, "keyed_series", spy)
     verdict = od.run_check(req)
-    assert not seen or max(seen) == min(rows, len(criteria._distinct_rows(req)))
+    assert not seen or max(seen) == min(rows, len(criteria._distinct_rows(req)[0][1]))
     return verdict
 
 
