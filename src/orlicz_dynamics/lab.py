@@ -12,29 +12,30 @@ truncation.
 Every summand of both constructions, their boundary terms and the orbit
 norm series lie on one orbit {T^m f, S^m f : m >= 0} of the seed f, and
 the lab functions take it as a ``SeedOrbit``.  It keeps one forward and
-one backward ``translations.orbit_stack`` of f, grows a stack only when
-a request passes its depth, and takes each piece's norm once.  A piece
-is one column of a stack, and T^m f is the same vector, bit for bit and
-in the same insertion order, however m is split into steps (see
-``translations``): each piece is the vector that applying T or S to f
-one step at a time gives, whatever depth its stack has grown to.  A
-norm reads its column on f's own points, which is the piece translated
-back; ``luxemburg_norm`` reads the values alone, in order, so that is
-the piece's norm bit for bit, and no point is moved for it.  The
-returns T^{ln} v of a witness v lie on v's orbit, not f's, and take
-``translations.iterates``.  Each sum of pieces is one
+one backward ``translations.orbit_stack``, of f or, near the memory cap,
+of a piece of f, builds a new one only when a request passes the one it
+has, and takes each piece's norm once.  A piece is one column of a
+stack, and T^m f is the same vector, bit for bit and in the same
+insertion order, however m is split into steps (see ``translations``):
+each piece is the vector that applying T or S to f one step at a time
+gives, whatever stack it is read from.  A norm reads its column on the
+stack's own points, which is the piece translated back;
+``luxemburg_norm`` reads the values alone, in order, so that is the
+piece's norm bit for bit, and no point is moved for it.  The period
+defect T^n v - v and the returns T^{ln} v of a witness v lie on v's
+orbit, not f's, and take ``translations.apply_T_n`` and
+``translations.iterates``, with the orbit's stacks released first when
+the two would not fit the cap together.  Each sum of pieces is one
 ``orlicz.vector_sum``, bit for bit repeated ``+``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 from . import translations
 from .errors import SeparationViolatedError, TailUnboundedError
 from .orlicz import OrliczVector, luxemburg_norm, vector_sum
-from .translations import Stack, WeightedSystem, apply_T_n, iterates, orbit_stack, product_gamma
+from .translations import Stack, WeightedSystem, apply_T_n, iterates, orbit_stack, product_gamma, stack_bytes
 
 # Witness/periodic summands larger than this abort the construction
 # instead of producing meaningless floating-point towers.
@@ -68,52 +69,77 @@ class PeriodicityReport:
 class SeedOrbit:
     """The orbit of a seed f under a system: ``piece(m)`` is T^m f for
     m > 0, S^{-m} f for m < 0 and f at 0, and ``norm(m)`` its Luxemburg
-    norm, taken once from the column of piece(m) left on f's points
-    (``translations.Stack.unmoved``; see the module docstring).
+    norm, taken once from the column of piece(m) left on its stack's
+    points (``translations.Stack.unmoved``; see the module docstring).
 
-    Each direction keeps one stack of f (``translations.orbit_stack``).
-    A request past its depth rebuilds it to max(request, twice its
-    depth), with the shallower stack freed first.  The stacks held count
-    against ``translations.SERIES_MEMORY_CAP`` before the new one
-    allocates: the growth is clipped to what fits beside the other
-    stack, and when the request itself does not fit beside it, the other
-    stack is dropped, to be rebuilt when next asked for.  So a request is
-    refused only when its stack alone passes the cap, as ``iterates``
-    would refuse it."""
+    Each direction keeps one stack (``translations.orbit_stack``) of a
+    piece: of f, or of the last piece of the stack before.  A request the
+    stack does not hold builds a new one, with the old freed first.  It is
+    a stack of f to max(request, twice the old one's reach), as far as
+    fits in half of ``translations.SERIES_MEMORY_CAP`` and beside the
+    other direction's stack; so it at most doubles, and two grown stacks
+    fit together.  When the request itself does not fit there, the new
+    stack goes on from the old one's last piece instead, to the same
+    reach as far as fits, and does not fill the old columns again; a
+    later request below that piece builds a stack of f.  A new stack
+    that does not fit beside the other
+    direction's drops that one, and ``release`` drops both for a stack
+    that is not the orbit's.  So a request is refused only when its stack
+    of f alone passes the cap, as ``iterates`` would refuse it."""
 
     def __init__(self, sys: WeightedSystem, f: OrliczVector):
         self.sys, self.f = sys, f
-        self._stacks: dict[bool, Stack] = {}
+        self._stacks: dict[bool, tuple[int, Stack]] = {}  # direction -> (base, stack of piece(+-base))
         self._norms: dict[int, float] = {}
 
     def piece(self, m: int) -> OrliczVector:
-        return self._column(m, Stack.iterate)
+        if m == 0 or not self.f:
+            return self.f
+        base, stack = self._stack(m)
+        return stack.iterate(abs(m) - base)
 
     def norm(self, m: int) -> float:
         if m not in self._norms:
-            self._norms[m] = luxemburg_norm(self._column(m, Stack.unmoved), self.sys.young)
+            if m == 0 or not self.f:
+                column = self.f
+            else:
+                base, stack = self._stack(m)
+                column = stack.unmoved(abs(m) - base)
+            self._norms[m] = luxemburg_norm(column, self.sys.young)
         return self._norms[m]
 
-    def _column(self, m: int, read: Callable[[Stack, int], OrliczVector]) -> OrliczVector:
-        if m == 0 or not self.f:
-            return self.f
-        return read(self._stack(m < 0, abs(m)), abs(m))
+    def held(self) -> int:
+        """Bytes of the stacks kept."""
+        return sum(stack.block.nbytes for _, stack in self._stacks.values())
 
-    def _stack(self, backward: bool, depth: int) -> Stack:
-        stack = self._stacks.get(backward)
-        if stack is not None and stack.depth >= depth:
-            return stack
-        built = 0 if stack is None else self._stacks.pop(backward).depth
-        stack = None  # the shallower stack is freed before the deeper one allocates
-        row = 8 * len(self.f)
-        held = sum(s.block.nbytes for s in self._stacks.values())
-        if held + (depth + 1) * row > translations.SERIES_MEMORY_CAP:
+    def release(self, nbytes: int) -> None:
+        """Drop the stacks kept when nbytes more beside them would pass the cap."""
+        if self.held() + nbytes > translations.SERIES_MEMORY_CAP:
             self._stacks.clear()
-            held = 0
-        room = (translations.SERIES_MEMORY_CAP - held) // row - 1
-        stack = orbit_stack(self.sys, self.f, max(depth, min(2 * built, room)), backward, held)
-        self._stacks[backward] = stack
-        return stack
+
+    def _stack(self, m: int) -> tuple[int, Stack]:
+        """(base, stack) of m's direction, whose column |m| - base holds piece(m)."""
+        backward, c = m < 0, abs(m)
+        base, stack = self._stacks.pop(backward, (0, None))
+        if stack is not None and base < c <= base + stack.depth:
+            self._stacks[backward] = base, stack
+            return base, stack
+        reach = 0 if stack is None else base + stack.depth
+        cap, other = translations.SERIES_MEMORY_CAP, self.held()
+        room = min(cap // 2, cap - other)
+        whole = stack_bytes(len(self.f), c)
+        if stack is not None and reach < c and room < whole <= cap:
+            start, base = stack.iterate(stack.depth), reach
+        else:
+            start, base = self.f, 0
+        stack = None  # the old stack is freed before the new one allocates
+        if stack_bytes(len(start), c - base) > cap - other:
+            self._stacks.clear()
+            other, room = 0, cap // 2
+        fits = room // (8 * len(start)) - 1 + base if start else c
+        stack = orbit_stack(self.sys, start, max(c, min(2 * reach, fits)) - base, backward, other)
+        self._stacks[backward] = base, stack
+        return base, stack
 
 
 def recurrence_witness_vector(orbit: SeedOrbit, n: int, L: int) -> OrliczVector:
@@ -148,6 +174,7 @@ def empirical_return(orbit: SeedOrbit, n: int, L: int, epsilon: float) -> Return
     v = f if order is not None and n % order == 0 else recurrence_witness_vector(orbit, n, L)
     phi = sys.young
     r0 = luxemburg_norm(v - f, phi)
+    orbit.release(stack_bytes(len(v), n * L))
     returns = tuple(luxemburg_norm(piece - f, phi) for piece in iterates(sys, v, n, L))
     ok = r0 < epsilon and all(r < epsilon for r in returns)
     return ReturnReport(
@@ -190,9 +217,10 @@ def chaos_periodic_vector(orbit: SeedOrbit, n: int, L_trunc: int) -> tuple[Orlic
                 f"trailing terms do not decay at n={n} (T: {t_prev} -> {t_last}, "
                 f"S: {s_prev} -> {s_last})"
             )
-    v = vector_sum([f, *t_pieces, *s_pieces])
-    defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
     bound = orbit.norm((L_trunc + 1) * n) + s_last
+    v = vector_sum([f, *t_pieces, *s_pieces])
+    orbit.release(stack_bytes(len(v), n))
+    defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
     residual = luxemburg_norm(v - f, phi)
     within = defect <= bound * (1.0 + 1e-9) + 1e-300
     g = 0.0 if within else product_gamma(sys.weight, (L_trunc + 1) * n + 2 * L_trunc + 4)

@@ -459,7 +459,7 @@ def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool
     the module docstring).  Refused before it allocates when its bytes and
     the held bytes its caller keeps beside it would pass SERIES_MEMORY_CAP."""
     pts = [x for x, _ in f.items()]
-    size = len(pts) * (depth + 1) * 8 + held
+    size = stack_bytes(len(pts), depth) + held
     if size > SERIES_MEMORY_CAP:
         msg = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
         raise ConfigError("N_max", f"{msg}: {size / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
@@ -469,6 +469,11 @@ def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
     return Stack(sys, pts, block, at, backward)
+
+
+def stack_bytes(points: int, depth: int) -> int:
+    """Bytes of the block of a ``Stack`` of depth on a number of points."""
+    return 8 * points * (depth + 1)
 
 
 def _fill_by_key(filler: Filler, points: Sequence[Element], block: np.ndarray) -> np.ndarray | slice:

@@ -86,6 +86,15 @@ def _json(verdict: od.Verdict) -> str:
     return json.dumps(verdict.to_json(), sort_keys=True)
 
 
+def _every_point(req: od.CriterionRequest) -> list:
+    """A stand-in for ``criteria._distinct_rows`` that scans every point:
+    each direction's own filler, with the key of each point of K, in K's
+    order."""
+    sys = req.system
+    fillers = [sys.weight.orbit_filler(sys.group, sys.a, backward) for backward in (False, True)]
+    return [(filler, [filler.key(x) for x in req.K.elements]) for filler in fillers]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     keyed_systems(),
@@ -101,7 +110,7 @@ def test_scans_on_distinct_rows_match_a_scan_of_every_point(case, prop, N_max, L
     )
     distinct = _json(od.run_check(req))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "_KEY_BLOCK", 1)
+        mp.setattr(criteria, "_distinct_rows", _every_point)
         assert _json(od.run_check(req)) == distinct
 
 
@@ -141,7 +150,7 @@ def test_step_rows_all_differ(monkeypatch, step_system, prop):
     req = od.CriterionRequest(system=step_system, K=od.CompactSet.of(range(-7, 8)), property=prop, L=3, N_max=64)
     verdict, asked = _points_asked(monkeypatch, req)
     assert asked == {False: [15], True: [15]}
-    monkeypatch.setattr(criteria, "_KEY_BLOCK", 1)
+    monkeypatch.setattr(criteria, "_distinct_rows", _every_point)
     assert od.run_check(req) == verdict
 
 
@@ -154,7 +163,7 @@ def test_keys_are_compared_a_block_of_K_at_a_time(monkeypatch, heisenberg_system
     rows = criteria._distinct_rows(req)
     assert [keys for _, keys in rows] == [[filler.key(K.elements[i]) for i in (0, 4, 8)] for filler, _ in rows]
     verdict = od.run_check(req)
-    monkeypatch.setattr(criteria, "_KEY_BLOCK", 1)
+    monkeypatch.setattr(criteria, "_distinct_rows", _every_point)
     assert od.run_check(req) == verdict
 
 

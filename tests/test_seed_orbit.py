@@ -5,6 +5,7 @@ grown by doubling, and the stacks held to the memory cap."""
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -79,7 +80,8 @@ def test_pieces_match_the_per_call_iterates_and_the_one_step_chain(case, n, L, d
     orbit = od.SeedOrbit(system, f)
     # Asked in any order, so a piece comes from a stack grown past it or
     # from one built to it.
-    for m in data.draw(st.permutations([s * l * n for l in range(1, L + 1) for s in (1, -1)])):
+    order = data.draw(st.permutations([s * l * n for l in range(1, L + 1) for s in (1, -1)]))
+    for m in order:
         piece = orbit.piece(m)
         per_call = (forward if m > 0 else backward)[abs(m) // n - 1]
         step_n = f
@@ -88,6 +90,14 @@ def test_pieces_match_the_per_call_iterates_and_the_one_step_chain(case, n, L, d
         assert _bits(piece) == _bits(per_call) == _bits(step_n) == _bits(_chain(system, f, m))
         assert _outcome(orbit.norm, m) == _outcome(od.luxemburg_norm, piece, P2)
     assert orbit.piece(0) is f and _outcome(orbit.norm, 0) == _outcome(od.luxemburg_norm, f, P2)
+    # Under a cap that the deepest stack of f just fits, stacks go on from
+    # the last piece of the stack before and drop the other direction's.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translations, "SERIES_MEMORY_CAP", translations.stack_bytes(len(f), L * n))
+        tight = od.SeedOrbit(system, f)
+        for m in order:
+            assert _bits(tight.piece(m)) == _bits(orbit.piece(m))
+            assert _outcome(tight.norm, m) == _outcome(orbit.norm, m)
 
 
 def test_pieces_drop_the_points_that_underflow():
@@ -262,10 +272,6 @@ def test_each_stack_is_rebuilt_by_doubling(monkeypatch, name):
         assert len(depths) <= math.ceil(math.log2(deepest)) + 1
 
 
-def _held(orbit: od.SeedOrbit) -> int:
-    return sum(stack.block.nbytes for stack in orbit._stacks.values())
-
-
 def test_the_stacks_stay_within_the_cap_and_take_what_iterates_took(monkeypatch):
     sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(0.75), young=P2)
     f = od.OrliczVector({x: 1.0 + x for x in range(100)})
@@ -278,8 +284,69 @@ def test_the_stacks_stay_within_the_cap_and_take_what_iterates_took(monkeypatch)
     for m in (D - 1, D, -D, -1, D):
         # Growing from D - 1 would double it; the growth is clipped instead.
         assert _bits(orbit.piece(m)) == _bits((od.apply_T_n if m > 0 else od.apply_S_n)(sys, f, abs(m)))
-        assert _held(orbit) <= cap
+        assert orbit.held() <= cap
     monkeypatch.setattr(translations.np, "empty", lambda *args: pytest.fail("stack allocated"))
     with pytest.raises(ConfigError) as err:
         orbit.piece(-(cap // (8 * len(f))))  # its stack alone passes the cap
     assert err.value.field == "N_max" and "GiB cap" in str(err.value)
+
+
+def _stacks_under(monkeypatch, cap: int, run):
+    """run() under a SERIES_MEMORY_CAP of cap, with the most bytes of
+    stack blocks alive at once (those alive when a stack is built, and
+    the new one) and, by direction, the depth of each stack the orbit
+    builds."""
+    alive, peak, built = [], [0], {False: [], True: []}
+    stack = translations.orbit_stack
+
+    def spy(sys, f, depth, backward, held):
+        live = sum(block.nbytes for block in (ref() for ref in alive) if block is not None)
+        peak[0] = max(peak[0], live + translations.stack_bytes(len(f), depth))
+        built_stack = stack(sys, f, depth, backward, held)
+        alive.append(weakref.ref(built_stack.block))
+        return built_stack
+
+    def orbit_spy(sys, f, depth, backward, held):
+        built[backward].append(depth)
+        return spy(sys, f, depth, backward, held)
+
+    monkeypatch.setattr(translations, "orbit_stack", spy)
+    monkeypatch.setattr(lab, "orbit_stack", orbit_spy)
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", cap)
+    return run(), peak[0], built
+
+
+def test_the_stacks_of_the_lab_fit_the_cap_with_the_orbit_kept(monkeypatch):
+    # Near the cap, the orbit frees its stacks for the period defect's
+    # stack of v and the returns' stack, so the stacks alive at once stay
+    # within it: keeping them took 38,480 bytes against a cap of 23,000.
+    sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.TwoSidedStepWeight(1.1, 0.9), young=P2)
+    f = od.OrliczVector({0: 1.0, 1: 0.5})
+    n = 200
+
+    def run():
+        orbit = od.SeedOrbit(sys, f)
+        L = od.choose_truncation(orbit, n, 32)
+        _, periodic = od.chaos_periodic_vector(orbit, n, L)
+        return L, periodic, od.empirical_return(orbit, n, 2, 1.0)
+
+    want = run()
+    assert want[0] == 2
+    got, peak, _ = _stacks_under(monkeypatch, 23_000, run)
+    assert got == want and peak <= 23_000
+
+
+def test_alternating_requests_near_the_cap_build_few_stacks(monkeypatch):
+    # Each direction's deepest stack of f fits the cap, the two together
+    # do not.  Dropping the other stack at each request rebuilt both at
+    # every level of choose_truncation: 20 and 21 stacks, of 4,644 and
+    # 4,950 columns.  Continuing from the last piece builds about as much
+    # as doubling up to the deepest request does.
+    sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.TwoSidedStepWeight(1.01, 0.99), young=P2)
+    f = od.OrliczVector({x: 1.0 for x in range(4)})
+    cap = 15_000
+    assert translations.stack_bytes(len(f), 330) < cap < 2 * translations.stack_bytes(len(f), 320)
+    L, peak, built = _stacks_under(monkeypatch, cap, lambda: od.choose_truncation(od.SeedOrbit(sys, f), 10, 32))
+    assert L == 32 and peak <= cap
+    for depths, deepest in ((built[False], 330), (built[True], 320)):
+        assert len(depths) <= math.ceil(math.log2(deepest)) + 1 and sum(depths) <= 3 * deepest
