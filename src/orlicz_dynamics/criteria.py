@@ -19,27 +19,26 @@ candidate step n, and each epsilon's witness is the first n whose terms,
 raised by a rounding margin, all lie below it.
 
 The scans run on K's distinct rows: the first point of K, in K's order,
-for each distinct pair of forward and backward row keys
-(``translations.Filler``), compared 1024 points of K at a time.  Points
-with equal pairs have equal series in both directions, hence equal
-terms, equal truncated chaos sums and equal term ratios.  Every
-reduction over K is a maximum (the sups, each point's truncated sum plus
-its tail, the ratio r), and a maximum does not change when equal values
-are dropped, so every series point, witness and verdict is the one a
-scan of every point of K gives, bit for bit.  On the Heisenberg example,
-a = (3, 0, 2) with the dyadic weight, every point of a K in the plane
-z = 0 has the one row z = 2j.  The separation constant and the memory
-cap still read all of K.
+for each distinct pair of forward and backward row keys (the system's
+``fillers``), compared 1024 points of K at a time.  Points with equal
+pairs have equal series in both directions, hence equal terms, equal
+truncated chaos sums and equal term ratios.  Every reduction over K is a
+maximum (the sups, each point's truncated sum plus its tail, the ratio
+r), and a maximum does not change when equal values are dropped, so
+every series point, witness and verdict is the one a scan of every point
+of K gives, bit for bit.  On the Heisenberg example, a = (3, 0, 2) with
+the dyadic weight, every point of a K in the plane z = 0 has the one row
+z = 2j.  The separation constant and the memory cap still read all of K.
 
-The scans hand those rows' keys, and the two fillers that named them,
-to ``translations.keyed_series``, so a check builds each filler once and
-finds each key once.  The series come a block of rows at a time (about
-``translations.BLOCK_ELEMENTS`` values, and at least one row, per block),
-and each block is reduced before the next overwrites it: sups are maxima
-and merge block by block, and the chaos scan keeps only each row's
-truncated sum and last term per n.  So what a scan holds at once is one
-block's series plus what it keeps, not |K| series of the full depth,
-held to ``translations.SERIES_MEMORY_CAP``.
+The scans hand those rows' keys to ``translations.keyed_series``, which
+fills them from the same fillers: a check builds no filler of its own
+and finds each key once.  The series come a block of rows at a time
+(about ``translations.BLOCK_ELEMENTS`` values, and at least one row, per
+block), and each block is reduced before the next overwrites it: sups
+are maxima and merge block by block, and the chaos scan keeps only each
+row's truncated sum and last term per n.  So what a scan holds at once
+is one block's series plus what it keeps, not |K| series of the full
+depth, held to ``translations.SERIES_MEMORY_CAP``.
 
 A verdict is *WitnessFound* (witnesses recorded per epsilon),
 *ObstructionFound* (torsion element, cycle product other than 1,
@@ -75,7 +74,7 @@ import numpy as np
 from .errors import ConfigError
 from .groups import CompactSet, point_bytes, separation_constant
 from .numerics import gamma
-from .translations import SERIES_MEMORY_CAP, Filler, WeightedSystem, cycle_values, keyed_series, product_gamma
+from .translations import SERIES_MEMORY_CAP, WeightedSystem, cycle_values, keyed_series, product_gamma
 
 
 class Property(str, Enum):
@@ -308,28 +307,24 @@ def _start_n(req: CriterionRequest) -> int:
     return min(M + 1, req.N_max)
 
 
-def _distinct_rows(req: CriterionRequest) -> list[tuple[Filler, list]]:
-    """The forward and then the backward ``translations.Filler``, each
-    with the row keys, in its direction, of the first point in K's order
-    of each distinct pair of forward and backward keys in each block of
-    _KEY_BLOCK points of K.  Points with equal pairs have equal product
-    series in both directions, so a scan that reduces over K by maxima gets
-    the same values from these rows."""
-    sys = req.system
-    fillers = [sys.weight.orbit_filler(sys.group, sys.a, b) for b in (False, True)]
-    forward, backward = (filler.key for filler in fillers)
+def _distinct_rows(req: CriterionRequest) -> list[tuple]:
+    """The forward and the backward row keys of the first point, in K's
+    order, of each distinct pair of forward and backward keys in each
+    _KEY_BLOCK points of K.  Points with equal pairs have equal series both
+    ways, so a scan that reduces over K by maxima gets the same values."""
+    forward, backward = (filler.key for filler in req.system.fillers)
     pairs: list = []
     for start in range(0, len(req.K), _KEY_BLOCK):
         pairs += dict.fromkeys((forward(x), backward(x)) for x in req.K.elements[start : start + _KEY_BLOCK])
-    return [(filler, [pair[i] for pair in pairs]) for i, filler in enumerate(fillers)]
+    return list(zip(*pairs))
 
 
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise sup over K of the product series, for m = 0..depth, from
     K's distinct rows, merged block by block."""
     sups = np.full((2, depth + 1), -np.inf)
-    for sup, backward, (filler, keys) in zip(sups, (False, True), _distinct_rows(req)):
-        for _, linear, _ in keyed_series(filler.fill, keys, depth, backward, False):
+    for sup, backward, keys in zip(sups, (False, True), _distinct_rows(req)):
+        for _, linear, _ in keyed_series(req.system, keys, depth, backward, False):
             np.maximum(sup, linear.max(axis=0), out=sup)
     return sups[0], sups[1]
 
@@ -413,13 +408,13 @@ def _chaotic_scan(req: CriterionRequest, ns: np.ndarray) -> _ScanResult:
     n_terms = series_depth(req) // req.N_max
     idx = ns[:, None] * np.arange(1, n_terms + 1)
     directions = _distinct_rows(req)
-    n_rows = len(directions[0][1])
+    n_rows = len(directions[0])
     trunc = np.zeros((n_rows, len(ns)))
     last = np.zeros((n_rows, len(ns)))
     firsts = np.full((2, len(ns)), -np.inf)  # sup phi_n, sup phi~_n
     r_log = np.full(len(ns), -np.inf)
-    for first, backward, (filler, keys) in zip(firsts, (False, True), directions):
-        for rows, linear, log in keyed_series(filler.fill, keys, series_depth(req), backward, True):
+    for first, backward, keys in zip(firsts, (False, True), directions):
+        for rows, linear, log in keyed_series(req.system, keys, series_depth(req), backward, True):
             # np.take gathers a few-point block several times faster than linear[:, idx].
             terms = np.take(linear, idx, axis=1)
             trunc[rows] += terms[:, :, : req.L_max].sum(axis=-1)

@@ -25,7 +25,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
-import numpy as np
 
 from .errors import TorsionElementError
 
@@ -293,21 +292,6 @@ def point_bytes(group: Group) -> int:
     1..24, by tracemalloc), or as a vector entry (up to 250 on ranks 1..3;
     CPython 3.11, coordinates up to 2^100).  This rounds up."""
     return 256 + 48 * len(group.coords(group.identity()))
-
-
-def _scalar_collisions(group: Group, K: CompactSet, a: Element, n_max: int) -> np.ndarray:
-    """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
-    repeated ``mul``: the reference for ``separation_constant``."""
-    base = set(K)
-    collides = np.zeros(n_max, dtype=bool)
-    an = group.identity()
-    for n in range(1, n_max + 1):
-        an = group.mul(an, a)
-        a_neg = group.inv(an)
-        collides[n - 1] = any(group.mul(k, an) in base for k in base) or any(
-            group.mul(k, a_neg) in base for k in base
-        )
-    return collides
 
 
 def _lead_index(x: Sequence[int], a: Sequence[int]) -> int:

@@ -262,13 +262,13 @@ def _banded_root(
 
 
 def _domain_edge(top: float, domain_max: float) -> float:
-    """The least float k with top / k <= domain_max (top > 0): from there
-    up every |f|/k lies in Phi's domain, and below it the largest entry
-    leaves it.  0 on an unbounded domain.  top / k rounds monotonically
-    in k, so the least such k is found by stepping from top / domain_max."""
+    """The least float k > 0 with top / k <= domain_max (top > 0): from
+    there up every |f|/k lies in Phi's domain, below it the largest entry
+    leaves it; 5e-324 where top / domain_max underflows, as on an unbounded
+    domain.  top / k rounds monotonically in k: step from top / domain_max."""
     edge = top / domain_max
     if edge == 0.0:
-        return edge
+        return math.ulp(0.0)
     while top / edge > domain_max:
         edge = math.nextafter(edge, math.inf)
     while top / math.nextafter(edge, 0.0) <= domain_max:
@@ -382,7 +382,7 @@ def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> floa
             break
         lo *= 0.5
         guard += 1
-        if guard > 8192 or lo == 0.0:
+        if guard > 8192:
             raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo

@@ -12,12 +12,12 @@ sequences along the orbit of a point x:
 them a block of points at a time.  Each weight fills the (points, steps)
 block of its values along the orbits in closed form, straight into the
 block's series buffer, which is reused from block to block and holds
-about ``BLOCK_ELEMENTS`` values.  Its ``orbit_filler`` gives a
-``Filler`` of two parts: key(x), the row key of a point, and fill(keys,
-out), which writes the row of each key.  Points with equal keys have
-equal rows at every length, and the fill reads only the keys, never the
-points again.  Along an orbit every weight family is a few constant
-runs, solved in exact Python ints with no size limit:
+about ``BLOCK_ELEMENTS`` values.  The system owns one ``Filler`` each
+way (``WeightedSystem.fillers``, built on first use), which every stack
+and scan reads: key(x), the row key of a point, and fill(keys, out),
+which writes the row of each key, reading only the keys.  Points with
+equal keys have equal rows at every length.  Along an orbit every
+weight family is a few constant runs, solved in exact Python ints:
 
 * a constant weight is one run, and every point has the one key None;
 * a step weight on Z has one cut per row, where x + j·a crosses 1, and
@@ -26,12 +26,13 @@ runs, solved in exact Python ints with no size limit:
   2z = A c^2 + B c + C in the column c, and the key is (A, B, C), read
   through ``Group.mul`` and ``Group.pow`` from the z of the row's first
   three columns;
-* a table weight groups its keys by ``Group.orbit_index`` once per
-  call.  On an orbit that holds keys the row key is the point's (r, i),
-  and the row's hits are the keys of its orbit at exponents
-  j = i_key - i_x, as one int64 array of column gaps (a strided slice
-  when a has finite order); on every other orbit the key is None and the
-  row is the default.
+* a table weight (and the step weight on a cyclic group, the table
+  {0: c_neg} with default c_pos) has its keys grouped by
+  ``Group.orbit_index`` once a system.  On an orbit that holds keys the
+  row key is the point's (r, i), and the row's hits are the keys at
+  exponents j = i_key - i_x, from unsigned int64 exponent gaps given the
+  direction's sign (a strided slice when a has finite order); on every
+  other orbit the key is None and the row the default.
 
 The series are then one sequential cumprod per row, and a cumsum of the
 logs: the same operations, in the same order, on the same float64
@@ -73,11 +74,9 @@ a has finite order, ``cycle_values`` counts the weights on each cycle in
 closed form, for the exact cycle products of the criteria.  The config
 module alone reads and writes the weights' JSON form.
 
-Products are accumulated in linear space and in log space side by side;
-for long orbits (n > 128) the linear value may legitimately underflow to
-0.0 (or overflow to inf) while the log value stays finite, so callers
-needing magnitudes at that length should use the *_pair or *_series
-variants.
+On a long orbit the linear series may underflow to 0.0 or overflow to
+inf while its log stays finite.  The log series is built only when it is
+asked for (``logs=``): by the chaos scan and the *_pair views.
 """
 
 from __future__ import annotations
@@ -86,6 +85,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -141,14 +141,7 @@ class TwoSidedStepWeight(_Weight):
     def __call__(self, g: int) -> float:
         return self.c_pos if g >= 1 else self.c_neg
 
-    def residue_table(self) -> tuple[dict, float]:
-        """(table, default) on a cyclic group, whose residues x >= 1 are
-        the x != 0: the table {0: c_neg} with default c_pos."""
-        return {0: self.c_neg}, self.c_pos
-
     def orbit_filler(self, group: Group, a: int, backward: bool) -> Filler:
-        if isinstance(group, CyclicGroup):
-            return _table_filler(group, a, backward, *self.residue_table())
         first, step = _exponents(backward)
         b = step * a  # column c of a row holds the weight at x0 + c*b
         # Columns before a row's cut hold `before`, the rest `after`.
@@ -234,15 +227,12 @@ class TableWeight(_Weight):
     def __call__(self, g: Element) -> float:
         return self._table.get(g, self.default)
 
-    def orbit_filler(self, group: Group, a: Element, backward: bool) -> Filler:
-        return _table_filler(group, a, backward, self._table, self.default)
-
 
 Weight = ConstantWeight | TwoSidedStepWeight | HeisenbergDyadicWeight | TableWeight
 
 
 class Filler(NamedTuple):
-    """What a weight's ``orbit_filler`` returns.  key(x) is the row key of
+    """One direction's orbit rows of a system.  key(x) is the row key of
     the point x, and fill(keys, out) writes the weights along the orbit of
     a point of each key into the matching row of out, as
     orbit_weights_forward (or _backward) gives them, for every row length.
@@ -266,22 +256,19 @@ def cycle_values(sys: WeightedSystem) -> Callable[[Element], Counter]:
     """For an a of finite order P: x -> the weights w(x·a^j), j < P, on the
     cycle through x, as a Counter {value: count}, in closed form.  When
     P = 1 the cycle is x alone.  Otherwise the group is cyclic: a constant
-    c gives c P times, and a table (or the step weight's
-    ``residue_table``) gives the values of its keys on that cycle and the
-    default for the P - #keys other points."""
+    c gives c P times, and a table (the step weight's too) the values of
+    its keys on that cycle (``WeightedSystem._orbits``) and the default."""
     group, a, w = sys.group, sys.a, sys.weight
     order = group.element_order(a)
     if order == 1:
         return lambda x: Counter({w(x): 1})
     if isinstance(w, ConstantWeight):
         return lambda x: Counter({w.c: order})
-    table, default = w.residue_table() if isinstance(w, TwoSidedStepWeight) else (w._table, w.default)
-    on_cycle: dict = {}
-    for key, v in table.items():
-        on_cycle.setdefault(group.orbit_index(key, a)[0], Counter())[v] += 1
+    orbits, default = sys._orbits
 
     def values(x: Element) -> Counter:
-        counts = Counter(on_cycle.get(group.orbit_index(x, a)[0], {}))
+        hits = orbits.get(group.orbit_index(x, a)[0])
+        counts = Counter(() if hits is None else hits[2].tolist())
         counts[default] += order - counts.total()
         return +counts  # drops the default when keys fill the cycle
 
@@ -309,23 +296,12 @@ def _sign_runs(A: int, B: int, C: int, m: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _table_filler(group: Group, a: Element, backward: bool, table: dict, default: float) -> Filler:
-    """The fill of a table of weights with a default: the keys are grouped
-    by orbit once.  A point's row key is its ``orbit_index`` on an orbit
-    that holds keys, and None elsewhere, where the row is the default."""
+def _table_filler(group: Group, a: Element, backward: bool, orbits: dict, default: float) -> Filler:
+    """The fill of a table of weights with a default, from its keys grouped
+    by orbit (``WeightedSystem._orbits``).  A point's row key is its
+    ``orbit_index`` on an orbit that holds keys, else None: the default."""
     first, step = _exponents(backward)
     order = group.element_order(a)
-    orbits: dict = {}
-    for g, v in table.items():
-        r, i = group.orbit_index(g, a)
-        orbits.setdefault(r, []).append((i, v))
-    for r, hits in orbits.items():
-        hits.sort()
-        exps = [i for i, _ in hits]
-        # step times the gap to the previous exponent, clipped at 2^62: a
-        # row's window is far narrower, so the gaps inside it are exact.
-        gaps = np.array([0] + [step * min(e - d, 1 << 62) for d, e in zip(exps, exps[1:])], dtype=np.int64)
-        orbits[r] = (exps, gaps, np.array([v for _, v in hits]))
 
     def key(x: Element) -> Optional[tuple[Element, int]]:
         r, i = group.orbit_index(x, a)
@@ -350,10 +326,10 @@ def _table_filler(group: Group, a: Element, backward: bool, table: dict, default
             else:
                 lo, hi = bisect_right(exps, base - m), bisect_right(exps, base)
             if lo < hi:
-                # The hits' columns: the first one's, then its running gaps.
+                # Each hit's exponent less base, from the running gaps, signed by step: its column.
                 cols = np.cumsum(gaps[lo:hi])
-                cols += step * (exps[lo] - base) - int(cols[0])
-                row[cols] = values[lo:hi]
+                cols += exps[lo] - base - int(cols[0])
+                row[cols if step > 0 else -cols] = values[lo:hi]
 
     return Filler(key, fill)
 
@@ -381,6 +357,36 @@ class WeightedSystem:
                 ok = False
             if not ok:
                 raise ValueError(f"table weight key {g!r} is not an element of the {self.group.kind} group")
+
+    @cached_property
+    def fillers(self) -> tuple[Filler, Filler]:
+        """The forward and the backward ``Filler``, built on first use and
+        left out of ==, hash and repr; a table's two share ``_orbits``."""
+        if self._orbits is None:
+            return tuple(self.weight.orbit_filler(self.group, self.a, b) for b in (False, True))
+        return tuple(_table_filler(self.group, self.a, b, *self._orbits) for b in (False, True))
+
+    @cached_property
+    def _orbits(self) -> Optional[tuple[dict, float]]:
+        """(orbits, default) of a table weight, or of the step weight on a
+        cyclic group, else None: orbits maps r to the sorted i of the keys
+        r·a^i, their gaps (0 first) and weights."""
+        w, cyclic = self.weight, isinstance(self.group, CyclicGroup)
+        if not (isinstance(w, TableWeight) or cyclic and isinstance(w, TwoSidedStepWeight)):
+            return None
+        # On a cyclic group the residues x >= 1 are the x != 0.
+        table, default = ({0: w.c_neg}, w.c_pos) if isinstance(w, TwoSidedStepWeight) else (w._table, w.default)
+        orbits: dict = {}
+        for g, v in table.items():
+            r, i = self.group.orbit_index(g, self.a)
+            orbits.setdefault(r, []).append((i, v))
+        for r, hits in orbits.items():
+            hits.sort()
+            exps = [i for i, _ in hits]
+            # Gaps clipped at 2^62: a row's window is far narrower, so the gaps inside it are exact.
+            gaps = np.array([0] + [min(e - d, 1 << 62) for d, e in zip(exps, exps[1:])], dtype=np.int64)
+            orbits[r] = (exps, gaps, np.array([v for _, v in hits]))
+        return orbits, default
 
 
 class ProductValue(NamedTuple):
@@ -464,7 +470,7 @@ def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool
         msg = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
         raise ConfigError("N_max", f"{msg}: {size / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
     block = np.empty((len(pts), depth + 1))
-    at = _fill_by_key(sys.weight.orbit_filler(sys.group, sys.a, backward), pts, block)
+    at = _fill_by_key(sys.fillers[backward], pts, block)
     block[at, 0] = np.fromiter(f.values(), float, len(pts))
     with np.errstate(over="ignore"):
         (np.divide if backward else np.multiply).accumulate(block, axis=1, out=block)
@@ -550,22 +556,21 @@ def orbit_series(
     Row i of a block equals phi_series_pair(sys, points[rows][i], depth),
     or phi_tilde_series_pair when backward is set, bit for bit; see
     ``keyed_series``, which it runs on the points' row keys."""
-    key, fill = sys.weight.orbit_filler(sys.group, sys.a, backward)
-    return keyed_series(fill, [key(x) for x in points], depth, backward, logs)
+    return keyed_series(sys, list(map(sys.fillers[backward].key, points)), depth, backward, logs)
 
 
 def keyed_series(
-    fill: Callable[[Sequence[Hashable], np.ndarray], None],
+    sys: WeightedSystem,
     keys: Sequence[Hashable],
     depth: int,
     backward: bool,
     logs: bool,
 ) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-    """``orbit_series`` of the rows with the given keys, from the fill of
-    their weight's ``Filler``: each row is the same sequential cumprod (and
-    cumsum of logs) over the same weights as the scalar loop.  Every block
-    reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so a
-    block's arrays hold only until the next block is asked for."""
+    """``orbit_series`` of the rows with the given keys, from the system's
+    fill: each row is the same sequential cumprod (and cumsum of logs) over
+    the same weights as the scalar loop.  Every block reuses the same
+    buffers of about ``BLOCK_ELEMENTS`` values, so a block's arrays hold
+    only until the next block is asked for."""
     rows = _block_rows(depth + 1)
     shape = (min(rows, len(keys)), depth + 1)
     linear = np.empty(shape)
@@ -579,7 +584,7 @@ def keyed_series(
         n = blk.stop - start
         lin = linear[:n]
         ws = lin[:, 1:]
-        fill(keys[blk], ws)
+        sys.fillers[backward].fill(keys[blk], ws)
         lg = None
         if logs:
             lg = log[:n]

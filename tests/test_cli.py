@@ -12,7 +12,7 @@ import pytest
 
 import orlicz_dynamics as od
 from conftest import block_alternating_weight
-from orlicz_dynamics import groups, translations
+from orlicz_dynamics import translations
 from orlicz_dynamics.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -64,7 +64,6 @@ def test_check_far_out_K_gives_the_verdict_at_the_origin(capsys, tmp_path):
     with (
         mock.patch.object(translations, "orbit_weights_forward", side_effect=loop_ran),
         mock.patch.object(translations, "orbit_weights_backward", side_effect=loop_ran),
-        mock.patch.object(groups, "_scalar_collisions", side_effect=loop_ran),
     ):
         code, envelope = _run(capsys, "check", "--config", str(path))
     assert code == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import orlicz_dynamics as od
 from conftest import all_groups, random_element
 
-from orlicz_dynamics import groups, translations
+from orlicz_dynamics import translations
 from orlicz_dynamics.errors import TorsionElementError
 
 
@@ -180,9 +180,24 @@ def test_separation_constant_rejects_torsion():
     assert exc.value.order == 6
 
 
+def _scalar_collisions(group, K, a, n_max):
+    """Entry n - 1 tells whether K ∩ K·a^{±n} ≠ ∅, for n = 1..n_max, by
+    repeated ``mul``: the reference for ``separation_constant``."""
+    base = set(K)
+    collides = np.zeros(n_max, dtype=bool)
+    an = group.identity()
+    for n in range(1, n_max + 1):
+        an = group.mul(an, a)
+        a_neg = group.inv(an)
+        collides[n - 1] = any(group.mul(k, an) in base for k in base) or any(
+            group.mul(k, a_neg) in base for k in base
+        )
+    return collides
+
+
 def _scalar_separation(group, K, a, n_max):
     """separation_constant as its scalar mul loop alone computes it."""
-    hits = np.flatnonzero(groups._scalar_collisions(group, K, a, n_max))
+    hits = np.flatnonzero(_scalar_collisions(group, K, a, n_max))
     last = int(hits[-1]) + 1 if hits.size else 0
     return None if last == n_max else last
 

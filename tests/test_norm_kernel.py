@@ -54,9 +54,9 @@ def _old_norm(f, phi):
         hi *= 2.0
     lo = hi
     while _old_modular(f, phi, lo) < 1.0:
+        if lo == math.ulp(0.0):
+            return lo  # the least positive float: no norm lies below it
         lo *= 0.5
-        if lo == 0.0:
-            raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
     return od.numerics.bisect_root(lambda k: _old_modular(f, phi, k) - 1.0, lo, hi)

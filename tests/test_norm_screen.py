@@ -46,8 +46,6 @@ def _exact_norm(f, phi):
             lo = edge
             break
         lo *= 0.5
-        if lo == 0.0:
-            raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
     return od.numerics.bisect_root(lambda k: od.modular(f, phi, k) - 1.0, lo, hi)

@@ -222,3 +222,19 @@ def test_norm_bisects_above_the_table_edge():
     norm = od.luxemburg_norm(f, phi)
     assert norm == pytest.approx(0.8, rel=1e-11)
     assert od.modular(f, phi, norm) == pytest.approx(1.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("phi", [P2, od.PowerYoung(1.0), od.AlphaLogYoung(1.5)], ids=repr)
+def test_norm_of_the_least_subnormal_is_the_least_subnormal(phi):
+    # Its norm, 5e-324 / Phi^{-1}(1), rounds to 5e-324 or to 0.0, and the
+    # halving of the bracket once reached 0.0 and raised RuntimeError.  No
+    # norm lies below the least positive float.
+    tiny = math.ulp(0.0)
+    assert od.luxemburg_norm(od.OrliczVector({0: tiny}), phi) == tiny
+    assert od.luxemburg_norm(od.OrliczVector({0: -tiny}), phi) == tiny
+
+
+def test_norm_of_screened_least_subnormals():
+    # Twenty entries take the screen: sqrt(10) * 5e-324 rounds to 3 ulps.
+    f = od.OrliczVector({i: math.ulp(0.0) for i in range(20)})
+    assert od.luxemburg_norm(f, P2) == 3 * math.ulp(0.0) == 1.5e-323

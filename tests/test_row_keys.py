@@ -1,8 +1,8 @@
 """Row keys: points whose keys are equal have equal weight rows, so the
 criteria scans and ``iterates`` build each distinct row once.
 
-Each weight's ``orbit_filler`` names the row of a point by a key.  Equal
-keys must give equal rows at every length, forward or backward; the scans
+A system's ``fillers`` name the row of a point by a key.  Equal keys
+must give equal rows at every length, forward or backward; the scans
 run on the first point of K for each distinct (forward, backward) pair and
 must give the verdict of a scan over every point of K."""
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import P2
-from orlicz_dynamics import criteria, translations
+from orlicz_dynamics import criteria, lab, translations
 from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.translations import (
     iterates,
@@ -74,7 +74,7 @@ def keyed_systems(draw):
 @given(keyed_systems(), st.booleans())
 def test_equal_keys_give_equal_rows(case, backward):
     system, points = case
-    key = system.weight.orbit_filler(system.group, system.a, backward).key
+    key = system.fillers[backward].key
     oracle = orbit_weights_backward if backward else orbit_weights_forward
     rows = defaultdict(set)
     for x in points:
@@ -88,11 +88,9 @@ def _json(verdict: od.Verdict) -> str:
 
 def _every_point(req: od.CriterionRequest) -> list:
     """A stand-in for ``criteria._distinct_rows`` that scans every point:
-    each direction's own filler, with the key of each point of K, in K's
-    order."""
-    sys = req.system
-    fillers = [sys.weight.orbit_filler(sys.group, sys.a, backward) for backward in (False, True)]
-    return [(filler, [filler.key(x) for x in req.K.elements]) for filler in fillers]
+    each direction's key of each point of K, in K's order, from that
+    direction's own filler."""
+    return [[filler.key(x) for x in req.K.elements] for filler in req.system.fillers]
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,9 +117,9 @@ def _points_asked(monkeypatch, req: od.CriterionRequest) -> tuple[od.Verdict, di
     is asked for, by direction."""
     asked = {False: [], True: []}
 
-    def spy(fill, keys, depth, backward, logs):
+    def spy(sys, keys, depth, backward, logs):
         asked[backward].append(len(keys))
-        return keyed_series(fill, keys, depth, backward, logs)
+        return keyed_series(sys, keys, depth, backward, logs)
 
     monkeypatch.setattr(criteria, "keyed_series", spy)
     return od.run_check(req), asked
@@ -161,7 +159,7 @@ def test_keys_are_compared_a_block_of_K_at_a_time(monkeypatch, heisenberg_system
     req = od.CriterionRequest(system=heisenberg_system, K=K, property="chaotic", N_max=16, L_max=4)
     monkeypatch.setattr(criteria, "_KEY_BLOCK", 4)
     rows = criteria._distinct_rows(req)
-    assert [keys for _, keys in rows] == [[filler.key(K.elements[i]) for i in (0, 4, 8)] for filler, _ in rows]
+    assert [list(keys) for keys in rows] == [[fl.key(K.elements[i]) for i in (0, 4, 8)] for fl in req.system.fillers]
     verdict = od.run_check(req)
     monkeypatch.setattr(criteria, "_distinct_rows", _every_point)
     assert od.run_check(req) == verdict
@@ -169,18 +167,14 @@ def test_keys_are_compared_a_block_of_K_at_a_time(monkeypatch, heisenberg_system
 
 def test_iterates_fill_one_row_for_points_that_share_a_key(monkeypatch, heisenberg_system):
     written = []
-    filler = od.HeisenbergDyadicWeight.orbit_filler
+    (key, fill), backward = heisenberg_system.fillers
 
-    def spy(weight, group, a, backward):
-        key, fill = filler(weight, group, a, backward)
+    def counted(keys, out):
+        written.append(len(out))
+        fill(keys, out)
 
-        def counted(keys, out):
-            written.append(len(out))
-            fill(keys, out)
-
-        return translations.Filler(key, counted)
-
-    monkeypatch.setattr(od.HeisenbergDyadicWeight, "orbit_filler", spy)
+    # The system's forward filler, wrapped where every reader takes it.
+    monkeypatch.setitem(vars(heisenberg_system), "fillers", (translations.Filler(key, counted), backward))
     f = od.OrliczVector({(x, y, 0): 1.0 + x + 3 * y for x in (-1, 0, 1) for y in (-1, 0, 1)})
     step, count = 8, 4
     tracemalloc.start()
@@ -237,25 +231,79 @@ def test_table_keys_far_apart_match_the_scalar_loop(a):
         assert linear[:, 1:].tobytes() == want.tobytes()
 
 
-def test_dense_table_builds_each_filler_once(monkeypatch):
-    # The scans take the fillers and keys that named K's distinct rows: one
-    # filler each way, and one orbit_index per table key and per point of
-    # K each way, plus K's 401 in separation_constant.  Building them again
-    # for the series took 4 fillers and 3,609 orbit_index calls.
-    builds, indices = [], []
-    table_filler, orbit_index = translations._table_filler, od.IntegerGroup.orbit_index
+def _count_groupings(monkeypatch) -> tuple[list, list]:
+    """The directions of the table fillers built and the systems whose
+    table was grouped by orbit, from here on."""
+    builds, groupings = [], []
+    table_filler = translations._table_filler
+    orbits = vars(od.WeightedSystem)["_orbits"]  # the cached property
+    group_by_orbit = orbits.func
 
     def built(*args):
         builds.append(args[2])
         return table_filler(*args)
 
+    def grouped(system):
+        groupings.append(system)
+        return group_by_orbit(system)
+
+    monkeypatch.setattr(translations, "_table_filler", built)
+    monkeypatch.setattr(orbits, "func", grouped)
+    return builds, groupings
+
+
+def test_dense_table_builds_each_filler_once(monkeypatch):
+    # The system groups the table by orbit once and builds one filler each
+    # way from it: one orbit_index per table key, one per point of K each
+    # way for its keys, and K's 401 in separation_constant.  Each filler
+    # grouping the table on its own took 2,005.
+    builds, groupings = _count_groupings(monkeypatch)
+    indices = []
+    orbit_index = od.IntegerGroup.orbit_index
+
     def counted(group, x, a):
         indices.append(x)
         return orbit_index(group, x, a)
 
-    monkeypatch.setattr(translations, "_table_filler", built)
     monkeypatch.setattr(od.IntegerGroup, "orbit_index", counted)
     verdict = od.run_check(_table_401())
-    assert builds == [False, True] and len(indices) <= 2005
+    assert builds == [False, True] and len(groupings) == 1 and len(indices) <= 1604
     digest = hashlib.sha256(_json(verdict).encode()).hexdigest()
     assert digest == "ad123bcd2fc5abe74922b8fd7eeef27df98faafa7bd2a54c610a3bd43aeb6126"
+
+
+TABLE = od.TableWeight(entries=((0, 0.5), (1, 2.0), (3, 0.75), (7, 1.5)), default=1.25)
+
+
+@pytest.mark.parametrize(
+    "group,a,weight",
+    [
+        (od.IntegerGroup(), 1, TABLE),
+        (od.CyclicGroup(m=12), 5, TABLE),
+        (od.CyclicGroup(m=12), 5, od.TwoSidedStepWeight(2.0, 0.5)),
+    ],
+    ids=["table-Z", "table-cyclic", "step-cyclic"],
+)
+def test_every_reader_takes_the_one_grouping(monkeypatch, group, a, weight):
+    # A check (scans, or the cycle products and their diagnostic series),
+    # a seed orbit whose stacks grow, iterates and apply_T_n all read the
+    # system's one grouping and its two fillers.
+    builds, groupings = _count_groupings(monkeypatch)
+    stacks = []
+    orbit_stack = lab.orbit_stack
+
+    def stacked(sys, f, depth, backward, held):
+        stacks.append(backward)
+        return orbit_stack(sys, f, depth, backward, held)
+
+    monkeypatch.setattr(lab, "orbit_stack", stacked)
+    system = od.WeightedSystem(group=group, a=a, weight=weight, young=P2)
+    K = od.CompactSet.of(range(-3, 4) if group.kind == "Z" else range(0, 12, 2))
+    od.run_check(od.CriterionRequest(system=system, K=K, property="recurrent", N_max=16))
+    orbit = od.SeedOrbit(system, od.OrliczVector({x: 1.0 for x in K}))
+    for m in (1, 3, 9, -2, -9):
+        orbit.norm(m)
+    iterates(system, orbit.f, 2, 3, backward=True)
+    od.apply_T_n(system, orbit.f, 5)
+    assert stacks.count(False) >= 2 and stacks.count(True) >= 2
+    assert builds == [False, True] and len(groupings) == 1

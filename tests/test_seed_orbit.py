@@ -178,8 +178,7 @@ def _ref_norm_series(sys, f, n_steps):
 
 def _outcome(fn, *args):
     """What a call gives: its value, with vectors by their bits and floats
-    by repr (exact, and -0.0 apart from 0.0), or the error it raises.  A
-    norm of 5e-324 alone raises RuntimeError, on either side."""
+    by repr (exact, and -0.0 apart from 0.0), or the error it raises."""
 
     def plain(x):
         if isinstance(x, od.OrliczVector):
@@ -190,7 +189,7 @@ def _outcome(fn, *args):
 
     try:
         return "ok", plain(fn(*args))
-    except (OrliczDynamicsError, RuntimeError) as exc:
+    except OrliczDynamicsError as exc:
         return type(exc).__name__, str(exc)
 
 

@@ -40,15 +40,15 @@ def _run_with_rows(monkeypatch, req: od.CriterionRequest, rows: int) -> od.Verdi
     monkeypatch.setattr(translations, "BLOCK_ELEMENTS", rows * (depth + 1))
     seen = []
 
-    def spy(fill, keys, d, *args):
-        for block in keyed_series(fill, keys, d, *args):
+    def spy(sys, keys, d, *args):
+        for block in keyed_series(sys, keys, d, *args):
             if d == depth:
                 seen.append(len(block[1]))
             yield block
 
     monkeypatch.setattr(criteria, "keyed_series", spy)
     verdict = od.run_check(req)
-    assert not seen or max(seen) == min(rows, len(criteria._distinct_rows(req)[0][1]))
+    assert not seen or max(seen) == min(rows, len(criteria._distinct_rows(req)[0]))
     return verdict
 
 
