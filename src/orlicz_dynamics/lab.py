@@ -20,8 +20,9 @@ insertion order, however m is split into steps (see ``translations``):
 each piece is the vector that applying T or S to f one step at a time
 gives, whatever stack it is read from.  A norm reads its column on the
 stack's own points, which is the piece translated back;
-``luxemburg_norm`` reads the values alone, in order, so that is the
-piece's norm bit for bit, and no point is moved for it.  The period
+``luxemburg_norm`` reads the values alone (alphalog and table norms in
+order, power norms in any order), so that is the piece's norm bit for
+bit, and no point is moved for it.  The period
 defect T^n v - v and the returns T^{ln} v of a witness v lie on v's
 orbit, not f's, and take ``translations.apply_T_n`` and
 ``translations.iterates``, with the orbit's stacks released first when

@@ -2,14 +2,23 @@
 
 With counting measure the modular is a finite sum
 rho(f/k) = sum_x Phi(|f(x)|/k), and the Luxemburg norm
-inf{k > 0 : rho(f/k) <= 1} is the root of rho(f/k) = 1, found by a
-doubling/halving bracket and bisection.
+inf{k > 0 : rho(f/k) <= 1} is the root of rho(f/k) = 1.
 
-``modular`` is the exact pass: it streams the vector's values, in
-insertion order, through the Young function's ``evaluate_many`` (libm,
-bit-identical to scalar ``evaluate``) and adds the terms left to right,
-one rounding per addition, on every Python version.  Every norm is
-defined by it.
+For Phi(t) = |t|^p / p the root has a closed form,
+N(f) = (sum_x |f(x)|^p / p)^(1/p), and ``luxemburg_norm`` takes it with
+no bracket: M = max|f|, S = ``math.fsum`` of (|f(x)| / M)^p, and
+N = M (S / p)^(1/p) (see ``_power_norm``).  Each term is one libm
+``math.pow``, as in ``evaluate_many``.  The largest term is exactly 1,
+so nothing overflows before the last product, and a term that underflows
+moves S by less than n 2^-1074.  fsum rounds once and does not depend on
+the order of the entries.
+
+For alphalog and table Young functions the root is found by a
+doubling/halving bracket and bisection.  ``modular`` is the exact pass:
+it streams the vector's values, in insertion order, through the Young
+function's ``evaluate_many`` (libm, bit-identical to scalar
+``evaluate``) and adds the terms left to right, one rounding per
+addition, on every Python version.  Every such norm is defined by it.
 
 The bracket loops and ``bisect_root`` read only the sign of
 rho(f/k) - 1 and whether it is zero.  On supports of at least
@@ -31,7 +40,7 @@ about 32 u s + n 2^-1000.  That totals under E while n u stays far below
 returning s - 1 in place of r - 1 leaves every bracket step, bisection
 iterate and norm bit-identical.  A term that the exact pass would
 overflow or reject (OverflowError, OutOfRangeError) makes s inf, nan or
-at least the ceiling, so those steps run ``modular`` and raise as before.
+at least the ceiling, so those steps run ``modular``.
 
 Before the bracket starts, ``_band`` looks for a band (a, b) around the
 root outside which the sign of rho(f/k) - 1 is proven, from the value v
@@ -55,13 +64,15 @@ the norm already computes: the screen's s, or the exact r below
 The wrapper that ``_norm_root`` calls answers -1.0 at k >= b and 1.0 at
 k <= a, and runs the real step inside (a, b).  The bracket loops and
 ``bisect_root`` read only signs and zeros, so every step, iterate, norm
-and hash stays the same.  One step at k <= a could raise on the exact
-path: an overflowing pow, or a table argument past the domain.  Such a
-term is monotone in |f_i|/k, so the wrapper evaluates Phi(fl(max|f|/k))
-first, at each k below the least that passed, and if that raises it
-runs the real step, which raises the same error with the same message.
-The band search itself never raises; where it certifies no end it
-leaves that side to the real steps.
+and hash stays the same.  No step the wrapper answers would have raised
+on the exact path, so it answers them without a check.  A table is only
+asked at k >= its domain edge, where every |f_i|/k lies in its domain,
+and its interpolation raises nothing there.  Alphalog has Phi(1) = 1
+exactly and the bracket starts at k0 = max|f|, so rho(k0) >= 1: the
+doubling only rises from k0, the halving undoes at most one doubling,
+and the bisection stays between them.  Every step therefore has
+|f_i|/k <= 1, where no term overflows.  The band search itself never
+raises; where it certifies no end it leaves that side to the real steps.
 
 Below ``SCREEN_MIN`` a norm costs less from exact passes than from the
 screen, so small supports take ``modular`` for v and for every step
@@ -79,19 +90,22 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteVectorError, OutOfRangeError
+from .errors import NonFiniteVectorError, OrliczDynamicsError, OutOfRangeError
 from .groups import CompactSet, Element, Group
 from .numerics import UNIT_ROUNDOFF, bisect_root
-from .young import SCREEN_CEILING, YoungFunction, inverse
+from .young import SCREEN_CEILING, PowerYoung, YoungFunction, inverse
 
-# Supports at least this large take v and their steps from the numpy
-# screen.  Measured under the band (best of 7 runs of 40 norms a size on a
-# 2-vCPU x86-64 VM, CPython 3.11, numpy 2.4), a whole norm costs the same
-# both ways at about 28 entries for power and 20 for alphalog, while a
-# 401-knot table is faster screened at every size (at 16 entries: power
-# 41 us screened against 35 exact, alphalog 70 against 61, table 62
-# against 163).
+# Alphalog and table supports at least this large take v and their steps
+# from the numpy screen (power norms take the closed form at every size).
+# Measured under the band (best of 7 runs of 40 norms a size on a 2-vCPU
+# x86-64 VM, CPython 3.11, numpy 2.4), an alphalog norm costs the same
+# both ways at about 20 entries, while a 401-knot table is faster screened
+# at every size (at 16 entries: alphalog 70 us screened against 61 exact,
+# table 62 against 163).
 SCREEN_MIN = 16
+# The bracket doubles k only up to here: past it the next doubling
+# overflows, and the norm is larger still.
+_HALF_MAX = sys.float_info.max / 2.0
 
 if sys.version_info >= (3, 12):
     # From 3.12 on builtin sum compensates (Neumaier), so its bits depend
@@ -201,10 +215,12 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     """inf{k > 0 : modular(f, phi, k) <= 1}; 0 for the zero vector.
 
     The modular is continuous and strictly decreasing in k on finitely
-    supported vectors, so the infimum is the root of rho(k) = 1.
-    Bracket: start at max|f| / min(1, domain_max), where every |f|/k lies
-    in Phi's domain (or at the domain's edge, see ``_domain_edge``, should
-    that quotient round below it), double until rho <= 1, halve until
+    supported vectors, so the infimum is the root of rho(k) = 1.  A
+    power norm takes its closed form (``_power_norm``); a norm past the
+    float range raises OrliczDynamicsError.  Otherwise, bracket: start
+    at max|f| / min(1, domain_max), where every |f|/k lies in Phi's
+    domain (or at the domain's edge, see ``_domain_edge``, should that
+    quotient round below it), double until rho <= 1, halve until
     rho >= 1, then bisect to relative tolerance 1e-12 on k.  The halving
     stops at the edge: below it Phi(max|f|/k) is infinite, so when rho is
     still at most 1 there the norm is the edge.
@@ -214,6 +230,8 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     """
     if not f:
         return 0.0
+    if isinstance(phi, PowerYoung):
+        return _power_norm(f, phi.p)
     n = len(f)
     if n < SCREEN_MIN:
         for v in f.values():
@@ -234,29 +252,37 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
         return _banded_root(screen, _screened_excess(f, phi, screen), phi, float(absf.max()), n)
 
 
+def _power_norm(f: OrliczVector, p: float) -> float:
+    """(sum |f|^p / p)^(1/p), the norm under Phi(t) = |t|^p / p, as
+    M (S / p)^(1/p) with M = max|f| and S the fsum of (|f| / M)^p."""
+    absf = np.fromiter(f.values(), float, len(f))
+    top = float(np.abs(absf, out=absf).max())  # nan or inf where an entry is not finite
+    if not math.isfinite(top):
+        v = next(v for v in f.values() if not math.isfinite(v))
+        raise NonFiniteVectorError(f"entry {v!r} is not finite")
+    absf /= top
+    norm = top * math.pow(math.fsum(map(math.pow, absf.tolist(), repeat(p))) / p, 1.0 / p)
+    if norm == math.inf:
+        raise OrliczDynamicsError(f"norm under PowerYoung(p={p!r}) exceeds the largest float")
+    return norm
+
+
 def _banded_root(
     value: Callable[[float], float], excess: Callable[[float], float], phi: YoungFunction, top: float, n: int
 ) -> float:
     """The norm from value (k -> the exact modular or the screen) and
     excess, on a support of n entries whose largest |f| is top."""
     edge = _domain_edge(top, phi.domain_max)
+    if edge == math.inf:
+        raise OrliczDynamicsError(f"norm exceeds the largest float: {top!r} / {phi.domain_max!r} overflows")
     k0 = max(top / min(1.0, phi.domain_max), edge)
     a, b = _band(value, k0, n)
-    safe = math.inf  # the least k <= a known to give no raising term
 
     def banded(k: float) -> float:
-        nonlocal safe
+        # No step at k <= a raises on the exact path (module docstring).
         if k >= b:
             return -1.0
-        if k > a:
-            return excess(k)
-        if k < safe:
-            try:  # where the exact pass raises, excess raises as it does
-                phi.evaluate(top / k)
-            except (OverflowError, OutOfRangeError):
-                return excess(k)
-            safe = k
-        return 1.0
+        return excess(k) if k > a else 1.0
 
     return _norm_root(banded, k0, edge)
 
@@ -365,14 +391,14 @@ def _band(value: Callable[[float], float], k0: float, n: int) -> tuple[float, fl
 def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> float:
     """Bracket and bisect the root of excess, which is positive below
     the norm and negative above it, starting from k0 >= edge; excess is
-    only asked at k >= edge, below which it is +inf."""
+    only asked at k >= edge, below which it is +inf.  Each loop ends
+    within about 2,100 steps, the span of the floats; a norm the
+    doubling cannot reach raises OrliczDynamicsError."""
     hi = k0
-    guard = 0
     while excess(hi) > 0.0:
+        if hi > _HALF_MAX:
+            raise OrliczDynamicsError(f"norm exceeds {hi!r}: its bracket would double past the largest float")
         hi *= 2.0
-        guard += 1
-        if guard > 4096:
-            raise RuntimeError("norm bracket expansion failed to terminate")
     lo = hi
     while excess(lo) < 0.0:
         if lo * 0.5 < edge:
@@ -381,9 +407,6 @@ def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> floa
             lo = edge
             break
         lo *= 0.5
-        guard += 1
-        if guard > 8192:
-            raise RuntimeError("norm bracket contraction failed to terminate")
     if lo == hi:
         return lo
     return bisect_root(excess, lo, hi)

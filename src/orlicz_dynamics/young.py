@@ -13,7 +13,7 @@ largest |t| it is defined at: inf for power and alphalog, the last knot
 for tables.  The config module alone reads and writes the JSON form of
 these families (``power``, ``alphalog``, ``custom``).
 
-Each family evaluates three ways:
+Each family evaluates two ways, alphalog and table three:
 
 * ``evaluate(t)`` is the scalar reference.
 * ``evaluate_many(ts)`` maps an iterable of nonnegative floats to Python
@@ -26,18 +26,18 @@ Each family evaluates three ways:
   raises OutOfRangeError, as in the scalar path.  A table gives nan for
   a NaN argument on all three paths.
   The exact modular sums it.
-* ``evaluate_array(ts)`` is the float64 numpy screen the Luxemburg norm
-  uses to decide easy bisection steps (see ``orlicz``): ``np.power`` for
-  power, ``np.power`` and ``np.log`` for alphalog, ``np.interp`` for
-  tables (faster than the exact table kernel).  It may overwrite ``ts``
-  and returns the terms.  Each term is
-  within 32 units of 2^-53, relative, of ``evaluate`` (both sides are
-  within a few ulps of the true value: numpy 2.4's AVX-512 ``power`` and
-  ``log`` differ from libm by at most 1 ulp over 8·10^5 sampled
-  arguments per exponent), or both are below 2^-1000.
-  Where ``evaluate`` would raise, or its pow overflow, the screen's term
-  is inf, nan or at least ``SCREEN_CEILING``.  The caller suppresses
-  numpy's floating-point warnings.
+* ``evaluate_array(ts)``, on alphalog and table only, is the float64
+  numpy screen the Luxemburg norm uses to decide easy bisection steps
+  (see ``orlicz``): ``np.power`` and ``np.log`` for alphalog,
+  ``np.interp`` for tables (faster than the exact table kernel).  It may
+  overwrite ``ts`` and returns the terms.  Each term is within 32 units
+  of 2^-53, relative, of ``evaluate`` (both sides are within a few ulps
+  of the true value: numpy 2.4's AVX-512 ``power`` and ``log`` differ
+  from libm by at most 1 ulp over 8·10^5 sampled arguments per
+  exponent), or both are below 2^-1000.  Where ``evaluate`` would raise,
+  or its pow overflow, the screen's term is inf, nan or at least
+  ``SCREEN_CEILING``.  The caller suppresses numpy's floating-point
+  warnings.  A power norm needs no screen: it takes its closed form.
 
 The complementary (conjugate) function, the generalized inverse, the
 doubling-ratio probe and the Young-inequality sampler are all numeric and
@@ -83,16 +83,6 @@ class PowerYoung:
     def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
         p = self.p
         return map(truediv, map(math.pow, ts, repeat(p)), repeat(p))
-
-    def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        p = self.p
-        np.power(ts, p, out=ts)
-        if p > 2.0**20:
-            # Past this, dividing by p could pull a pow that libm lets
-            # overflow below the ceiling.
-            ts[ts >= SCREEN_CEILING] = math.inf
-        ts /= p
-        return ts
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Exact reference for the criteria scans.
+"""Exact reference for the criteria scans and for power norms.
 
 Every float is a rational number, so ``fractions.Fraction`` gives the
 orbit products that the float weights define with no rounding at all.
 The witness predicates are then decided exactly: a reported witness
 (epsilon, n) is sound when ``exact_term(req, n) < epsilon``.  The weights
 come from the scalar ``__call__`` along ``Group.mul``, independent of the
-array fills the scans use.
+array fills the scans use.  Power norms have closed forms in the
+vector's entries, so their references are exact too.
 """
 
 from __future__ import annotations
@@ -56,3 +57,14 @@ def _chaos_sum(req: od.CriterionRequest, x, n: int) -> Fraction:
     depth = req.L_max * n
     forward, backward = exact_series(req.system, x, depth), exact_series(req.system, x, depth, True)
     return sum(forward[l * n] + backward[l * n] for l in range(1, req.L_max + 1))
+
+
+def power1_norm(values) -> Fraction:
+    """The Luxemburg norm under Phi(t) = |t|: N = sum |v|, exactly."""
+    return sum((abs(Fraction(v)) for v in values), Fraction(0))
+
+
+def power2_norm_squared(values) -> Fraction:
+    """The square of the Luxemburg norm under Phi(t) = t^2 / 2:
+    N^2 = sum v^2 / 2, exactly."""
+    return sum((Fraction(v) ** 2 for v in values), Fraction(0)) / 2

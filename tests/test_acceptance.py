@@ -101,7 +101,7 @@ def test_criterion_3_luxemburg_norm_oracles():
     _report(
         3,
         ok,
-        f"bisection vs p-norm closed form on 100 random vectors: {worst_vec:.3e}; "
+        f"norm vs numpy p-norm closed form on 100 random vectors: {worst_vec:.3e}; "
         f"indicator closed form |B|=1..64, both families: {worst_ind:.3e} (tol 1e-9)",
     )
 

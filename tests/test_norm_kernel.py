@@ -182,8 +182,9 @@ def vectors(draw):
     return od.OrliczVector({(i,): v for i, v in enumerate(values)})
 
 
+# Power norms take their closed form, not the bisection (test_power_norm).
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(powers, alphalogs, st.just(TABLE)), vectors(), st.floats(1e-3, 1e3))
+@given(st.one_of(alphalogs, st.just(TABLE)), vectors(), st.floats(1e-3, 1e3))
 def test_modular_and_norm_match_the_scalar_code(phi, f, k):
     assert _bits(lambda: od.modular(f, phi, k)) == _bits(lambda: _old_modular(f, phi, k))
     assert _bits(lambda: od.luxemburg_norm(f, phi)) == _bits(lambda: _old_norm(f, phi))
