@@ -3,7 +3,7 @@ Luxemburg norms on discrete groups
 ==================================
 
 The norm of a finitely supported vector is the root of its modular: in
-closed form for the power family, by bisection for the others.  For
+closed form for the power family, by a safeguarded secant for the others.  For
 characteristic functions there is a closed form under every family, and
 translation by any group element is an exact isometry.
 """
@@ -25,13 +25,13 @@ for p in (1.0, 2.0, 3.0):
     print(f"  p = {p}: luxemburg_norm = {od.luxemburg_norm(f, phi):.12f}   "
           f"numpy = {closed:.12f}")
 
-print("\nIndicator norms 1 / Phi^-1(1/|B|), alphalog family (bisection):")
+print("\nIndicator norms 1 / Phi^-1(1/|B|), alphalog family (secant):")
 alphalog = od.AlphaLogYoung(1.5)
 for size in (1, 2, 8, 32):
     B = od.box(group, [[0, size - 1]])
     chi = od.OrliczVector.indicator(B)
     print(f"  |B| = {size:2d}: closed form = {od.indicator_norm_closed_form(B, alphalog):.10f}   "
-          f"bisection = {od.luxemburg_norm(chi, alphalog):.10f}")
+          f"secant = {od.luxemburg_norm(chi, alphalog):.10f}")
 
 print("\nTranslation is an exact isometry (here on the Heisenberg group):")
 heis = od.HeisenbergGroup()

@@ -1,7 +1,6 @@
-"""Scalar root bracketing, bisection and golden-section search: the
-numerical core behind the Luxemburg norm (root of a monotone modular),
-generalized inverses of Young functions, and the numeric convex
-conjugate (1-D concave maximization).  Plus the rounding bound gamma.
+"""Scalar bisection and golden-section search: the numerical core behind
+generalized inverses of Young functions and the numeric convex conjugate
+(1-D concave maximization).  Plus the rounding bound gamma.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     for _ in range(256):
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if hi - lo <= 1e-12 * max(abs(mid), 1e-300):
             return mid
         fm = f(mid)
@@ -51,7 +50,13 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5 (lo + hi), halved first where the sum overflows."""
+    mid = 0.5 * (lo + hi)
+    return mid if mid != math.inf else 0.5 * lo + 0.5 * hi
 
 
 def golden_max(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

@@ -13,70 +13,61 @@ so nothing overflows before the last product, and a term that underflows
 moves S by less than n 2^-1074.  fsum rounds once and does not depend on
 the order of the entries.
 
-For alphalog and table Young functions the root is found by a
-doubling/halving bracket and bisection.  ``modular`` is the exact pass:
-it streams the vector's values, in insertion order, through the Young
-function's ``evaluate_many`` (libm, bit-identical to scalar
-``evaluate``) and adds the terms left to right, one rounding per
-addition, on every Python version.  Every such norm is defined by it.
+For alphalog and table Young functions the root has no closed form.
+``modular`` is the exact pass: it streams the vector's values, in
+insertion order, through the Young function's ``evaluate_many`` (libm,
+bit-identical to scalar ``evaluate``) and adds the terms left to right,
+one rounding per addition, on every Python version.  Every such norm is
+defined by it: ``_secant_bracket`` closes a bracket (a, b) with the
+exact modular r above 1 at a and below 1 at b, until b <= a (1 + 1e-12)
+or a and b are adjacent floats, and the norm is a + (b - a) / 2.
 
-The bracket loops and ``bisect_root`` read only the sign of
-rho(f/k) - 1 and whether it is zero.  On supports of at least
-``SCREEN_MIN`` entries ``luxemburg_norm`` takes that sign from a numpy
-screen: the family's ``evaluate_array`` on |f|/k in one buffer, summed
-pairwise by ``np.add.reduce``.  The screen's sum s decides a step when
+Each probe k reads v, a float on the same side of 1 as r(k): the sum s
+of a numpy screen where it is certain, r(k) itself elsewhere.  The
+screen is the family's ``evaluate_array`` on |f|/k in one buffer,
+summed pairwise by ``np.add.reduce``, and s decides a probe when
 
     s < SCREEN_CEILING  and  |s - 1| > E(n, s) = (4n + 64) u s + n 2^-1000,
 
-with u = 2^-53 and n the support size; otherwise ``modular`` decides it.
-E bounds |s - r| for the exact pass's value r.  Let a_i be the exact
-terms and b_i the screen's, A and B their exact sums.  Summing n
-nonnegative terms in any order, sequentially or pairwise, errs by at most
-(n - 1) u / (1 - (n - 1) u) times their sum, so |r - A| and |s - B| are
-each below about (n - 1) u s.  Each |a_i - b_i| is at most 32 u a_i, or
-2^-1000 where both are that small (see ``young``), so |A - B| is below
-about 32 u s + n 2^-1000.  That totals under E while n u stays far below
-1.  Hence |s - 1| > E gives r - 1 the sign of s - 1 and r != 1, and
-returning s - 1 in place of r - 1 leaves every bracket step, bisection
-iterate and norm bit-identical.  A term that the exact pass would
-overflow or reject (OverflowError, OutOfRangeError) makes s inf, nan or
-at least the ceiling, so those steps run ``modular``.
+with u = 2^-53 and n the support size.  E bounds |s - r|.  Let a_i be
+the exact terms and b_i the screen's, A and B their exact sums.  Four
+facts certify each end of the bracket.
 
-Before the bracket starts, ``_band`` looks for a band (a, b) around the
-root outside which the sign of rho(f/k) - 1 is proven, from the value v
-the norm already computes: the screen's s, or the exact r below
-``SCREEN_MIN``.  The proof rests on four facts.
+* |r - A| is below about (n - 1) u s: summing n nonnegative terms in
+  any order, sequentially or pairwise, errs by at most
+  (n - 1) u / (1 - (n - 1) u) times their sum.
+* |s - B| is below about (n - 1) u s, for the same reason.
+* |A - B| is below about 32 u s + n 2^-1000: each |a_i - b_i| is at
+  most 32 u a_i, or 2^-1000 where both are that small (see ``young``).
+* The three total under E while n u stays far below 1.
 
-* T(k) = sum_i Phi(fl(|f_i|/k)), with Phi evaluated exactly, is
-  nonincreasing in k: a correctly rounded division is monotone in k and
-  every family's Phi is nondecreasing.
-* r and s each lie within E(n, v) of T.  Each exact term is within 8u
-  of its Phi (libm's pow and log err by at most one ulp, 2u, and a table
-  term takes six roundings), each screen term within 32u more, unless
-  the terms are below 2^-1000; the sums add (n - 1) u.  So with
-  B = (n + 39) u, T is within B max(v, T) + n 2^-1000 of v, well inside
-  E(n, v).
-* So v(a) - 1 > 2 E(n, v(a)) proves rho(f/k) > 1 at every k <= a:
-  r(k) >= (1 - B) T(k) - n 2^-1000 >= (1 - B) T(a) - n 2^-1000
-  >= (1 - B)^2 v(a) - 2n 2^-1000 > 1.
-* Likewise 1 - v(b) > 2 E(n, v(b)) proves rho(f/k) < 1 at every k >= b.
+Hence |s - 1| > E gives r - 1 the sign of s - 1 and r != 1: the end s
+moves is an end r certifies.  A term that the exact pass would overflow
+or reject (OverflowError, OutOfRangeError) makes s inf, nan or at least
+the ceiling, so those probes run ``modular``.
 
-The wrapper that ``_norm_root`` calls answers -1.0 at k >= b and 1.0 at
-k <= a, and runs the real step inside (a, b).  The bracket loops and
-``bisect_root`` read only signs and zeros, so every step, iterate, norm
-and hash stays the same.  No step the wrapper answers would have raised
-on the exact path, so it answers them without a check.  A table is only
-asked at k >= its domain edge, where every |f_i|/k lies in its domain,
-and its interpolation raises nothing there.  Alphalog has Phi(1) = 1
-exactly and the bracket starts at k0 = max|f|, so rho(k0) >= 1: the
-doubling only rises from k0, the halving undoes at most one doubling,
-and the bisection stays between them.  Every step therefore has
-|f_i|/k <= 1, where no term overflows.  The band search itself never
-raises; where it certifies no end it leaves that side to the real steps.
+The steps are a safeguarded secant in log k on log v.  The first probe
+is k0 = max|f| / min(1, domain_max), or the domain's edge should that
+quotient round below it (see ``_domain_edge``).  While one end is open,
+the next probe extrapolates through the last probe and the earlier one
+of least |log v|, or with slope -1 from the first; it never leaves
+[edge, DBL_MAX].  Once both ends hold, it is the secant root through
+the same two probes, aimed 2.5e-13 past it toward the wider end, so that
+a close estimate moves that end to within 2.5e-13 of the root.  Where
+that leaves (a, b), or the bracket's width in log k did not halve over
+the last two probes, the probe is the midpoint in log k.  Every probe
+lies strictly between the certified ends, so the loop ends, and a
+subnormal norm stops on adjacent floats.  A probe whose exact modular
+is 1 is the norm.
 
-Below ``SCREEN_MIN`` a norm costs less from exact passes than from the
-screen, so small supports take ``modular`` for v and for every step
-inside the band.
+No exact pass raises.  A table is only probed at k >= its domain edge,
+where every |f_i|/k lies in its domain and its interpolation raises
+nothing; below the edge Phi(max|f|/k) is infinite, so where v <= 1 at
+the edge the norm is the edge.  Alphalog has Phi(1) = 1 exactly and
+starts at k0 = max|f|, where rho >= 1: k0 is a (or the norm), and every
+later probe lies above it, where every |f_i|/k <= 1 and no term
+overflows.  A norm past the float range shows as v > 1 at DBL_MAX and
+raises OrliczDynamicsError.
 """
 
 from __future__ import annotations
@@ -90,22 +81,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteVectorError, OrliczDynamicsError, OutOfRangeError
+from .errors import NonFiniteVectorError, OrliczDynamicsError
 from .groups import CompactSet, Element, Group
-from .numerics import UNIT_ROUNDOFF, bisect_root
+from .numerics import UNIT_ROUNDOFF
 from .young import SCREEN_CEILING, PowerYoung, YoungFunction, inverse
 
-# Alphalog and table supports at least this large take v and their steps
-# from the numpy screen (power norms take the closed form at every size).
-# Measured under the band (best of 7 runs of 40 norms a size on a 2-vCPU
-# x86-64 VM, CPython 3.11, numpy 2.4), an alphalog norm costs the same
-# both ways at about 20 entries, while a 401-knot table is faster screened
-# at every size (at 16 entries: alphalog 70 us screened against 61 exact,
-# table 62 against 163).
-SCREEN_MIN = 16
-# The bracket doubles k only up to here: past it the next doubling
-# overflows, and the norm is larger still.
-_HALF_MAX = sys.float_info.max / 2.0
+_MAX = sys.float_info.max
+# How far past the secant's root, relative, a probe is aimed: a quarter
+# of the 1e-12 stop, so one close probe on each side meets it.
+_AIM = 2.5e-13
 
 if sys.version_info >= (3, 12):
     # From 3.12 on builtin sum compensates (Neumaier), so its bits depend
@@ -216,40 +200,17 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
 
     The modular is continuous and strictly decreasing in k on finitely
     supported vectors, so the infimum is the root of rho(k) = 1.  A
-    power norm takes its closed form (``_power_norm``); a norm past the
-    float range raises OrliczDynamicsError.  Otherwise, bracket: start
-    at max|f| / min(1, domain_max), where every |f|/k lies in Phi's
-    domain (or at the domain's edge, see ``_domain_edge``, should that
-    quotient round below it), double until rho <= 1, halve until
-    rho >= 1, then bisect to relative tolerance 1e-12 on k.  The halving
-    stops at the edge: below it Phi(max|f|/k) is infinite, so when rho is
-    still at most 1 there the norm is the edge.
-    A certified band around the root answers every step outside it, and
-    supports of at least ``SCREEN_MIN`` entries take each step's sign
-    from the numpy screen where it is certain (see the module docstring).
+    power norm takes its closed form (``_power_norm``); any other norm
+    is the midpoint a + (b - a) / 2 of the certified bracket that
+    ``_secant_bracket`` closes around the root, within 1e-12 of it
+    relative.  A norm past the float range raises OrliczDynamicsError.
     """
     if not f:
         return 0.0
     if isinstance(phi, PowerYoung):
         return _power_norm(f, phi.p)
-    n = len(f)
-    if n < SCREEN_MIN:
-        for v in f.values():
-            if not math.isfinite(v):
-                raise NonFiniteVectorError(f"entry {v!r} is not finite")
-
-        def rho(k: float) -> float:
-            return modular(f, phi, k)
-
-        return _banded_root(rho, lambda k: rho(k) - 1.0, phi, f.max_abs(), n)
-    values = np.fromiter(f.values(), float, n)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonFiniteVectorError(f"entry {float(values[finite.argmin()])!r} is not finite")
-    absf = np.abs(values, out=values)
-    screen = _screen(phi, absf)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _banded_root(screen, _screened_excess(f, phi, screen), phi, float(absf.max()), n)
+    a, b = _secant_bracket(f, phi)
+    return a + (b - a) / 2.0
 
 
 def _power_norm(f: OrliczVector, p: float) -> float:
@@ -267,24 +228,68 @@ def _power_norm(f: OrliczVector, p: float) -> float:
     return norm
 
 
-def _banded_root(
-    value: Callable[[float], float], excess: Callable[[float], float], phi: YoungFunction, top: float, n: int
-) -> float:
-    """The norm from value (k -> the exact modular or the screen) and
-    excess, on a support of n entries whose largest |f| is top."""
+def _secant_bracket(f: OrliczVector, phi: YoungFunction) -> tuple[float, float]:
+    """Floats a <= b around the norm of f under an alphalog or table phi:
+    the exact modular exceeds 1 at a and falls below it at b, and
+    b <= a (1 + 1e-12) or a and b are adjacent.  a == b where a probe's
+    exact modular is 1, or where the norm is the table's domain edge.
+    See the module docstring for the probes and why no exact pass raises."""
+    n = len(f)
+    absf = np.fromiter(f.values(), float, n)
+    finite = np.isfinite(absf)
+    if not finite.all():
+        raise NonFiniteVectorError(f"entry {float(absf[finite.argmin()])!r} is not finite")
+    absf = np.abs(absf, out=absf)
+    top = float(absf.max())
     edge = _domain_edge(top, phi.domain_max)
     if edge == math.inf:
         raise OrliczDynamicsError(f"norm exceeds the largest float: {top!r} / {phi.domain_max!r} overflows")
-    k0 = max(top / min(1.0, phi.domain_max), edge)
-    a, b = _band(value, k0, n)
+    rel, floor = _screen_tolerance(n)
+    buf = np.empty(n)
 
-    def banded(k: float) -> float:
-        # No step at k <= a raises on the exact path (module docstring).
-        if k >= b:
-            return -1.0
-        return excess(k) if k > a else 1.0
+    def value(k: float) -> float:
+        # The screen's sum where E certifies its side of 1, else the exact pass.
+        np.divide(absf, k, out=buf)
+        s = float(np.add.reduce(phi.evaluate_array(buf)))
+        if s < SCREEN_CEILING and abs(s - 1.0) > rel * s + floor:
+            return s
+        return modular(f, phi, k)
 
-    return _norm_root(banded, k0, edge)
+    a, b = 0.0, math.inf  # no end certified yet
+    k, best = max(top / min(1.0, phi.domain_max), edge), None
+    widths = (math.inf, math.inf)  # log(b / a) after each of the last two probes
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            v = value(k)
+            if v == 1.0 or (v < 1.0 and k == edge):
+                return k, k
+            if v > 1.0:
+                a = k
+            else:
+                b = k
+            if a == _MAX:
+                raise OrliczDynamicsError(f"norm exceeds the largest float: rho(f / {_MAX!r}) > 1")
+            if b - a <= 1e-12 * a or math.nextafter(a, b) == b:
+                return a, b
+            # The secant through this probe and the earlier one nearest the
+            # root, the least |log v|.
+            y = math.log(max(v, 5e-324))
+            d = math.log(k / best[0]) if best else 0.0
+            slope = (y - best[1]) / d if d else 0.0
+            if not best or abs(y) <= abs(best[1]):
+                best = (k, y)
+            est = k * math.exp(min(y / -slope if slope < 0.0 else y, 709.0))
+            mid = math.sqrt(a) * math.sqrt(b)
+            k = est * (1.0 + _AIM) if est < mid else est * (1.0 - _AIM)
+            if b == math.inf:
+                k = min(max(k, math.nextafter(a, b)), _MAX)
+            elif a == 0.0:
+                k = max(min(k, math.nextafter(b, a)), edge)
+            else:
+                w = math.log(b / a)
+                if w > 0.5 * widths[0] or not a < k < b:
+                    k = mid if a < mid < b else a + (b - a) / 2.0
+                widths = (widths[1], w)
 
 
 def _domain_edge(top: float, domain_max: float) -> float:
@@ -302,114 +307,9 @@ def _domain_edge(top: float, domain_max: float) -> float:
     return edge
 
 
-def _screen(phi: YoungFunction, absf: np.ndarray) -> Callable[[float], float]:
-    """k -> the screen's sum s of Phi(|f|/k), through one buffer."""
-    buf = np.empty(len(absf))
-
-    def screen(k: float) -> float:
-        np.divide(absf, k, out=buf)
-        return float(np.add.reduce(phi.evaluate_array(buf)))
-
-    return screen
-
-
-def _screened_excess(f: OrliczVector, phi: YoungFunction, screen: Callable[[float], float]) -> Callable[[float], float]:
-    """k -> a float with the sign of rho(f/k) - 1 that is 0 only when
-    rho(f/k) == 1: the screen's s - 1 where E certifies it, else the
-    exact ``modular(f, phi, k) - 1``."""
-    rel, floor = _screen_tolerance(len(f))
-
-    def excess(k: float) -> float:
-        s = screen(k)
-        if s < SCREEN_CEILING and abs(s - 1.0) > rel * s + floor:
-            return s - 1.0
-        return modular(f, phi, k) - 1.0
-
-    return excess
-
-
 def _screen_tolerance(n: int) -> tuple[float, float]:
     """(rel, floor) with E(n, s) = rel * s + floor."""
     return (4 * n + 64) * UNIT_ROUNDOFF, n * 2.0**-1000
-
-
-def _band(value: Callable[[float], float], k0: float, n: int) -> tuple[float, float]:
-    """A certified band (a, b) around the root of value(k) = 1: the
-    modular exceeds 1 at every k <= a and falls below it at every k >= b
-    (see the module docstring).  value is the exact modular or the
-    screen on a support of n entries.
-
-    Secant steps in log k on log value, the first from k0 with slope -1,
-    aim each probe just below or just above the estimated root, at
-    relative distance h = 8 rel, on whichever side is looser.  A probe
-    whose value lies within 2E of 1 widens h 64-fold, at most 3 times.
-    A probe that raises or whose value leaves (0, SCREEN_CEILING) is
-    retried halfway, in log k, back to the last good one.  The search
-    stops at a band at most 4h wide or after 12 probes, and returns the
-    ends certified so far, 0 and inf where none.  It never raises."""
-    rel, floor = _screen_tolerance(n)
-    a, b = 0.0, math.inf
-    h, widenings = 8.0 * rel, 0
-    k, prev = k0, None
-    for _ in range(12):
-        try:
-            v = value(k)
-        except (OverflowError, OutOfRangeError):
-            v = math.nan
-        if not 0.0 < v < SCREEN_CEILING:
-            if prev is None:
-                break
-            k = math.sqrt(k) * math.sqrt(prev[0])
-            continue
-        margin = 2.0 * (rel * v + floor)
-        if v - 1.0 > margin:
-            a = max(a, k)
-        elif 1.0 - v > margin:
-            b = min(b, k)
-        elif prev is not None:  # a probe too close to the root for its bounds
-            if widenings == 3:
-                break
-            h, widenings = 64.0 * h, widenings + 1
-        if b <= a * (1.0 + 4.0 * h):
-            break
-        y = math.log(v)
-        if prev is None:
-            step = y  # slope -1
-        else:  # to the secant's root, where its slope is negative
-            dx, dy = math.log(k / prev[0]), prev[1] - y
-            step = y * dx / dy if dx * dy > 0.0 else math.nan
-        est = k * math.exp(step) if abs(step) < 700.0 else math.nan
-        if not a < est < b:
-            if a == 0.0 or b == math.inf:
-                break
-            est = math.sqrt(a) * math.sqrt(b)
-        prev = (k, y)
-        k = est * (1.0 - h) if a == 0.0 or est / a >= b / est else est * (1.0 + h)
-    return a, b
-
-
-def _norm_root(excess: Callable[[float], float], k0: float, edge: float) -> float:
-    """Bracket and bisect the root of excess, which is positive below
-    the norm and negative above it, starting from k0 >= edge; excess is
-    only asked at k >= edge, below which it is +inf.  Each loop ends
-    within about 2,100 steps, the span of the floats; a norm the
-    doubling cannot reach raises OrliczDynamicsError."""
-    hi = k0
-    while excess(hi) > 0.0:
-        if hi > _HALF_MAX:
-            raise OrliczDynamicsError(f"norm exceeds {hi!r}: its bracket would double past the largest float")
-        hi *= 2.0
-    lo = hi
-    while excess(lo) < 0.0:
-        if lo * 0.5 < edge:
-            if lo == edge or excess(edge) <= 0.0:
-                return edge
-            lo = edge
-            break
-        lo *= 0.5
-    if lo == hi:
-        return lo
-    return bisect_root(excess, lo, hi)
 
 
 def indicator_norm_closed_form(B: CompactSet, phi: YoungFunction) -> float:

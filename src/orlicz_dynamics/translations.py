@@ -8,16 +8,17 @@ sequences along the orbit of a point x:
     forward products   prod_{j=1..n} w(x * a^j)
     backward products  1 / prod_{j=0..n-1} w(x * a^{-j})
 
-``orbit_series`` computes both for a whole set of points and yields
-them a block of points at a time.  Each weight fills the (points, steps)
-block of its values along the orbits in closed form, straight into the
-block's series buffer, which is reused from block to block and holds
-about ``BLOCK_ELEMENTS`` values.  The system owns one ``Filler`` each
-way (``WeightedSystem.fillers``, built on first use), which every stack
-and scan reads: key(x), the row key of a point, and fill(keys, out),
-which writes the row of each key, reading only the keys.  Points with
-equal keys have equal rows at every length.  Along an orbit every
-weight family is a few constant runs, solved in exact Python ints:
+``keyed_series`` computes both for a set of rows, named by their keys
+(below), and yields them a block of rows at a time.  Each weight fills
+the (points, steps) block of its values along the orbits in closed
+form, straight into the block's series buffer, which is reused from
+block to block and holds about ``BLOCK_ELEMENTS`` values.  The system
+owns one ``Filler`` each way (``WeightedSystem.fillers``, built on first
+use), which every stack and scan reads: key(x), the row key of a point,
+and fill(keys, out), which writes the row of each key, reading only the
+keys.  Points with equal keys have equal rows at every length.  Along an
+orbit every weight family is a few constant runs, solved in exact
+Python ints:
 
 * a constant weight is one run, and every point has the one key None;
 * a step weight on Z has one cut per row, where x + j·a crosses 1, and
@@ -541,24 +542,6 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def orbit_series(
-    sys: WeightedSystem,
-    points: Sequence[Element],
-    depth: int,
-    backward: bool = False,
-    logs: bool = False,
-) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-    """Product series of every point for n = 0..depth, a block of points
-    at a time: yields (rows, linear, log), where rows is the slice of
-    points the block covers and linear and log are (rows, depth + 1)
-    arrays (log is None unless asked).
-
-    Row i of a block equals phi_series_pair(sys, points[rows][i], depth),
-    or phi_tilde_series_pair when backward is set, bit for bit; see
-    ``keyed_series``, which it runs on the points' row keys."""
-    return keyed_series(sys, list(map(sys.fillers[backward].key, points)), depth, backward, logs)
-
-
 def keyed_series(
     sys: WeightedSystem,
     keys: Sequence[Hashable],
@@ -566,11 +549,16 @@ def keyed_series(
     backward: bool,
     logs: bool,
 ) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-    """``orbit_series`` of the rows with the given keys, from the system's
-    fill: each row is the same sequential cumprod (and cumsum of logs) over
-    the same weights as the scalar loop.  Every block reuses the same
-    buffers of about ``BLOCK_ELEMENTS`` values, so a block's arrays hold
-    only until the next block is asked for."""
+    """Product series of the rows with the given keys for n = 0..depth, a
+    block of rows at a time: yields (rows, linear, log), where rows is the
+    slice of keys the block covers and linear and log are (rows, depth + 1)
+    arrays (log is None unless asked).  Row i of a block equals
+    phi_series_pair (phi_tilde_series_pair when backward is set) of any
+    point whose key is keys[rows][i], bit for bit: each row is the same
+    sequential cumprod (and cumsum of logs) over the same weights as the
+    scalar loop.  Every block reuses the same buffers of about
+    ``BLOCK_ELEMENTS`` values, so a block's arrays hold only until the
+    next block is asked for."""
     rows = _block_rows(depth + 1)
     shape = (min(rows, len(keys)), depth + 1)
     linear = np.empty(shape)
@@ -603,11 +591,11 @@ def keyed_series(
 def _point_series(
     sys: WeightedSystem, x: Element, depth: int, backward: bool = False, logs: bool = False
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The (linear, log) series of the one point x, as orbit_series'
-    single block gives it; a negative depth raises ValueError."""
+    """The (linear, log) series of the one point x, from its key's single
+    block; a negative depth raises ValueError."""
     if depth < 0:
         raise ValueError("product length must be >= 0")
-    _, linear, log = next(orbit_series(sys, [x], depth, backward=backward, logs=logs))
+    _, linear, log = next(keyed_series(sys, [sys.fillers[backward].key(x)], depth, backward, logs))
     return linear[0], None if log is None else log[0]
 
 

@@ -27,8 +27,8 @@ Each family evaluates two ways, alphalog and table three:
   a NaN argument on all three paths.
   The exact modular sums it.
 * ``evaluate_array(ts)``, on alphalog and table only, is the float64
-  numpy screen the Luxemburg norm uses to decide easy bisection steps
-  (see ``orlicz``): ``np.power`` and ``np.log`` for alphalog,
+  numpy screen that decides the Luxemburg norm's probes where its error
+  bound allows (see ``orlicz``): ``np.power`` and ``np.log`` for alphalog,
   ``np.interp`` for tables (faster than the exact table kernel).  It may
   overwrite ``ts`` and returns the terms.  Each term is within 32 units
   of 2^-53, relative, of ``evaluate`` (both sides are within a few ulps
@@ -224,22 +224,22 @@ class Delta2Report:
 def inverse(phi: YoungFunction, s: float) -> float:
     """Generalized inverse inf{t >= 0 : Phi(t) >= s}.
 
-    Bracketing by doubling, then bisection to relative tolerance 1e-12.
+    Bracketing by doubling, up to the domain's end or the largest float,
+    then bisection to relative tolerance 1e-12.  inf where s is: every
+    finite t has Phi(t) < inf.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("inverse argument must be >= 0")
     if s == 0.0:
         return 0.0
     cap = phi.domain_max
     if phi.evaluate(cap) < s:
         raise OutOfRangeError(f"target {s} above table maximum {phi.evaluate(cap)}")
+    if s == math.inf:
+        return math.inf
     hi = min(1.0, cap)
-    guard = 0
     while phi.evaluate(hi) < s:
-        hi = min(2.0 * hi, cap)
-        guard += 1
-        if guard > 4096:
-            raise RuntimeError("inverse bracket expansion failed to terminate")
+        hi = min(2.0 * hi, cap, sys.float_info.max)
     return bisect_root(lambda t: phi.evaluate(t) - s, 0.0, hi)
 
 

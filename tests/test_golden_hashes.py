@@ -77,10 +77,10 @@ def _norm_config(young: dict, group: dict | None = None, a: list | None = None) 
 
 _TABLE = {"family": "custom", "table": [[0.25 * i, (0.25 * i) ** 2 / 2 + 0.01 * i] for i in range(41)]}
 
-# Alphalog and table supports of at least orlicz.SCREEN_MIN = 16 entries
-# take the numpy screen, smaller ones the exact modular, for the band
-# search and for every bisection step inside the band.  Power norms take
-# their closed form at every size; the two power pins keep their names.
+# Every norm takes one path at every support size: power norms their
+# closed form, alphalog and table norms the secant bracket, whose probes
+# read the numpy screen where it is certain.  The "exact" and "screen"
+# pins keep the names of the 16-entry threshold they once straddled.
 NORM_GOLDEN = [
     (
         "power-screen",
@@ -98,19 +98,19 @@ NORM_GOLDEN = [
         "alphalog-heisenberg",
         _norm_config({"family": "alphalog", "alpha": 1.5}, {"kind": "heisenberg"}, [1, 0, 0]),
         _heisenberg_vector(20),
-        "5dd81c52ae440b4d312af3b31d9e3306ad8af5be9c9c89dfa2340a459c0dbea2",
+        "bafe1a2d75a68071eff547efb22d2e657a7c7a261288ff5f4615ea6b5ff9d174",
     ),
     (
         "table-exact",
         _norm_config(_TABLE),
         _z_vector(12),
-        "15c9510cb7fb1db8db54c99730192f88f305f444eba27ab77628dae3f17ce670",
+        "ae2d148df5b7faf32cc46983cca4242e97f39b6169d7c5452ce40b88a8e1e5fa",
     ),
     (
         "table-screen",
         _norm_config(_TABLE),
         _z_vector(30),
-        "962b078c242f375791742046ae96f137adfb89390c4b505811b13d0d5f87209f",
+        "f65b4045f8495550fef2274ea2f824e09508aabf294483e4fb68c8a54edd86a7",
     ),
 ]
 PROBE_GOLDEN = [

@@ -183,11 +183,17 @@ def vectors(draw):
 
 
 # Power norms take their closed form, not the bisection (test_power_norm).
+# Alphalog and table norms close a certified bracket instead of bisecting,
+# so they agree with the old bisection to its 1e-12 tolerance.
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(alphalogs, st.just(TABLE)), vectors(), st.floats(1e-3, 1e3))
 def test_modular_and_norm_match_the_scalar_code(phi, f, k):
     assert _bits(lambda: od.modular(f, phi, k)) == _bits(lambda: _old_modular(f, phi, k))
-    assert _bits(lambda: od.luxemburg_norm(f, phi)) == _bits(lambda: _old_norm(f, phi))
+    expected = _bits(lambda: _old_norm(f, phi))
+    if isinstance(expected, list):
+        assert od.luxemburg_norm(f, phi) == pytest.approx(float.fromhex(expected[0]), rel=1e-12)
+    else:
+        assert _bits(lambda: od.luxemburg_norm(f, phi)) == expected
 
 
 def test_modular_adds_its_terms_left_to_right():

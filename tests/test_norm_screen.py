@@ -1,10 +1,11 @@
-"""The banded, screened Luxemburg bisection against the exact modular alone.
+"""Alphalog and table norms against a bisection on the exact modular alone.
 
-The band answers a step only where it proves the sign of rho(f/k) - 1,
-and the screen decides one only where its error bound E certifies that
-sign, so every alphalog and table norm and every error must equal those
-of the exact path, bit for bit.  Power norms take their closed form
-(``test_power_norm``)."""
+The norm is the midpoint of a bracket whose ends the exact modular
+certifies, above 1 at a and below 1 at b, with b within 1e-12 of a; the
+screen decides a probe only where its error bound E certifies that
+sign.  So every alphalog and table norm lies within 1e-12 of the
+bisection's and raises the same errors.  Power norms take their closed
+form (``test_power_norm``)."""
 
 from __future__ import annotations
 
@@ -22,15 +23,15 @@ from orlicz_dynamics.errors import NonFiniteVectorError, OrliczDynamicsError, Ou
 TABLE = od.TableYoung(tuple((0.1 * i, 0.1 * i * 0.1 * i / 2.0) for i in range(401)))  # [0, 40]
 FAMILIES = [od.PowerYoung(1.0), od.PowerYoung(1.5), od.PowerYoung(2.0), od.PowerYoung(3.7),
             od.AlphaLogYoung(1.5), od.AlphaLogYoung(1.01), TABLE]
-# A table's repr spells out every knot, so its test id counts them instead.
-# The families the banded bisection serves, each with a screen.
-BANDED = [phi for phi in FAMILIES if not isinstance(phi, od.PowerYoung)]
-BANDED_IDS = [f"table-{len(phi.knots)}" if phi is TABLE else repr(phi) for phi in BANDED]
-# Where the band search runs out: pow underflows or overflows a probe away
-# from the root, or the norm is the flat table's domain edge.
+# The families the secant bracket serves, each with a screen.  A table's
+# repr spells out every knot, so its test id counts them instead.
+BRACKETED = [phi for phi in FAMILIES if not isinstance(phi, od.PowerYoung)]
+BRACKETED_IDS = [f"table-{len(phi.knots)}" if phi is TABLE else repr(phi) for phi in BRACKETED]
+# Where the secant strays: pow underflows a probe away from the root, or
+# the norm is the flat table's domain edge.
 FLAT = od.TableYoung(((0.0, 0.0), (2.0, 1e-3)))
 STEEP = [od.AlphaLogYoung(2000.0), od.AlphaLogYoung(2.0**21)]
-SIZES = [1, orlicz.SCREEN_MIN - 1, orlicz.SCREEN_MIN, orlicz.SCREEN_MIN + 1, 40, 1000]
+SIZES = [1, 15, 16, 17, 40, 1000]
 U = 2.0**-53
 
 
@@ -55,11 +56,35 @@ def _exact_norm(f, phi):
 
 
 def _outcome(fn):
-    """The float fn() returns, as its exact bit pattern, or the error it raised."""
+    """The float fn() returns, or the error it raised."""
     try:
-        return fn().hex()
+        return fn()
     except (OverflowError, OrliczDynamicsError) as exc:
         return type(exc), str(exc)
+
+
+def _assert_agrees(f, phi):
+    """luxemburg_norm lies within 1e-12 of the exact bisection, relative,
+    or raises its error."""
+    expected = _outcome(lambda: _exact_norm(f, phi))
+    if isinstance(expected, float):
+        assert od.luxemburg_norm(f, phi) == pytest.approx(expected, rel=1e-12)
+    else:
+        assert _outcome(lambda: od.luxemburg_norm(f, phi)) == expected
+
+
+def _assert_certified(f, phi):
+    """The exact modular certifies the bracket's ends, and the norm is its
+    midpoint: rho(f/a) > 1 > rho(f/b) with b within 1e-12 of a or next to
+    it, or a == b where rho is 1 or a is the domain edge."""
+    a, b = orlicz._secant_bracket(f, phi)
+    if a == b:
+        r = od.modular(f, phi, a)
+        assert r == 1.0 or (r < 1.0 and a == orlicz._domain_edge(f.max_abs(), phi.domain_max))
+    else:
+        assert od.modular(f, phi, a) > 1.0 > od.modular(f, phi, b)
+        assert b - a <= 1e-12 * a or math.nextafter(a, b) == b
+    assert od.luxemburg_norm(f, phi) == a + (b - a) / 2.0
 
 
 def _vector(values):
@@ -83,12 +108,18 @@ KINDS = ["moderate", "ties", "wide", "subnormal", "decades"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(BANDED + STEEP + [FLAT]), st.sampled_from(SIZES), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
-def test_norm_equals_the_exact_path_bit_for_bit(phi, n, kind, seed):
+@given(
+    st.sampled_from(BRACKETED + STEEP + [FLAT]),
+    st.sampled_from(SIZES),
+    st.sampled_from(KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_norm_agrees_with_the_exact_bisection(phi, n, kind, seed):
     f = _vector(_spread(np.random.default_rng(seed), kind, n))
     if not f:
         return
-    assert _outcome(lambda: od.luxemburg_norm(f, phi)) == _outcome(lambda: _exact_norm(f, phi))
+    _assert_agrees(f, phi)
+    _assert_certified(f, phi)
 
 
 def _screen(phi, f, k):
@@ -97,55 +128,21 @@ def _screen(phi, f, k):
         return float(np.add.reduce(phi.evaluate_array(absf / k)))
 
 
-def _band(f, phi):
-    """The band luxemburg_norm certifies for f, and the value it certifies
-    from: the exact modular below SCREEN_MIN entries, the screen from there."""
-    n, top = len(f), f.max_abs()
-    k0 = max(top / min(1.0, phi.domain_max), orlicz._domain_edge(top, phi.domain_max))
-    if n < orlicz.SCREEN_MIN:
-        value = lambda k: od.modular(f, phi, k)  # noqa: E731
-    else:
-        value = orlicz._screen(phi, np.abs(np.fromiter(f.values(), float, n)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return orlicz._band(value, k0, n), value
-
-
-# log2 of how far below a or above b a step is taken: at the end itself,
-# within rounding of it, or anywhere down to the halvings.
-OFFSETS = st.one_of(st.just(0.0), st.floats(2.0**-52, 2.0**-30), st.floats(0.0, 64.0))
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(BANDED + STEEP + [FLAT]),
+    st.sampled_from(BRACKETED + STEEP + [FLAT]),
     st.integers(1, 1000),
     st.sampled_from(KINDS),
     st.integers(0, 2**32 - 1),
-    OFFSETS,
-    OFFSETS,
 )
-def test_band_ends_are_certified_by_the_exact_modular(phi, n, kind, seed, below, above):
+def test_bracket_ends_are_certified_by_the_exact_modular(phi, n, kind, seed):
     f = _vector(_spread(np.random.default_rng(seed), kind, n))
     if not f:
         return
-    (a, b), value = _band(f, phi)
-    assert 0.0 <= a < b
-    rel, floor = orlicz._screen_tolerance(n)
-    for end, side in ((a, 1.0), (b, -1.0)):
-        if 0.0 < end < math.inf:  # the certificate the module docstring proves from
-            v = value(end)
-            assert (v - 1.0) * side > 2.0 * (rel * v + floor)
-    for k, side in ((a * 2.0**-below, 1.0), (b * 2.0**above, -1.0)):
-        if not 0.0 < k < math.inf:
-            continue  # no end certified on this side
-        try:
-            r = od.modular(f, phi, k)
-        except (OverflowError, OutOfRangeError):
-            continue
-        assert (r - 1.0) * side > 0.0
+    _assert_certified(f, phi)
 
 
-@pytest.mark.parametrize("phi", BANDED, ids=BANDED_IDS)
+@pytest.mark.parametrize("phi", BRACKETED, ids=BRACKETED_IDS)
 def test_screen_is_within_its_bound_of_the_exact_modular(phi):
     rng = np.random.default_rng(17)
     checked = 0
@@ -166,7 +163,7 @@ def test_screen_is_within_its_bound_of_the_exact_modular(phi):
     assert checked > 150
 
 
-@pytest.mark.parametrize("phi", BANDED, ids=BANDED_IDS)
+@pytest.mark.parametrize("phi", BRACKETED, ids=BRACKETED_IDS)
 def test_screen_terms_are_within_32_units_of_evaluate(phi):
     rng = np.random.default_rng(23)
     hi = math.log10(TABLE.domain_max) if phi is TABLE else 3.0
@@ -179,40 +176,41 @@ def test_screen_terms_are_within_32_units_of_evaluate(phi):
 
 
 def test_errors_match_the_exact_path():
-    n = 2 * orlicz.SCREEN_MIN
+    n = 32
     for phi in (od.PowerYoung(2.0), od.AlphaLogYoung(1.5)):
         with pytest.raises(NonFiniteVectorError, match="entry nan"):
             od.luxemburg_norm(_vector([1.0] * n + [math.nan]), phi)
         with pytest.raises(NonFiniteVectorError, match="entry -inf"):
             od.luxemburg_norm(_vector([-math.inf] + [1.0] * n), phi)
-    # A flat table: the halving stops at the edge of its domain, k = 0.5,
-    # where rho is still 32e-3 (it used to step past it and raise).
+    # A flat table: the norm is the edge of its domain, k = 0.5, where rho
+    # is still 32e-3; below it the exact pass would raise.
     cases = [
         (FLAT, [1.0] * n),
         (od.AlphaLogYoung(1.5), [1e10] * n + [5e-324]),  # 5e-324 / k underflows to 0
     ]
     for phi, values in cases:
         f = _vector(values)
-        expected = _outcome(lambda: _exact_norm(f, phi))
-        assert _outcome(lambda: od.luxemburg_norm(f, phi)) == expected
-    assert _outcome(lambda: od.luxemburg_norm(_vector([1.0] * n), FLAT)) == (0.5).hex()
+        _assert_agrees(f, phi)
+        _assert_certified(f, phi)
+    assert od.luxemburg_norm(_vector([1.0] * n), FLAT) == 0.5
 
 
 def test_near_tie_where_the_two_sums_straddle_one():
     # Found by a seeded search: at this k numpy's pairwise sum of the
     # screen terms lands just below 1.0 and the sequential libm sum just
-    # above it, so only the exact modular may decide the step.
+    # above it, so only the exact modular may decide a probe there.
     rng = np.random.default_rng(23)
     n = int(rng.integers(16, 3000))
     f = _vector(rng.uniform(0.5, 1.5, n))
     phi = od.AlphaLogYoung(1.5)
     k = float.fromhex("0x1.355c2b5aa067fp+6")
     assert n == 123
-    assert _screen(phi, f, k) < 1.0 < od.modular(f, phi, k)
-    screen = orlicz._screen(phi, np.abs(np.fromiter(f.values(), float, n)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        assert orlicz._screened_excess(f, phi, screen)(k) > 0.0
-    assert od.luxemburg_norm(f, phi).hex() == _exact_norm(f, phi).hex()
+    s = _screen(phi, f, k)
+    assert s < 1.0 < od.modular(f, phi, k)
+    rel, floor = orlicz._screen_tolerance(n)
+    assert abs(s - 1.0) <= rel * s + floor  # E leaves the probe to the exact pass
+    _assert_agrees(f, phi)
+    _assert_certified(f, phi)
 
 
 def test_screen_leaves_most_steps_to_numpy(monkeypatch):
@@ -222,11 +220,11 @@ def test_screen_leaves_most_steps_to_numpy(monkeypatch):
     for phi in (od.AlphaLogYoung(1.5), TABLE):
         f = _vector(np.random.default_rng(3).uniform(-2.0, 2.0, 5000))
         od.luxemburg_norm(f, phi)
-        assert 0 < len(exact_passes) <= 8
+        # E is about 2e-12 on 5000 entries, so the screen cannot decide
+        # the last probes, at most 1e-12 apart.
+        assert 0 < len(exact_passes) <= 3
         exact_passes.clear()
-        # Small supports find the band from exact passes, and run one at
-        # each step inside it: 7 for alphalog and 9 for the table, of about
-        # 50 steps without the band.
-        od.luxemburg_norm(_vector([0.5] * (orlicz.SCREEN_MIN - 1)), phi)
-        assert 0 < len(exact_passes) <= 10
+        # On 15 entries E is about 1.4e-14: the screen decides every probe.
+        od.luxemburg_norm(_vector([0.5] * 15), phi)
+        assert len(exact_passes) == 0
         exact_passes.clear()

@@ -25,11 +25,15 @@ nonzero = st.one_of(st.integers(-40, -1), st.integers(1, 40))
 positive = st.floats(0.125, 4.0, allow_nan=False, allow_infinity=False)
 
 
+def _keys(sys, points, backward=False):
+    return [sys.fillers[backward].key(x) for x in points]
+
+
 def _series(sys, points, depth, backward=False):
-    """orbit_series' blocks stacked into (linear, log) arrays over all the
+    """keyed_series' blocks stacked into (linear, log) arrays over all the
     points, checking that the blocks cover the points in order."""
     linear, logs, covered = [], [], 0
-    for rows, lin, log in translations.orbit_series(sys, points, depth, backward=backward, logs=True):
+    for rows, lin, log in translations.keyed_series(sys, _keys(sys, points, backward), depth, backward, True):
         assert rows == slice(covered, covered + len(lin))
         covered = rows.stop
         linear.append(lin.copy())  # the next block overwrites the buffers
@@ -99,7 +103,8 @@ def systems(draw):
 def test_kernel_matches_scalar_loop_bit_for_bit(case, depth, backward, block):
     sys, points = case
     with mock.patch.object(translations, "BLOCK_ELEMENTS", block):
-        blocks = [len(lin) for _, lin, _ in translations.orbit_series(sys, points, depth, backward=backward)]
+        keys = _keys(sys, points, backward)
+        blocks = [len(lin) for _, lin, _ in translations.keyed_series(sys, keys, depth, backward, False)]
         linear, logs = _series(sys, points, depth, backward)
     rows = max(1, block // (depth + 1))
     assert blocks == [min(rows, len(points) - start) for start in range(0, len(points), rows)]
@@ -198,7 +203,7 @@ def test_table_weight_orbits_under_the_guard_take_the_kernel(group, a):
 @pytest.mark.parametrize(
     "group,key",
     [
-        # Keyed by (2,) on Z, orbit_series from 0 with a = 1 used the weights
+        # Keyed by (2,) on Z, the series from 0 with a = 1 used the weights
         # [1, 4, 1] (the index compares coordinates) while the scalar loop
         # gave [1, 1, 1] (the dict compares elements).
         pytest.param(od.IntegerGroup(), (2,), id="Z-tuple"),

@@ -1,6 +1,6 @@
 """Power norms in closed form, N = M (S / p)^(1/p), against exact
-references and the bisection they replaced, and norms past the float
-range on every family."""
+references and the bisection they replaced; norms at the ends of the
+float range on every family."""
 
 from __future__ import annotations
 
@@ -66,11 +66,11 @@ def test_power_norm_agrees_with_the_old_bisection(phi, n, kind, seed):
 
 def test_power_norm_runs_no_modular_bisection_or_band(monkeypatch):
     calls = []
-    for owner, name in ((orlicz, "modular"), (orlicz, "bisect_root"), (numerics, "bisect_root"), (orlicz, "_band")):
+    for owner, name in ((orlicz, "modular"), (numerics, "bisect_root"), (orlicz, "_secant_bracket")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
     rng = np.random.default_rng(3)
-    for n in (1, orlicz.SCREEN_MIN - 1, orlicz.SCREEN_MIN, 5000):
+    for n in (1, 15, 16, 5000):
         for phi in POWERS:
             assert od.luxemburg_norm(_vector(rng.uniform(-2.0, 2.0, n)), phi) > 0.0
     assert calls == []
@@ -117,10 +117,45 @@ def test_subnormal_power_norm_is_exact():
 
 
 SHORT = od.TableYoung(((0.0, 0.0), (0.5, 0.5)))
+# Phi(t) = t on [0, 1], so n entries of v below 1 have norm n v.
+KINK = od.TableYoung(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
 
 
 def _custom(table: od.TableYoung) -> dict:
     return {"family": "custom", "table": [list(knot) for knot in table.knots]}
+
+
+def _cli_norm(capsys, tmp_path, young: dict, values: list[float]) -> float:
+    assert main(_norm_config(tmp_path, young, values)) == 0
+    return json.loads(capsys.readouterr().out)["results"]["norm"]
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_subnormal_table_norm_is_exact(capsys, tmp_path, n):
+    # The bisection's absolute stop gave 24 and 96 units of 2^-1074; the
+    # bracket stops on adjacent floats.
+    values = [TINY] * n
+    assert od.luxemburg_norm(_vector(values), KINK) == n * TINY
+    assert _cli_norm(capsys, tmp_path, _custom(KINK), values) == n * TINY
+
+
+def test_subnormal_table_norm_keeps_its_relative_accuracy(capsys, tmp_path):
+    # The bisection's absolute stop left it 2.0e-4 off.
+    values = [1e-310] * 20
+    assert od.luxemburg_norm(_vector(values), KINK) == pytest.approx(2e-309, rel=1e-12)
+    assert _cli_norm(capsys, tmp_path, _custom(KINK), values) == pytest.approx(2e-309, rel=1e-12)
+
+
+def test_alphalog_norm_near_the_largest_float_is_finite(capsys, tmp_path):
+    # The bracket could only double up to DBL_MAX / 2: this raised "norm
+    # exceeds 1e+308".  A 50-digit decimal bisection puts the root of
+    # rho(f/k) = 1 at k = 1.17115567751534396e308.
+    values = [1e308, 1e307]
+    phi = od.AlphaLogYoung(1.5)
+    norm = od.luxemburg_norm(_vector(values), phi)
+    assert norm == pytest.approx(1.17115567751534396e308, rel=1e-12)
+    assert od.modular(_vector(values), phi, norm) == pytest.approx(1.0, rel=1e-11)
+    assert _cli_norm(capsys, tmp_path, {"family": "alphalog", "alpha": 1.5}, values) == norm
 
 
 PAST_THE_FLOATS = [

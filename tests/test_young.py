@@ -60,6 +60,15 @@ def test_inverse_examples():
     assert abs(od.inverse(od.PowerYoung(1.0), 7.0) - 7.0) <= 1e-11
 
 
+def test_inverse_of_a_target_near_the_largest_float_is_finite():
+    # The doubling passed DBL_MAX and the midpoint 0.5 (lo + hi)
+    # overflowed: this returned inf.
+    assert od.inverse(od.PowerYoung(1.0), 1e308) == pytest.approx(1e308, rel=1e-12)
+    assert od.inverse(od.PowerYoung(1.0), math.inf) == math.inf
+    with pytest.raises(ValueError, match=">= 0"):
+        od.inverse(od.PowerYoung(1.0), math.nan)
+
+
 @pytest.mark.parametrize(
     "phi",
     [od.PowerYoung(1.0), od.PowerYoung(2.0), od.PowerYoung(3.0), od.AlphaLogYoung(1.5)],
