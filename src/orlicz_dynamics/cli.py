@@ -154,7 +154,11 @@ def main(argv: list[str] | None = None) -> int:
     envelope = make_envelope(
         emit_config(cfg), results, timings={"total_s": time.perf_counter() - t0}, version=__version__
     )
-    _emit(envelope, args.out, args.command)
+    try:
+        _emit(envelope, args.out, args.command)
+    except OSError as exc:
+        print(f"error: --out: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_ERROR
     summary = results.get("verdict", {}).get("outcome", args.command)
     print(f"{args.command}: {summary} (exit {code})", file=sys.stderr)
     return code

@@ -28,8 +28,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
 
     Terminates when the bracket width falls below 1e-12 relative to the
-    midpoint (with a tiny absolute floor so roots at 0 terminate), or
-    after 256 steps.
+    midpoint, or when lo and hi are adjacent floats, so a root near 0 or
+    among the subnormals keeps its relative accuracy.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -39,9 +39,11 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(256):
-        mid = _midpoint(lo, hi)
-        if hi - lo <= 1e-12 * max(abs(mid), 1e-300):
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflows
+            mid = 0.5 * lo + 0.5 * hi
+        if hi - lo <= 1e-12 * abs(mid) or mid == lo or mid == hi:
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -49,14 +51,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         if (fm > 0.0) == (fhi > 0.0):
             hi, fhi = mid, fm
         else:
-            lo, flo = mid, fm
-    return _midpoint(lo, hi)
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    """0.5 (lo + hi), halved first where the sum overflows."""
-    mid = 0.5 * (lo + hi)
-    return mid if mid != math.inf else 0.5 * lo + 0.5 * hi
+            lo = mid
 
 
 def golden_max(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

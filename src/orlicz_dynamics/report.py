@@ -1,16 +1,13 @@
-"""Report envelopes: canonical JSON, determinism hashing, CSV export.
+"""Report envelopes: one JSON encoding, determinism hashing, CSV export.
 
-Envelopes are deterministic given the config.  The ``runtime``
-section (timings) is excluded from the determinism hash, everything else
-is covered by it.  Non-finite floats are serialized as the strings
-"inf", "-inf" and "nan" to keep the output strict JSON.  ``make_envelope``
-first encodes the hashed part with the C encoder and ``allow_nan=False``;
-only when that refuses a non-finite float does it sanitize that part
-(and it always sanitizes the small ``runtime``).  Finite floats, lists
-and tuples encode alike either way, so the hash and the written bytes do
-not depend on which route ran.  The writers encode the envelope as it
-is, with ``allow_nan=False``, so a non-finite float that bypassed the
-conversion fails loudly.
+The hash covers the envelope without ``runtime`` (timings) and itself.
+``render_envelope`` is the one encoding of the hash, the ``--out`` file
+and stdout: sorted keys, no whitespace, strict JSON, the C encoder.
+Non-finite floats are written as the strings "inf", "-inf" and "nan":
+``make_envelope`` sanitizes the hashed part only when its one encode
+refuses a non-finite float (and always the small ``runtime``); both
+routes give the same bytes.  A non-finite float that bypassed the
+conversion makes ``render_envelope`` raise.
 """
 
 from __future__ import annotations
@@ -42,21 +39,14 @@ def _sanitize(obj):
     return obj
 
 
-def _canonical(sanitized) -> str:
-    return json.dumps(sanitized, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _hash_core(sanitized: dict) -> str:
-    core = {k: v for k, v in sanitized.items() if k not in _EXCLUDED_FROM_HASH}
-    return hashlib.sha256(_canonical(core).encode()).hexdigest()
-
-
-def dumps_canonical(obj) -> str:
-    return _canonical(_sanitize(obj))
+def render_envelope(envelope: dict) -> str:
+    """The one encoding: the report's text, and the hashed text of its core."""
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def determinism_hash(envelope: dict) -> str:
-    return _hash_core(_sanitize(envelope))
+    core = _sanitize({k: v for k, v in envelope.items() if k not in _EXCLUDED_FROM_HASH})
+    return hashlib.sha256(render_envelope(core).encode()).hexdigest()
 
 
 def make_envelope(config: dict, results: dict, *, timings: dict, version: str) -> dict:
@@ -67,10 +57,10 @@ def make_envelope(config: dict, results: dict, *, timings: dict, version: str) -
         "results": results,
     }
     try:
-        core = _canonical(envelope)
+        core = render_envelope(envelope)
     except ValueError:  # a non-finite float
         envelope = _sanitize(envelope)
-        core = _canonical(envelope)
+        core = render_envelope(envelope)
     envelope["runtime"] = _sanitize({"timings": timings})
     envelope["determinism_hash"] = hashlib.sha256(core.encode()).hexdigest()
     return envelope
@@ -80,13 +70,9 @@ def write_envelope(path: str | Path, envelope: dict) -> None:
     Path(path).write_text(render_envelope(envelope) + "\n")
 
 
-def render_envelope(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-
-
 def write_series_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    # The csv module writes None as an empty field.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)

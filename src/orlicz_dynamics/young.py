@@ -224,23 +224,34 @@ class Delta2Report:
 def inverse(phi: YoungFunction, s: float) -> float:
     """Generalized inverse inf{t >= 0 : Phi(t) >= s}.
 
-    Bracketing by doubling, up to the domain's end or the largest float,
-    then bisection to relative tolerance 1e-12.  inf where s is: every
-    finite t has Phi(t) < inf.
+    Power in closed form, p^(1/p) s^(1/p), which no finite s overflows.
+    Otherwise doubling up to the domain's end or the largest float, then
+    bisection to relative tolerance 1e-12.  inf where s is: every finite
+    t has Phi(t) < inf.
     """
     if not s >= 0.0:
         raise ValueError("inverse argument must be >= 0")
     if s == 0.0:
         return 0.0
+    if isinstance(phi, PowerYoung):
+        root = 1.0 / phi.p
+        return phi.p**root * s**root
     cap = phi.domain_max
     if phi.evaluate(cap) < s:
         raise OutOfRangeError(f"target {s} above table maximum {phi.evaluate(cap)}")
     if s == math.inf:
         return math.inf
+
+    def excess(t: float) -> float:
+        try:
+            return phi.evaluate(t) - s
+        except OverflowError:  # alphalog: t^alpha alone is past DBL_MAX >= s
+            return math.inf
+
     hi = min(1.0, cap)
-    while phi.evaluate(hi) < s:
+    while excess(hi) < 0.0:
         hi = min(2.0 * hi, cap, sys.float_info.max)
-    return bisect_root(lambda t: phi.evaluate(t) - s, 0.0, hi)
+    return bisect_root(excess, 0.0, hi)
 
 
 def _conjugate_objective(phi: YoungFunction, ay: float):

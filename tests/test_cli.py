@@ -534,6 +534,47 @@ def test_report_hash_does_not_depend_on_the_out_path(capsys, tmp_path, command):
     assert "out" not in envelopes[0]["config"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--config", str(CONFIG_DIR / "cyclic_torsion.json")],
+        ["simulate", "--config", str(CONFIG_DIR / "z_shift_chaotic.json")],
+        ["norm", "--config", str(CONFIG_DIR / "z_shift_chaotic.json"), "--vector", "VECTOR"],
+        ["probe-young", "--config", str(CONFIG_DIR / "heisenberg_paper.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_and_out_print_one_canonical_text(capsys, tmp_path, argv):
+    # One encoder serves the hash, --out and stdout: compact JSON with
+    # sorted keys and one closing newline, equal apart from runtime.
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps([[[0], 1.0], [[3], -0.5], [[-2], 2.5]]))
+    argv = [str(vec) if arg == "VECTOR" else arg for arg in argv]
+    out = tmp_path / "report.json"
+    code = main(argv)
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == code
+    capsys.readouterr()
+    envelopes = []
+    for text in (printed, out.read_text()):
+        assert text.endswith("}\n") and text.count("\n") == 1
+        envelope = json.loads(text)
+        assert text[:-1] == json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        envelope.pop("runtime")
+        envelopes.append(envelope)
+    assert envelopes[0] == envelopes[1]  # determinism_hash included
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_an_unwritable_out_fails_cleanly(capsys, tmp_path, target):
+    out = tmp_path / "nowhere" / "r.json" if target == "missing-dir" else tmp_path
+    code = main(["check", "--config", str(CONFIG_DIR / "cyclic_torsion.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: --out: cannot write {out}") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "orlicz_dynamics", "check", "--config",

@@ -22,7 +22,6 @@ from orlicz_dynamics.errors import ConfigError
 from orlicz_dynamics.report import (
     _sanitize,
     determinism_hash,
-    dumps_canonical,
     make_envelope,
     render_envelope,
     write_envelope,
@@ -491,15 +490,18 @@ def test_envelope_hash_ignores_runtime():
     assert determinism_hash(mutated) != env1["determinism_hash"]
 
 
-def test_canonical_dump_handles_non_finite():
-    blob = dumps_canonical({"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.0})
-    assert json.loads(blob) == {"a": "inf", "b": "-inf", "c": "nan", "d": 1.0}
+def test_canonical_dump_handles_non_finite(tmp_path):
+    results = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.0}
+    env = make_envelope({}, results, timings={}, version="0.1.0")
+    write_envelope(tmp_path / "r.json", env)
+    assert json.loads((tmp_path / "r.json").read_text())["results"] == {"a": "inf", "b": "-inf", "c": "nan", "d": 1.0}
 
 
 def _three_pass_envelope(config, results, timings):
     """The hash and written bytes of the envelope path as it was before
     make_envelope sanitized once: sanitize in make_envelope, again to
-    hash, again to write."""
+    hash, again to write.  The bytes are the compact sorted encoding
+    that reports are written in."""
     old = {
         "schema_version": 2,
         "tool": {"name": "orlicz-dynamics", "version": "0.1.0"},
@@ -511,7 +513,7 @@ def _three_pass_envelope(config, results, timings):
     old["determinism_hash"] = hashlib.sha256(
         json.dumps(_sanitize(core), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
     ).hexdigest()
-    return old["determinism_hash"], json.dumps(_sanitize(old), indent=2, sort_keys=True) + "\n"
+    return old["determinism_hash"], json.dumps(_sanitize(old), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _assert_same_as_three_pass(tmp_path, config, results, timings):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +69,65 @@ def test_inverse_of_a_target_near_the_largest_float_is_finite():
     assert od.inverse(od.PowerYoung(1.0), math.inf) == math.inf
     with pytest.raises(ValueError, match=">= 0"):
         od.inverse(od.PowerYoung(1.0), math.nan)
+
+
+def _reference_inverse(phi, s: float) -> mpmath.mpf:
+    """Phi^{-1}(s) to 60 digits: closed for power; for alphalog, bisection
+    on u = log t of alpha u + log(1 + |u|) = log s, increasing in u."""
+    with mpmath.workdps(60):
+        if isinstance(phi, od.PowerYoung):
+            return (mpmath.mpf(phi.p) * s) ** (1 / mpmath.mpf(phi.p))
+        alpha, target = mpmath.mpf(phi.alpha), mpmath.log(s)
+        lo, hi = mpmath.mpf(-2000), mpmath.mpf(2000)
+        for _ in range(220):
+            u = (lo + hi) / 2
+            lo, hi = (u, hi) if alpha * u + mpmath.log(1 + abs(u)) < target else (lo, u)
+        return mpmath.exp((lo + hi) / 2)
+
+
+def _assert_inverse_matches_reference(phi, s: float):
+    reference = _reference_inverse(phi, s)
+    assert abs(od.inverse(phi, s) - reference) <= 1e-12 * reference, (phi, s)
+
+
+@pytest.mark.parametrize(
+    "phi,s,expected",
+    [
+        (od.PowerYoung(1.0), 1e-100, 1e-100),
+        (od.PowerYoung(2.0), 1e-300, math.sqrt(2.0) * 1e-150),
+        (od.AlphaLogYoung(1.5), 1e-200, 1.0093592255e-135),
+        (od.PowerYoung(2.0), 1e308, math.sqrt(2.0) * 1e154),
+        (od.AlphaLogYoung(1.5), 1e308, 3.5655131437e203),
+        (od.AlphaLogYoung(40.0), 1e308, 46583176.554),
+    ],
+    ids=["p1-tiny", "p2-tiny", "alphalog-tiny", "p2-huge", "alphalog-huge", "alphalog-overflows"],
+)
+def test_inverse_at_both_ends_of_the_float_range(phi, s, expected):
+    # Answers below about 2^-256 came back as 4.318e-78 (a 256-step cap and
+    # a 1e-300 absolute floor in the bisection), and p = 2 targets above
+    # about DBL_MAX / 4 raised OverflowError from |t|^p, as did alphalog
+    # where the doubling's |t|^alpha passed the largest float.
+    assert od.inverse(phi, s) == pytest.approx(expected, rel=1e-10)
+    _assert_inverse_matches_reference(phi, s)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        od.PowerYoung(1.0),
+        od.PowerYoung(1.5),
+        od.PowerYoung(2.0),
+        od.PowerYoung(7.5),
+        od.AlphaLogYoung(1.1),
+        od.AlphaLogYoung(1.5),
+        od.AlphaLogYoung(40.0),
+    ],
+    ids=repr,
+)
+def test_inverse_matches_a_60_digit_reference_over_the_normal_range(phi):
+    smallest, largest = sys.float_info.min, sys.float_info.max
+    for s in [smallest, *np.geomspace(smallest, 1e308, 61).tolist()[1:], largest]:
+        _assert_inverse_matches_reference(phi, s)
 
 
 @pytest.mark.parametrize(
