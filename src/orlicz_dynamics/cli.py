@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields
+from functools import cache
 from operator import itemgetter
 from pathlib import Path
 
@@ -111,6 +112,8 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves the parser as it was, so one serves every main call.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orlicz-dynamics", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -125,9 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(envelope: dict, out: str | None, command: str) -> None:
-    if out:
-        write_envelope(out, envelope)
-        stem = Path(out)
+    if not out:
+        print(render_envelope(envelope))
+        return
+    write_envelope(out, envelope)
+    stem = Path(out)
+    try:
         if command in ("check", "simulate"):
             header = [f.name for f in fields(SeriesPoint)]
             rows = map(itemgetter(*header), envelope["results"]["verdict"]["series"])
@@ -138,8 +144,9 @@ def _emit(envelope: dict, out: str | None, command: str) -> None:
         if command == "probe-young":
             rows = envelope["results"]["conjugate_table"]
             write_series_csv(stem.with_suffix(".conjugate.csv"), ("y", "psi"), rows)
-    else:
-        print(render_envelope(envelope))
+    except OSError:
+        stem.unlink()  # a report without its sidecars would read as a complete run
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

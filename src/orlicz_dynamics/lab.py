@@ -18,15 +18,16 @@ has, and takes each piece's norm once.  A piece is one column of a
 stack, and T^m f is the same vector, bit for bit and in the same
 insertion order, however m is split into steps (see ``translations``):
 each piece is the vector that applying T or S to f one step at a time
-gives, whatever stack it is read from.  A norm reads its column on the
-stack's own points, which is the piece translated back;
-``luxemburg_norm`` reads the values alone (alphalog and table norms in
-order, power norms in any order), so that is the piece's norm bit for
-bit, and no point is moved for it.  The period
-defect T^n v - v and the returns T^{ln} v of a witness v lie on v's
-orbit, not f's, and take ``translations.apply_T_n`` and
-``translations.iterates``, with the orbit's stacks released first when
-the two would not fit the cap together.  Each sum of pieces is one
+gives, whatever stack it is read from.  A norm reads the piece's values
+straight from its stack: ``translations.Stack.column`` gives the
+column's nonzero float64 values in f's order, which are the piece's
+values in its order.  ``luxemburg_norm`` reads the values alone
+(alphalog and table norms in order, power norms in any order), so that
+is the piece's norm bit for bit, and no point is moved and no vector is
+built for it.  The period defect T^n v - v and the returns T^{ln} v of a
+witness v lie on v's orbit, not f's, and take ``translations.apply_T_n``
+and ``translations.iterates``, with the orbit's stacks released first
+when the two would not fit the cap together.  Each sum of pieces is one
 ``orlicz.vector_sum``, bit for bit repeated ``+``.
 """
 
@@ -70,8 +71,8 @@ class PeriodicityReport:
 class SeedOrbit:
     """The orbit of a seed f under a system: ``piece(m)`` is T^m f for
     m > 0, S^{-m} f for m < 0 and f at 0, and ``norm(m)`` its Luxemburg
-    norm, taken once from the column of piece(m) left on its stack's
-    points (``translations.Stack.unmoved``; see the module docstring).
+    norm, taken once from the values of piece(m) in its stack's column
+    (``translations.Stack.column``; see the module docstring).
 
     Each direction keeps one stack (``translations.orbit_stack``) of a
     piece: of f, or of the last piece of the stack before.  A request the
@@ -105,7 +106,7 @@ class SeedOrbit:
                 column = self.f
             else:
                 base, stack = self._stack(m)
-                column = stack.unmoved(abs(m) - base)
+                column = stack.column(abs(m) - base)
             self._norms[m] = luxemburg_norm(column, self.sys.young)
         return self._norms[m]
 

@@ -13,11 +13,18 @@ so nothing overflows before the last product, and a term that underflows
 moves S by less than n 2^-1074.  fsum rounds once and does not depend on
 the order of the entries.
 
+``luxemburg_norm`` and ``modular`` read only the vector's values, so
+both also take them as a float64 array of its nonzero values in its
+insertion order, such as ``translations.Stack.column``, and give the
+vector's result bit for bit.
+
 For alphalog and table Young functions the root has no closed form.
-``modular`` is the exact pass: it streams the vector's values, in
-insertion order, through the Young function's ``evaluate_many`` (libm,
-bit-identical to scalar ``evaluate``) and adds the terms left to right,
-one rounding per addition, on every Python version.  Every such norm is
+``modular`` is the exact pass: it divides the vector's absolute values
+by k (numpy's abs and / round as Python's do) a block at a time, and
+streams them, in insertion order, through the Young function's
+``evaluate_many`` (libm, bit-identical to scalar ``evaluate``) and adds
+the terms left to right, one rounding per addition, on every Python
+version.  Every such norm is
 defined by it: ``_secant_bracket`` closes a bracket (a, b) with the
 exact modular r above 1 at a and below 1 at b, until b <= a (1 + 1e-12)
 or a and b are adjacent floats, and the norm is a + (b - a) / 2.
@@ -75,8 +82,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-from itertools import repeat
-from operator import add, truediv
+from itertools import chain, repeat
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -90,6 +97,8 @@ _MAX = sys.float_info.max
 # How far past the secant's root, relative, a probe is aimed: a quarter
 # of the 1e-12 stop, so one close probe on each side meets it.
 _AIM = 2.5e-13
+# Values per numpy step of the exact modular.
+_BLOCK = 4096
 
 if sys.version_info >= (3, 12):
     # From 3.12 on builtin sum compensates (Neumaier), so its bits depend
@@ -111,7 +120,15 @@ class OrliczVector:
 
     def __init__(self, data: Mapping[Element, float] | Iterable[tuple[Element, float]] = ()):
         items = data.items() if isinstance(data, Mapping) else data
-        self._data = {x: float(v) for x, v in items if float(v) != 0.0}
+        self._data = {x: fv for x, v in items if (fv := float(v)) != 0.0}
+
+    @classmethod
+    def _adopt(cls, data: dict) -> "OrliczVector":
+        """The vector that holds data itself, whose values are already
+        nonzero Python floats: no copy and no check."""
+        vec = cls.__new__(cls)
+        vec._data = data
+        return vec
 
     @classmethod
     def delta(cls, x: Element, value: float = 1.0) -> "OrliczVector":
@@ -158,7 +175,16 @@ class OrliczVector:
         return vector_sum((self, other))
 
     def __sub__(self, other: "OrliczVector") -> "OrliczVector":
-        return self + other.scale(-1.0)
+        # a - b is a + (-b) in IEEE arithmetic: the bits and key order of
+        # self + other.scale(-1.0), in one merge.
+        acc = dict(self._data)
+        for x, v in other._data.items():
+            d = acc.get(x, 0.0) - v
+            if d != 0.0:
+                acc[x] = d
+            else:
+                del acc[x]
+        return OrliczVector._adopt(acc)
 
     def restrict(self, elements: Iterable[Element] | CompactSet) -> "OrliczVector":
         """Pointwise product with the indicator of ``elements``."""
@@ -185,17 +211,24 @@ def vector_sum(pieces: Sequence[OrliczVector]) -> OrliczVector:
                 acc[x] = s
             else:
                 del acc[x]
-    return OrliczVector(acc)
+    return OrliczVector._adopt(acc)
 
 
-def modular(f: OrliczVector, phi: YoungFunction, k: float) -> float:
-    """Sum of Phi(|f(x)|/k) over the support (counting measure)."""
+def modular(f: OrliczVector | np.ndarray, phi: YoungFunction, k: float) -> float:
+    """Sum of Phi(|f(x)|/k) over the support (counting measure); f is a
+    vector or the array of its values (see ``_values``)."""
     if not k > 0.0:
         raise ValueError("modular scale k must be > 0")
-    return _left_sum(phi.evaluate_many(map(truediv, map(abs, f.values()), repeat(k))))
+    values = _values(f)
+    # A block of terms at a time, so a large support's terms never all
+    # exist at once.  numpy's abs and / round as Python's, and past the
+    # float range both give inf.
+    blocks = (np.abs(values[i : i + _BLOCK]) / k for i in range(0, len(values), _BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _left_sum(chain.from_iterable(phi.evaluate_many(block.tolist()) for block in blocks))
 
 
-def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
+def luxemburg_norm(f: OrliczVector | np.ndarray, phi: YoungFunction) -> float:
     """inf{k > 0 : modular(f, phi, k) <= 1}; 0 for the zero vector.
 
     The modular is continuous and strictly decreasing in k on finitely
@@ -204,23 +237,33 @@ def luxemburg_norm(f: OrliczVector, phi: YoungFunction) -> float:
     is the midpoint a + (b - a) / 2 of the certified bracket that
     ``_secant_bracket`` closes around the root, within 1e-12 of it
     relative.  A norm past the float range raises OrliczDynamicsError.
+    f is a vector or the array of its values (see ``_values``).
     """
-    if not f:
+    values = _values(f)
+    if not len(values):
         return 0.0
+    absf = np.abs(values)
+    top = float(absf.max())
+    if not math.isfinite(top):  # nan or inf where an entry is not finite
+        raise NonFiniteVectorError(f"entry {float(values[np.isfinite(values).argmin()])!r} is not finite")
     if isinstance(phi, PowerYoung):
-        return _power_norm(f, phi.p)
-    a, b = _secant_bracket(f, phi)
+        return _power_norm(absf, top, phi.p)
+    a, b = _secant_bracket(absf, top, phi)
     return a + (b - a) / 2.0
 
 
-def _power_norm(f: OrliczVector, p: float) -> float:
+def _values(f: OrliczVector | np.ndarray) -> np.ndarray:
+    """The values of f in its order as float64: a vector's read into a new
+    array, and an array of a vector's nonzero values, such as a stack's
+    ``translations.Stack.column``, as it is.  The norms and the modular
+    read f only through these values."""
+    return f if isinstance(f, np.ndarray) else np.fromiter(f.values(), float, len(f))
+
+
+def _power_norm(absf: np.ndarray, top: float, p: float) -> float:
     """(sum |f|^p / p)^(1/p), the norm under Phi(t) = |t|^p / p, as
-    M (S / p)^(1/p) with M = max|f| and S the fsum of (|f| / M)^p."""
-    absf = np.fromiter(f.values(), float, len(f))
-    top = float(np.abs(absf, out=absf).max())  # nan or inf where an entry is not finite
-    if not math.isfinite(top):
-        v = next(v for v in f.values() if not math.isfinite(v))
-        raise NonFiniteVectorError(f"entry {v!r} is not finite")
+    M (S / p)^(1/p) with M = top = max|f| and S the fsum of (|f| / M)^p,
+    from |f|'s finite values, which it overwrites."""
     absf /= top
     norm = top * math.pow(math.fsum(map(math.pow, absf.tolist(), repeat(p))) / p, 1.0 / p)
     if norm == math.inf:
@@ -228,19 +271,14 @@ def _power_norm(f: OrliczVector, p: float) -> float:
     return norm
 
 
-def _secant_bracket(f: OrliczVector, phi: YoungFunction) -> tuple[float, float]:
-    """Floats a <= b around the norm of f under an alphalog or table phi:
-    the exact modular exceeds 1 at a and falls below it at b, and
-    b <= a (1 + 1e-12) or a and b are adjacent.  a == b where a probe's
-    exact modular is 1, or where the norm is the table's domain edge.
-    See the module docstring for the probes and why no exact pass raises."""
-    n = len(f)
-    absf = np.fromiter(f.values(), float, n)
-    finite = np.isfinite(absf)
-    if not finite.all():
-        raise NonFiniteVectorError(f"entry {float(absf[finite.argmin()])!r} is not finite")
-    absf = np.abs(absf, out=absf)
-    top = float(absf.max())
+def _secant_bracket(absf: np.ndarray, top: float, phi: YoungFunction) -> tuple[float, float]:
+    """Floats a <= b around the norm under an alphalog or table phi of a
+    vector f, given |f|'s finite values and top = max|f|: the exact
+    modular exceeds 1 at a and falls below it at b, and b <= a (1 + 1e-12)
+    or a and b are adjacent.  a == b where a probe's exact modular is 1,
+    or where the norm is the table's domain edge.  See the module
+    docstring for the probes and why no exact pass raises."""
+    n = len(absf)
     edge = _domain_edge(top, phi.domain_max)
     if edge == math.inf:
         raise OrliczDynamicsError(f"norm exceeds the largest float: {top!r} / {phi.domain_max!r} overflows")
@@ -253,7 +291,7 @@ def _secant_bracket(f: OrliczVector, phi: YoungFunction) -> tuple[float, float]:
         s = float(np.add.reduce(phi.evaluate_array(buf)))
         if s < SCREEN_CEILING and abs(s - 1.0) > rel * s + floor:
             return s
-        return modular(f, phi, k)
+        return modular(absf, phi, k)
 
     a, b = 0.0, math.inf  # no end certified yet
     k, best = max(top / min(1.0, phi.domain_max), edge), None
@@ -302,8 +340,8 @@ def _domain_edge(top: float, domain_max: float) -> float:
         return math.ulp(0.0)
     while top / edge > domain_max:
         edge = math.nextafter(edge, math.inf)
-    while top / math.nextafter(edge, 0.0) <= domain_max:
-        edge = math.nextafter(edge, 0.0)
+    while (lower := math.nextafter(edge, 0.0)) > 0.0 and top / lower <= domain_max:
+        edge = lower
     return edge
 
 

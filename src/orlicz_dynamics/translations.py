@@ -61,7 +61,10 @@ The stack is the package's only way to build T^n f or S^n f:
 ``iterates`` reads the columns l*step, l = 1..count, of one stack;
 ``apply_T`` and ``apply_S`` are its one-step views, ``apply_T_n`` and
 ``apply_S_n`` its views with step n; and ``lab.SeedOrbit`` keeps one
-stack of its seed each way.
+stack of its seed each way.  ``Stack.iterate(c)`` builds T^c f from
+column c, moving each point by a^{+-c}; ``Stack.column(c)`` is the array
+of that vector's values alone, the column's nonzero values in f's order,
+with no point moved and no vector built: all that a norm reads.
 
 A weight acts on the groups whose elements it reads (``WeightedSystem``
 checks it at the identity): the step weight on Z and cyclic groups, the
@@ -453,12 +456,14 @@ class Stack(NamedTuple):
         a^{+-c}, in f's order; zero values are pruned."""
         g = self.sys.group
         shift = g.pow(self.sys.a, -c if self.backward else c)
-        return OrliczVector({g.mul(y, shift): v for y, v in zip(self.pts, self.block[self.at, c].tolist())})
+        column = zip(self.pts, self.block[self.at, c].tolist())
+        return OrliczVector._adopt({g.mul(y, shift): v for y, v in column if v})
 
-    def unmoved(self, c: int) -> OrliczVector:
-        """Column c on f's own points: ``iterate(c)`` translated back by
-        a^{-+c}, with its values in its order, and no ``mul``."""
-        return OrliczVector(zip(self.pts, self.block[self.at, c].tolist()))
+    def column(self, c: int) -> np.ndarray:
+        """The nonzero values of column c, in f's order: the values of
+        ``iterate(c)``, in its order, with no point moved and no vector built."""
+        values = self.block[self.at, c]
+        return values[values != 0.0]
 
 
 def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool, held: int) -> Stack:

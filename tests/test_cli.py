@@ -12,8 +12,9 @@ import pytest
 
 import orlicz_dynamics as od
 from conftest import block_alternating_weight
-from orlicz_dynamics import translations
+from orlicz_dynamics import cli, translations
 from orlicz_dynamics.cli import main
+from test_golden_hashes import GOLDEN
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -573,6 +574,37 @@ def test_an_unwritable_out_fails_cleanly(capsys, tmp_path, target):
     assert code == 1
     assert captured.err.startswith(f"error: --out: cannot write {out}") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_a_failed_sidecar_leaves_no_report(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    out.with_suffix(".series.csv").mkdir()
+    code = main(["check", "--config", str(CONFIG_DIR / "z_shift_chaotic.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --out: cannot write") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    config = str(CONFIG_DIR / "z_shift_chaotic.json")
+    for argv in (["check"], ["check", "--config"], ["norm", "--config", config], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # A call after argparse's exits parses as a first one: the pinned hash.
+    pinned = next(digest for command, name, _, digest in GOLDEN if (command, name) == ("check", "z_shift_chaotic"))
+    code, envelope = _run(capsys, "check", "--config", config)
+    assert code == 0 and envelope["determinism_hash"] == pinned
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps([[[0], 1.0]]))
+    code, envelope = _run(capsys, "norm", "--config", config, "--vector", str(vec))
+    assert code == 0 and envelope["results"]["norm"] == 2**-0.5
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--config", config])
+    assert exc.value.code == 2
 
 
 def test_module_entry_point_subprocess():

@@ -25,6 +25,19 @@ _Z_STEP = {
 EXTRA = {
     "z_mixing": {**_Z_STEP, "property": "mixing"},
     "z_multiply_recurrent": {**_Z_STEP, "property": "multiply_recurrent", "L": 3},
+    # The lab's alphalog and table norms: each column norm closes the
+    # secant bracket, and the returns take empirical_return's piece - f.
+    "z_multiply_recurrent_alphalog": {
+        **_Z_STEP,
+        "property": "multiply_recurrent",
+        "L": 3,
+        "young": {"family": "alphalog", "alpha": 1.5},
+    },
+    "z_chaotic_table": {
+        **_Z_STEP,
+        "property": "chaotic",
+        "young": {"family": "custom", "table": [[0, 0], [1, 0.5], [2, 2], [40, 800]]},
+    },
 }
 
 GOLDEN = [
@@ -36,6 +49,10 @@ GOLDEN = [
     ("simulate", "heisenberg_paper", 0, "03da996940c9a32c8747780a53235de10af567144a49c9e04728d7c58a2f481a"),
     ("check", "z_mixing", 0, "c295a808682269258e09f7d37f1493de3beb4cfa80d2da02e8eb5d957afc22a5"),
     ("check", "z_multiply_recurrent", 0, "9d27c44ba1c84ba57841d3faa69cb85793212031bc2b7c315e19ee0562f2e7cb"),
+    ("simulate", "z_mixing", 0, "48ea751289bb47c52a1281af1ae50beb9b6d8d7bd48615eb7b40c29b733088d9"),
+    ("simulate", "z_multiply_recurrent", 0, "e7942edd594408294521dda78f98f3aaf5d4263c208ed36fdf57edfa331476ab"),
+    ("simulate", "z_multiply_recurrent_alphalog", 0, "713c43814c9b36d770b1c4e79173ad965da181ac4f0ebce6fee2904e9ecfc321"),
+    ("simulate", "z_chaotic_table", 0, "721af5b5a6cf65f10619412c060ad02104d47055e0413e423120a4d598dd6451"),
 ]
 
 

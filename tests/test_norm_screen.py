@@ -77,7 +77,8 @@ def _assert_certified(f, phi):
     """The exact modular certifies the bracket's ends, and the norm is its
     midpoint: rho(f/a) > 1 > rho(f/b) with b within 1e-12 of a or next to
     it, or a == b where rho is 1 or a is the domain edge."""
-    a, b = orlicz._secant_bracket(f, phi)
+    absf = np.abs(orlicz._values(f))
+    a, b = orlicz._secant_bracket(absf, float(absf.max()), phi)
     if a == b:
         r = od.modular(f, phi, a)
         assert r == 1.0 or (r < 1.0 and a == orlicz._domain_edge(f.max_abs(), phi.domain_max))
@@ -193,6 +194,15 @@ def test_errors_match_the_exact_path():
         _assert_agrees(f, phi)
         _assert_certified(f, phi)
     assert od.luxemburg_norm(_vector([1.0] * n), FLAT) == 0.5
+
+
+def test_a_domain_edge_at_the_least_subnormal():
+    # max|f| / domain_max is exactly 5e-324 here: the edge cannot step
+    # below it, and stepping to 0.0 raised ZeroDivisionError.
+    phi = od.TableYoung(((0, 0), (1, 0.5), (2, 2), (40, 800)))
+    assert orlicz._domain_edge(40 * 5e-324, 40.0) == 5e-324
+    for value in (40 * 5e-324, -41 * 5e-324):
+        _assert_certified(_vector([value]), phi)
 
 
 def test_near_tie_where_the_two_sums_straddle_one():

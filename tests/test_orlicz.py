@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import P2, all_groups, random_element, random_vector
 from orlicz_dynamics.errors import NonFiniteVectorError
+from orlicz_dynamics.orlicz import vector_sum
 
 
 def test_vector_pruning_and_ops():
@@ -238,3 +241,43 @@ def test_norm_of_screened_least_subnormals():
     # Twenty entries take the screen: sqrt(10) * 5e-324 rounds to 3 ulps.
     f = od.OrliczVector({i: math.ulp(0.0) for i in range(20)})
     assert od.luxemburg_norm(f, P2) == 3 * math.ulp(0.0) == 1.5e-323
+
+
+# Few keys and values that cancel exactly, so draws often share keys,
+# cancel them to 0.0 and bring them back.
+_KEYED = st.dictionaries(
+    st.integers(0, 4), st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.1, -0.3, 5e-324, -5e-324, 1e308]), max_size=5
+).map(od.OrliczVector)
+
+
+def _bits(v: od.OrliczVector) -> list:
+    return [(x, value.hex()) for x, value in v.items()]
+
+
+def _holds_nonzero_floats(v: od.OrliczVector) -> bool:
+    return all(type(value) is float and value != 0.0 for value in v.values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_KEYED, _KEYED, _KEYED)
+def test_difference_is_the_sum_with_the_negation(a, b, c):
+    for left, right in ((a, b), (a, a), (a - b, c), (a - b, a), (vector_sum((a, b, c)), b)):
+        assert _bits(left - right) == _bits(left + right.scale(-1.0))
+    assert _bits((a - b) - c) == _bits(vector_sum((a, b.scale(-1.0), c.scale(-1.0))))
+    for v in (a - b, (a - b) - c, vector_sum((a, b, c)), vector_sum((a,))):
+        assert _holds_nonzero_floats(v)
+
+
+def test_a_cancelled_key_comes_back_at_the_end():
+    a, b, c = od.OrliczVector({0: 1.0, 1: 2.0}), od.OrliczVector({0: 1.0}), od.OrliczVector({0: -3.0, 2: 0.5})
+    assert list((a - b).items()) == [(1, 2.0)]
+    assert list(((a - b) - c).items()) == [(1, 2.0), (0, 3.0), (2, -0.5)]
+    assert _bits((a - b) - c) == _bits(a + b.scale(-1.0) + c.scale(-1.0))
+    assert not (a - a)
+
+
+def test_the_constructor_keeps_its_checks():
+    assert list(od.OrliczVector([(0, 1), (1, 0), (2, -0.0), (3, "2.5")]).items()) == [(0, 1.0), (3, 2.5)]
+    assert _holds_nonzero_floats(od.OrliczVector({0: np.float64(1.5), 1: True}))
+    with pytest.raises(ValueError):
+        od.OrliczVector({0: "one"})

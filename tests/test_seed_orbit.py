@@ -9,6 +9,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,13 @@ import orlicz_dynamics as od
 from conftest import P2
 from orlicz_dynamics import cli, lab, translations
 from orlicz_dynamics.config import load_config
-from orlicz_dynamics.errors import ConfigError, OrliczDynamicsError, SeparationViolatedError, TailUnboundedError
+from orlicz_dynamics.errors import (
+    ConfigError,
+    NonFiniteVectorError,
+    OrliczDynamicsError,
+    SeparationViolatedError,
+    TailUnboundedError,
+)
 from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.orlicz import vector_sum
 from orlicz_dynamics.translations import iterates
@@ -109,6 +116,43 @@ def test_pieces_drop_the_points_that_underflow():
     for m in (1, 2, 3, -1, -2):
         assert _bits(orbit.piece(m)) == _bits(_chain(sys, f, m))
     assert list(orbit.piece(1).items()) == [(2, 0.5), (3, -5e-324)]
+
+
+# Power, alphalog and table norms: a column norm takes the closed form or
+# the secant bracket as the piece's norm does.
+PHIS = [P2, od.AlphaLogYoung(1.5), od.TableYoung(((0, 0), (1, 0.5), (2, 2), (40, 800)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seeded_systems(), st.integers(1, 5))
+def test_a_column_is_its_piece_and_has_its_norm(case, depth):
+    system, f = case
+    for backward in (False, True):
+        stack = translations.orbit_stack(system, f, depth, backward, 0)
+        for c in range(1, depth + 1):
+            piece, column = stack.iterate(c), stack.column(c)
+            assert all(type(v) is float and v != 0.0 for v in piece.values())
+            assert column.dtype == np.float64 and [v.hex() for v in column.tolist()] == [h for _, h in _bits(piece)]
+            for phi in PHIS:
+                assert _outcome(od.luxemburg_norm, column, phi) == _outcome(od.luxemburg_norm, piece, phi)
+                if piece:
+                    k = piece.max_abs()
+                    assert _outcome(od.modular, column, phi, k) == _outcome(od.modular, piece, phi, k)
+
+
+def test_an_overflowed_column_raises_as_its_piece():
+    # 1e200 * 1e200 overflows to inf in the first step; -inf comes first.
+    f = od.OrliczVector({0: -1e200, 1: 1e200, 2: 1.0})
+    for phi in PHIS:
+        sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(1e200), young=phi)
+        stack = translations.orbit_stack(sys, f, 1, False, 0)
+        with pytest.raises(NonFiniteVectorError) as by_piece:
+            od.luxemburg_norm(stack.iterate(1), phi)
+        with pytest.raises(NonFiniteVectorError) as by_column:
+            od.luxemburg_norm(stack.column(1), phi)
+        with pytest.raises(NonFiniteVectorError) as by_orbit:
+            od.SeedOrbit(sys, f).norm(1)
+        assert str(by_piece.value) == str(by_column.value) == str(by_orbit.value) == "entry -inf is not finite"
 
 
 # The lab functions as they took (sys, f), each call rebuilding its pieces.
