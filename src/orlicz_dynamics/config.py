@@ -27,13 +27,13 @@ from .errors import ConfigError
 from .groups import GROUP_KINDS, CompactSet, Element, Group, box, point_bytes
 from .orlicz import OrliczVector
 from .translations import (
-    SERIES_MEMORY_CAP,
     ConstantWeight,
     HeisenbergDyadicWeight,
     TableWeight,
     TwoSidedStepWeight,
     Weight,
     WeightedSystem,
+    refuse_past_cap,
 )
 from .young import AlphaLogYoung, PowerYoung, TableYoung, YoungFunction
 
@@ -228,8 +228,7 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         if len(bounds) != rank:
             raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
         size = math.prod(max(hi - lo + 1, 0) for lo, hi in bounds)
-        if size * point_bytes(group) > SERIES_MEMORY_CAP:
-            raise ConfigError("K.box", f"{size} points would pass the {SERIES_MEMORY_CAP / 2**30:g} GiB series cap")
+        refuse_past_cap("K.box", f"a box of {size} points", size * point_bytes(group))
         return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:
         pts = [_element(group, p, "K.points") for p in _list(spec["points"], "K.points")]

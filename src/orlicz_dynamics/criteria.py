@@ -20,13 +20,14 @@ raised by a rounding margin, all lie below it.
 
 The scans run on K's distinct rows: the first point of K, in K's order,
 for each distinct pair of forward and backward row keys (the system's
-``fillers``), compared 1024 points of K at a time.  Points with equal
-pairs have equal series in both directions, hence equal terms, equal
-truncated chaos sums and equal term ratios.  Every reduction over K is a
-maximum (the sups, each point's truncated sum plus its tail, the ratio
-r), and a maximum does not change when equal values are dropped, so
-every series point, witness and verdict is the one a scan of every point
-of K gives, bit for bit.  On the Heisenberg example, a = (3, 0, 2) with
+``fillers``), found in one pass over K that holds only the distinct
+pairs, which the memory cap counts.  Points with equal pairs have equal
+series in both directions, hence equal terms, equal truncated chaos sums
+and equal term ratios.  Every reduction over K is a maximum (the sups,
+each point's truncated sum plus its tail, the ratio r), and a maximum
+does not change when equal values are dropped, so every series point,
+witness and verdict is the one a scan of every point of K gives, bit for
+bit.  On the Heisenberg example, a = (3, 0, 2) with
 the dyadic weight, every point of a K in the plane z = 0 has the one row
 z = 2j.  The separation constant and the memory cap still read all of K.
 
@@ -74,7 +75,7 @@ import numpy as np
 from .errors import ConfigError
 from .groups import CompactSet, point_bytes, separation_constant
 from .numerics import gamma
-from .translations import SERIES_MEMORY_CAP, WeightedSystem, cycle_values, keyed_series, product_gamma
+from .translations import WeightedSystem, cycle_values, keyed_series, product_gamma, refuse_past_cap
 
 
 class Property(str, Enum):
@@ -95,12 +96,6 @@ DEFAULT_EPSILONS: tuple[float, ...] = tuple(0.5**k for k in range(1, 11))
 
 # Length cap for the diagnostic product series attached to obstruction verdicts.
 OBSTRUCTION_SERIES_CAP = 64
-
-# Points of K whose row keys are compared at once: a distinct key pair
-# holds up to about 600 bytes (a table key on the Heisenberg group at
-# coordinates past 2^63, by tracemalloc), so the keys held stay under a
-# megabyte whatever |K| is, as the cap (_held_bytes) assumes.
-_KEY_BLOCK = 1024
 
 # Bytes each candidate step n costs a scan beyond its series: its
 # SeriesPoint (the object, its floats and n, and its slots in the lists and
@@ -179,15 +174,12 @@ class CriterionRequest:
             raise ConfigError("epsilons", "must be nonempty, each in (0, 1)")
         if len(set(self.epsilons)) != len(self.epsilons):
             raise ConfigError("epsilons", f"duplicate values in {list(self.epsilons)}")
-        size = _held_bytes(self)
-        if size > SERIES_MEMORY_CAP:
-            raise ConfigError(
-                "N_max",
-                f"{self.property.value} with N_max = {self.N_max}, L = {self.L} and "
-                f"L_max = {self.L_max} holds product series of {series_depth(self)} steps over "
-                f"|K| = {len(self.K)} points: {size / 2**30:.3g} GiB at once, over the "
-                f"{SERIES_MEMORY_CAP / 2**30:g} GiB cap",
-            )
+        refuse_past_cap(
+            "N_max",
+            f"{self.property.value} with N_max = {self.N_max}, L = {self.L} and L_max = {self.L_max} "
+            f"holds product series of {series_depth(self)} steps over |K| = {len(self.K)} points at once",
+            _held_bytes(self),
+        )
 
 
 def _held_bytes(req: CriterionRequest) -> int:
@@ -201,11 +193,15 @@ def _held_bytes(req: CriterionRequest) -> int:
     it and the weight fill's temporaries, before the sups are gathered).
     Plus, for chaotic, the truncated sum and last term of every point of K
     per candidate n, _CANDIDATE_BYTES per candidate n for every scan, and
-    ``groups.point_bytes`` per point of K; ``translations.SERIES_MEMORY_CAP``
-    bounds it."""
+    two ``groups.point_bytes`` per point of K: one for the point and its
+    orbit entry in ``separation_constant``, one for its key pair in
+    ``_distinct_rows``, which a table weight makes distinct for every point
+    (a recurrent check at N_max = 4 on such a K peaks at about 350 bytes a
+    point on Z and 720 on the Heisenberg group at coordinates near 2^70,
+    by tracemalloc, against 608 and 800); ``refuse_past_cap`` bounds it."""
     depth = series_depth(req)
     kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
-    K_bytes = len(req.K) * point_bytes(req.system.group)
+    K_bytes = 2 * len(req.K) * point_bytes(req.system.group)
     return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES + K_bytes
 
 
@@ -309,14 +305,12 @@ def _start_n(req: CriterionRequest) -> int:
 
 def _distinct_rows(req: CriterionRequest) -> list[tuple]:
     """The forward and the backward row keys of the first point, in K's
-    order, of each distinct pair of forward and backward keys in each
-    _KEY_BLOCK points of K.  Points with equal pairs have equal series both
-    ways, so a scan that reduces over K by maxima gets the same values."""
+    order, of each distinct pair of forward and backward keys over all of
+    K, in one pass that holds only the distinct pairs (``_held_bytes``
+    counts them).  Points with equal pairs have equal series both ways, so
+    a scan that reduces over K by maxima gets the same values."""
     forward, backward = (filler.key for filler in req.system.fillers)
-    pairs: list = []
-    for start in range(0, len(req.K), _KEY_BLOCK):
-        pairs += dict.fromkeys((forward(x), backward(x)) for x in req.K.elements[start : start + _KEY_BLOCK])
-    return list(zip(*pairs))
+    return list(zip(*dict.fromkeys((forward(x), backward(x)) for x in req.K.elements)))
 
 
 def _sup_series(req: CriterionRequest, depth: int) -> tuple[np.ndarray, np.ndarray]:

@@ -156,12 +156,15 @@ def recurrence_witness_vector(orbit: SeedOrbit, n: int, L: int) -> OrliczVector:
     if L < 0:
         raise ValueError("depth L must be >= 0")
     pieces = [orbit.piece(-l * n) for l in range(L + 1)]
-    if len(set().union(*(piece.support() for piece in pieces))) < sum(map(len, pieces)):
+    v = vector_sum(pieces)
+    # Each piece holds nonzero values on distinct keys, so the sum has
+    # fewer keys than the pieces exactly when two supports meet.
+    if len(v) < sum(map(len, pieces)):
         raise SeparationViolatedError(
             f"witness summand supports overlap at n={n}; "
             "n must exceed the separation constant of supp(f)"
         )
-    return vector_sum(pieces)
+    return v
 
 
 def empirical_return(orbit: SeedOrbit, n: int, L: int, epsilon: float) -> ReturnReport:

@@ -27,7 +27,12 @@ the terms left to right, one rounding per addition, on every Python
 version.  Every such norm is
 defined by it: ``_secant_bracket`` closes a bracket (a, b) with the
 exact modular r above 1 at a and below 1 at b, until b <= a (1 + 1e-12)
-or a and b are adjacent floats, and the norm is a + (b - a) / 2.
+or a and b are adjacent floats, and the norm is a + (b - a) / 2.  The
+bracket holds a sign change of the computed r, not of the exact rho:
+where log rho is nearly flat at the root (alphalog alpha = 1.0000001
+with one dominant entry, slope about -1e-7 in log k), r's rounding
+spreads its sign changes over up to about 6e-9 of k, relative, and the
+norm is only that accurate there.
 
 Each probe k reads v, a float on the same side of 1 as r(k): the sum s
 of a numpy screen where it is certain, r(k) itself elsewhere.  The
@@ -235,8 +240,13 @@ def luxemburg_norm(f: OrliczVector | np.ndarray, phi: YoungFunction) -> float:
     supported vectors, so the infimum is the root of rho(k) = 1.  A
     power norm takes its closed form (``_power_norm``); any other norm
     is the midpoint a + (b - a) / 2 of the certified bracket that
-    ``_secant_bracket`` closes around the root, within 1e-12 of it
-    relative.  A norm past the float range raises OrliczDynamicsError.
+    ``_secant_bracket`` closes, to 1e-12 relative, around a sign change
+    of the computed modular.  That is within 1e-12 of the root except
+    where log rho is nearly flat there: with alphalog alpha = 1.0000001
+    and one dominant entry, its slope in log k is about -1e-7, so the
+    modular's rounding spreads its sign changes over up to about 6e-9 of
+    k, relative, and the bracket certifies one of them.  A norm past the
+    float range raises OrliczDynamicsError.
     f is a vector or the array of its values (see ``_values``).
     """
     values = _values(f)

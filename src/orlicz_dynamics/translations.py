@@ -104,8 +104,17 @@ from .orlicz import OrliczVector
 # leave the cache and, past glibc's mmap threshold, fault in fresh pages.
 BLOCK_ELEMENTS = 1 << 14
 
-# The most bytes a checker's scan (``criteria``) or an ``iterates`` stack holds.
+# The most bytes a checker's scan (``criteria``), a ``K.box`` (``config``) or
+# a stack holds.  Only ``refuse_past_cap`` refuses on it.
 SERIES_MEMORY_CAP = 1 << 30
+
+
+def refuse_past_cap(field: str, what: str, nbytes: int) -> None:
+    """Raise ConfigError on field when nbytes, the bytes that what would
+    hold, pass SERIES_MEMORY_CAP: the one refusal of the cap and its one
+    message."""
+    if nbytes > SERIES_MEMORY_CAP:
+        raise ConfigError(field, f"{what}: {nbytes / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
 
 
 class _Weight:
@@ -471,10 +480,8 @@ def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool
     the module docstring).  Refused before it allocates when its bytes and
     the held bytes its caller keeps beside it would pass SERIES_MEMORY_CAP."""
     pts = [x for x, _ in f.items()]
-    size = stack_bytes(len(pts), depth) + held
-    if size > SERIES_MEMORY_CAP:
-        msg = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
-        raise ConfigError("N_max", f"{msg}: {size / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
+    what = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
+    refuse_past_cap("N_max", what, stack_bytes(len(pts), depth) + held)
     block = np.empty((len(pts), depth + 1))
     at = _fill_by_key(sys.fillers[backward], pts, block)
     block[at, 0] = np.fromiter(f.values(), float, len(pts))

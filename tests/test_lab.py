@@ -5,10 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from conftest import P2
 from orlicz_dynamics.errors import SeparationViolatedError, TailUnboundedError
+from orlicz_dynamics.orlicz import vector_sum
 
 
 def test_witness_vector_trivial_depth(step_system):
@@ -42,6 +45,39 @@ def test_witness_vector_separation_guard(step_system, zgroup):
         od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 4, 1)
     v = od.recurrence_witness_vector(od.SeedOrbit(step_system, f), 5, 2)
     assert len(v) == 15
+
+
+class _Pieces:
+    """A stand-in for a SeedOrbit whose piece at -l*n is pieces[l]."""
+
+    def __init__(self, pieces, n):
+        self.pieces, self.n = pieces, n
+
+    def piece(self, m):
+        return self.pieces[-m // self.n]
+
+
+# Pieces on a few points, so that supports often meet, with values that
+# cancel to 0.0 where they do (1 - 1, 0.5 - 0.5) and values that do not.
+_PIECES = st.lists(
+    st.dictionaries(st.integers(0, 7), st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0]), max_size=4).map(od.OrliczVector),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PIECES, st.integers(1, 3))
+def test_witness_overlap_is_read_off_the_sum(pieces, n):
+    # The rule the guard replaced: the union of the supports is smaller
+    # than the pieces.
+    overlap = len(frozenset().union(*(p.support() for p in pieces))) < sum(map(len, pieces))
+    orbit = _Pieces(pieces, n)
+    if overlap:
+        with pytest.raises(SeparationViolatedError):
+            od.recurrence_witness_vector(orbit, n, len(pieces) - 1)
+    else:
+        assert od.recurrence_witness_vector(orbit, n, len(pieces) - 1) == vector_sum(pieces)
 
 
 def test_empirical_return_step_weight(step_system, zgroup):

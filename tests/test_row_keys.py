@@ -151,14 +151,13 @@ def test_step_rows_all_differ(monkeypatch, step_system, prop):
     assert od.run_check(req) == verdict
 
 
-def test_keys_are_compared_a_block_of_K_at_a_time(monkeypatch, heisenberg_system):
-    # Ten points of one row in blocks of four: one row per block, and the
-    # verdict of a scan of every point.
-    K = od.box(od.HeisenbergGroup(), [[0, 9], [0, 0], [0, 0]])
+def test_keys_are_compared_over_all_of_K_at_once(monkeypatch, heisenberg_system):
+    # 2,049 points of one row: one row, not one per block of K's points
+    # (blocks of 1,024 gave three), and the verdict of a scan of every point.
+    K = od.box(od.HeisenbergGroup(), [[0, 2048], [0, 0], [0, 0]])
     req = od.CriterionRequest(system=heisenberg_system, K=K, property="chaotic", N_max=16, L_max=4)
-    monkeypatch.setattr(criteria, "_KEY_BLOCK", 4)
     rows = criteria._distinct_rows(req)
-    assert [list(keys) for keys in rows] == [[fl.key(K.elements[i]) for i in (0, 4, 8)] for fl in req.system.fillers]
+    assert [list(keys) for keys in rows] == [[fl.key(K.elements[0])] for fl in req.system.fillers]
     verdict = od.run_check(req)
     monkeypatch.setattr(criteria, "_distinct_rows", _every_point)
     assert od.run_check(req) == verdict

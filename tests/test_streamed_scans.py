@@ -149,15 +149,16 @@ def _full_depth_bytes(req: od.CriterionRequest) -> int:
     "name,overrides,cap",
     [
         pytest.param("heisenberg_paper", {}, 500_000, id="chaotic"),
-        # K itself now counts, 304 bytes a point on Z: 1.2 MB of the cap.
-        pytest.param("z_shift_chaotic", {"property": "mixing", "K": {"box": [[-2000, 2000]]}}, 2_000_000, id="mixing"),
+        # K itself counts, 608 bytes a point on Z (the point and its key
+        # pair): 2.4 MB of the cap.
+        pytest.param("z_shift_chaotic", {"property": "mixing", "K": {"box": [[-2000, 2000]]}}, 3_000_000, id="mixing"),
     ],
 )
 def test_cap_bounds_what_a_scan_holds_at_once(monkeypatch, name, overrides, cap):
     req = _config(name, **overrides)
     expected = od.run_check(req)
     assert _full_depth_bytes(req) > cap
-    monkeypatch.setattr(criteria, "SERIES_MEMORY_CAP", cap)
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", cap)
     assert od.run_check(dataclasses.replace(req)) == expected
 
 
@@ -179,20 +180,42 @@ def test_cap_counts_the_gathers_and_the_candidates(overrides):
     assert peak <= criteria._held_bytes(req) + 2**20
 
 
+_B = 2**70
+
+
 @pytest.mark.parametrize(
-    "name,K",
+    "name,overrides",
     [
-        pytest.param("z_shift_chaotic", {"box": [[-20000, 20000]]}, id="Z-40001"),
-        pytest.param("heisenberg_paper", {"box": [[-60, 60], [-60, 60], [0, 0]]}, id="heisenberg-14641"),
+        pytest.param("z_shift_chaotic", {"K": {"box": [[-20000, 20000]]}}, id="Z-40001"),
+        pytest.param("heisenberg_paper", {"K": {"box": [[-60, 60], [-60, 60], [0, 0]]}}, id="heisenberg-14641"),
+        # A one-key table gives every point of K on the key's orbit its own
+        # key pair: 13.7 MiB against the 12.6 that counted the points alone.
+        pytest.param(
+            "z_shift_chaotic",
+            {"K": {"box": [[-20000, 20000]]}, "weight": {"family": "table", "entries": [[[0], 2.0]]}},
+            id="Z-table-40001",
+        ),
+        # The same at coordinates near 2^70, whose keys are larger: 10.1 MiB
+        # against 6.6.
+        pytest.param(
+            "heisenberg_paper",
+            {
+                "a": [1, 0, 0],
+                "K": {"box": [[_B - 7320, _B + 7320], [_B, _B], [_B, _B]]},
+                "weight": {"family": "table", "entries": [[[_B, _B, _B], 2.0]]},
+            },
+            id="heisenberg-table-14641",
+        ),
     ],
 )
-def test_cap_counts_K(name, K):
-    # Short series over a large K: K itself and the orbit entry that
-    # separation_constant makes per point outweigh the series, which were
-    # all the cap counted (1.4 KB against a peak of several MB).
+def test_cap_counts_K(name, overrides):
+    # Short series over a large K: K itself, the orbit entry that
+    # separation_constant makes per point and the key pairs of K's rows
+    # outweigh the series, which were all the cap counted (1.4 KB against
+    # a peak of several MB).
     tracemalloc.start()
     try:
-        req = _config(name, K=K, property="recurrent", N_max=4)
+        req = _config(name, property="recurrent", N_max=4, **overrides)
         od.run_check(req)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -203,7 +226,7 @@ def test_cap_counts_K(name, K):
 def test_cap_still_counts_what_the_chaos_scan_keeps_over_K(monkeypatch):
     # The kept truncated sums and last terms grow with |K| x N_max.
     req = _config("z_shift_chaotic", K={"box": [[-20000, 20000]]}, N_max=64, L_max=2)
-    monkeypatch.setattr(criteria, "SERIES_MEMORY_CAP", 2 * len(req.K) * req.N_max * 8)
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", 2 * len(req.K) * req.N_max * 8)
     with pytest.raises(ConfigError) as err:
         dataclasses.replace(req)
     assert err.value.field == "N_max"
