@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import CriterionRequest, Property
+from .criteria import CriterionRequest, K_bytes, Property
 from .errors import ConfigError
-from .groups import GROUP_KINDS, CompactSet, Element, Group, box, point_bytes
+from .groups import GROUP_KINDS, CompactSet, Element, Group, box
 from .orlicz import OrliczVector
 from .translations import (
     ConstantWeight,
@@ -228,7 +229,7 @@ def compact_set_from_config(spec, group: Group) -> tuple[CompactSet, tuple]:
         if len(bounds) != rank:
             raise ConfigError("K.box", f"expected {rank} bound pairs, got {len(bounds)}")
         size = math.prod(max(hi - lo + 1, 0) for lo, hi in bounds)
-        refuse_past_cap("K.box", f"a box of {size} points", size * point_bytes(group))
+        refuse_past_cap("K.box", "a box of {} points", K_bytes(group, size), size)
         return _build("K.box", box, group, bounds), ("box", tuple(tuple(b) for b in bounds))
     if "points" in spec:
         pts = [_element(group, p, "K.points") for p in _list(spec["points"], "K.points")]
@@ -285,10 +286,12 @@ def emit_config(cfg: RunConfig) -> dict:
 def _read_json(path: str | Path, field: str):
     try:
         return json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(field, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(field, f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an int past what json.loads reads
+        raise ConfigError(field, f"an integer of more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -73,7 +73,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .groups import CompactSet, point_bytes, separation_constant
+from .groups import CompactSet, Group, point_bytes, separation_constant
 from .numerics import gamma
 from .translations import WeightedSystem, cycle_values, keyed_series, product_gamma, refuse_past_cap
 
@@ -176,9 +176,10 @@ class CriterionRequest:
             raise ConfigError("epsilons", f"duplicate values in {list(self.epsilons)}")
         refuse_past_cap(
             "N_max",
-            f"{self.property.value} with N_max = {self.N_max}, L = {self.L} and L_max = {self.L_max} "
-            f"holds product series of {series_depth(self)} steps over |K| = {len(self.K)} points at once",
+            self.property.value + " with N_max = {}, L = {} and L_max = {} "
+            "holds product series of {} steps over |K| = {} points at once",
             _held_bytes(self),
+            self.N_max, self.L, self.L_max, series_depth(self), len(self.K),
         )
 
 
@@ -193,16 +194,22 @@ def _held_bytes(req: CriterionRequest) -> int:
     it and the weight fill's temporaries, before the sups are gathered).
     Plus, for chaotic, the truncated sum and last term of every point of K
     per candidate n, _CANDIDATE_BYTES per candidate n for every scan, and
-    two ``groups.point_bytes`` per point of K: one for the point and its
-    orbit entry in ``separation_constant``, one for its key pair in
+    ``K_bytes``; ``refuse_past_cap`` bounds it."""
+    depth = series_depth(req)
+    kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
+    return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES + K_bytes(req.system.group, len(req.K))
+
+
+def K_bytes(group: Group, points: int) -> int:
+    """Bytes a K of that many points costs a check besides any series: two
+    ``groups.point_bytes`` a point, one for the point and its orbit entry
+    in ``separation_constant``, one for its pair of row keys in
     ``_distinct_rows``, which a table weight makes distinct for every point
     (a recurrent check at N_max = 4 on such a K peaks at about 350 bytes a
     point on Z and 720 on the Heisenberg group at coordinates near 2^70,
-    by tracemalloc, against 608 and 800); ``refuse_past_cap`` bounds it."""
-    depth = series_depth(req)
-    kept = 2 * len(req.K) * req.N_max if req.property is Property.CHAOTIC else 0
-    K_bytes = 2 * len(req.K) * point_bytes(req.system.group)
-    return (6 * (depth + 1) + kept) * 8 + req.N_max * _CANDIDATE_BYTES + K_bytes
+    by tracemalloc, against 608 and 800).  The ``K.box`` guard of
+    ``config`` refuses on it before the box is enumerated."""
+    return 2 * points * point_bytes(group)
 
 
 def series_depth(req: CriterionRequest) -> int:

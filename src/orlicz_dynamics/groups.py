@@ -290,11 +290,9 @@ def point_bytes(group: Group) -> int:
     """Bytes a point costs besides any series: as a member of K with its
     orbit entry in ``separation_constant`` (up to 250 + 46 d on rank d, d =
     1..24, by tracemalloc), or as a vector entry (up to 250 on ranks 1..3;
-    CPython 3.11, coordinates up to 2^100).  This rounds up.  The criteria
-    scans count a second one per point of K for its pair of row keys
-    (``criteria._distinct_rows`` peaks at about 310 bytes a point on Z and
-    600 on the Heisenberg group at coordinates near 2^70, a table weight);
-    two of them cover the point and its pair together."""
+    CPython 3.11, coordinates up to 2^100).  This rounds up.  Two price
+    functions read it: ``criteria.K_bytes``, the price of K, and
+    ``translations.iterates_bytes``, that of an ``iterates`` call."""
     return 256 + 48 * len(group.coords(group.identity()))
 
 

@@ -27,7 +27,8 @@ is the piece's norm bit for bit, and no point is moved and no vector is
 built for it.  The period defect T^n v - v and the returns T^{ln} v of a
 witness v lie on v's orbit, not f's, and take ``translations.apply_T_n``
 and ``translations.iterates``, with the orbit's stacks released first
-when the two would not fit the cap together.  Each sum of pieces is one
+when they and the call's price, ``translations.iterates_bytes``, would
+not fit the cap together.  Each sum of pieces is one
 ``orlicz.vector_sum``, bit for bit repeated ``+``.
 """
 
@@ -84,10 +85,10 @@ class SeedOrbit:
     stack goes on from the old one's last piece instead, to the same
     reach as far as fits, and does not fill the old columns again; a
     later request below that piece builds a stack of f.  A new stack
-    that does not fit beside the other
-    direction's drops that one, and ``release`` drops both for a stack
-    that is not the orbit's.  So a request is refused only when its stack
-    of f alone passes the cap, as ``iterates`` would refuse it."""
+    that does not fit beside the other direction's drops that one, and
+    ``release`` drops both for an ``iterates`` call off the orbit whose
+    price does not fit beside them.  So a request is refused only when
+    its stack of f alone passes the cap (``orbit_stack``'s refusal)."""
 
     def __init__(self, sys: WeightedSystem, f: OrliczVector):
         self.sys, self.f = sys, f
@@ -138,8 +139,8 @@ class SeedOrbit:
         if stack_bytes(len(start), c - base) > cap - other:
             self._stacks.clear()
             other, room = 0, cap // 2
-        fits = room // (8 * len(start)) - 1 + base if start else c
-        stack = orbit_stack(self.sys, start, max(c, min(2 * reach, fits)) - base, backward, other)
+        fits = room // stack_bytes(len(start), 0) - 1 + base if start else c
+        stack = orbit_stack(self.sys, start, max(c, min(2 * reach, fits)) - base, backward)
         self._stacks[backward] = base, stack
         return base, stack
 
@@ -179,7 +180,7 @@ def empirical_return(orbit: SeedOrbit, n: int, L: int, epsilon: float) -> Return
     v = f if order is not None and n % order == 0 else recurrence_witness_vector(orbit, n, L)
     phi = sys.young
     r0 = luxemburg_norm(v - f, phi)
-    orbit.release(stack_bytes(len(v), n * L))
+    orbit.release(translations.iterates_bytes(sys.group, len(v), n, L))
     returns = tuple(luxemburg_norm(piece - f, phi) for piece in iterates(sys, v, n, L))
     ok = r0 < epsilon and all(r < epsilon for r in returns)
     return ReturnReport(
@@ -224,7 +225,7 @@ def chaos_periodic_vector(orbit: SeedOrbit, n: int, L_trunc: int) -> tuple[Orlic
             )
     bound = orbit.norm((L_trunc + 1) * n) + s_last
     v = vector_sum([f, *t_pieces, *s_pieces])
-    orbit.release(stack_bytes(len(v), n))
+    orbit.release(translations.iterates_bytes(sys.group, len(v), n, 1))
     defect = luxemburg_norm(apply_T_n(sys, v, n) - v, phi)
     residual = luxemburg_norm(v - f, phi)
     within = defect <= bound * (1.0 + 1e-9) + 1e-300

@@ -104,17 +104,35 @@ from .orlicz import OrliczVector
 # leave the cache and, past glibc's mmap threshold, fault in fresh pages.
 BLOCK_ELEMENTS = 1 << 14
 
-# The most bytes a checker's scan (``criteria``), a ``K.box`` (``config``) or
-# a stack holds.  Only ``refuse_past_cap`` refuses on it.
+# The most bytes a checker's scan (``criteria``), a ``K.box`` (``config``), a
+# stack or an ``iterates`` call holds.  Only ``refuse_past_cap`` refuses on it.
 SERIES_MEMORY_CAP = 1 << 30
 
 
-def refuse_past_cap(field: str, what: str, nbytes: int) -> None:
+def refuse_past_cap(field: str, what: str, nbytes: int, *counts: int) -> None:
     """Raise ConfigError on field when nbytes, the bytes that what would
     hold, pass SERIES_MEMORY_CAP: the one refusal of the cap and its one
-    message."""
+    message.  what is a ``str.format`` template of the counts.  A count
+    past the digits ``str`` writes (``sys.get_int_max_str_digits``), and
+    a size in GiB past the float range, are given as a power of two."""
     if nbytes > SERIES_MEMORY_CAP:
-        raise ConfigError(field, f"{what}: {nbytes / 2**30:.3g} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
+        try:
+            gib = f"{nbytes / 2**30:.3g}"
+        except OverflowError:
+            gib = _at_least(nbytes >> 30)
+        text = what.format(*map(_decimal, counts))
+        raise ConfigError(field, f"{text}: {gib} GiB, over the {SERIES_MEMORY_CAP / 2**30:g} GiB cap")
+
+
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _at_least(n)
+
+
+def _at_least(n: int) -> str:
+    return f"at least 2^{n.bit_length() - 1}"
 
 
 class _Weight:
@@ -438,11 +456,21 @@ def iterates(
 ) -> list[OrliczVector]:
     """[T^{step} f, T^{2 step} f, ..., T^{count step} f], or the S iterates
     when backward is set, bit for bit as applying T (or S) one step at a
-    time builds them; see the module docstring."""
+    time builds them; see the module docstring.  Refused, before the stack
+    allocates, when ``iterates_bytes`` passes SERIES_MEMORY_CAP."""
     if step < 1 or count < 0:
         raise ValueError("need step >= 1 and count >= 0")
-    stack = orbit_stack(sys, f, count * step, backward, count * len(f) * point_bytes(sys.group))
+    what = "{} iterates of step {} on {} points, with their stack"
+    refuse_past_cap("N_max", what, iterates_bytes(sys.group, len(f), step, count), count, step, len(f))
+    stack = orbit_stack(sys, f, count * step, backward)
     return [stack.iterate(l * step) for l in range(1, count + 1)]
+
+
+def iterates_bytes(group: Group, points: int, step: int, count: int) -> int:
+    """Bytes an ``iterates`` call on a vector of that many points holds at
+    once: its stack to depth count*step and the count vectors it returns,
+    at one ``groups.point_bytes`` an entry."""
+    return stack_bytes(points, count * step) + count * points * point_bytes(group)
 
 
 class Stack(NamedTuple):
@@ -475,13 +503,13 @@ class Stack(NamedTuple):
         return values[values != 0.0]
 
 
-def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool, held: int) -> Stack:
+def orbit_stack(sys: WeightedSystem, f: OrliczVector, depth: int, backward: bool) -> Stack:
     """f's ``Stack`` to depth, bit for bit the one-step loop's values (see
-    the module docstring).  Refused before it allocates when its bytes and
-    the held bytes its caller keeps beside it would pass SERIES_MEMORY_CAP."""
+    the module docstring).  Refused before it allocates when its own
+    ``stack_bytes`` would pass SERIES_MEMORY_CAP; a caller that holds more
+    beside it refuses on its own price first, as ``iterates`` does."""
     pts = [x for x, _ in f.items()]
-    what = f"a stack of depth {depth} on {len(pts)} points, with what is held beside it"
-    refuse_past_cap("N_max", what, stack_bytes(len(pts), depth) + held)
+    refuse_past_cap("N_max", "a stack of depth {} on {} points", stack_bytes(len(pts), depth), depth, len(pts))
     block = np.empty((len(pts), depth + 1))
     at = _fill_by_key(sys.fillers[backward], pts, block)
     block[at, 0] = np.fromiter(f.values(), float, len(pts))

@@ -508,6 +508,33 @@ def test_missing_config_errors(capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("N_max", "1" + "0" * 400, "N_max"),
+        ("L_max", "1" + "0" * 400, "N_max"),
+        ("K", '{"box": [[-1' + "0" * 400 + ", 1" + "0" * 400 + "]]}", "K.box"),
+        ("N_max", "9" * 5000, "<file>"),
+    ],
+    ids=["N_max", "L_max", "box", "past-json-digits"],
+)
+def test_oversized_numbers_exit_1_naming_the_field(capsys, tmp_path, key, value, field):
+    # Each died with a traceback: OverflowError, or json.loads' ValueError.
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw.pop(key, None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw)[:-1] + f', "{key}": {value}}}')
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_an_oversized_vector_number_exits_1_naming_the_vector(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text("[[[0], " + "9" * 5000 + "]]")
+    assert main(["norm", "--config", str(CONFIG_DIR / "z_shift_chaotic.json"), "--vector", str(vec)]) == 1
+    assert capsys.readouterr().err.startswith("error: <vector>: ")
+
+
 def test_non_string_out_fails_before_running(capsys, tmp_path):
     # "out": 5 used to parse, run the whole check and then die in the writer.
     # The report path is now the --out flag's alone: "out" is an unknown field.

@@ -399,6 +399,56 @@ def test_box_too_large_for_memory_fails_before_it_is_enumerated(monkeypatch):
     assert "1000000000001 points" in str(err.value)
 
 
+_Z3_HALVING = {"group": {"kind": "Zd", "d": 3}, "a": [1, 0, 0], "weight": {"family": "constant", "c": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "overrides,field,named",
+    [
+        # Each raised a bare OverflowError: the size in GiB passed a float.
+        ({"N_max": 10**400}, "N_max", f"N_max = {10**400}"),
+        ({"L_max": 10**400}, "N_max", f"L_max = {10**400}"),
+        ({"K": {"box": [[-(10**400), 10**400]]}}, "K.box", f"a box of {2 * 10**400 + 1} points"),
+        # Each raised a bare ValueError: the step count, or the box's points,
+        # passed the digits str writes.
+        ({"N_max": 10**4000, "L_max": 10**4000}, "N_max", "series of at least 2^26575 steps"),
+        ({**_Z3_HALVING, "K": {"box": [[-(10**2000), 10**2000]] * 3}}, "K.box", "a box of at least 2^"),
+    ],
+    ids=["N_max", "L_max", "box", "steps-past-str", "box-past-str"],
+)
+def test_oversized_numbers_fail_on_their_field(overrides, field, named):
+    raw = json.loads((CONFIG_DIR / "z_shift_chaotic.json").read_text())
+    raw.update(overrides)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field
+    assert named in str(err.value) and "GiB, over the 1 GiB cap" in str(err.value)
+
+
+def test_an_int_past_the_digits_json_reads_fails_on_the_file(tmp_path):
+    # json.loads raised a bare ValueError (CPython's int_max_str_digits).
+    huge = "9" * 5000
+    raw = (CONFIG_DIR / "z_shift_chaotic.json").read_text().rstrip()
+    path = tmp_path / "cfg.json"
+    path.write_text(raw[:-1] + f', "N_max": {huge}}}')
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field == "<file>" and "digits" in str(err.value)
+    for text in (f"[[[0], {huge}]]", f"[[[{huge}], 1.0]]"):
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            vector_from_file(path, od.IntegerGroup())
+        assert err.value.field == "<vector>" and "digits" in str(err.value)
+
+
+def test_bytes_that_are_not_utf8_fail_on_the_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe[")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field == "<file>" and "cannot read" in str(err.value)
+
+
 def test_weight_group_mismatch_rejected():
     base = {
         "group": {"kind": "heisenberg"},

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import orlicz_dynamics as od
 from orlicz_dynamics import translations
 from orlicz_dynamics.errors import ConfigError
-from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.orlicz import vector_sum
-from orlicz_dynamics.translations import iterates
+from orlicz_dynamics.translations import iterates, iterates_bytes
 from conftest import P2
 
 small = st.integers(-40, 40)
@@ -139,8 +138,9 @@ def test_overflow_to_inf_and_points_past_the_int64_guard():
     "group", [od.IntegerGroup(), od.LatticeGroup(d=2), od.HeisenbergGroup()], ids=["Z", "Z2", "heisenberg"]
 )
 def test_point_bytes_bounds_an_entry_of_an_iterate(group):
-    # What iterates counts against the cap: each row's m + 1 float64 values
-    # and, for each of its count pieces, one vector entry of point_bytes.
+    # What iterates counts against the cap (iterates_bytes): each row's
+    # m + 1 float64 values and, for each of its count pieces, one vector
+    # entry of point_bytes.
     # Coordinates past 2^63 (and z near 2^128 on the Heisenberg group).
     rank = len(group.coords(group.identity()))
     f = od.OrliczVector({group.element([2**64 + i] + [2**64 + 7 * i] * (rank - 1)): 1.0 + i for i in range(5000)})
@@ -154,8 +154,8 @@ def test_point_bytes_bounds_an_entry_of_an_iterate(group):
     finally:
         tracemalloc.stop()
     assert sum(map(len, pieces)) == len(f) * count
-    assert held <= len(f) * count * point_bytes(group)
-    assert peak <= len(f) * ((count + 1) * 8 + count * point_bytes(group))
+    assert held <= iterates_bytes(group, len(f), 1, count) - translations.stack_bytes(len(f), count)
+    assert peak <= iterates_bytes(group, len(f), 1, count)
 
 
 def test_iterates_refuses_a_stack_past_the_cap_before_building_it(monkeypatch):
@@ -163,7 +163,7 @@ def test_iterates_refuses_a_stack_past_the_cap_before_building_it(monkeypatch):
     # entries count too.
     sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(0.5), young=P2)
     f = od.OrliczVector({x: 1.0 for x in range(1000)})
-    size = 1000 * (11 * 8 + 10 * point_bytes(sys.group))
+    size = iterates_bytes(sys.group, 1000, 1, 10)
     monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", size)
     assert len(iterates(sys, f, 1, 10)) == 10
     monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", size - 1)

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 import orlicz_dynamics as od
 from conftest import P2
 from orlicz_dynamics import criteria, lab, translations
-from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.translations import (
     iterates,
+    iterates_bytes,
     keyed_series,
     orbit_weights_backward,
     orbit_weights_forward,
@@ -183,7 +183,7 @@ def test_iterates_fill_one_row_for_points_that_share_a_key(monkeypatch, heisenbe
     finally:
         tracemalloc.stop()
     assert written == [1]
-    assert peak <= len(f) * ((count * step + 1) * 8 + count * point_bytes(heisenberg_system.group))
+    assert peak <= iterates_bytes(heisenberg_system.group, len(f), step, count)
     # Every value is the one-step loop's: f(x) times each weight in turn.
     g, a = heisenberg_system.group, heisenberg_system.a
     for x, v in f.items():
@@ -291,9 +291,9 @@ def test_every_reader_takes_the_one_grouping(monkeypatch, group, a, weight):
     stacks = []
     orbit_stack = lab.orbit_stack
 
-    def stacked(sys, f, depth, backward, held):
+    def stacked(sys, f, depth, backward):
         stacks.append(backward)
-        return orbit_stack(sys, f, depth, backward, held)
+        return orbit_stack(sys, f, depth, backward)
 
     monkeypatch.setattr(lab, "orbit_stack", stacked)
     system = od.WeightedSystem(group=group, a=a, weight=weight, young=P2)

@@ -25,9 +25,8 @@ from orlicz_dynamics.errors import (
     SeparationViolatedError,
     TailUnboundedError,
 )
-from orlicz_dynamics.groups import point_bytes
 from orlicz_dynamics.orlicz import vector_sum
-from orlicz_dynamics.translations import iterates
+from orlicz_dynamics.translations import iterates, iterates_bytes
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -128,7 +127,7 @@ PHIS = [P2, od.AlphaLogYoung(1.5), od.TableYoung(((0, 0), (1, 0.5), (2, 2), (40,
 def test_a_column_is_its_piece_and_has_its_norm(case, depth):
     system, f = case
     for backward in (False, True):
-        stack = translations.orbit_stack(system, f, depth, backward, 0)
+        stack = translations.orbit_stack(system, f, depth, backward)
         for c in range(1, depth + 1):
             piece, column = stack.iterate(c), stack.column(c)
             assert all(type(v) is float and v != 0.0 for v in piece.values())
@@ -145,7 +144,7 @@ def test_an_overflowed_column_raises_as_its_piece():
     f = od.OrliczVector({0: -1e200, 1: 1e200, 2: 1.0})
     for phi in PHIS:
         sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.ConstantWeight(1e200), young=phi)
-        stack = translations.orbit_stack(sys, f, 1, False, 0)
+        stack = translations.orbit_stack(sys, f, 1, False)
         with pytest.raises(NonFiniteVectorError) as by_piece:
             od.luxemburg_norm(stack.iterate(1), phi)
         with pytest.raises(NonFiniteVectorError) as by_column:
@@ -282,9 +281,9 @@ def _traced_simulate(monkeypatch, name: str):
         calls["orbit" if inside else "other"] += 1
         return luxemburg(v, phi)
 
-    def spy(sys, f, depth, backward, held):
+    def spy(sys, f, depth, backward):
         built[backward].append(depth)
-        return stack(sys, f, depth, backward, held)
+        return stack(sys, f, depth, backward)
 
     monkeypatch.setattr(od.SeedOrbit, "norm", asked_norm)
     monkeypatch.setattr(od.SeedOrbit, "piece", asked_piece)
@@ -321,7 +320,7 @@ def test_the_stacks_stay_within_the_cap_and_take_what_iterates_took(monkeypatch)
     D = 200
     # The cap at which apply_T_n(sys, f, D), one iterate of a stack of
     # depth D, is just accepted.
-    cap = len(f) * ((D + 1) * 8 + point_bytes(sys.group))
+    cap = iterates_bytes(sys.group, len(f), D, 1)
     monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", cap)
     orbit = od.SeedOrbit(sys, f)
     for m in (D - 1, D, -D, -1, D):
@@ -334,6 +333,29 @@ def test_the_stacks_stay_within_the_cap_and_take_what_iterates_took(monkeypatch)
     assert err.value.field == "N_max" and "GiB cap" in str(err.value)
 
 
+def test_the_orbit_releases_its_stacks_for_the_whole_price_of_an_iterates_call(monkeypatch):
+    # The orbit made room for the stack of the returns (and of the period
+    # defect) alone: at 10 111 bytes it kept its 1 616 bytes of stacks
+    # beside an iterates call priced at 4 848 + 3 648.
+    sys = od.WeightedSystem(group=od.IntegerGroup(), a=1, weight=od.TwoSidedStepWeight(1.1, 0.9), young=P2)
+    f = od.OrliczVector({0: 1.0, 1: 0.5})
+    monkeypatch.setattr(translations, "SERIES_MEMORY_CAP", 10_111)
+    priced = []
+
+    def spy(sys, v, step, count, backward=False):
+        priced.append(orbit.held() + iterates_bytes(sys.group, len(v), step, count))
+        return iterates(sys, v, step, count, backward)
+
+    # lab calls iterates for the returns, and apply_T_n for the defect.
+    monkeypatch.setattr(lab, "iterates", spy)
+    monkeypatch.setattr(translations, "iterates", spy)
+    orbit = od.SeedOrbit(sys, f)
+    assert lab.empirical_return(orbit, 50, 2, 0.5).success
+    orbit = od.SeedOrbit(sys, f)
+    assert lab.chaos_periodic_vector(orbit, 50, 2)[1].within_bound
+    assert len(priced) == 2 and max(priced) <= translations.SERIES_MEMORY_CAP
+
+
 def _stacks_under(monkeypatch, cap: int, run):
     """run() under a SERIES_MEMORY_CAP of cap, with the most bytes of
     stack blocks alive at once (those alive when a stack is built, and
@@ -342,16 +364,16 @@ def _stacks_under(monkeypatch, cap: int, run):
     alive, peak, built = [], [0], {False: [], True: []}
     stack = translations.orbit_stack
 
-    def spy(sys, f, depth, backward, held):
+    def spy(sys, f, depth, backward):
         live = sum(block.nbytes for block in (ref() for ref in alive) if block is not None)
         peak[0] = max(peak[0], live + translations.stack_bytes(len(f), depth))
-        built_stack = stack(sys, f, depth, backward, held)
+        built_stack = stack(sys, f, depth, backward)
         alive.append(weakref.ref(built_stack.block))
         return built_stack
 
-    def orbit_spy(sys, f, depth, backward, held):
+    def orbit_spy(sys, f, depth, backward):
         built[backward].append(depth)
-        return spy(sys, f, depth, backward, held)
+        return spy(sys, f, depth, backward)
 
     monkeypatch.setattr(translations, "orbit_stack", spy)
     monkeypatch.setattr(lab, "orbit_stack", orbit_spy)
