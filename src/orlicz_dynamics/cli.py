@@ -15,18 +15,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
 from functools import cache
-from operator import itemgetter
-from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, emit_config, load_config, vector_from_file
-from .criteria import Outcome, Property, SeriesPoint, run_check
+from .criteria import Outcome, Property, run_check
 from .errors import OrliczDynamicsError, TailUnboundedError
 from .lab import SeedOrbit, chaos_periodic_vector, choose_truncation, empirical_return, orbit_norm_series
 from .orlicz import OrliczVector, luxemburg_norm, modular
-from .report import make_envelope, render_envelope, write_envelope, write_series_csv
+from .report import make_envelope, render_envelope, write_envelope
 from .young import complementary, delta2_probe
 
 EXIT_WITNESS = 0
@@ -127,26 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(envelope: dict, out: str | None, command: str) -> None:
-    if not out:
+def _emit(envelope: dict, out: str | None) -> None:
+    if out:
+        write_envelope(out, envelope)
+    else:
         print(render_envelope(envelope))
-        return
-    write_envelope(out, envelope)
-    stem = Path(out)
-    try:
-        if command in ("check", "simulate"):
-            header = [f.name for f in fields(SeriesPoint)]
-            rows = map(itemgetter(*header), envelope["results"]["verdict"]["series"])
-            write_series_csv(stem.with_suffix(".series.csv"), header, rows)
-        if command == "simulate" and "orbit_norms" in envelope["results"]:
-            rows = list(enumerate(envelope["results"]["orbit_norms"]))
-            write_series_csv(stem.with_suffix(".orbit.csv"), ("n", "value"), rows)
-        if command == "probe-young":
-            rows = envelope["results"]["conjugate_table"]
-            write_series_csv(stem.with_suffix(".conjugate.csv"), ("y", "psi"), rows)
-    except OSError:
-        stem.unlink()  # a report without its sidecars would read as a complete run
-        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         emit_config(cfg), results, timings={"total_s": time.perf_counter() - t0}, version=__version__
     )
     try:
-        _emit(envelope, args.out, args.command)
+        _emit(envelope, args.out)
     except OSError as exc:
         print(f"error: --out: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_ERROR

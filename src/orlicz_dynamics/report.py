@@ -1,4 +1,4 @@
-"""Report envelopes: one JSON encoding, determinism hashing, CSV export.
+"""Report envelopes: one JSON encoding and determinism hashing.
 
 The hash covers the envelope without ``runtime`` (timings) and itself.
 ``render_envelope`` is the one encoding of the hash, the ``--out`` file
@@ -8,6 +8,9 @@ Non-finite floats are written as the strings "inf", "-inf" and "nan":
 refuses a non-finite float (and always the small ``runtime``); both
 routes give the same bytes.  A non-finite float that bypassed the
 conversion makes ``render_envelope`` raise.
+
+A report is one file, series included.  ``write_series_csv`` has no
+caller; it stays only as a name the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ def write_envelope(path: str | Path, envelope: dict) -> None:
 
 
 def write_series_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    # The csv module writes None as an empty field.
+    """Header and rows as CSV, None as an empty field.  Uncalled: kept as
+    the benchmark tracer's span name, and deleted with that span."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

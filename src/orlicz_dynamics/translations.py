@@ -99,9 +99,11 @@ from .groups import CyclicGroup, Element, Group, point_bytes
 from .numerics import gamma
 from .orlicz import OrliczVector
 
-# The one block size of the array kernels: this many values (128 KiB of
-# float64) per block.  Smaller blocks cost per-block overhead, larger ones
-# leave the cache and, past glibc's mmap threshold, fault in fresh pages.
+# The block size of the orbit-product kernel ``keyed_series``, whose blocks
+# the criteria scans read: this many values (128 KiB of float64) per block.
+# Smaller blocks cost per-block overhead, larger ones leave the cache and,
+# past glibc's mmap threshold, fault in fresh pages.  The exact modular
+# streams its terms in blocks of its own, ``orlicz._BLOCK``.
 BLOCK_ELEMENTS = 1 << 14
 
 # The most bytes a checker's scan (``criteria``), a ``K.box`` (``config``), a

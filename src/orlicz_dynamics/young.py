@@ -21,9 +21,11 @@ Each family evaluates two ways, alphalog and table three:
   and alphalog kernels call libm ``math.pow`` and ``math.log`` through
   ``map`` or one list comprehension (numpy's ``power`` and ``log`` round
   differently on a few inputs), and the table kernel runs ``evaluate``'s
-  segment search and four operations elementwise in numpy.  An overflow
-  in ``pow`` raises OverflowError and a table argument past the domain
-  raises OutOfRangeError, as in the scalar path.  A table gives nan for
+  segment search and operations elementwise in numpy.  Where a table's
+  product (v2 - v1)(t - t1) overflows, both take it on ``frexp``
+  mantissas, so a value that fits is finite.  An overflow in ``pow``
+  raises OverflowError and a table argument past the domain raises
+  OutOfRangeError, as in the scalar path.  A table gives nan for
   a NaN argument on all three paths.
   The exact modular sums it.
 * ``evaluate_array(ts)``, on alphalog and table only, is the float64
@@ -89,10 +91,12 @@ class PowerYoung:
 class AlphaLogYoung:
     """Phi(t) = |t|^alpha * (1 + |log|t||).
 
-    Strictly increasing on t >= 0 with Phi(0) = 0.  Note: for small alpha
-    the raw formula has a mild concavity dip just left of t = 1 (it is
-    equivalent to, but not literally, a convex function); the doubling
-    probe and all norm machinery only rely on monotonicity.
+    Strictly increasing on t >= 0 with Phi(0) = 0.  Convex exactly when
+    alpha >= (3 + sqrt 5) / 2, about 2.618: below that Phi'' < 0 just left
+    of t = 1, where Phi''(1-) has the sign of alpha^2 - 3 alpha + 1.  Such
+    a Phi is equivalent to, but not, a convex function; the doubling probe
+    and the norm only rely on monotonicity, but the Luxemburg functional
+    then breaks the triangle inequality that ``simulate``'s bounds use.
     """
 
     alpha: float
@@ -182,10 +186,13 @@ class TableYoung:
             return self.knots[-1][1] if at == ts[-1] else math.nan
         t1, v1 = self.knots[i]
         t2, v2 = self.knots[i + 1]
-        return v1 + (v2 - v1) * (at - t1) / (t2 - t1)
+        rise = (v2 - v1) * (at - t1)
+        if rise == math.inf:
+            return v1 + float(_scaled_quotient(v2 - v1, at - t1, t2 - t1))
+        return v1 + rise / (t2 - t1)
 
     def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
-        # Bit for bit evaluate: the same segment and four operations.
+        # Bit for bit evaluate: the same segment and operations.
         xp, fp = self._grid
         at = np.abs(np.fromiter(ts, float))
         past = at > xp[-1]
@@ -193,7 +200,13 @@ class TableYoung:
             raise OutOfRangeError(f"|t| = {float(at[past.argmax()])} beyond table range {self._ts[-1]}")
         i = np.minimum(np.searchsorted(xp, at, side="right") - 1, len(xp) - 2)
         t1, v1 = xp[i], fp[i]
-        out = v1 + (fp[i + 1] - v1) * (at - t1) / (xp[i + 1] - t1)
+        dv, dt, run = fp[i + 1] - v1, at - t1, xp[i + 1] - t1
+        with np.errstate(over="ignore"):
+            rise = dv * dt
+        out = v1 + rise / run
+        over = np.isinf(rise)
+        if over.any():
+            out[over] = v1[over] + _scaled_quotient(dv[over], dt[over], run[over])
         return np.where(at == xp[-1], fp[-1], out).tolist()
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
@@ -201,6 +214,16 @@ class TableYoung:
         # path, which raises OutOfRangeError.
         xp, fp = self._grid
         return np.interp(ts, xp, fp, right=math.inf)
+
+
+def _scaled_quotient(a, b, c):
+    """a * b / c, rounded as with no exponent limit, where a * b passes
+    DBL_MAX: the same two operations on the ``frexp`` mantissas, in
+    [1/2, 1), then ``ldexp`` by the summed exponents.  A table's value is
+    at most its next knot, so only rounding past DBL_MAX gives inf."""
+    (ma, ea), (mb, eb), (mc, ec) = np.frexp(a), np.frexp(b), np.frexp(c)
+    with np.errstate(over="ignore"):
+        return np.ldexp(ma * mb / mc, ea + eb - ec)
 
 
 YoungFunction = PowerYoung | AlphaLogYoung | TableYoung

@@ -58,19 +58,19 @@ def test_a_traced_simulate_counts_norms_and_applies():
 
 
 @pytest.mark.parametrize(
-    "command,config,sidecars",
+    "command,config,files",
     [
-        ("simulate", "z_shift_chaotic.json", (".series.csv", ".orbit.csv")),
-        ("probe-young", "heisenberg_paper.json", (".conjugate.csv",)),
+        ("simulate", "z_shift_chaotic.json", ("report.json",)),
+        ("probe-young", "heisenberg_paper.json", ("report.json",)),
     ],
 )
-def test_a_traced_write_counts_every_byte_on_disk(capsys, tmp_path, command, config, sidecars):
+def test_a_traced_write_counts_every_byte_on_disk(capsys, tmp_path, command, config, files):
     # The tracer reads each written path from the writers' first argument.
+    # The report is the one file a command writes.
     out = tmp_path / "report.json"
     tracer = tracing.Tracer()
     with tracer.installed():
         assert cli.main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
     capsys.readouterr()
-    paths = [out, *(out.with_suffix(suffix) for suffix in sidecars)]
-    assert sorted(tmp_path.iterdir()) == sorted(paths)
-    assert tracer.metrics()["report.bytes"] == sum(path.stat().st_size for path in paths)
+    assert sorted(path.name for path in tmp_path.iterdir()) == list(files)
+    assert tracer.metrics()["report.bytes"] == out.stat().st_size

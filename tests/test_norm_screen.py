@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
@@ -164,12 +164,17 @@ def test_screen_is_within_its_bound_of_the_exact_modular(phi):
     assert checked > 150
 
 
-@pytest.mark.parametrize("phi", BRACKETED, ids=BRACKETED_IDS)
+# A table whose product (v2 - v1)(t - t1) passes DBL_MAX inside its range.
+WIDE = od.TableYoung(((0.0, 0.0), (1.0, 0.5), (1e154, 1e154), (1e308, 1.5e308)))
+
+
+@pytest.mark.parametrize("phi", BRACKETED + [WIDE], ids=BRACKETED_IDS + ["table-1e308"])
 def test_screen_terms_are_within_32_units_of_evaluate(phi):
     rng = np.random.default_rng(23)
-    hi = math.log10(TABLE.domain_max) if phi is TABLE else 3.0
+    hi = math.log10(phi.domain_max) if isinstance(phi, od.TableYoung) else 3.0
     ts = np.concatenate([10.0 ** rng.uniform(-3.0, hi, 100_000), 10.0 ** rng.uniform(-323.0, -300.0, 1000)])
     exact = np.array([phi.evaluate(t) for t in ts.tolist()])
+    assert np.isfinite(exact).all()  # an inf would pass any relative bound
     with np.errstate(divide="ignore", invalid="ignore"):
         screen = phi.evaluate_array(ts.copy())
     finite = ~np.isnan(screen)  # alphalog's underflowed zeros, left to the exact path
@@ -238,3 +243,43 @@ def test_screen_leaves_most_steps_to_numpy(monkeypatch):
         od.luxemburg_norm(_vector([0.5] * 15), phi)
         assert len(exact_passes) == 0
         exact_passes.clear()
+
+
+@st.composite
+def _wide_tables(draw):
+    """Convex tables whose knots reach up to 1e308."""
+    ts = sorted(set(draw(st.lists(st.floats(1e-300, 1e308), min_size=1, max_size=4))))
+    slopes = sorted(draw(st.lists(st.floats(1e-300, 1e300), min_size=len(ts), max_size=len(ts))))
+    knots = [(0.0, 0.0)]
+    for t, slope in zip(ts, slopes):
+        knots.append((t, knots[-1][1] + slope * (t - knots[-1][0])))
+    try:
+        return od.TableYoung(tuple(knots))
+    except ValueError:  # a value past DBL_MAX, or slopes that rounding bent
+        assume(False)
+
+
+WIDE_YOUNG = st.one_of(
+    st.floats(1.0, 2.0**21).map(od.PowerYoung),
+    st.floats(1.0, 2.0**21, exclude_min=True).map(od.AlphaLogYoung),
+    _wide_tables(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(WIDE_YOUNG, st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_norm_over_the_whole_float_range_is_finite_or_a_package_error(phi, magnitudes, rnd):
+    # A finite positive norm or an OrliczDynamicsError, never a bare
+    # OverflowError, RuntimeError or ZeroDivisionError; the same on the
+    # vector and on its value array.
+    f = _vector([m * rnd.choice((-1.0, 1.0)) for m in magnitudes])
+    outcomes = []
+    for arg in (f, orlicz._values(f)):
+        try:
+            norm = od.luxemburg_norm(arg, phi)
+        except OrliczDynamicsError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            assert 0.0 < norm < math.inf
+            outcomes.append(norm)
+    assert outcomes[0] == outcomes[1]

@@ -3,7 +3,6 @@ that type and equals the object the command computed."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -94,8 +93,6 @@ def test_check_report_rebuilds_its_verdict(tmp_path, monkeypatch, name):
     code, results = _run(tmp_path, "check", "--config", _config(tmp_path, name))
     assert code in (0, 2) and len(verdicts) == 1
     _assert_verdict(results["verdict"], verdicts[0])
-    with open(tmp_path / "report.series.csv", newline="") as fh:
-        assert next(csv.reader(fh)) == [f.name for f in fields(SeriesPoint)]
 
 
 @pytest.mark.parametrize("name", ["z_shift_chaotic", "heisenberg_paper", "z_multiply_recurrent", "torsion_recurrent"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import orlicz_dynamics as od
 from orlicz_dynamics.errors import OrliczDynamicsError, OutOfRangeError
-from orlicz_dynamics.numerics import golden_max
+from orlicz_dynamics.numerics import bisect_root, golden_max
 
 
 def test_evaluate_closed_forms():
@@ -305,6 +306,32 @@ def test_table_gives_nan_for_nan_on_every_path(ts):
     for path in (scalar, many, array):
         assert [math.isnan(v) for v in path] == nan
     assert [v for v, miss in zip(many, nan) if not miss] == [v for v, miss in zip(scalar, nan) if not miss]
+
+
+# Tables whose product (v2 - v1)(t - t1) passes DBL_MAX inside their range.
+WIDE = od.TableYoung(((0.0, 0.0), (1e308, 1e308)))
+WIDE_160 = od.TableYoung(((0.0, 0.0), (1e160, 1e160)))
+
+
+@pytest.mark.parametrize("table,t", [(WIDE, 2.0), (WIDE, 5e307), (WIDE_160, 1e155)])
+def test_table_interpolates_past_an_overflowing_product(table, t):
+    assert table.evaluate(t) == t
+    ts = [t, 0.5 * t, 1.0, table.domain_max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = list(table.evaluate_many(ts))
+    assert many == [table.evaluate(x) for x in ts] == ts
+    assert table.evaluate_array(np.array(ts)).tolist() == ts
+
+
+@pytest.mark.parametrize("table,s", [(WIDE, 10.0), (WIDE, 9.5e307), (WIDE_160, 1e150)])
+def test_table_inverse_past_an_overflowing_product(table, s):
+    assert abs(od.inverse(table, s) - s) <= 1e-12 * s
+
+
+def test_bisection_past_an_overflowing_midpoint():
+    # From lo = 8.75e307 on, lo + hi passes DBL_MAX.
+    assert abs(bisect_root(lambda t: t - 9.5e307, 0.0, 1e308) - 9.5e307) <= 1e-12 * 9.5e307
 
 
 @pytest.mark.parametrize(
