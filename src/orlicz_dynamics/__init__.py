@@ -46,7 +46,6 @@ from .orlicz import (
 from .translations import (
     ConstantWeight,
     HeisenbergDyadicWeight,
-    ProductValue,
     TableWeight,
     TwoSidedStepWeight,
     WeightedSystem,
@@ -54,12 +53,6 @@ from .translations import (
     apply_S_n,
     apply_T,
     apply_T_n,
-    phi_product,
-    phi_product_pair,
-    phi_series_pair,
-    phi_tilde_product,
-    phi_tilde_product_pair,
-    phi_tilde_series_pair,
 )
 from .young import (
     AlphaLogYoung,

@@ -7,10 +7,13 @@ fields the config sets, so omitted ones take the request's defaults.  Every fiel
 a typed reader (``_object``, ``_require``, ``_name``, ``_int``,
 ``_number``, ``_list``, ``_pairs``, ``_element``), so a wrong type or
 shape fails as a ConfigError on its path, and a bool or a string is
-never a number.  The ``WEIGHTS`` and ``YOUNGS`` family tables drive
-parsing and emission alike; the ``table`` weight and ``custom`` Young
-families are read on their own.  ``emit_config(parse_config(c))`` is
-the canonical form of c, and parsing is lossless on canonical configs.
+never a number.  The ``WEIGHTS`` and ``YOUNGS`` family tables name a
+class per family, and its dataclass fields are the family's number
+fields, in parsing and emission alike; a group's fields are its integer
+parameters, and its class constant ``kind`` its name (``GROUP_KINDS``).
+The ``table`` weight and ``custom`` Young families are read on their
+own.  ``emit_config(parse_config(c))`` is the canonical form of c, and
+parsing is lossless on canonical configs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import sys
 from itertools import chain
 from operator import itemgetter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .criteria import CriterionRequest, K_bytes, Property
@@ -43,16 +46,14 @@ SCHEMA_VERSION = 1
 # The request fields' defaults live in CriterionRequest alone.
 DEFAULTS = {"seed": 0}
 
-# The integer parameters of each group kind's constructor, beyond "kind".
-_GROUP_PARAMS = {"Zd": ("d",), "cyclic": ("m",)}
-# Weight families: class and its number fields.  "table" is read on its own.
+# Weight families by name; "table" is read on its own.
 WEIGHTS = {
-    "constant": (ConstantWeight, ("c",)),
-    "two_sided_step": (TwoSidedStepWeight, ("c_neg", "c_pos")),
-    "heisenberg_paper": (HeisenbergDyadicWeight, ()),
+    "constant": ConstantWeight,
+    "two_sided_step": TwoSidedStepWeight,
+    "heisenberg_paper": HeisenbergDyadicWeight,
 }
-# Young families: class and its number fields.  "custom" is read on its own.
-YOUNGS = {"power": (PowerYoung, ("p",)), "alphalog": (AlphaLogYoung, ("alpha",))}
+# Young families by name; "custom" is read on its own.
+YOUNGS = {"power": PowerYoung, "alphalog": AlphaLogYoung}
 
 _BUDGETS = ("L", "N_max", "L_max")
 _TOP_KEYS = ("schema_version", "group", "a", "weight", "young", "K", "property", "epsilons", *_BUDGETS, *DEFAULTS)
@@ -147,31 +148,33 @@ def _build(path: str, cls, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _from_fields(spec: dict, path: str, cls, fields: tuple):
+def _from_fields(spec: dict, path: str, cls):
     """cls built from the number fields of spec, whose keys must be
-    "family" and fields."""
-    _object(spec, path, ("family", *fields))
-    return _build(path, cls, *(_number(_require(spec, f, path), f"{path}.{f}") for f in fields))
+    "family" and the fields of cls."""
+    names = [f.name for f in fields(cls)]
+    _object(spec, path, ("family", *names))
+    return _build(path, cls, *(_number(_require(spec, f, path), f"{path}.{f}") for f in names))
 
 
 def _emit_family(table: dict, obj) -> dict:
-    for family, (cls, fields) in table.items():
+    for family, cls in table.items():
         if type(obj) is cls:
-            return {"family": family, **{f: getattr(obj, f) for f in fields}}
+            return {"family": family, **asdict(obj)}
     raise TypeError(f"no config family for {obj!r}")
 
 
 def group_from_config(spec) -> Group:
     spec = _object(spec, "group")
     kind = _name(_require(spec, "kind", "group"), GROUP_KINDS, "group.kind")
-    params = [_int(_require(spec, p, "group"), f"group.{p}") for p in _GROUP_PARAMS.get(kind, ())]
-    group = _build("group", GROUP_KINDS[kind], *params)
+    cls = GROUP_KINDS[kind]
+    params = [_int(_require(spec, f.name, "group"), f"group.{f.name}") for f in fields(cls)]
+    group = _build("group", cls, *params)
     _object(spec, "group", group_to_config(group))
     return group
 
 
 def group_to_config(group: Group) -> dict:
-    return {"kind": group.kind, **{p: getattr(group, p) for p in _GROUP_PARAMS.get(group.kind, ())}}
+    return {"kind": group.kind, **asdict(group)}
 
 
 def _weight(spec, group: Group) -> Weight:
@@ -187,7 +190,7 @@ def _weight(spec, group: Group) -> Weight:
         default = _weight_value(spec.get("default", 1.0), "weight.default")
         return _build("weight", TableWeight, tuple(entries.items()), default)
     family = _name(spec.get("family"), (*WEIGHTS, "table"), "weight")
-    return _from_fields(spec, "weight", *WEIGHTS[family])
+    return _from_fields(spec, "weight", WEIGHTS[family])
 
 
 def _weight_to_config(w: Weight, group: Group) -> dict:
@@ -206,7 +209,7 @@ def _young(spec) -> YoungFunction:
         )
         return _build("young", TableYoung, knots)
     family = _name(spec.get("family"), (*YOUNGS, "custom"), "young")
-    return _from_fields(spec, "young", *YOUNGS[family])
+    return _from_fields(spec, "young", YOUNGS[family])
 
 
 def _young_to_config(phi: YoungFunction) -> dict:
@@ -256,10 +259,10 @@ def parse_config(raw) -> RunConfig:
     system = _build("weight", WeightedSystem, group, a, weight, _young(_require(raw, "young", "")))
     K, K_spec = compact_set_from_config(_require(raw, "K", ""), group)
     prop = Property(_name(_require(raw, "property", ""), _PROPERTIES, "property"))
-    fields = {key: _int(raw[key], key) for key in _BUDGETS if key in raw}
+    given = {key: _int(raw[key], key) for key in _BUDGETS if key in raw}
     if "epsilons" in raw:
-        fields["epsilons"] = tuple(_number(e, "epsilons") for e in _list(raw["epsilons"], "epsilons"))
-    request = CriterionRequest(system=system, K=K, property=prop, **fields)
+        given["epsilons"] = tuple(_number(e, "epsilons") for e in _list(raw["epsilons"], "epsilons"))
+    request = CriterionRequest(system=system, K=K, property=prop, **given)
     return RunConfig(request=request, K_spec=K_spec, seed=_int(raw.get("seed", DEFAULTS["seed"]), "seed"))
 
 

@@ -2,11 +2,14 @@
 
 Concrete groups: the integers, integer lattices, the integer Heisenberg
 group and finite cyclic groups.  Elements are plain ints or int tuples,
-so they hash and compare natively.  Haar measure is counting measure
-throughout; "compact set" means a finite explicit set of elements.  Each
-group states its law in closed form twice: ``mul``, and ``pow(g, n)`` for
-every integer n.  The inverse is derived once, as ``pow(g, -1)``.  Each
-group also gives the order of an element in closed form (``element_order``).
+so they hash and compare natively.  A group's ``kind``, its name in a
+config, is a class constant, and ``GROUP_KINDS`` maps it to the class;
+the dataclass fields (``d``, ``m``) are the only constructor parameters.
+Haar measure is counting measure throughout; "compact set" means a
+finite explicit set of elements.  Each group states its law in closed
+form twice: ``mul``, and ``pow(g, n)`` for every integer n.  The inverse
+is derived once, as ``pow(g, -1)``.  Each group also gives the order of
+an element in closed form (``element_order``).
 
 Each group also gives ``orbit_index(x, a) = (r, i)``: x = r·a^i, where r
 is the same for every point of the orbit x·a^n (n in Z), and i is taken
@@ -23,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import ClassVar, Hashable, Iterable, Optional, Sequence
 
 
 from .errors import TorsionElementError
@@ -34,7 +37,7 @@ Element = Hashable
 class Group(ABC):
     """Countable discrete group: identity, multiplication and powers."""
 
-    kind: str = ""
+    kind: ClassVar[str]
 
     @abstractmethod
     def identity(self) -> Element: ...
@@ -76,7 +79,7 @@ class Group(ABC):
 class IntegerGroup(Group):
     """The additive group of integers."""
 
-    kind: str = "Z"
+    kind: ClassVar[str] = "Z"
 
     def identity(self):
         return 0
@@ -106,7 +109,7 @@ class LatticeGroup(Group):
     """The additive lattice of integer d-tuples."""
 
     d: int = 2
-    kind: str = "Zd"
+    kind: ClassVar[str] = "Zd"
 
     def __post_init__(self):
         if self.d < 1:
@@ -140,7 +143,7 @@ class HeisenbergGroup(Group):
     (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+x*y') and
     (x,y,z)^n = (nx, ny, nz + xy n(n-1)/2)."""
 
-    kind: str = "heisenberg"
+    kind: ClassVar[str] = "heisenberg"
 
     def identity(self):
         return (0, 0, 0)
@@ -173,7 +176,7 @@ class CyclicGroup(Group):
     """Finite cyclic group of residues mod m (additive)."""
 
     m: int = 2
-    kind: str = "cyclic"
+    kind: ClassVar[str] = "cyclic"
 
     def __post_init__(self):
         if self.m < 1:
@@ -305,9 +308,4 @@ def _lead_index(x: Sequence[int], a: Sequence[int]) -> int:
     return 0
 
 
-GROUP_KINDS = {
-    "Z": IntegerGroup,
-    "Zd": LatticeGroup,
-    "heisenberg": HeisenbergGroup,
-    "cyclic": CyclicGroup,
-}
+GROUP_KINDS = {cls.kind: cls for cls in (IntegerGroup, LatticeGroup, HeisenbergGroup, CyclicGroup)}

@@ -40,9 +40,9 @@ logs: the same operations, in the same order, on the same float64
 weights as the scalar loop ``orbit_weights_forward`` /
 ``orbit_weights_backward`` that applies ``Group.mul`` once per step, so
 every product is bit-identical to it.  That loop is kept as the
-reference; no computation takes it.  The per-point functions
-(``phi_product``, ``phi_series_pair``, ...) are views of a one-point
-block.
+reference; no computation takes it.  The per-point views at the end
+(``phi_product``, ``phi_series_pair``, ..., and ``_point_series``) have
+no caller: they stay only as names the benchmark's tracer spans.
 
 ``orbit_stack`` builds the stack of a vector f to a depth: T^c f (or
 S^c f) for c = 0..depth, one column each, from the same weight rows, and
@@ -80,7 +80,7 @@ module alone reads and writes the weights' JSON form.
 
 On a long orbit the linear series may underflow to 0.0 or overflow to
 inf while its log stays finite.  The log series is built only when it is
-asked for (``logs=``): by the chaos scan and the *_pair views.
+asked for (``logs=``): by the chaos scan.
 """
 
 from __future__ import annotations
@@ -422,17 +422,6 @@ class WeightedSystem:
         return orbits, default
 
 
-class ProductValue(NamedTuple):
-    """Orbit product as (natural log, linear value).
-
-    The linear value may be 0.0 (underflow) or inf (overflow) for long
-    orbits; the log stays finite for any positive weight.
-    """
-
-    log: float
-    linear: float
-
-
 def apply_T(sys: WeightedSystem, f: OrliczVector) -> OrliczVector:
     """(T f)(x) = w(x) * f(x * a^{-1}); support shifts right by a."""
     return iterates(sys, f, 1, 1)[0]
@@ -594,13 +583,12 @@ def keyed_series(
     """Product series of the rows with the given keys for n = 0..depth, a
     block of rows at a time: yields (rows, linear, log), where rows is the
     slice of keys the block covers and linear and log are (rows, depth + 1)
-    arrays (log is None unless asked).  Row i of a block equals
-    phi_series_pair (phi_tilde_series_pair when backward is set) of any
-    point whose key is keys[rows][i], bit for bit: each row is the same
-    sequential cumprod (and cumsum of logs) over the same weights as the
-    scalar loop.  Every block reuses the same buffers of about
-    ``BLOCK_ELEMENTS`` values, so a block's arrays hold only until the
-    next block is asked for."""
+    arrays (log is None unless asked).  Row i of a block is the series
+    phi_n(x) (phi~_n(x) when backward is set) of every point x whose key
+    is keys[rows][i], bit for bit the scalar loop's: each row is the same
+    sequential cumprod (and cumsum of logs) over the same weights.  Every
+    block reuses the same buffers of about ``BLOCK_ELEMENTS`` values, so a
+    block's arrays hold only until the next block is asked for."""
     rows = _block_rows(depth + 1)
     shape = (min(rows, len(keys)), depth + 1)
     linear = np.empty(shape)
@@ -630,6 +618,7 @@ def keyed_series(
         yield blk, lin, lg
 
 
+# The per-point views: span names of the benchmark's tracer, with no caller.
 def _point_series(
     sys: WeightedSystem, x: Element, depth: int, backward: bool = False, logs: bool = False
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -647,34 +636,28 @@ def phi_product(sys: WeightedSystem, x: Element, n: int) -> float:
 
 
 def phi_tilde_product(sys: WeightedSystem, x: Element, n: int) -> float:
-    """Reciprocal backward product [prod_{j=0..n-1} w(x * a^{-j})]^{-1}.
-
-    Overflows to inf when the backward product underflows (long orbits of
-    small weights); use the pair variant for the log value."""
+    """Reciprocal backward product [prod_{j=0..n-1} w(x * a^{-j})]^{-1},
+    inf where the backward product underflows."""
     return float(_point_series(sys, x, n, backward=True)[0][n])
 
 
-def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
-    """Forward product as a (log, linear) pair; see module notes on underflow."""
+def phi_product_pair(sys: WeightedSystem, x: Element, n: int) -> tuple[float, float]:
+    """Forward product as (log, linear); see module notes on underflow."""
     linear, log = phi_series_pair(sys, x, n)
-    return ProductValue(float(log[n]), float(linear[n]))
+    return float(log[n]), float(linear[n])
 
 
-def phi_tilde_product_pair(sys: WeightedSystem, x: Element, n: int) -> ProductValue:
-    """Reciprocal backward product as a (log, linear) pair."""
+def phi_tilde_product_pair(sys: WeightedSystem, x: Element, n: int) -> tuple[float, float]:
+    """Reciprocal backward product as (log, linear)."""
     linear, log = phi_tilde_series_pair(sys, x, n)
-    return ProductValue(float(log[n]), float(linear[n]))
+    return float(log[n]), float(linear[n])
 
 
 def phi_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Incremental forward products for n = 0..n_max.
-
-    Returns (linear, log) arrays of length n_max + 1 built by the running
-    recurrence value(n+1) = value(n) * w(x * a^{n+1}).
-    """
+    """(linear, log) arrays of the forward products for n = 0..n_max."""
     return _point_series(sys, x, n_max, logs=True)
 
 
 def phi_tilde_series_pair(sys: WeightedSystem, x: Element, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Incremental backward reciprocal products for n = 0..n_max."""
+    """(linear, log) arrays of the reciprocal backward products for n = 0..n_max."""
     return _point_series(sys, x, n_max, backward=True, logs=True)

@@ -22,8 +22,9 @@ Each family evaluates two ways, alphalog and table three:
   ``map`` or one list comprehension (numpy's ``power`` and ``log`` round
   differently on a few inputs), and the table kernel runs ``evaluate``'s
   segment search and operations elementwise in numpy.  Where a table's
-  product (v2 - v1)(t - t1) overflows, both take it on ``frexp``
-  mantissas, so a value that fits is finite.  An overflow in ``pow``
+  product (v2 - v1)(t - t1) overflows, or underflows from positive
+  factors, both take it on ``frexp`` mantissas, so a value that fits is
+  finite and a small one keeps its bits.  An overflow in ``pow``
   raises OverflowError and a table argument past the domain raises
   OutOfRangeError, as in the scalar path.  A table gives nan for
   a NaN argument on all three paths.
@@ -186,9 +187,10 @@ class TableYoung:
             return self.knots[-1][1] if at == ts[-1] else math.nan
         t1, v1 = self.knots[i]
         t2, v2 = self.knots[i + 1]
-        rise = (v2 - v1) * (at - t1)
-        if rise == math.inf:
-            return v1 + float(_scaled_quotient(v2 - v1, at - t1, t2 - t1))
+        dv, dt = v2 - v1, at - t1
+        rise = dv * dt
+        if rise == math.inf or rise < sys.float_info.min and dv > 0.0 and dt > 0.0:
+            return v1 + float(_scaled_quotient(dv, dt, t2 - t1))
         return v1 + rise / (t2 - t1)
 
     def evaluate_many(self, ts: Iterable[float]) -> Iterable[float]:
@@ -204,9 +206,9 @@ class TableYoung:
         with np.errstate(over="ignore"):
             rise = dv * dt
         out = v1 + rise / run
-        over = np.isinf(rise)
-        if over.any():
-            out[over] = v1[over] + _scaled_quotient(dv[over], dt[over], run[over])
+        off = np.isinf(rise) | (rise < sys.float_info.min) & (dv > 0.0) & (dt > 0.0)
+        if off.any():
+            out[off] = v1[off] + _scaled_quotient(dv[off], dt[off], run[off])
         return np.where(at == xp[-1], fp[-1], out).tolist()
 
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
@@ -217,8 +219,9 @@ class TableYoung:
 
 
 def _scaled_quotient(a, b, c):
-    """a * b / c, rounded as with no exponent limit, where a * b passes
-    DBL_MAX: the same two operations on the ``frexp`` mantissas, in
+    """a * b / c, rounded as with no exponent limit, where a * b of
+    positive a and b passes DBL_MAX or falls below the least normal
+    float: the same two operations on the ``frexp`` mantissas, in
     [1/2, 1), then ``ldexp`` by the summed exponents.  A table's value is
     at most its next knot, so only rounding past DBL_MAX gives inf."""
     (ma, ea), (mb, eb), (mc, ec) = np.frexp(a), np.frexp(b), np.frexp(c)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import orlicz_dynamics as od
+from orlicz_dynamics.translations import keyed_series
 
 P2 = od.PowerYoung(2.0)
 
@@ -33,6 +34,13 @@ def heisenberg_system(heisenberg):
     return od.WeightedSystem(
         group=heisenberg, a=(3, 0, 2), weight=od.HeisenbergDyadicWeight(), young=P2
     )
+
+
+def orbit_product(sys, x, n, backward=False):
+    """phi_n(x), or phi~_n(x) when backward: the last value of the row of
+    x's key in ``keyed_series``, run to depth n."""
+    _, linear, _ = next(keyed_series(sys, [sys.fillers[backward].key(x)], n, backward, False))
+    return float(linear[0, n])
 
 
 def all_groups():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import orlicz_dynamics as od
-from conftest import all_groups, block_alternating_weight, random_element, random_vector
+from conftest import all_groups, block_alternating_weight, orbit_product, random_element, random_vector
 from orlicz_dynamics.config import load_config
 
 P2 = od.PowerYoung(2.0)
@@ -41,7 +41,7 @@ def test_criterion_1_heisenberg_chaos_sum_closed_form():
     for x in ((0, 0, 0), (5, -3, 0), (-7, 2, 0), (1, 1, 0)):
         for n in (5, 10):
             total = sum(
-                od.phi_product(sys, x, l * n) + od.phi_tilde_product(sys, x, l * n)
+                orbit_product(sys, x, l * n) + orbit_product(sys, x, l * n, backward=True)
                 for l in range(1, 65)
             )
             worst = max(worst, abs(total - 3.0 / (2.0**n - 1.0)))

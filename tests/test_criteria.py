@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import orlicz_dynamics as od
 from orlicz_dynamics.errors import ConfigError
-from conftest import P2, block_alternating_weight
+from conftest import P2, block_alternating_weight, orbit_product
 from exact_oracle import exact_term
 
 
@@ -170,7 +170,7 @@ def test_multiply_recurrent_witness_on_step_weight(step_system, zgroup):
     # independent oracle: direct product enumeration over the raw operators
     def sup_at(n):
         return max(
-            max(od.phi_product(step_system, x, l * n), od.phi_tilde_product(step_system, x, l * n))
+            max(orbit_product(step_system, x, l * n), orbit_product(step_system, x, l * n, backward=True))
             for l in (1, 2, 3)
             for x in K
         )
@@ -188,8 +188,8 @@ def test_multiply_recurrent_witness_on_heisenberg(heisenberg_system, heisenberg)
     def sup_at(n):
         return max(
             max(
-                od.phi_product(heisenberg_system, x, l * n),
-                od.phi_tilde_product(heisenberg_system, x, l * n),
+                orbit_product(heisenberg_system, x, l * n),
+                orbit_product(heisenberg_system, x, l * n, backward=True),
             )
             for l in (1, 2)
             for x in K
@@ -232,9 +232,9 @@ def test_term_domination(step_system):
     for _ in range(50):
         x = int(rng.integers(-5, 6))
         n = int(rng.integers(1, 12))
-        total = sum(od.phi_product(step_system, x, l * n) for l in range(1, 9))
+        total = sum(orbit_product(step_system, x, l * n) for l in range(1, 9))
         for l in range(1, 9):
-            assert od.phi_product(step_system, x, l * n) <= total
+            assert orbit_product(step_system, x, l * n) <= total
 
 
 # ------------------------------------------- recurrent / transitive equality
@@ -291,7 +291,7 @@ def test_block_weight_separates_transitive_from_mixing(block_system):
 
     # oracle: direct enumeration of the product series from 0
     sups = [
-        max(od.phi_product(block_system, 0, n), od.phi_tilde_product(block_system, 0, n))
+        max(orbit_product(block_system, 0, n), orbit_product(block_system, 0, n, backward=True))
         for n in range(1, 151)
     ]
     assert min(n for n, s in zip(range(1, 151), sups) if s < 0.5) == 4
@@ -354,8 +354,8 @@ def test_chaos_witness_validates_recurrence_predicate(step_system, zgroup):
     for entry in v.witness:
         for l in (1, 2, 3):
             for x in K:
-                assert od.phi_product(step_system, x, l * entry.n) < entry.epsilon
-                assert od.phi_tilde_product(step_system, x, l * entry.n) < entry.epsilon
+                assert orbit_product(step_system, x, l * entry.n) < entry.epsilon
+                assert orbit_product(step_system, x, l * entry.n, backward=True) < entry.epsilon
 
 
 # ------------------------------------- known false witnesses (ROADMAP item 1)
@@ -518,8 +518,8 @@ def test_criteria_on_lattice_group():
     # oracle: forward products halve along the diagonal, backward products
     # 1/2^n; sup is 2^-n, first below 0.1 at n = 4
     assert entry.n == 4
-    assert od.phi_product(sys, (0, 0), 4) == 2.0**-4
-    assert od.phi_tilde_product(sys, (0, 0), 4) == 2.0**-4
+    assert orbit_product(sys, (0, 0), 4) == 2.0**-4
+    assert orbit_product(sys, (0, 0), 4, backward=True) == 2.0**-4
 
 
 def test_uncertified_separation_starts_search_at_one(step_system, zgroup):

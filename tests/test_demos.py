@@ -1,9 +1,11 @@
 """Each demo script, and the README's library tour, runs to completion
-against the current public API; the README's series recipe prints what
-``write_series_csv`` would write."""
+against the current public API; the README's series recipe prints the
+verdict's series as the standard library's ``csv.writer`` writes it."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import shlex
@@ -17,7 +19,6 @@ import pytest
 
 from orlicz_dynamics.cli import main
 from orlicz_dynamics.criteria import SeriesPoint
-from orlicz_dynamics.report import write_series_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -78,6 +79,7 @@ def test_readme_series_recipe_prints_the_series_csv(capsys, tmp_path, config):
         printed = subprocess.run([sys.executable, "-c", argv[2]], stdin=stdin, capture_output=True, check=True)
     header = [f.name for f in fields(SeriesPoint)]
     series = json.loads(report.read_text())["results"]["verdict"]["series"]
-    write_series_csv(tmp_path / "series.csv", header, map(itemgetter(*header), series))
-    assert printed.stdout == (tmp_path / "series.csv").read_bytes()
+    expected = io.StringIO()
+    csv.writer(expected).writerows([header, *map(itemgetter(*header), series)])
+    assert printed.stdout == expected.getvalue().encode()
     assert (b",inf," in printed.stdout) == (config == "overflow")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
-from conftest import all_groups, random_element
+from conftest import all_groups, orbit_product, random_element
 
 from orlicz_dynamics import translations
 from orlicz_dynamics.errors import TorsionElementError
@@ -301,7 +301,7 @@ def test_cyclic_orbits_past_the_int64_range_take_the_scalar_loop():
     system = od.WeightedSystem(group=group, a=2**64 - 1, weight=table, young=od.PowerYoung(2.0))
     for x in (0, 2**63 + 5):
         weights = translations.orbit_weights_forward(system, x, 8)
-        assert np.array_equal(od.phi_series_pair(system, x, 8)[0], np.cumprod([1.0, *weights]))
+        assert [orbit_product(system, x, n) for n in range(9)] == np.cumprod([1.0, *weights]).tolist()
 
 
 def test_separation_past_the_orbit_guard_takes_the_scalar_loop():
@@ -381,3 +381,13 @@ def test_element_serialization_round_trip():
         for _ in range(20):
             g = random_element(group, rng)
             assert group.element(group.coords(g)) == g
+
+
+@pytest.mark.parametrize("cls", [od.IntegerGroup, od.LatticeGroup, od.HeisenbergGroup, od.CyclicGroup])
+def test_kind_is_a_class_constant(cls):
+    # kind was a constructor field: IntegerGroup(kind="cyclic") compared
+    # unequal to IntegerGroup(), and config.group_to_config then raised a
+    # bare AttributeError (no attribute m).
+    with pytest.raises(TypeError):
+        cls(kind="cyclic")
+    assert cls().kind == cls.kind

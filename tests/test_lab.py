@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_dynamics as od
-from conftest import P2
+from conftest import P2, orbit_product
 from orlicz_dynamics.errors import SeparationViolatedError, TailUnboundedError
 from orlicz_dynamics.orlicz import vector_sum
 
@@ -126,7 +126,7 @@ def test_residual_bound_chain(step_system, zgroup):
         terms.append(od.luxemburg_norm(cur, P2))
     assert lhs <= sum(terms) + 1e-12
     for l, term in enumerate(terms, start=1):
-        sup_tilde = max(od.phi_tilde_product(step_system, x, l * n) for x in K)
+        sup_tilde = max(orbit_product(step_system, x, l * n, backward=True) for x in K)
         assert term <= sup_tilde * norm_f + 1e-12
 
 
@@ -211,10 +211,10 @@ def test_choose_truncation(step_system, zgroup):
     L = od.choose_truncation(od.SeedOrbit(step_system, f), 10, cap=32)
     assert 1 <= L <= 32
     t_bound = od.luxemburg_norm(
-        f.mul_pointwise(lambda x: od.phi_product(step_system, x, (L + 1) * 10)), P2
+        f.mul_pointwise(lambda x: orbit_product(step_system, x, (L + 1) * 10)), P2
     )
     s_bound = od.luxemburg_norm(
-        f.mul_pointwise(lambda x: od.phi_tilde_product(step_system, x, L * 10)), P2
+        f.mul_pointwise(lambda x: orbit_product(step_system, x, L * 10, backward=True)), P2
     )
     assert t_bound + s_bound < 1e-15
 

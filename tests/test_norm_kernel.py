@@ -4,6 +4,7 @@ code they replaced, bit for bit."""
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from functools import reduce
 from operator import add
@@ -21,7 +22,8 @@ TABLE_KNOTS = [t for t, _ in TABLE.knots]
 PAST_DOMAIN = math.nextafter(TABLE.domain_max, math.inf)
 
 
-# Reference copies of the scalar code as it was before evaluate_many.
+# Reference copies of the scalar code as it was before evaluate_many, with
+# the table's underflow mended.
 def _old_evaluate(phi, t):
     at = abs(t)
     if isinstance(phi, od.PowerYoung):
@@ -38,7 +40,13 @@ def _old_evaluate(phi, t):
         return phi.knots[-1][1]
     t1, v1 = phi.knots[i]
     t2, v2 = phi.knots[i + 1]
-    return v1 + (v2 - v1) * (at - t1) / (t2 - t1)
+    dv, dt = v2 - v1, at - t1
+    if dv * dt < sys.float_info.min and dv and dt:
+        # A product that underflows loses bits: take it on the mantissas,
+        # as with no exponent limit.
+        (ma, ea), (mb, eb), (mc, ec) = map(math.frexp, (dv, dt, t2 - t1))
+        return v1 + math.ldexp(ma * mb / mc, ea + eb - ec)
+    return v1 + dv * dt / (t2 - t1)
 
 
 def _old_modular(f, phi, k):

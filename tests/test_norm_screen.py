@@ -164,11 +164,13 @@ def test_screen_is_within_its_bound_of_the_exact_modular(phi):
     assert checked > 150
 
 
-# A table whose product (v2 - v1)(t - t1) passes DBL_MAX inside its range.
+# Tables whose product (v2 - v1)(t - t1) passes DBL_MAX, or falls below
+# the least normal float, inside their range.
 WIDE = od.TableYoung(((0.0, 0.0), (1.0, 0.5), (1e154, 1e154), (1e308, 1.5e308)))
+TINY = od.TableYoung(((0.0, 0.0), (1e-300, 1e-300), (1.0, 2.0)))
 
 
-@pytest.mark.parametrize("phi", BRACKETED + [WIDE], ids=BRACKETED_IDS + ["table-1e308"])
+@pytest.mark.parametrize("phi", BRACKETED + [WIDE, TINY], ids=BRACKETED_IDS + ["table-1e308", "table-1e-300"])
 def test_screen_terms_are_within_32_units_of_evaluate(phi):
     rng = np.random.default_rng(23)
     hi = math.log10(phi.domain_max) if isinstance(phi, od.TableYoung) else 3.0

@@ -329,6 +329,21 @@ def test_table_inverse_past_an_overflowing_product(table, s):
     assert abs(od.inverse(table, s) - s) <= 1e-12 * s
 
 
+# A table whose product (v2 - v1)(t - t1) falls below the least normal
+# float on its first segment, where Phi(t) = t.
+TINY = od.TableYoung(((0.0, 0.0), (1e-300, 1e-300), (1.0, 2.0)))
+
+
+@pytest.mark.parametrize("t", [5e-301, 9.9e-301, 1e-305, 2.5e-310])
+def test_table_interpolates_past_an_underflowing_product(t):
+    # Both exact paths gave 0.0, or lost bits, where the np.interp screen,
+    # slope first, kept the value.  The mantissas round twice.
+    value = TINY.evaluate(t)
+    assert abs(value - t) <= math.ulp(t)
+    assert list(TINY.evaluate_many([t, 0.5])) == [value, TINY.evaluate(0.5)]
+    assert TINY.evaluate_array(np.array([t])).tolist() == [t]
+
+
 def test_bisection_past_an_overflowing_midpoint():
     # From lo = 8.75e307 on, lo + hi passes DBL_MAX.
     assert abs(bisect_root(lambda t: t - 9.5e307, 0.0, 1e308) - 9.5e307) <= 1e-12 * 9.5e307
